@@ -39,12 +39,12 @@ use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use adaptive_core::AdaptationPolicy;
+use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled};
 use adaptive_native::{
     BoxedNativePolicy, FixedPolicy, LockHealth, MutexStats, NativeDecision, NativeObservation,
-    NativeWaitingPolicy, Poisoned, SPIN_FOREVER,
+    NativeWaitingPolicy, Poisoned, WaitAttrs, SPIN_FOREVER,
 };
 
 use crate::rt;
@@ -55,22 +55,13 @@ use crate::rt;
 /// misread sample cannot commit the lock to unbounded scheduler churn.
 pub const POLL_BUDGET_CAP: u32 = 256;
 
-/// Quarantine length in monitor samples: `8 << level`, like the native
-/// mutex.
-const QUARANTINE_BASE_TICKS: u64 = 8;
-/// Cap on the quarantine backoff shift.
-const QUARANTINE_MAX_SHIFT: u32 = 10;
-/// Clean policy decisions required to forget past quarantines.
-const PROBATION_DECIDES: u32 = 64;
-
-/// Sentinel for "no timeout" in the `timeout_nanos` attribute.
-const TIMEOUT_NONE: u64 = u64::MAX;
-
-fn encode_timeout(t: Option<Duration>) -> u64 {
-    match t {
-        None => TIMEOUT_NONE,
-        Some(d) => d.as_nanos().clamp(1, (TIMEOUT_NONE - 1) as u128) as u64,
-    }
+/// The complete attribute set behind a bare poll budget — what
+/// `SetSpins`, `PureSpin`, `PureBlocking` and a quarantine resolve to:
+/// no park timeout, and the async `delay` default of 0 (the native
+/// default of 64 is a backoff cap; here it would be 64 `spin_loop`
+/// hints wasted per re-poll on a worker the holder may need).
+fn poll_policy(budget: u32) -> NativeWaitingPolicy {
+    NativeWaitingPolicy { spin: budget, delay: 0, timeout: None }
 }
 
 /// Waiter node status word values (same protocol as the native
@@ -137,29 +128,6 @@ impl Waiter {
     }
 }
 
-/// Live waiting-policy attributes (all runtime-mutable).
-struct Attrs {
-    /// Re-poll budget before parking; [`SPIN_FOREVER`] never parks.
-    spin_limit: AtomicU32,
-    /// Synchronous `spin_loop` hints before each in-poll retry.
-    delay: AtomicU32,
-    /// Park bound in nanoseconds; [`TIMEOUT_NONE`] = wait until granted.
-    timeout_nanos: AtomicU64,
-}
-
-/// The sampled feedback loop's mutable half, behind a `try_lock` so a
-/// release that loses the race simply skips its observation (same
-/// single-observer discipline as the native mutex's busy flag).
-struct Feedback {
-    policy: BoxedNativePolicy,
-    /// Monitor samples to swallow before adaptation resumes.
-    quarantine_ticks: u64,
-    /// Backoff level: next quarantine lasts `8 << level` samples.
-    quarantine_level: u32,
-    /// Clean decisions left until `quarantine_level` resets.
-    probation: u32,
-}
-
 /// Counters (plain atomics: the async hot path is already a task-switch
 /// affair, so striping would buy nothing measurable).
 #[derive(Default)]
@@ -211,7 +179,8 @@ pub struct AsyncMutexStats {
     pub policy_panics: u64,
     /// Quarantines entered.
     pub quarantines: u64,
-    /// Explicit heals.
+    /// Times adaptation was re-enabled: a quarantine that ran down, or
+    /// an explicit heal (same meaning as [`MutexStats::heals`]).
     pub heals: u64,
 }
 
@@ -247,7 +216,9 @@ impl AsyncMutexStats {
 pub struct AsyncAdaptiveMutex<T> {
     /// 0 = free, 1 = held. A granted handoff keeps it at 1.
     locked: AtomicU32,
-    attrs: Attrs,
+    /// `spin` = re-poll budget before parking, `delay` = `spin_loop`
+    /// hints before each in-poll retry, `timeout` = park bound.
+    attrs: WaitAttrs,
     /// Tasks currently waiting (polling or parked) — the monitor's
     /// `no-of-waiting-threads`, counted in tasks.
     waiters: AtomicU32,
@@ -257,12 +228,12 @@ pub struct AsyncAdaptiveMutex<T> {
     queue: Mutex<VecDeque<Arc<Waiter>>>,
     /// Serialized by the lock itself (bumped while held).
     acquisitions: AtomicU64,
-    /// Monitor sampling period in acquisitions; `u64::MAX` disables.
-    sample_period: u64,
+    /// Monitor sampling cadence, in acquisitions.
+    gate: SampleGate,
     /// Longest contended wait (ns) since the last sample.
     max_wait: AtomicU64,
-    feedback: Mutex<Feedback>,
-    quarantined: AtomicBool,
+    /// The feedback kernel shared with the native mutex.
+    feedback: GuardedLoop<BoxedNativePolicy>,
     poisoned: AtomicBool,
     stats: Counters,
     value: UnsafeCell<T>,
@@ -270,7 +241,7 @@ pub struct AsyncAdaptiveMutex<T> {
 
 // SAFETY: the value is only reachable through a guard, and a guard
 // exists only while `locked` (or a granted handoff) proves exclusive
-// ownership; everything else is atomics and mutexes.
+// ownership; every other field is `Sync` on its own.
 unsafe impl<T: Send> Send for AsyncAdaptiveMutex<T> {}
 unsafe impl<T: Send> Sync for AsyncAdaptiveMutex<T> {}
 
@@ -290,12 +261,12 @@ impl<T> AsyncAdaptiveMutex<T> {
             Box::new(FixedPolicy(NativeDecision::SetSpins(budget))),
             u64::MAX,
         );
-        m.attrs.spin_limit.store(budget, Ordering::Relaxed);
+        m.attrs.store(poll_policy(budget));
         m
     }
 
     /// A mutex with an explicit policy and monitor sampling period
-    /// (in acquisitions; `u64::MAX` disables sampling).
+    /// (in acquisitions; `0` or `u64::MAX` disables sampling).
     pub fn with_policy(
         value: T,
         policy: BoxedNativePolicy,
@@ -303,23 +274,13 @@ impl<T> AsyncAdaptiveMutex<T> {
     ) -> AsyncAdaptiveMutex<T> {
         AsyncAdaptiveMutex {
             locked: AtomicU32::new(0),
-            attrs: Attrs {
-                spin_limit: AtomicU32::new(32),
-                delay: AtomicU32::new(0),
-                timeout_nanos: AtomicU64::new(TIMEOUT_NONE),
-            },
+            attrs: WaitAttrs::new(poll_policy(32)),
             waiters: AtomicU32::new(0),
             queue: Mutex::new(VecDeque::new()),
             acquisitions: AtomicU64::new(0),
-            sample_period: sample_period.max(1),
+            gate: SampleGate::new(sample_period),
             max_wait: AtomicU64::new(0),
-            feedback: Mutex::new(Feedback {
-                policy,
-                quarantine_ticks: 0,
-                quarantine_level: 0,
-                probation: 0,
-            }),
-            quarantined: AtomicBool::new(false),
+            feedback: GuardedLoop::new(policy),
             poisoned: AtomicBool::new(false),
             stats: Counters::default(),
             value: UnsafeCell::new(value),
@@ -368,8 +329,7 @@ impl<T> AsyncAdaptiveMutex<T> {
         // Plain load + store: serialized by the lock we hold.
         let n = self.acquisitions.load(Ordering::Relaxed) + 1;
         self.acquisitions.store(n, Ordering::Relaxed);
-        let adapt = self.sample_period != u64::MAX && n.is_multiple_of(self.sample_period);
-        AsyncMutexGuard { mutex: self, adapt }
+        AsyncMutexGuard { mutex: self, adapt: self.gate.fires(n) }
     }
 
     /// Release the lock: grant it directly to the oldest live waiter,
@@ -403,121 +363,75 @@ impl<T> AsyncAdaptiveMutex<T> {
     }
 
     /// Run the sampled feedback loop once (called by a sampling
-    /// release, after the lock is dropped).
+    /// release, after the lock is dropped), through the feedback kernel
+    /// shared with the native mutex.
     fn adapt(&self) {
-        // Single-observer: a release that loses this race skips its
-        // sample, same as the native busy flag.
-        let Ok(mut fb) = self.feedback.try_lock() else { return };
-        if fb.quarantine_ticks > 0 {
-            fb.quarantine_ticks -= 1;
-            if fb.quarantine_ticks == 0 {
-                self.quarantined.store(false, Ordering::Release);
-                fb.probation = PROBATION_DECIDES;
+        let outcome = self.feedback.sample(
+            || NativeObservation {
+                waiting: u64::from(self.waiters.load(Ordering::Relaxed)),
+                max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
+            },
+            |decision| self.apply(decision),
+        );
+        match outcome {
+            Sampled::Reenabled => {
+                self.stats.heals.fetch_add(1, Ordering::Relaxed);
             }
-            return;
-        }
-        let obs = NativeObservation {
-            waiting: u64::from(self.waiters.load(Ordering::Relaxed)),
-            max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
-        };
-        let decision = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            fb.policy.decide(obs)
-        }));
-        match decision {
-            Ok(d) => {
-                if fb.probation > 0 {
-                    fb.probation -= 1;
-                    if fb.probation == 0 {
-                        fb.quarantine_level = 0;
-                    }
-                }
-                if let Some(d) = d {
-                    self.apply(d);
-                }
-            }
-            Err(_) => {
+            Sampled::Panicked => {
                 self.stats.policy_panics.fetch_add(1, Ordering::Relaxed);
-                self.quarantine_locked(&mut fb);
+                self.snap_to_safe_endpoint();
             }
+            Sampled::Skipped | Sampled::CoolingDown | Sampled::Decided => {}
         }
     }
 
-    /// Apply a policy decision to the live attributes.
+    /// Apply a policy decision to the live attributes. Every decision
+    /// installs a *complete* attribute set, like the native mutex's: a
+    /// shorthand decision that wrote only the poll budget would leave
+    /// an earlier `SetPolicy`'s park timeout live underneath, and parked
+    /// waiters would keep abandoning and re-queueing on a bound no
+    /// current policy asked for.
     fn apply(&self, decision: NativeDecision) {
-        let changed = match decision {
-            NativeDecision::PureSpin => self.store_spin(SPIN_FOREVER),
-            NativeDecision::PureBlocking => self.store_spin(0),
-            NativeDecision::SetSpins(k) => self.store_spin(k),
-            NativeDecision::SetPolicy(p) => {
-                let a = self.store_spin(p.spin);
-                let b = self.store_delay(p.delay);
-                let c = self.store_timeout(encode_timeout(p.timeout));
-                a | b | c
-            }
+        let p = match decision {
+            NativeDecision::PureSpin => poll_policy(SPIN_FOREVER),
+            NativeDecision::PureBlocking => poll_policy(0),
+            NativeDecision::SetSpins(k) => poll_policy(k),
+            NativeDecision::SetPolicy(p) => p,
             // The async mutex has a single engine; an engine-migration
             // decision (from a policy shared with the native mutex) is
             // a no-op here, not an error.
-            NativeDecision::SetAlgorithm(_) => false,
+            NativeDecision::SetAlgorithm(_) => return,
         };
-        if changed {
-            self.stats.reconfigurations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn store_spin(&self, v: u32) -> bool {
-        store_if_changed_u32(&self.attrs.spin_limit, v)
-    }
-
-    fn store_delay(&self, v: u32) -> bool {
-        store_if_changed_u32(&self.attrs.delay, v)
-    }
-
-    fn store_timeout(&self, v: u64) -> bool {
-        store_if_changed_u64(&self.attrs.timeout_nanos, v)
+        self.set_waiting_policy(p);
     }
 
     /// Snap to the safe endpoint (pure park) and disable adaptation for
     /// `8 << level` samples, doubling the backoff each time.
     pub fn quarantine(&self) {
-        let mut fb = self
-            .feedback
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.quarantine_locked(&mut fb);
+        self.feedback.quarantine();
+        self.snap_to_safe_endpoint();
     }
 
-    fn quarantine_locked(&self, fb: &mut Feedback) {
-        let shift = fb.quarantine_level.min(QUARANTINE_MAX_SHIFT);
-        fb.quarantine_ticks = QUARANTINE_BASE_TICKS << shift;
-        fb.quarantine_level = (fb.quarantine_level + 1).min(QUARANTINE_MAX_SHIFT);
-        fb.probation = 0;
-        self.quarantined.store(true, Ordering::Release);
+    /// The substrate half of a quarantine (the kernel has already
+    /// started the sentence): poll budget 0.
+    fn snap_to_safe_endpoint(&self) {
         self.stats.quarantines.fetch_add(1, Ordering::Relaxed);
-        if self.store_spin(0) {
-            self.stats.reconfigurations.fetch_add(1, Ordering::Relaxed);
-        }
+        self.set_waiting_policy(poll_policy(0));
     }
 
     /// End a quarantine immediately; adaptation resumes on probation.
     /// Returns whether one was in force.
     pub fn heal(&self) -> bool {
-        let mut fb = self
-            .feedback
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if fb.quarantine_ticks == 0 && !self.quarantined.load(Ordering::Acquire) {
-            return false;
+        let healed = self.feedback.heal();
+        if healed {
+            self.stats.heals.fetch_add(1, Ordering::Relaxed);
         }
-        fb.quarantine_ticks = 0;
-        fb.probation = PROBATION_DECIDES;
-        self.quarantined.store(false, Ordering::Release);
-        self.stats.heals.fetch_add(1, Ordering::Relaxed);
-        true
+        healed
     }
 
     /// Whether adaptation is currently suspended by a quarantine.
     pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Acquire)
+        self.feedback.is_quarantined()
     }
 
     /// Whether a holder has panicked since the last clear.
@@ -537,27 +451,19 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// Install new waiting-policy attributes (operator retune; the
     /// feedback loop keeps adapting from here unless quarantined).
     pub fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
-        let a = self.store_spin(policy.spin);
-        let b = self.store_delay(policy.delay);
-        let c = self.store_timeout(encode_timeout(policy.timeout));
-        if a | b | c {
+        if self.attrs.store(policy) {
             self.stats.reconfigurations.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Current waiting-policy attributes.
     pub fn waiting_policy(&self) -> NativeWaitingPolicy {
-        let t = self.attrs.timeout_nanos.load(Ordering::Relaxed);
-        NativeWaitingPolicy {
-            spin: self.attrs.spin_limit.load(Ordering::Relaxed),
-            delay: self.attrs.delay.load(Ordering::Relaxed),
-            timeout: (t != TIMEOUT_NONE).then(|| Duration::from_nanos(t)),
-        }
+        self.attrs.load()
     }
 
     /// Current poll budget (the `spin` attribute).
     pub fn spin_limit(&self) -> u32 {
-        self.attrs.spin_limit.load(Ordering::Relaxed)
+        self.attrs.spin()
     }
 
     /// Tasks currently waiting (polling or parked).
@@ -718,15 +624,13 @@ impl<'a, T> Acquire<'a, T> {
         }
 
         // Poll phase: burn one re-poll if the budget allows.
-        let spin_limit = m.attrs.spin_limit.load(Ordering::Relaxed);
-        if self.polls < spin_limit {
+        if self.polls < m.attrs.spin() {
             self.polls = self.polls.saturating_add(1);
             m.stats.polls.fetch_add(1, Ordering::Relaxed);
             // The bounded *synchronous* spin: `delay` hints, then one
             // retry before yielding. Pays off only when the holder
             // runs concurrently on another worker.
-            let delay = m.attrs.delay.load(Ordering::Relaxed);
-            for _ in 0..delay {
+            for _ in 0..m.attrs.delay() {
                 std::hint::spin_loop();
             }
             if m.try_acquire() {
@@ -752,9 +656,8 @@ impl<'a, T> Acquire<'a, T> {
         }
         m.stats.parked.fetch_add(1, Ordering::Relaxed);
         self.node = Some(node);
-        let t = m.attrs.timeout_nanos.load(Ordering::Relaxed);
-        if t != TIMEOUT_NONE {
-            let deadline = Instant::now() + Duration::from_nanos(t);
+        // A timeout too large for the clock to represent is no bound.
+        if let Some(deadline) = m.attrs.timeout().and_then(|t| Instant::now().checked_add(t)) {
             self.deadline = Some(deadline);
             self.arm_timer(deadline, cx);
         }
@@ -805,8 +708,7 @@ impl<'a, T> Future for LockFuture<'a, T> {
     type Output = AsyncMutexGuard<'a, T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // SAFETY: `Acquire` is not self-referential; we never move it.
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut(); // `Acquire` holds no self-reference: `Unpin`
         match this.inner.poll_acquire(cx) {
             Poll::Ready(guard) => {
                 assert!(
@@ -829,8 +731,7 @@ impl<'a, T> Future for LockCheckedFuture<'a, T> {
     type Output = Result<AsyncMutexGuard<'a, T>, Poisoned<AsyncMutexGuard<'a, T>>>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // SAFETY: as for `LockFuture`.
-        let this = unsafe { self.get_unchecked_mut() };
+        let this = self.get_mut();
         match this.inner.poll_acquire(cx) {
             Poll::Ready(guard) => Poll::Ready(if guard.mutex.is_poisoned() {
                 Err(Poisoned::new(guard))
@@ -945,25 +846,6 @@ impl AdaptationPolicy<NativeObservation> for AsyncPollAdapt {
     }
 }
 
-/// Same store-if-different discipline as the native attribute cells.
-fn store_if_changed_u32(cell: &AtomicU32, v: u32) -> bool {
-    if cell.load(Ordering::Relaxed) == v {
-        false
-    } else {
-        cell.store(v, Ordering::Relaxed);
-        true
-    }
-}
-
-fn store_if_changed_u64(cell: &AtomicU64, v: u64) -> bool {
-    if cell.load(Ordering::Relaxed) == v {
-        false
-    } else {
-        cell.store(v, Ordering::Relaxed);
-        true
-    }
-}
-
 // ---------------------------------------------------------------------
 // Control-plane integration: the async mutex is a first-class target.
 // ---------------------------------------------------------------------
@@ -1041,6 +923,7 @@ mod tests {
     use crate::rt::{self, Runtime};
     use std::sync::atomic::AtomicUsize;
     use std::task::Wake;
+    use std::time::Duration;
 
     struct NoopWake;
     impl Wake for NoopWake {
@@ -1256,6 +1139,53 @@ mod tests {
         });
         assert!(m.is_quarantined(), "a panicking policy must be quarantined");
         assert_eq!(m.stats().policy_panics, 1);
+    }
+
+    #[test]
+    fn shorthand_decisions_clear_a_stale_park_timeout() {
+        // Regression test: PureSpin/PureBlocking/SetSpins used to write
+        // only the poll budget, leaving a previous SetPolicy's park
+        // timeout live — parked waiters kept abandoning and re-queueing
+        // on a bound no current policy had asked for.
+        struct Scripted(std::vec::IntoIter<NativeDecision>);
+        impl AdaptationPolicy<NativeObservation> for Scripted {
+            type Decision = NativeDecision;
+            fn decide(&mut self, _obs: NativeObservation) -> Option<NativeDecision> {
+                self.0.next()
+            }
+        }
+        let script = vec![
+            NativeDecision::SetPolicy(NativeWaitingPolicy {
+                spin: 0,
+                delay: 3,
+                timeout: Some(Duration::from_millis(1)),
+            }),
+            NativeDecision::PureBlocking,
+        ];
+        let rt = Runtime::multi_thread(2);
+        let m = Arc::new(AsyncAdaptiveMutex::with_policy(0u32, Box::new(Scripted(script.into_iter())), 1));
+        rt.block_on(async { drop(m.lock().await) });
+        assert_eq!(m.waiting_policy().timeout, Some(Duration::from_millis(1)));
+        rt.block_on(async { drop(m.lock().await) });
+        assert_eq!(
+            m.waiting_policy(),
+            NativeWaitingPolicy { spin: 0, delay: 0, timeout: None },
+            "PureBlocking must install the complete pure-park set"
+        );
+        // A waiter parked behind a 20 ms hold must now sleep through it.
+        let (m2, m3) = (Arc::clone(&m), Arc::clone(&m));
+        rt.block_on(async move {
+            let holder = rt::spawn(async move {
+                let _g = m2.lock().await;
+                std::thread::sleep(Duration::from_millis(20));
+            });
+            rt::sleep(Duration::from_millis(2)).await;
+            drop(m3.lock().await);
+            holder.await;
+        });
+        let s = m.stats();
+        assert!(s.parked > 0, "the waiter never parked: {s:?}");
+        assert_eq!(s.timeouts, 0, "a parked waiter still timed out: {s:?}");
     }
 
     #[test]

@@ -27,6 +27,9 @@
 //! | `ctl <command...>` | forwarded to the control plane         |
 //! | `quit`             | closes the connection                  |
 //!
+//! A line that reaches 64 KiB without its terminator is answered
+//! `err line too long` and the connection is closed.
+//!
 //! `ctl` is the piece that makes the mid-run retune scenario real: an
 //! operator (or the bench driver) connects over the same TCP port the
 //! data path uses and quarantines, heals, or retunes a live shard lock
@@ -243,31 +246,58 @@ async fn retry_would_block<T>(
     }
 }
 
+/// Longest command line accepted, terminator included. The longest
+/// well-formed command (`put` with two 20-digit numbers) is under 50
+/// bytes and `ctl` lines are short operator commands, so 64 KiB is a
+/// bound on what a connection may make the server buffer, not a limit
+/// any real client meets.
+const MAX_LINE: usize = 64 * 1024;
+
 /// A nonblocking stream plus its carry buffer of unconsumed bytes.
 struct Conn {
     stream: TcpStream,
+    /// Never longer than [`MAX_LINE`].
     carry: Vec<u8>,
+    /// Prefix of `carry` already known to hold no `\n`, so each read
+    /// scans only the bytes it appended.
+    scanned: usize,
 }
 
 impl Conn {
+    fn new(stream: TcpStream) -> Conn {
+        Conn { stream, carry: Vec::new(), scanned: 0 }
+    }
+
     /// Read one `\n`-terminated line (without the terminator); `None`
-    /// at EOF.
+    /// at EOF. A line that reaches [`MAX_LINE`] bytes without its
+    /// terminator is an `InvalidData` error: the caller answers it and
+    /// closes, since the rest of the stream cannot be re-framed.
     async fn read_line(&mut self, stop: &AtomicBool) -> std::io::Result<Option<String>> {
         loop {
-            if let Some(pos) = self.carry.iter().position(|&b| b == b'\n') {
-                let mut line: Vec<u8> = self.carry.drain(..=pos).collect();
+            if let Some(off) = self.carry[self.scanned..].iter().position(|&b| b == b'\n') {
+                let mut line: Vec<u8> = self.carry.drain(..=self.scanned + off).collect();
+                self.scanned = 0;
                 line.pop(); // the \n
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
                 return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
             }
+            self.scanned = self.carry.len();
+            if self.scanned >= MAX_LINE {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "line too long",
+                ));
+            }
             let mut chunk = [0u8; 4096];
-            let n = retry_would_block(stop, || self.stream.read(&mut chunk)).await?;
+            let room = chunk.len().min(MAX_LINE - self.scanned);
+            let n = retry_would_block(stop, || self.stream.read(&mut chunk[..room])).await?;
             if n == 0 {
                 return Ok(None); // EOF (any carry without \n is discarded)
             }
             self.carry.extend_from_slice(&chunk[..n]);
+            debug_assert!(self.carry.len() <= MAX_LINE);
         }
     }
 
@@ -305,19 +335,25 @@ fn render_frame(response: &Result<String, String>) -> String {
 }
 
 async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
-    let mut conn = Conn { stream, carry: Vec::new() };
+    let mut conn = Conn::new(stream);
     loop {
-        let Some(line) = conn.read_line(&shared.stop).await? else {
-            return Ok(());
+        let (response, close) = match conn.read_line(&shared.stop).await {
+            Ok(Some(line)) => {
+                let line = line.trim();
+                if line == "quit" {
+                    return Ok(());
+                }
+                if line.is_empty() {
+                    continue;
+                }
+                (execute(line, shared).await, false)
+            }
+            Ok(None) => return Ok(()),
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                (Err(e.to_string()), true)
+            }
+            Err(e) => return Err(e),
         };
-        let line = line.trim().to_string();
-        if line == "quit" {
-            return Ok(());
-        }
-        if line.is_empty() {
-            continue;
-        }
-        let response = execute(&line, shared).await;
         {
             let mut s = shared.stats.lock().await;
             s.ops += 1;
@@ -327,6 +363,9 @@ async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::
         }
         let frame = render_frame(&response);
         conn.write_all(frame.as_bytes(), &shared.stop).await?;
+        if close {
+            return Ok(());
+        }
     }
 }
 
@@ -565,6 +604,111 @@ mod tests {
         let mut c = BlockingLineClient::connect(server.addr()).expect("connect");
         let snap = c.send("ctl snapshot").unwrap().unwrap();
         assert!(snap.lines().count() > 10, "multi-line body survives framing");
+        assert!(server.shutdown(Duration::from_secs(2)));
+    }
+    /// Stream `len` bytes with no newline, ignoring the error: a server
+    /// that has refused the line closes mid-stream and the rest of the
+    /// write fails.
+    fn stream_without_newline(stream: &mut TcpStream, len: usize) {
+        let _ = stream.write_all(&vec![b'x'; len]);
+    }
+
+    #[test]
+    fn newline_free_stream_is_cut_off_at_the_line_cap() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let client = std::thread::spawn(move || {
+            let mut c = TcpStream::connect(addr).expect("connect");
+            stream_without_newline(&mut c, 1 << 20);
+        });
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        let mut conn = Conn::new(stream);
+        let stop = AtomicBool::new(false);
+        let err = Runtime::current_thread()
+            .block_on(conn.read_line(&stop))
+            .expect_err("1 MiB without a newline must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // `read_line` debug-asserts the bound after every read; this is
+        // where it stopped.
+        assert_eq!(conn.carry.len(), MAX_LINE, "buffered past (or refused before) the cap");
+        drop(conn);
+        client.join().expect("client thread");
+    }
+
+    #[test]
+    fn oversized_line_gets_an_error_frame_and_a_closed_connection() {
+        use std::io::BufRead;
+        let server = serve_store(test_store(), StoreServerConfig::default()).expect("bind");
+        let timeout = Some(Duration::from_secs(10));
+
+        // Exactly the cap, so the server has read everything we sent
+        // and its close is a clean FIN: the reply is deterministic.
+        let mut c = TcpStream::connect(server.addr()).expect("connect");
+        c.set_read_timeout(timeout).expect("timeout");
+        stream_without_newline(&mut c, MAX_LINE);
+        let mut reply = String::new();
+        let mut reader = std::io::BufReader::new(c);
+        while reader.read_line(&mut reply).expect("reply or EOF, not a timeout") > 0 {}
+        assert_eq!(reply, "err line too long\n.\n");
+
+        // 1 MiB: the server closes with our bytes still in flight, so
+        // the reply may be lost to a reset — but the connection must
+        // end (not hang buffering), and nothing else may come back.
+        let mut c = TcpStream::connect(server.addr()).expect("connect");
+        c.set_read_timeout(timeout).expect("timeout");
+        stream_without_newline(&mut c, 1 << 20);
+        let mut reply = Vec::new();
+        match c.read_to_end(&mut reply) {
+            Ok(_) => {}
+            Err(e) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::BrokenPipe
+                ),
+                "connection still open after 1 MiB without a newline: {e}"
+            ),
+        }
+        assert!(b"err line too long\n.\n".starts_with(&reply), "unexpected reply {reply:?}");
+
+        // The server itself is unharmed.
+        let mut ok = BlockingLineClient::connect(server.addr()).expect("connect");
+        assert_eq!(ok.send("incr 1 1").unwrap().unwrap(), "1");
+        assert_eq!(server.stats().errors, 2);
+        assert!(server.shutdown(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn a_command_split_across_partial_writes_is_still_served() {
+        use std::io::BufRead;
+        let server = serve_store(test_store(), StoreServerConfig::default()).expect("bind");
+        let mut c = TcpStream::connect(server.addr()).expect("connect");
+        c.set_nodelay(true).expect("nodelay");
+        c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let mut reader = std::io::BufReader::new(c.try_clone().expect("clone"));
+        let frame = |reader: &mut std::io::BufReader<TcpStream>| {
+            let mut lines = Vec::new();
+            loop {
+                let mut l = String::new();
+                assert!(reader.read_line(&mut l).expect("reply") > 0, "closed mid-frame");
+                if l == ".\n" {
+                    return lines.concat();
+                }
+                lines.push(l);
+            }
+        };
+        // The newline arrives two reads after the command starts, so it
+        // is found past the already-scanned prefix of the carry.
+        for part in ["in", "cr 7 ", "2\n"] {
+            c.write_all(part.as_bytes()).expect("write");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(frame(&mut reader), "ok\n2\n");
+        // And two commands in one segment: the second is found in what
+        // the first left behind.
+        c.write_all(b"incr 7 3\nget 7\n").expect("write");
+        assert_eq!(frame(&mut reader), "ok\n5\n");
+        assert_eq!(frame(&mut reader), "ok\n5\n");
         assert!(server.shutdown(Duration::from_secs(2)));
     }
 }

@@ -14,7 +14,8 @@
 //! * **adaptive** — a reconfigurable object plus a built-in *monitor*
 //!   ([`Sensor`], [`SamplingGate`]) and a user-provided *adaptation
 //!   policy* ([`AdaptationPolicy`]), wired into a feedback loop
-//!   ([`FeedbackLoop`]): `M --v_i--> P --d_c--> Ψ`.
+//!   ([`FeedbackLoop`]): `M --v_i--> P --d_c--> Ψ` — hardened for real
+//!   threads and tasks as [`GuardedLoop`].
 //!
 //! Costs follow the paper's `t = n1 R n2 W` formalism ([`OpCost`]), and
 //! every reconfiguration can be audited through a [`TransitionLog`].
@@ -55,6 +56,7 @@ mod attrs;
 mod config_space;
 mod cost;
 mod feedback;
+mod guarded;
 mod monitor;
 mod policy;
 
@@ -62,5 +64,8 @@ pub use attrs::{AttrError, AttrName, AttrSet, AttrValue, OwnerId};
 pub use config_space::{Configuration, MethodSetId, Transition, TransitionLog};
 pub use cost::{CostLog, CostRecord, OpCost, OpKind};
 pub use feedback::{FeedbackLoop, LaggedLoop, LoopStats};
-pub use monitor::{FnSensor, MonitorStats, SamplingGate, Sensor};
+pub use guarded::{
+    GuardedLoop, Sampled, PROBATION_DECIDES, QUARANTINE_BASE_TICKS, QUARANTINE_MAX_SHIFT,
+};
+pub use monitor::{FnSensor, MonitorStats, SampleGate, SamplingGate, Sensor};
 pub use policy::{AdaptationPolicy, FnPolicy, NullPolicy};

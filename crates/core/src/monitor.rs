@@ -53,6 +53,42 @@ impl<T, F: Fn() -> T> Sensor for FnSensor<F> {
     }
 }
 
+/// A sampling cadence, classified once at construction so the hot path
+/// never pays a runtime divide: power-of-two periods (the paper's
+/// every-other-unlock `2` included) reduce to a mask, the static-object
+/// sentinels (`0`, `u64::MAX`) to a constant `false`. Stateless — the
+/// caller brings the event count; [`SamplingGate`] adds its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SampleGate {
+    /// Never fires (period `0` or `u64::MAX`: a fixed-policy object).
+    Never,
+    /// Power-of-two period `p`, held as `p - 1`: `count & (p - 1) == 0`.
+    Mask(u64),
+    /// Arbitrary period: one integer divide per gate event.
+    Modulo(u64),
+}
+
+impl SampleGate {
+    /// Classify `period`.
+    pub fn new(period: u64) -> SampleGate {
+        match period {
+            0 | u64::MAX => SampleGate::Never,
+            p if p.is_power_of_two() => SampleGate::Mask(p - 1),
+            p => SampleGate::Modulo(p),
+        }
+    }
+
+    /// Whether the `count`-th event of its stream is a sample.
+    #[inline]
+    pub fn fires(self, count: u64) -> bool {
+        match self {
+            SampleGate::Never => false,
+            SampleGate::Mask(m) => count & m == 0,
+            SampleGate::Modulo(p) => count.is_multiple_of(p),
+        }
+    }
+}
+
 /// Event-count based sampling: fires once every `period` events.
 ///
 /// Thread-safe and wait-free; the counter lives on the host, so a gate
@@ -61,6 +97,7 @@ impl<T, F: Fn() -> T> Sensor for FnSensor<F> {
 #[derive(Debug)]
 pub struct SamplingGate {
     period: u64,
+    gate: SampleGate,
     counter: AtomicU64,
 }
 
@@ -74,6 +111,9 @@ impl SamplingGate {
         assert!(period > 0, "sampling period must be positive");
         SamplingGate {
             period,
+            // Events count from 0 here, so event 0 fires for every period
+            // — even `u64::MAX`, which `SampleGate::new` reads as "never".
+            gate: if period == u64::MAX { SampleGate::Modulo(period) } else { SampleGate::new(period) },
             counter: AtomicU64::new(0),
         }
     }
@@ -82,8 +122,7 @@ impl SamplingGate {
     /// sampled. The first event of each period fires, so a freshly
     /// created gate fires on the first event.
     pub fn tick(&self) -> bool {
-        let n = self.counter.fetch_add(1, Ordering::Relaxed);
-        n.is_multiple_of(self.period)
+        self.gate.fires(self.counter.fetch_add(1, Ordering::Relaxed))
     }
 
     /// Configured period.
@@ -141,6 +180,29 @@ mod tests {
     fn gate_every_1_always_fires() {
         let g = SamplingGate::every(1);
         assert!((0..5).all(|_| g.tick()));
+    }
+
+    #[test]
+    fn gate_agrees_with_plain_modulo_for_every_period_class() {
+        for period in [1u64, 2, 3, 7, 8, 1 << 40, u64::MAX - 1, u64::MAX] {
+            let g = SamplingGate::every(period);
+            for n in 0..20u64 {
+                assert_eq!(g.tick(), n.is_multiple_of(period), "period {period}, event {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn stateless_gate_classifies_sentinels_masks_and_divides() {
+        assert_eq!(SampleGate::new(0), SampleGate::Never);
+        assert_eq!(SampleGate::new(u64::MAX), SampleGate::Never);
+        assert_eq!(SampleGate::new(2), SampleGate::Mask(1));
+        assert_eq!(SampleGate::new(6), SampleGate::Modulo(6));
+        assert!((1..100).all(|n| !SampleGate::Never.fires(n)));
+        let fired: Vec<u64> = (1..=12).filter(|&n| SampleGate::new(4).fires(n)).collect();
+        assert_eq!(fired, vec![4, 8, 12]);
+        let fired: Vec<u64> = (1..=12).filter(|&n| SampleGate::new(5).fires(n)).collect();
+        assert_eq!(fired, vec![5, 10]);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use mutex::{
 pub use pad::CachePadded;
 pub use policy::{
     FixedPolicy, NativeAlgorithmAdapt, NativeDecision, NativeFairnessAdapt, NativeObservation,
-    NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice,
+    NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice, WaitAttrs,
 };
 pub use raw::{LockAlgorithm, RawLock};
 pub use ticket::TicketLock;

@@ -70,12 +70,11 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use adaptive_core::AdaptationPolicy;
+use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled};
 
 use crate::clh::ClhLock;
 use crate::combining::{FcLock, OpPtr, SlotOutcome};
@@ -83,7 +82,9 @@ use crate::faults::FaultHook;
 use crate::health::{HealthProbe, LockHealth};
 use crate::pad::CachePadded;
 use crate::parker::WaitNode;
-use crate::policy::{NativeDecision, NativeObservation, NativeSimpleAdapt, NativeWaitingPolicy};
+use crate::policy::{
+    NativeDecision, NativeObservation, NativeSimpleAdapt, NativeWaitingPolicy, WaitAttrs,
+};
 use crate::raw::{LockAlgorithm, RawLock, ALGO_NONE};
 use crate::stats::{
     StatSlabs, COMBINED_OPS, CONTENDED, HANDOFFS, HEALS, PARKED, POISON_CLEARS, POISON_EVENTS,
@@ -114,16 +115,6 @@ const SPIN_RECHECK_PROBES: u32 = 32;
 const SPIN_YIELD_PROBES: u32 = 32;
 /// How often the timed spin phase consults the clock, in probes.
 const SPIN_DEADLINE_PROBES: u32 = 8;
-
-/// Samples skipped by the first quarantine. Each further quarantine
-/// doubles the skip (exponential backoff), up to
-/// `QUARANTINE_BASE_TICKS << QUARANTINE_MAX_SHIFT`.
-const QUARANTINE_BASE_TICKS: u64 = 8;
-/// Cap on the quarantine backoff exponent.
-const QUARANTINE_MAX_SHIFT: u32 = 10;
-/// Successful policy decisions after a re-enable before the backoff
-/// level resets (the probation period).
-const PROBATION_DECIDES: u64 = 64;
 
 /// Counters published by the mutex (all relaxed; monitoring only).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -214,51 +205,6 @@ impl<G> std::fmt::Display for Poisoned<G> {
 
 impl<G> std::error::Error for Poisoned<G> {}
 
-/// Store `v` only if the cell holds something else; returns whether it
-/// stored. The load-compare keeps a re-affirming reconfiguration from
-/// dirtying a read-mostly line (a relaxed load of a line in shared
-/// state is core-local; any store claims it exclusive and invalidates
-/// every reader).
-fn store_if_changed_u32(cell: &AtomicU32, v: u32) -> bool {
-    if cell.load(Ordering::Relaxed) == v {
-        false
-    } else {
-        cell.store(v, Ordering::Relaxed);
-        true
-    }
-}
-
-/// `u64` twin of [`store_if_changed_u32`].
-fn store_if_changed_u64(cell: &AtomicU64, v: u64) -> bool {
-    if cell.load(Ordering::Relaxed) == v {
-        false
-    } else {
-        cell.store(v, Ordering::Relaxed);
-        true
-    }
-}
-
-/// Sentinel for "no timeout" in `Attrs::timeout_nanos`.
-///
-/// `0` used to be the sentinel, which inverted the meaning of a
-/// zero-length timeout: `Some(Duration::ZERO)` (or any sub-nanosecond
-/// duration, truncated by `as_nanos() as u64`) encoded as `0` and made
-/// `lock_conditional` wait *forever* — the exact opposite of "give up
-/// immediately". With `u64::MAX` as the sentinel, real timeouts clamp
-/// into `1..=u64::MAX - 1`: zero-length waits round up to one
-/// nanosecond (a bounded wait that expires on its first deadline
-/// check) and durations beyond ~584 years saturate instead of
-/// truncating into a small — or sentinel — value.
-const TIMEOUT_NONE: u64 = u64::MAX;
-
-/// Encode an optional timeout for the `timeout_nanos` attribute cell.
-fn encode_timeout(t: Option<Duration>) -> u64 {
-    match t {
-        None => TIMEOUT_NONE,
-        Some(d) => d.as_nanos().clamp(1, (TIMEOUT_NONE - 1) as u128) as u64,
-    }
-}
-
 /// The waiter list head + flag bits. A separate type so that dropping
 /// the mutex reclaims any abandoned (timed-out) nodes still linked in.
 struct QueueWord(AtomicUsize);
@@ -293,23 +239,6 @@ impl Drop for QueueWord {
             cur = node.next.get();
         }
     }
-}
-
-/// The waiting-attribute set `{spin, delay, timeout}`. Grouped on one
-/// read-mostly padded line: spinners re-read it, but it is only written
-/// on a reconfiguration (and [`AdaptiveMutex::apply`] skips the store
-/// when a decision re-affirms the current value), so in steady state
-/// the line is silently shared by every core.
-struct Attrs {
-    /// `no-of-spins` attribute; `SPIN_FOREVER` = pure spin, `0` = pure
-    /// blocking.
-    spin_limit: AtomicU32,
-    /// `delay` attribute: exponential-backoff cap, in spin-hint units.
-    delay: AtomicU32,
-    /// `timeout` attribute for conditional acquires, in nanoseconds
-    /// ([`TIMEOUT_NONE`] = unbounded; real timeouts are clamped to
-    /// `1..=TIMEOUT_NONE - 1` by [`encode_timeout`]).
-    timeout_nanos: AtomicU64,
 }
 
 /// The engine-selection words, padded together on one read-mostly line:
@@ -381,62 +310,6 @@ impl Engines {
     }
 }
 
-/// The feedback loop's machinery, grouped on its own padded line so a
-/// sampled observation (policy guard, quarantine countdown, the policy
-/// box itself) never dirties the lines the acquire path reads.
-struct Feedback {
-    /// Spin-guarded policy slot: samplers skip rather than contend.
-    busy: AtomicBool,
-    /// Remaining sampled observations to skip while adaptation is
-    /// quarantined (`0` = adaptation enabled). Mutated under
-    /// `busy` by the countdown; set by `quarantine` from any
-    /// thread (racing stores are benign — the longest quarantine wins
-    /// or loses a few ticks, never the sticky safety: the snap to pure
-    /// blocking already happened).
-    quarantine_ticks: AtomicU64,
-    /// Exponential-backoff exponent for the *next* quarantine.
-    quarantine_level: AtomicU32,
-    /// Successful decides remaining until `quarantine_level` resets.
-    probation: AtomicU64,
-    policy: UnsafeCell<BoxedNativePolicy>,
-}
-
-/// The sampling cadence, classified once at construction so the hot
-/// path never pays a runtime divide: the common periods (powers of
-/// two, including the paper's every-other-unlock `2`) reduce to a
-/// mask, and the static-lock sentinels (`0`, `u64::MAX`) to a constant
-/// `false`.
-#[derive(Debug, Clone, Copy)]
-enum SampleGate {
-    /// The monitor never fires (period `0` or `u64::MAX` — static
-    /// locks whose policy is fixed).
-    Never,
-    /// Power-of-two period `p`: fires when `count & (p - 1) == 0`.
-    Mask(u64),
-    /// Arbitrary period: one integer divide per gate event.
-    Modulo(u64),
-}
-
-impl SampleGate {
-    fn new(period: u64) -> SampleGate {
-        match period {
-            0 | u64::MAX => SampleGate::Never,
-            p if p.is_power_of_two() => SampleGate::Mask(p - 1),
-            p => SampleGate::Modulo(p),
-        }
-    }
-
-    /// Whether the `count`-th event of its stream is a sample.
-    #[inline]
-    fn fires(self, count: u64) -> bool {
-        match self {
-            SampleGate::Never => false,
-            SampleGate::Mask(m) => count & m == 0,
-            SampleGate::Modulo(p) => count.is_multiple_of(p),
-        }
-    }
-}
-
 /// The adaptive mutex.
 ///
 /// Field order is the cache layout (DESIGN.md §12): one exclusive line
@@ -447,7 +320,8 @@ impl SampleGate {
 /// whatever is left.
 pub struct AdaptiveMutex<T> {
     state: CachePadded<StateLine>,
-    attrs: CachePadded<Attrs>,
+    /// Read by spinners, written only by reconfigurations.
+    attrs: CachePadded<WaitAttrs>,
     /// Engine selection plus the zoo itself (each engine pads its own
     /// hot words).
     engines: Engines,
@@ -474,7 +348,9 @@ pub struct AdaptiveMutex<T> {
     /// only the failure path writes it, so it costs the acquire/release
     /// hot path nothing.
     try_failures: CachePadded<AtomicU64>,
-    feedback: CachePadded<Feedback>,
+    /// The feedback kernel, on its own line so a sampled observation
+    /// never dirties the lines the acquire path reads.
+    feedback: CachePadded<GuardedLoop<BoxedNativePolicy>>,
     /// Sticky poison flag: a holder panicked with the lock held.
     poisoned: AtomicBool,
     /// Monitor sampling cadence (immutable; every `period`-th gate
@@ -488,8 +364,8 @@ pub struct AdaptiveMutex<T> {
 
 // SAFETY: the mutex protocol guarantees at most one thread holds the
 // lock (single CAS winner or single status-word handoff grantee), and
-// only the holder touches `value` through the guard. The policy slot is
-// guarded by `feedback.busy`.
+// only the holder touches `value` through the guard. Every other field
+// is `Sync` on its own (the policy slot through `GuardedLoop`).
 unsafe impl<T: Send> Send for AdaptiveMutex<T> {}
 unsafe impl<T: Send> Sync for AdaptiveMutex<T> {}
 
@@ -516,29 +392,18 @@ impl<T> AdaptiveMutex<T> {
         policy: BoxedNativePolicy,
         sample_every: u64,
     ) -> AdaptiveMutex<T> {
-        let initial = NativeWaitingPolicy::default();
         AdaptiveMutex {
             state: CachePadded::new(StateLine {
                 word: QueueWord(AtomicUsize::new(0)),
                 acquisitions: AtomicU64::new(0),
             }),
-            attrs: CachePadded::new(Attrs {
-                spin_limit: AtomicU32::new(initial.spin),
-                delay: AtomicU32::new(initial.delay),
-                timeout_nanos: AtomicU64::new(encode_timeout(initial.timeout)),
-            }),
+            attrs: CachePadded::new(WaitAttrs::new(NativeWaitingPolicy::default())),
             engines: Engines::new(),
             waiters: CachePadded::new(AtomicU32::new(0)),
             max_wait: CachePadded::new(AtomicU64::new(0)),
             stats: StatSlabs::new(),
             try_failures: CachePadded::new(AtomicU64::new(0)),
-            feedback: CachePadded::new(Feedback {
-                busy: AtomicBool::new(false),
-                quarantine_ticks: AtomicU64::new(0),
-                quarantine_level: AtomicU32::new(0),
-                probation: AtomicU64::new(0),
-                policy: UnsafeCell::new(policy),
-            }),
+            feedback: CachePadded::new(GuardedLoop::new(policy)),
             poisoned: AtomicBool::new(false),
             gate: SampleGate::new(sample_every),
             fault_hook: OnceLock::new(),
@@ -638,7 +503,7 @@ impl<T> AdaptiveMutex<T> {
                     for _ in 0..backoff {
                         std::hint::spin_loop();
                     }
-                    backoff = (backoff << 1).min(self.attrs.delay.load(Ordering::Relaxed).max(1));
+                    backoff = (backoff << 1).min(self.attrs.delay().max(1));
                     if probes.is_multiple_of(SPIN_YIELD_PROBES) {
                         std::thread::yield_now();
                     }
@@ -749,9 +614,9 @@ impl<T> AdaptiveMutex<T> {
     /// (the paper's conditional sleep/spin row). With the attribute
     /// unset this is a plain [`AdaptiveMutex::lock`].
     pub fn lock_conditional(&self) -> Option<AdaptiveMutexGuard<'_, T>> {
-        match self.attrs.timeout_nanos.load(Ordering::Relaxed) {
-            TIMEOUT_NONE => Some(self.lock()),
-            ns => self.lock_timeout(Duration::from_nanos(ns)),
+        match self.attrs.timeout() {
+            None => Some(self.lock()),
+            Some(timeout) => self.lock_timeout(timeout),
         }
     }
 
@@ -765,7 +630,7 @@ impl<T> AdaptiveMutex<T> {
         let wait_start = Instant::now();
         let acquired = 'acquire: {
             // --- Spin phase, bounded by the mutable spin attribute. ---
-            let mut limit = self.attrs.spin_limit.load(Ordering::Relaxed);
+            let mut limit = self.attrs.spin();
             let mut probes: u32 = 0;
             let mut backoff: u32 = 1;
             loop {
@@ -788,13 +653,13 @@ impl<T> AdaptiveMutex<T> {
                 for _ in 0..backoff {
                     std::hint::spin_loop();
                 }
-                backoff = (backoff << 1).min(self.attrs.delay.load(Ordering::Relaxed).max(1));
+                backoff = (backoff << 1).min(self.attrs.delay().max(1));
                 // Re-read the mutable attribute periodically: a waiter
                 // spinning under SPIN_FOREVER must observe a policy
                 // downgrade to blocking instead of burning a core
                 // forever.
                 if probes.is_multiple_of(SPIN_RECHECK_PROBES) {
-                    limit = self.attrs.spin_limit.load(Ordering::Relaxed);
+                    limit = self.attrs.spin();
                     if probes.is_multiple_of(SPIN_YIELD_PROBES) {
                         std::thread::yield_now();
                     }
@@ -1137,68 +1002,30 @@ impl<T> AdaptiveMutex<T> {
     }
 
     /// Feed one sampled observation into the policy (the gate has
-    /// already fired). Never contends: if another thread is running the
-    /// policy, the sample is skipped. Panic-safe: a policy callback that
-    /// panics is caught, counted, and answered with a quarantine — the
-    /// lock snaps to pure blocking and adaptation is disabled for an
-    /// exponentially growing number of samples before being retried.
+    /// already fired) through the shared feedback kernel: never
+    /// contends (a sample that finds another thread inside is skipped),
+    /// and panic-safe — a policy callback that panics is caught,
+    /// counted, and answered with a quarantine.
     fn observe(&self, waiting: u64) {
         // Fault injection: a stalled monitor feed drops the sample here,
         // after the gate — the policy sees a gap, not a stale value.
         if self.fault_hook.get().is_some_and(|h| h.stall_monitor_sample()) {
             return;
         }
-        if self.feedback.busy.swap(true, Ordering::Acquire) {
-            return;
-        }
-        // Quarantined: skip the policy and count down to the retry.
-        let ticks = self.feedback.quarantine_ticks.load(Ordering::Relaxed);
-        if ticks > 0 {
-            self.feedback.quarantine_ticks.store(ticks - 1, Ordering::Relaxed);
-            if ticks == 1 {
-                // Quarantine ran down: adaptation re-enabled, on
-                // probation — the backoff level only resets after
-                // PROBATION_DECIDES clean decisions.
-                self.feedback.probation.store(PROBATION_DECIDES, Ordering::Relaxed);
-                self.stats.bump(HEALS);
-            }
-            self.feedback.busy.store(false, Ordering::Release);
-            return;
-        }
-        // SAFETY: `feedback.busy` grants exclusive access to the slot.
-        let policy = unsafe { &mut *self.feedback.policy.get() };
-        // Consume the window's worst contended wait: the next window
-        // starts empty, so a single historic stall cannot keep a
-        // fairness policy pinned to FIFO forever.
-        let max_wait_nanos = self.max_wait.swap(0, Ordering::Relaxed);
-        match catch_unwind(AssertUnwindSafe(|| {
-            policy.decide(NativeObservation { waiting, max_wait_nanos })
-        })) {
-            Ok(decision) => {
-                if let Some(decision) = decision {
-                    self.apply(decision);
-                }
-                self.note_clean_decide();
-            }
-            Err(_) => {
+        let outcome = self.feedback.sample(
+            // Consume the window's worst contended wait: the next window
+            // starts empty, so a single historic stall cannot keep a
+            // fairness policy pinned to FIFO forever.
+            || NativeObservation { waiting, max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed) },
+            |decision| self.apply(decision),
+        );
+        match outcome {
+            Sampled::Reenabled => self.stats.bump(HEALS),
+            Sampled::Panicked => {
                 self.stats.bump(POLICY_PANICS);
-                self.quarantine();
+                self.snap_to_safe_endpoint();
             }
-        }
-        self.feedback.busy.store(false, Ordering::Release);
-    }
-
-    /// One clean policy decision: pay down the probation period, and
-    /// reset the quarantine backoff once it is fully served.
-    fn note_clean_decide(&self) {
-        if self.feedback.quarantine_level.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        let left = self.feedback.probation.load(Ordering::Relaxed);
-        if left > 1 {
-            self.feedback.probation.store(left - 1, Ordering::Relaxed);
-        } else {
-            self.feedback.quarantine_level.store(0, Ordering::Relaxed);
+            Sampled::Skipped | Sampled::CoolingDown | Sampled::Decided => {}
         }
     }
 
@@ -1209,14 +1036,14 @@ impl<T> AdaptiveMutex<T> {
     /// Called internally when a policy callback panics, and externally
     /// by a watchdog that has detected a stall.
     pub fn quarantine(&self) {
+        self.feedback.quarantine();
+        self.snap_to_safe_endpoint();
+    }
+
+    /// The substrate half of a quarantine (the kernel has already
+    /// started the sentence).
+    fn snap_to_safe_endpoint(&self) {
         self.stats.bump(QUARANTINES);
-        let level = self.feedback.quarantine_level.load(Ordering::Relaxed);
-        self.feedback
-            .quarantine_level
-            .store((level + 1).min(QUARANTINE_MAX_SHIFT), Ordering::Relaxed);
-        self.feedback
-            .quarantine_ticks
-            .store(QUARANTINE_BASE_TICKS << level.min(QUARANTINE_MAX_SHIFT), Ordering::Relaxed);
         self.set_waiting_policy(NativeWaitingPolicy::pure_blocking());
         // The spin-park engine is the safe static endpoint too: it is
         // the only engine whose waiters park (and honour the snap to
@@ -1227,7 +1054,7 @@ impl<T> AdaptiveMutex<T> {
     /// Whether adaptation is currently quarantined (disabled, waiting
     /// out its backoff).
     pub fn is_quarantined(&self) -> bool {
-        self.feedback.quarantine_ticks.load(Ordering::Relaxed) > 0
+        self.feedback.is_quarantined()
     }
 
     /// End a quarantine immediately (an operator- or breaker-driven
@@ -1239,17 +1066,13 @@ impl<T> AdaptiveMutex<T> {
     /// healed by an optimistic operator still re-quarantines with a
     /// longer sentence if the underlying fault persists.
     ///
-    /// Returns whether a quarantine was actually in force. The tick
-    /// swap races benignly with the sampled countdown in the feedback
-    /// loop (both only move ticks toward zero; the loser of the race
-    /// re-runs a single countdown step).
+    /// Returns whether a quarantine was actually in force.
     pub fn heal(&self) -> bool {
-        if self.feedback.quarantine_ticks.swap(0, Ordering::Relaxed) == 0 {
-            return false;
+        let healed = self.feedback.heal();
+        if healed {
+            self.stats.bump(HEALS);
         }
-        self.feedback.probation.store(PROBATION_DECIDES, Ordering::Relaxed);
-        self.stats.bump(HEALS);
-        true
+        healed
     }
 
     /// Install a fault-injection hook (testing). At most one per mutex,
@@ -1293,17 +1116,10 @@ impl<T> AdaptiveMutex<T> {
                 return;
             }
         };
-        // Load-compare-store, not an unconditional swap: a decision that
-        // re-affirms the current attribute (the steady-state case for
-        // `simple-adapt`, which decides on every sample) must not dirty
-        // the read-mostly attribute line that every spinner is reading.
-        // `apply` runs under `feedback.busy`, so the only racing writer
-        // is an external `set_waiting_policy`, which raced the old swap
-        // just the same.
-        let mut changed = store_if_changed_u32(&self.attrs.spin_limit, p.spin);
-        changed |= store_if_changed_u32(&self.attrs.delay, p.delay);
-        changed |= store_if_changed_u64(&self.attrs.timeout_nanos, encode_timeout(p.timeout));
-        if changed {
+        // A decision that re-affirms the current attributes (the
+        // steady-state case for `simple-adapt`, which decides on every
+        // sample) stores nothing and counts nothing.
+        if self.attrs.store(p) {
             self.stats.bump(RECONFIGURATIONS);
         }
     }
@@ -1312,21 +1128,12 @@ impl<T> AdaptiveMutex<T> {
     /// (the paper's charged `configure` operation, minus the simulated
     /// charge). The feedback loop may override it at its next sample.
     pub fn set_waiting_policy(&self, p: NativeWaitingPolicy) {
-        self.attrs.spin_limit.store(p.spin, Ordering::Relaxed);
-        self.attrs.delay.store(p.delay, Ordering::Relaxed);
-        self.attrs
-            .timeout_nanos
-            .store(encode_timeout(p.timeout), Ordering::Relaxed);
+        self.attrs.store(p);
     }
 
     /// Current `{spin, delay, timeout}` attribute set.
     pub fn waiting_policy(&self) -> NativeWaitingPolicy {
-        let ns = self.attrs.timeout_nanos.load(Ordering::Relaxed);
-        NativeWaitingPolicy {
-            spin: self.attrs.spin_limit.load(Ordering::Relaxed),
-            delay: self.attrs.delay.load(Ordering::Relaxed),
-            timeout: (ns != TIMEOUT_NONE).then(|| Duration::from_nanos(ns)),
-        }
+        self.attrs.load()
     }
 
     /// The engine currently serving acquires and releases.
@@ -1562,7 +1369,7 @@ impl<T> AdaptiveMutex<T> {
 
     /// Current value of the spin attribute.
     pub fn spin_limit(&self) -> u32 {
-        self.attrs.spin_limit.load(Ordering::Relaxed)
+        self.attrs.spin()
     }
 
     /// Current waiter count (monitoring).
@@ -1722,6 +1529,8 @@ impl<T: std::fmt::Debug> std::fmt::Debug for AdaptiveMutex<T> {
 mod tests {
     use super::*;
     use crate::policy::FixedPolicy;
+    use adaptive_core::QUARANTINE_BASE_TICKS;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -2339,6 +2148,12 @@ mod tests {
                 }
             })
         };
+        // The workers' whole run fits in one scheduler quantum; without
+        // this wait the switcher may never get on a core before they
+        // finish, and the test would have switched nothing.
+        while m.stats().algorithm_switches == 0 {
+            std::thread::yield_now();
+        }
         let handles: Vec<_> = (0..threads)
             .map(|i| {
                 let m = Arc::clone(&m);

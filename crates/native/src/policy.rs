@@ -2,6 +2,7 @@
 //! simulator-side policies, built on the same [`AdaptationPolicy`]
 //! trait), and the native waiting-policy attribute set.
 
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::Duration;
 
 use adaptive_core::AdaptationPolicy;
@@ -115,6 +116,95 @@ impl Default for NativeWaitingPolicy {
     /// policy (spin a little with backoff, then park).
     fn default() -> Self {
         NativeWaitingPolicy::combined(64)
+    }
+}
+
+/// Sentinel for "no timeout" in the `timeout_nanos` attribute cell.
+/// `u64::MAX`, not `0`: a zero-length timeout means "give up at once",
+/// the opposite of "wait forever", so real timeouts clamp into
+/// `1..=u64::MAX - 1` — zero rounds up to one nanosecond and durations
+/// beyond ~584 years saturate instead of truncating.
+const TIMEOUT_NONE: u64 = u64::MAX;
+
+fn encode_timeout(t: Option<Duration>) -> u64 {
+    match t {
+        None => TIMEOUT_NONE,
+        Some(d) => d.as_nanos().clamp(1, (TIMEOUT_NONE - 1) as u128) as u64,
+    }
+}
+
+/// Store `v` only if the cell holds something else; returns whether it
+/// stored. A relaxed load of a line in shared state is core-local; any
+/// store claims it exclusive and invalidates every reader.
+fn store_if_changed_u32(cell: &AtomicU32, v: u32) -> bool {
+    let changed = cell.load(Ordering::Relaxed) != v;
+    if changed {
+        cell.store(v, Ordering::Relaxed);
+    }
+    changed
+}
+
+/// `u64` twin of [`store_if_changed_u32`].
+fn store_if_changed_u64(cell: &AtomicU64, v: u64) -> bool {
+    let changed = cell.load(Ordering::Relaxed) != v;
+    if changed {
+        cell.store(v, Ordering::Relaxed);
+    }
+    changed
+}
+
+/// The live `{spin, delay, timeout}` cells of one lock: a
+/// [`NativeWaitingPolicy`] that waiters read while reconfigurations
+/// write (all relaxed — each attribute is a self-contained hint). Shared
+/// by the real-thread and the async mutex; what one unit of `spin` or
+/// `delay` costs is up to the mutex that reads them. Read-mostly:
+/// [`WaitAttrs::store`] leaves a re-affirmed cell's line shared.
+pub struct WaitAttrs {
+    spin: AtomicU32,
+    delay: AtomicU32,
+    timeout_nanos: AtomicU64,
+}
+
+impl WaitAttrs {
+    /// Cells holding `initial`.
+    pub fn new(initial: NativeWaitingPolicy) -> WaitAttrs {
+        WaitAttrs {
+            spin: AtomicU32::new(initial.spin),
+            delay: AtomicU32::new(initial.delay),
+            timeout_nanos: AtomicU64::new(encode_timeout(initial.timeout)),
+        }
+    }
+
+    /// The `spin` attribute.
+    #[inline]
+    pub fn spin(&self) -> u32 {
+        self.spin.load(Ordering::Relaxed)
+    }
+
+    /// The `delay` attribute.
+    #[inline]
+    pub fn delay(&self) -> u32 {
+        self.delay.load(Ordering::Relaxed)
+    }
+
+    /// The `timeout` attribute.
+    #[inline]
+    pub fn timeout(&self) -> Option<Duration> {
+        let ns = self.timeout_nanos.load(Ordering::Relaxed);
+        (ns != TIMEOUT_NONE).then(|| Duration::from_nanos(ns))
+    }
+
+    /// The whole set (three independent loads: a concurrent `store` may
+    /// be seen half-applied, which every reader tolerates).
+    pub fn load(&self) -> NativeWaitingPolicy {
+        NativeWaitingPolicy { spin: self.spin(), delay: self.delay(), timeout: self.timeout() }
+    }
+
+    /// Install a complete set; returns whether anything changed.
+    pub fn store(&self, p: NativeWaitingPolicy) -> bool {
+        store_if_changed_u32(&self.spin, p.spin)
+            | store_if_changed_u32(&self.delay, p.delay)
+            | store_if_changed_u64(&self.timeout_nanos, encode_timeout(p.timeout))
     }
 }
 
@@ -513,6 +603,20 @@ impl AdaptationPolicy<NativeObservation> for FixedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wait_attrs_store_reports_change_and_round_trips() {
+        let attrs = WaitAttrs::new(NativeWaitingPolicy::default());
+        assert_eq!(attrs.load(), NativeWaitingPolicy::default());
+        assert!(!attrs.store(NativeWaitingPolicy::default()), "re-affirming stores nothing");
+        let timed = NativeWaitingPolicy::combined(7).with_timeout(Duration::ZERO);
+        assert!(attrs.store(timed));
+        assert_eq!((attrs.spin(), attrs.delay()), (7, 64));
+        // A zero-length timeout stays a bounded wait, not the sentinel.
+        assert_eq!(attrs.timeout(), Some(Duration::from_nanos(1)));
+        assert!(attrs.store(NativeWaitingPolicy::combined(7)), "clearing the timeout is a change");
+        assert_eq!(attrs.timeout(), None);
+    }
 
     #[test]
     fn zero_waiting_means_pure_spin() {
