@@ -33,9 +33,11 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod mutex;
 pub mod net;
+mod reactor;
 pub mod rt;
 
 pub use mutex::{
@@ -44,4 +46,5 @@ pub use mutex::{
 pub use net::{serve_store, BlockingLineClient, StoreServerConfig, StoreServerHandle};
 pub use rt::{
     sleep, sleep_until, spawn, timeout, yield_now, Elapsed, Flavor, Handle, JoinHandle, Runtime,
+    RuntimeStats,
 };

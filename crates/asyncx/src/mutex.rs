@@ -243,6 +243,8 @@ pub struct AsyncAdaptiveMutex<T> {
 // exists only while `locked` (or a granted handoff) proves exclusive
 // ownership; every other field is `Sync` on its own.
 unsafe impl<T: Send> Send for AsyncAdaptiveMutex<T> {}
+// SAFETY: as above; `T: Send` is enough because a shared reference
+// only ever hands out the value to one guard at a time.
 unsafe impl<T: Send> Sync for AsyncAdaptiveMutex<T> {}
 
 impl<T> AsyncAdaptiveMutex<T> {

@@ -8,10 +8,11 @@
 //! connections cost a thousand parked tasks, and the store's shard
 //! locks see the exact async regime the poll-vs-park adaptation tunes.
 //!
-//! The workspace vendors no event loop, so readiness is handled the
-//! same way the mutex handles contention: nonblocking sockets retried
-//! across a bounded run of yields (poll), then timer-paced sleeps
-//! (park). See [`retry_would_block`].
+//! Readiness comes from the runtime's epoll reactor (`reactor.rs`): a
+//! nonblocking socket op that says `WouldBlock` parks its task until
+//! the socket's next edge wakes it, so an idle connection costs no
+//! wake-ups at all and a request is picked up when it arrives, not at
+//! the next tick (`ready`, below).
 //!
 //! Commands:
 //!
@@ -39,13 +40,15 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::{Duration, Instant};
 
 use adaptive_control::{BreakerHub, ControlPlane};
 use adaptive_service::ShardedStore;
 
 use crate::mutex::AsyncAdaptiveMutex;
-use crate::rt::{self, Runtime};
+use crate::reactor::{Direction, Io};
+use crate::rt::{self, Handle, Runtime};
 
 /// How a [`serve_store`] server is built.
 pub struct StoreServerConfig {
@@ -130,7 +133,7 @@ impl StoreServerHandle {
     /// drain, then join the runtime. Returns whether the drain
     /// completed (false = connections were cut off).
     pub fn shutdown(mut self, grace: Duration) -> bool {
-        self.stop.store(true, Ordering::Release);
+        self.raise_stop();
         let deadline = Instant::now() + grace;
         while self.active.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
@@ -139,11 +142,21 @@ impl StoreServerHandle {
         self.runtime.take(); // joins the workers
         drained
     }
+
+    /// Raise the stop flag and wake every task parked on a socket to
+    /// look at it: a silent connection would otherwise wait for its
+    /// peer, and the acceptor for one more client.
+    fn raise_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(rt) = &self.runtime {
+            rt.handle().wake_io();
+        }
+    }
 }
 
 impl Drop for StoreServerHandle {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.raise_stop();
     }
 }
 
@@ -157,6 +170,7 @@ pub fn serve_store(
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let runtime = Runtime::multi_thread(config.workers);
+    let listener = runtime.handle().register(listener)?;
     let stop = Arc::new(AtomicBool::new(false));
     let active = Arc::new(AtomicU32::new(0));
     let stats = Arc::new(AsyncAdaptiveMutex::new(ServerStats::default()));
@@ -183,12 +197,12 @@ struct ServerShared {
     stats: Arc<AsyncAdaptiveMutex<ServerStats>>,
 }
 
-async fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return;
-        }
-        match listener.accept() {
+async fn accept_loop(listener: Io<TcpListener>, shared: Arc<ServerShared>) {
+    // Every pass calls `accept`, and only its `WouldBlock` parks: the
+    // backlog is drained on every wake, as one edge may stand for many
+    // connections.
+    while !shared.stop.load(Ordering::SeqCst) {
+        match ready(&listener, Direction::Read, &shared.stop, |l| l.accept()).await {
             Ok((stream, _peer)) => {
                 if stream.set_nonblocking(true).is_err() {
                     continue;
@@ -202,48 +216,45 @@ async fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>) {
                     shared2.active.fetch_sub(1, Ordering::AcqRel);
                 });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // No pending connection: park until the next poll tick.
-                rt::sleep(Duration::from_millis(1)).await;
-            }
-            Err(_) => {
-                rt::sleep(Duration::from_millis(1)).await;
-            }
+            // Out of descriptors, or the peer gave up in the backlog:
+            // no edge will announce that `accept` can work again, so
+            // back off and ask it.
+            Err(_) => rt::sleep(Duration::from_millis(1)).await,
         }
     }
 }
 
-/// Retry a nonblocking socket op across the poll-then-park ladder: a
-/// bounded run of yields first (another task on this worker may be
-/// about to produce the bytes we need), then timer-paced sleeps. The
-/// server's stop flag aborts the wait so shutdown cannot hang on an
-/// idle connection.
-async fn retry_would_block<T>(
+/// Run the nonblocking `op` on `io`'s socket, parking the task on the
+/// reactor whenever it says `WouldBlock`. The waker goes in *before*
+/// each attempt, so an edge that lands between the attempt and the
+/// `Pending` finds it. The server's stop flag ends the wait (`raise_stop`
+/// wakes every parked task after raising it), so shutdown cannot hang
+/// on a silent connection.
+async fn ready<S: std::os::fd::AsRawFd, T>(
+    io: &Io<S>,
+    direction: Direction,
     stop: &AtomicBool,
-    mut op: impl FnMut() -> std::io::Result<T>,
+    mut op: impl FnMut(&S) -> std::io::Result<T>,
 ) -> std::io::Result<T> {
-    const YIELD_BUDGET: u32 = 16;
-    let mut attempts = 0u32;
-    loop {
-        match op() {
+    std::future::poll_fn(|cx| loop {
+        io.set_waker(direction, cx.waker());
+        match op(io.get_ref()) {
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if stop.load(Ordering::Acquire) {
-                    return Err(std::io::Error::new(
+                // Read after the waker is in: a `stop` that this misses
+                // finds the waker.
+                if stop.load(Ordering::SeqCst) {
+                    return Poll::Ready(Err(std::io::Error::new(
                         std::io::ErrorKind::ConnectionAborted,
                         "server shutting down",
-                    ));
+                    )));
                 }
-                if attempts < YIELD_BUDGET {
-                    attempts += 1;
-                    rt::yield_now().await;
-                } else {
-                    rt::sleep(Duration::from_micros(500)).await;
-                }
+                return Poll::Pending;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            other => return other,
+            other => return Poll::Ready(other),
         }
-    }
+    })
+    .await
 }
 
 /// Longest command line accepted, terminator included. The longest
@@ -255,7 +266,7 @@ const MAX_LINE: usize = 64 * 1024;
 
 /// A nonblocking stream plus its carry buffer of unconsumed bytes.
 struct Conn {
-    stream: TcpStream,
+    stream: Io<TcpStream>,
     /// Never longer than [`MAX_LINE`].
     carry: Vec<u8>,
     /// Prefix of `carry` already known to hold no `\n`, so each read
@@ -264,8 +275,10 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn { stream, carry: Vec::new(), scanned: 0 }
+    /// Registers `stream` with the current runtime's reactor.
+    fn new(stream: TcpStream) -> std::io::Result<Conn> {
+        let stream = Handle::current().register(stream)?;
+        Ok(Conn { stream, carry: Vec::new(), scanned: 0 })
     }
 
     /// Read one `\n`-terminated line (without the terminator); `None`
@@ -292,7 +305,8 @@ impl Conn {
             }
             let mut chunk = [0u8; 4096];
             let room = chunk.len().min(MAX_LINE - self.scanned);
-            let n = retry_would_block(stop, || self.stream.read(&mut chunk[..room])).await?;
+            let n = ready(&self.stream, Direction::Read, stop, |mut s| s.read(&mut chunk[..room]))
+                .await?;
             if n == 0 {
                 return Ok(None); // EOF (any carry without \n is discarded)
             }
@@ -303,7 +317,7 @@ impl Conn {
 
     async fn write_all(&mut self, mut bytes: &[u8], stop: &AtomicBool) -> std::io::Result<()> {
         while !bytes.is_empty() {
-            let n = retry_would_block(stop, || self.stream.write(bytes)).await?;
+            let n = ready(&self.stream, Direction::Write, stop, |mut s| s.write(bytes)).await?;
             bytes = &bytes[n..];
         }
         Ok(())
@@ -335,7 +349,7 @@ fn render_frame(response: &Result<String, String>) -> String {
 }
 
 async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
-    let mut conn = Conn::new(stream);
+    let mut conn = Conn::new(stream)?;
     loop {
         let (response, close) = match conn.read_line(&shared.stop).await {
             Ok(Some(line)) => {
@@ -606,6 +620,169 @@ mod tests {
         assert!(snap.lines().count() > 10, "multi-line body survives framing");
         assert!(server.shutdown(Duration::from_secs(2)));
     }
+
+    /// A connected client that says nothing, once the server has
+    /// accepted it and parked its task.
+    fn silent_clients(server: &StoreServerHandle, n: u64) -> Vec<TcpStream> {
+        let clients: Vec<_> = (0..n)
+            .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+            .collect();
+        while server.stats().connections < n {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        clients
+    }
+
+    fn runtime_of(server: &StoreServerHandle) -> rt::Handle {
+        server.runtime.as_ref().expect("running").handle()
+    }
+
+    #[test]
+    fn one_edge_for_two_connections_gets_both_served() {
+        let config = StoreServerConfig { workers: 1, ..StoreServerConfig::default() };
+        let server = serve_store(test_store(), config).expect("bind");
+        // Hold the only worker while both connections land in the
+        // backlog: the parked acceptor then gets one wake for the two.
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let (holding, is_held) = std::sync::mpsc::channel::<()>();
+        runtime_of(&server).spawn(async move {
+            holding.send(()).expect("test thread");
+            held.recv().expect("test thread");
+        });
+        is_held.recv().expect("worker");
+        let mut clients: Vec<_> = (0..2)
+            .map(|_| BlockingLineClient::connect(server.addr()).expect("connect"))
+            .collect();
+        release.send(()).expect("worker");
+        for (i, c) in clients.iter_mut().enumerate() {
+            c.writer
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .expect("timeout");
+            let reply = c.send("incr 3 1").expect("left in the backlog");
+            assert_eq!(reply, Ok((i + 1).to_string()));
+        }
+        assert!(server.shutdown(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn shutdown_and_drop_wake_connections_parked_in_the_reactor() {
+        let server = serve_store(test_store(), StoreServerConfig::default()).expect("bind");
+        let clients = silent_clients(&server, 4);
+        let t = Instant::now();
+        assert!(server.shutdown(Duration::from_secs(2)), "parked connections did not drain");
+        assert!(t.elapsed() < Duration::from_secs(1), "drained by the grace period, not the wake");
+        drop(clients);
+
+        // Without `shutdown`: dropping the handle joins the workers and
+        // closes the server's end of every connection.
+        let server = serve_store(test_store(), StoreServerConfig::default()).expect("bind");
+        let mut clients = silent_clients(&server, 4);
+        drop(server);
+        for c in &mut clients {
+            c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+            assert_eq!(c.read(&mut [0u8; 8]).expect("EOF, not a timeout"), 0);
+        }
+    }
+
+    #[test]
+    fn silent_clients_cost_no_wakeups() {
+        let server = serve_store(test_store(), StoreServerConfig::default()).expect("bind");
+        let _clients = silent_clients(&server, 8);
+        let rt = runtime_of(&server);
+        std::thread::sleep(Duration::from_millis(20)); // `stats()` above was the last task to run
+        let (before, t) = (rt.stats(), Instant::now());
+        std::thread::sleep(Duration::from_millis(300));
+        let (after, ticks) = (rt.stats(), t.elapsed().as_millis() as u64 / 50 + 1);
+        assert_eq!(after.polls, before.polls, "a task ran with nothing to do");
+        assert_eq!(after.io_events, before.io_events);
+        assert_eq!(after.timer_fires, before.timer_fires);
+        let parks = after.driver_parks - before.driver_parks;
+        assert!(parks <= ticks, "{parks} parks in {ticks} housekeeping ticks");
+        assert!(server.shutdown(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn a_reply_the_socket_cannot_take_parks_on_write_readiness() {
+        use std::io::BufRead;
+        let store = test_store();
+        let hub = Arc::new(BreakerHub::default());
+        store.register_with_hub(Arc::clone(&hub));
+        let config = StoreServerConfig {
+            plane: Some(ControlPlane::new(hub)),
+            ..StoreServerConfig::default()
+        };
+        let server = serve_store(store, config).expect("bind");
+        let mut c = TcpStream::connect(server.addr()).expect("connect");
+        c.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        c.set_write_timeout(Some(Duration::from_secs(10))).expect("timeout");
+
+        // Pipeline requests and read nothing, until the server stops
+        // getting through them: its `write` said `WouldBlock`, and the
+        // connection's task is parked until this end drains.
+        let mut sent = 0u64;
+        let stuck_at = loop {
+            assert!(sent < 100_000, "the socket buffers never filled");
+            for _ in 0..50 {
+                c.write_all(b"ctl snapshot\nincr 1 1\n").expect("write");
+                sent += 2;
+            }
+            let ops = server.stats().ops;
+            std::thread::sleep(Duration::from_millis(20));
+            if ops < sent && server.stats().ops == ops {
+                break ops;
+            }
+        };
+
+        // Every frame arrives whole and in order: the `incr`s count up.
+        let mut reader = std::io::BufReader::new(c);
+        let mut frame = || {
+            let mut lines = Vec::new();
+            loop {
+                let mut l = String::new();
+                assert!(reader.read_line(&mut l).expect("reply") > 0, "closed mid-frame");
+                if l == ".\n" {
+                    return lines;
+                }
+                lines.push(l);
+            }
+        };
+        for i in 1..=sent / 2 {
+            let snapshot = frame();
+            assert_eq!(snapshot[0], "ok\n");
+            assert!(snapshot.len() > 10 && snapshot.iter().all(|l| l.ends_with('\n')));
+            assert_eq!(frame(), ["ok\n".to_string(), format!("{i}\n")]);
+        }
+        let stats = server.stats();
+        assert!(stuck_at < stats.ops, "nothing was left to serve when the client began to read");
+        assert_eq!((stats.ops, stats.errors), (sent, 0));
+        assert!(server.shutdown(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn a_task_that_yields_in_a_loop_does_not_starve_a_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        // On the current-thread flavor the root below never lets the
+        // thread go idle, so nobody ever blocks in the reactor.
+        let line = Runtime::current_thread().block_on(async move {
+            let reader = rt::spawn(async move {
+                let stop = AtomicBool::new(false);
+                Conn::new(stream).expect("register").read_line(&stop).await
+            });
+            rt::yield_now().await; // the reader parks
+            peer.write_all(b"hello\n").expect("write");
+            let t = Instant::now();
+            while !reader.is_finished() {
+                assert!(t.elapsed() < Duration::from_secs(10), "the reader was never woken");
+                rt::yield_now().await;
+            }
+            reader.await
+        });
+        assert_eq!(line.expect("read").as_deref(), Some("hello"));
+    }
+
     /// Stream `len` bytes with no newline, ignoring the error: a server
     /// that has refused the line closes mid-stream and the rest of the
     /// write fails.
@@ -623,11 +800,15 @@ mod tests {
         });
         let (stream, _) = listener.accept().expect("accept");
         stream.set_nonblocking(true).expect("nonblocking");
-        let mut conn = Conn::new(stream);
         let stop = AtomicBool::new(false);
-        let err = Runtime::current_thread()
-            .block_on(conn.read_line(&stop))
-            .expect_err("1 MiB without a newline must be refused");
+        let rt = Runtime::current_thread();
+        // Inside `block_on`: registration needs a current runtime.
+        let (conn, err) = rt.block_on(async {
+            let mut conn = Conn::new(stream).expect("register");
+            let err = conn.read_line(&stop).await;
+            (conn, err)
+        });
+        let err = err.expect_err("1 MiB without a newline must be refused");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         // `read_line` debug-asserts the bound after every read; this is
         // where it stopped.

@@ -4,15 +4,15 @@
 //! backend is the *locking* regime — "blocking" that yields a task, not
 //! a core — so the runtime here is deliberately small: an injector run
 //! queue shared by N worker threads (or serviced inline by `block_on`
-//! for the current-thread flavor), a timer heap folded into the
-//! workers' condvar waits, and the three combinators the mutex and the
-//! benchmarks need ([`yield_now`], [`sleep`], [`timeout`]).
+//! for the current-thread flavor), a timer heap, an epoll reactor for
+//! the sockets of `net.rs` (`reactor.rs`), and the three combinators
+//! the mutex and the benchmarks need ([`yield_now`], [`sleep`],
+//! [`timeout`]).
 //!
 //! Two flavors, mirroring the shapes services actually deploy:
 //!
 //! * [`Runtime::multi_thread`] — N OS worker threads pull from one
-//!   injector queue. Wakes go back through the queue; an idle worker
-//!   parks on the condvar with a deadline at the next pending timer.
+//!   injector queue. Wakes go back through the queue.
 //! * [`Runtime::current_thread`] — no worker threads; the thread inside
 //!   [`Runtime::block_on`] alternates between the root future and the
 //!   run queue. This is the flavor where synchronous spinning in a task
@@ -24,15 +24,53 @@
 //! that lands mid-poll re-schedules instead of being lost, and a wake
 //! of an already-queued task is a no-op — the standard executor
 //! contract, in ~100 lines.
+//!
+//! # The driver
+//!
+//! There is no reactor thread and no timer thread: a thread hop per
+//! request would double the context switches a request costs. Instead,
+//! of the threads that find nothing to run (`Shared::idle`) the first
+//! takes the driver's seat and blocks in `epoll_pwait2`, with the time
+//! to the next timer as its timeout; the others wait on a condvar for a
+//! task to be pushed. With one worker, the worker is the driver
+//! whenever it is idle, and a request costs the one wake-up it cannot
+//! avoid. The current-thread flavor's `block_on` runs the same
+//! `Shared::turn`, so both flavors serve sockets.
+//!
+//! A driver with no timer to keep calls `sched_yield` once before it
+//! blocks (`Shared::drive` says why): the paper's spin-then-block with
+//! a spin of one. On a core with nobody else to run the call returns
+//! at once.
+//!
+//! What the driver blocks on can be changed by a thread that is awake:
+//! a task is pushed, an earlier timer is registered, the `block_on`
+//! root is woken, the runtime shuts down. Each of those first makes
+//! its change and then looks at `blocked`; the driver first raises
+//! `blocked` and then looks for every such change, before it blocks.
+//! Both sides are `SeqCst`, so one of the two sees the other (Dekker's
+//! argument), and if it is the waker, it writes the reactor's eventfd.
+//! While the driver is awake nobody writes anything: a push costs a
+//! futex or eventfd syscall only when there is a thread to wake. A task
+//! that re-queues itself (a yield) wakes nobody even then: the thread
+//! that ran it pops next.
+//!
+//! A sleeper on the condvar is never left without a driver while work
+//! could arrive: the driver gives up its seat before it pops, whatever
+//! it makes runnable (a timer, a socket's task) is pushed and notifies
+//! a sleeper, and a sleeper does not wait once the seat is empty.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
+
+use std::os::fd::AsRawFd;
+
+use crate::reactor::{Io, Reactor};
 
 /// Task lifecycle states (see module docs).
 const IDLE: u8 = 0;
@@ -54,6 +92,7 @@ impl Task {
     /// (`Done`), go idle, or re-enqueue if a wake landed mid-poll.
     fn run(self: &Arc<Task>) {
         self.state.store(RUNNING, Ordering::Release);
+        self.shared.polls.fetch_add(1, Ordering::Relaxed);
         let waker = Waker::from(Arc::clone(self));
         let mut cx = Context::from_waker(&waker);
         let mut slot = self
@@ -82,7 +121,10 @@ impl Task {
                     .is_err()
                 {
                     self.state.store(SCHEDULED, Ordering::Release);
-                    self.shared.enqueue(Arc::clone(self));
+                    // Nobody is told: this thread pops next, and its
+                    // pop passes the word on if more than one task
+                    // waits. A yield beside an idle worker is free.
+                    self.shared.queue().push_back(Arc::clone(self));
                 }
             }
             Ok(Poll::Ready(())) | Err(_) => {
@@ -153,96 +195,245 @@ impl Ord for TimerEntry {
     }
 }
 
+/// How long an idle thread waits with nothing to wait for. The wake
+/// protocol does not depend on it; it bounds what a missed wake-up
+/// could cost if that protocol had a hole.
+const TICK: Duration = Duration::from_millis(50);
+
+/// A thread that always has something to run looks at the reactor
+/// (without blocking) once in this many turns, so that tasks that
+/// yield in a loop cannot starve the ones waiting for a socket.
+const IO_EVERY: u32 = 61;
+
 /// State shared by every handle, worker, and task of one runtime.
 struct Shared {
     queue: Mutex<VecDeque<Arc<Task>>>,
     timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
+    reactor: Arc<Reactor>,
+    /// Held by the one idle thread that waits in the reactor (the
+    /// driver); the other idle threads wait on `cv`.
+    driving: AtomicBool,
+    /// Set by the driver before it re-checks for work and blocks;
+    /// whoever takes it back to false owes the eventfd a write.
+    blocked: AtomicBool,
     cv: Condvar,
+    /// Threads waiting on `cv`; raised under `queue`'s lock.
+    sleepers: AtomicUsize,
     shutdown: AtomicBool,
     timer_seq: AtomicU64,
+    // `RuntimeStats`; the reactor counts its own events.
+    polls: AtomicU64,
+    timer_fires: AtomicU64,
+    driver_parks: AtomicU64,
+    driver_interrupts: AtomicU64,
 }
 
 impl Shared {
-    fn enqueue(&self, task: Arc<Task>) {
+    fn new() -> Arc<Shared> {
+        Arc::new(Shared {
+            queue: Mutex::new(VecDeque::new()),
+            timers: Mutex::new(BinaryHeap::new()),
+            reactor: Arc::new(
+                Reactor::new().expect(
+                    "create the runtime's epoll instance and eventfd \
+                     (epoll_pwait2 needs Linux 5.11 or later)",
+                ),
+            ),
+            driving: AtomicBool::new(false),
+            blocked: AtomicBool::new(false),
+            cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            timer_seq: AtomicU64::new(0),
+            polls: AtomicU64::new(0),
+            timer_fires: AtomicU64::new(0),
+            driver_parks: AtomicU64::new(0),
+            driver_interrupts: AtomicU64::new(0),
+        })
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<Arc<Task>>> {
         self.queue
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push_back(task);
-        self.cv.notify_one();
+    }
+
+    fn timers(&self) -> MutexGuard<'_, BinaryHeap<Reverse<TimerEntry>>> {
+        self.timers
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn enqueue(&self, task: Arc<Task>) {
+        self.queue().push_back(task);
+        self.wake_one();
+    }
+
+    /// The queue holds a task that nobody was told about: tell one idle
+    /// thread, if there is one. No syscall otherwise.
+    ///
+    /// A sleeper raises `sleepers` and a driver raises `blocked` before
+    /// they look at the queue for the last time, and this runs after
+    /// the push, so one side always sees the other (Dekker; hence
+    /// `SeqCst`).
+    fn wake_one(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.cv.notify_one();
+        } else {
+            self.interrupt_driver();
+        }
+    }
+
+    /// Make the driver return from the reactor, if it is in there. One
+    /// write per park: the swap elects the writer (and the load before
+    /// it keeps a push beside an awake driver free of a locked op).
+    fn interrupt_driver(&self) {
+        if self.blocked.load(Ordering::SeqCst) && self.blocked.swap(false, Ordering::SeqCst) {
+            self.driver_interrupts.fetch_add(1, Ordering::Relaxed);
+            self.reactor.interrupt();
+        }
     }
 
     fn pop(&self) -> Option<Arc<Task>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .pop_front()
+        let (task, more) = {
+            let mut queue = self.queue();
+            (queue.pop_front()?, !queue.is_empty())
+        };
+        // Two pushes in a row can both notify the same sleeper (it has
+        // not yet run to lower `sleepers`); passing the word on here
+        // gets the second task its own thread.
+        if more {
+            self.wake_one();
+        }
+        Some(task)
     }
 
-    /// Wake every timer whose deadline has passed; returns the next
-    /// pending deadline, if any.
-    fn fire_due_timers(&self) -> Option<Instant> {
+    /// Wake every timer whose deadline has passed.
+    fn fire_due_timers(&self) {
         let mut due = Vec::new();
-        let next = {
-            let mut timers = self
-                .timers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let now = Instant::now();
-            while let Some(Reverse(head)) = timers.peek() {
-                if head.deadline > now {
-                    break;
-                }
-                let Some(Reverse(entry)) = timers.pop() else {
-                    break;
-                };
-                due.push(entry.waker);
+        {
+            let mut timers = self.timers();
+            if timers.is_empty() {
+                return;
             }
-            timers.peek().map(|Reverse(e)| e.deadline)
-        };
+            let now = Instant::now();
+            while timers.peek().is_some_and(|Reverse(head)| head.deadline <= now) {
+                due.extend(timers.pop().map(|Reverse(entry)| entry.waker));
+            }
+        }
+        self.timer_fires.fetch_add(due.len() as u64, Ordering::Relaxed);
         // Wake outside the timer lock: a waker may immediately try to
         // register a new timer.
         for waker in due {
             waker.wake();
         }
-        next
     }
 
     fn register_timer(&self, deadline: Instant, waker: Waker) {
         let seq = self.timer_seq.fetch_add(1, Ordering::Relaxed);
-        self.timers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .push(Reverse(TimerEntry { deadline, seq, waker }));
-        // A worker may be parked past this deadline; re-arm its wait.
-        self.cv.notify_one();
+        let earliest = {
+            let mut timers = self.timers();
+            timers.push(Reverse(TimerEntry { deadline, seq, waker }));
+            timers.peek().is_some_and(|Reverse(head)| head.seq == seq)
+        };
+        // A blocked driver took its timeout from the old head, which
+        // covers every deadline but an earlier one.
+        if earliest {
+            self.interrupt_driver();
+        }
     }
 
-    /// One scheduler turn: fire timers, run one task if any. Returns
-    /// whether a task ran. When idle, waits on the condvar until
-    /// `deadline_cap` or the next timer, whichever is sooner — unless
-    /// `wait` is false (the current-thread driver interleaves the root
-    /// future and supplies its own waiting).
-    fn turn(&self, wait: bool) -> bool {
-        let next_timer = self.fire_due_timers();
+    /// One scheduler turn: fire due timers, run one task if there is
+    /// one, and wait for work if there is none and `woken` (the
+    /// `block_on` root's flag; constant false on a worker) is false.
+    fn turn(&self, turns: &mut u32, woken: &dyn Fn() -> bool) {
+        *turns = turns.wrapping_add(1);
+        self.fire_due_timers();
         if let Some(task) = self.pop() {
             task.run();
-            return true;
+        } else if !woken() {
+            return self.idle(woken);
         }
-        if wait && !self.shutdown.load(Ordering::Acquire) {
-            let guard = self
-                .queue
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if guard.is_empty() {
-                let timeout = next_timer
-                    .map(|d| d.saturating_duration_since(Instant::now()))
-                    .unwrap_or(Duration::from_millis(50));
-                let _ = self
-                    .cv
-                    .wait_timeout(guard, timeout.min(Duration::from_millis(50)));
-            }
+        // A driver in its seat is looking already.
+        if turns.is_multiple_of(IO_EVERY) && !self.driving.load(Ordering::SeqCst) {
+            self.reactor.wait(Duration::ZERO).into_iter().for_each(Waker::wake);
         }
-        false
+    }
+
+    /// Nothing to run: wait in the reactor if no other thread does,
+    /// else on the condvar until a task is pushed.
+    fn idle(&self, woken: &dyn Fn() -> bool) {
+        if !self.driving.swap(true, Ordering::SeqCst) {
+            self.drive(woken);
+            // Given up before this thread pops again: a sleeper that
+            // finds the queue emptied by the driver also finds the
+            // driver's seat empty.
+            self.driving.store(false, Ordering::SeqCst);
+            return;
+        }
+        let queue = self.queue();
+        // Raised before the last look at `woken` and `shutdown`:
+        // `wake_all` looks at `sleepers` after its caller set them.
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        // The driver fires the timers and notifies a sleeper for every
+        // task it makes runnable, so a push is all there is to wait
+        // for; without a driver, not even that.
+        if queue.is_empty()
+            && !woken()
+            && !self.shutdown.load(Ordering::SeqCst)
+            && self.driving.load(Ordering::SeqCst)
+        {
+            drop(self.cv.wait_timeout(queue, TICK));
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The driver's wait: block in `epoll_pwait2` until a socket is
+    /// ready, the next timer is due, or `interrupt_driver` says that
+    /// one of the things checked here has changed.
+    fn drive(&self, woken: &dyn Fn() -> bool) {
+        // Give the core away once first: a peer that shares it (a
+        // loopback client the last task has just answered) sends its
+        // next request now, and the wait below finds it without this
+        // thread having slept. A sleeper has to be woken, and whether
+        // the kernel then runs it at once or lets the waker go on is
+        // decided anew at every wake-up: the closed loop's median
+        // round trip read 7 us in one run and 11 in the next. On a core
+        // of its own the call returns at once. Not with a timer armed:
+        // a busy neighbour may keep the core for a whole slice, which a
+        // sleeper woken at its deadline does not wait for.
+        if self.timers().is_empty() {
+            std::thread::yield_now();
+        }
+        self.blocked.store(true, Ordering::SeqCst);
+        // Everything read from here on is re-read after `blocked` is
+        // visible: a push, a root wake, a shutdown or an earlier timer
+        // that these reads miss will see `blocked` and interrupt.
+        let idle = self.queue().is_empty() && !woken() && !self.shutdown.load(Ordering::SeqCst);
+        let wakers = if idle {
+            let next = self.timers().peek().map(|Reverse(head)| head.deadline);
+            let timeout =
+                next.map_or(TICK, |d| d.saturating_duration_since(Instant::now()).min(TICK));
+            self.driver_parks.fetch_add(1, Ordering::Relaxed);
+            self.reactor.wait(timeout)
+        } else {
+            Vec::new()
+        };
+        // Before the wakes: they are pushes by a thread that is awake.
+        self.blocked.store(false, Ordering::SeqCst);
+        wakers.into_iter().for_each(Waker::wake);
+    }
+
+    /// Wake every thread of the runtime, however it waits (shutdown,
+    /// and a `block_on` root woken from another thread).
+    fn wake_all(&self) {
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // A sleeper holds the lock from its last look at what the
+            // caller changed until it waits: after this, it waits.
+            drop(self.queue());
+            self.cv.notify_all();
+        }
+        self.interrupt_driver();
     }
 }
 
@@ -334,6 +525,52 @@ impl Handle {
     pub fn register_timer_at(&self, deadline: Instant, waker: Waker) {
         self.shared.register_timer(deadline, waker);
     }
+
+    /// What the scheduler has done so far (see [`RuntimeStats`]).
+    pub fn stats(&self) -> RuntimeStats {
+        let shared = &self.shared;
+        RuntimeStats {
+            polls: shared.polls.load(Ordering::Relaxed),
+            io_events: shared.reactor.events(),
+            timer_fires: shared.timer_fires.load(Ordering::Relaxed),
+            driver_parks: shared.driver_parks.load(Ordering::Relaxed),
+            driver_interrupts: shared.driver_interrupts.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Register a nonblocking socket with this runtime's reactor; its
+    /// tasks have to run on this runtime to be woken.
+    pub(crate) fn register<T: AsRawFd>(&self, socket: T) -> std::io::Result<Io<T>> {
+        Io::new(Arc::clone(&self.shared.reactor), socket)
+    }
+
+    /// Wake every task parked on a registered socket (spuriously, as
+    /// far as the socket goes): a server does it to have them look at
+    /// its stop flag.
+    pub(crate) fn wake_io(&self) {
+        self.shared.reactor.take_wakers().into_iter().for_each(Waker::wake);
+    }
+}
+
+/// Counters of one runtime since it was built, for tests and
+/// operators: is anything waking up that should not? Each is bumped
+/// with a relaxed add beside the event it counts, so a snapshot is not
+/// one instant across the five.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RuntimeStats {
+    /// Polls of spawned tasks (`block_on` roots are not counted).
+    pub polls: u64,
+    /// Readiness events the reactor delivered for a registered socket.
+    pub io_events: u64,
+    /// Timer entries fired.
+    pub timer_fires: u64,
+    /// Times an idle thread blocked in the reactor. An idle runtime
+    /// adds one per 50 ms housekeeping tick and nothing else.
+    pub driver_parks: u64,
+    /// Times a blocked driver was woken through the eventfd: by a task
+    /// made runnable on another thread, an earlier timer, a `block_on`
+    /// root wake, or shutdown.
+    pub driver_interrupts: u64,
 }
 
 /// Spawn onto the current thread's runtime (see [`Handle::spawn`]).
@@ -430,15 +667,15 @@ pub struct Runtime {
 
 impl Runtime {
     /// A runtime with `workers` dedicated worker threads (min 1).
+    ///
+    /// # Panics
+    ///
+    /// If the process cannot open two more descriptors (the epoll
+    /// instance and its eventfd), if the kernel is older than 5.11 (no
+    /// `epoll_pwait2`), or if the threads cannot be spawned.
     pub fn multi_thread(workers: usize) -> Runtime {
         let workers = workers.max(1);
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            timers: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            timer_seq: AtomicU64::new(0),
-        });
+        let shared = Shared::new();
         let threads = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -446,8 +683,9 @@ impl Runtime {
                     .name(format!("asyncx-worker-{i}"))
                     .spawn(move || {
                         let _enter = enter(Handle { shared: Arc::clone(&shared) });
-                        while !shared.shutdown.load(Ordering::Acquire) {
-                            shared.turn(true);
+                        let mut turns = 0;
+                        while !shared.shutdown.load(Ordering::SeqCst) {
+                            shared.turn(&mut turns, &|| false);
                         }
                     })
                     .expect("spawn asyncx worker")
@@ -458,15 +696,13 @@ impl Runtime {
 
     /// A single-threaded runtime: tasks run interleaved with the root
     /// future on the thread that calls [`Runtime::block_on`].
+    ///
+    /// # Panics
+    ///
+    /// If the process cannot open two more descriptors, or if the
+    /// kernel is older than 5.11.
     pub fn current_thread() -> Runtime {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            timers: Mutex::new(BinaryHeap::new()),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            timer_seq: AtomicU64::new(0),
-        });
-        Runtime { shared, flavor: Flavor::CurrentThread, workers: Vec::new() }
+        Runtime { shared: Shared::new(), flavor: Flavor::CurrentThread, workers: Vec::new() }
     }
 
     /// This runtime's flavor.
@@ -484,56 +720,32 @@ impl Runtime {
     /// Multi-thread flavor: spawned tasks run on the workers; this
     /// thread only polls `root` and parks between its wakes.
     /// Current-thread flavor: this thread alternates between `root` and
-    /// the run queue (and services the timer heap).
+    /// the run queue, and is the driver whenever both are idle.
     pub fn block_on<F: Future>(&self, root: F) -> F::Output {
         let _enter = enter(self.handle());
         let root_wake = Arc::new(RootWaker {
             woken: AtomicBool::new(true),
             thread: std::thread::current(),
             shared: Arc::clone(&self.shared),
+            drives: self.flavor == Flavor::CurrentThread,
         });
         let waker = Waker::from(Arc::clone(&root_wake));
         let mut cx = Context::from_waker(&waker);
         let mut root = std::pin::pin!(root);
+        let mut turns = 0;
         loop {
-            if root_wake.woken.swap(false, Ordering::AcqRel) {
+            if root_wake.woken.swap(false, Ordering::SeqCst) {
                 if let Poll::Ready(v) = root.as_mut().poll(&mut cx) {
                     return v;
                 }
             }
-            match self.flavor {
-                Flavor::CurrentThread => {
-                    // Run one queued task; when idle, sleep until the
-                    // next timer or a wake (the condvar is notified by
-                    // enqueues and timer registrations; root wakes
-                    // notify it too via RootWaker).
-                    let ran = self.shared.turn(false);
-                    if !ran && !root_wake.woken.load(Ordering::Acquire) {
-                        let next = self.shared.fire_due_timers();
-                        let guard = self
-                            .shared
-                            .queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if guard.is_empty() && !root_wake.woken.load(Ordering::Acquire) {
-                            let timeout = next
-                                .map(|d| d.saturating_duration_since(Instant::now()))
-                                .unwrap_or(Duration::from_millis(50));
-                            let _ = self
-                                .shared
-                                .cv
-                                .wait_timeout(guard, timeout.min(Duration::from_millis(50)));
-                        }
-                    }
-                }
-                Flavor::MultiThread(_) => {
-                    if !root_wake.woken.load(Ordering::Acquire) {
-                        // Bounded park: a timer registered by the root
-                        // future could otherwise be serviced late if
-                        // every worker is mid-poll.
-                        std::thread::park_timeout(Duration::from_millis(50));
-                    }
-                }
+            if root_wake.drives {
+                self.shared
+                    .turn(&mut turns, &|| root_wake.woken.load(Ordering::SeqCst));
+            } else if !root_wake.woken.load(Ordering::SeqCst) {
+                // `unpark` before this `park` makes it return at once;
+                // the bound is the same belt as `TICK`.
+                std::thread::park_timeout(TICK);
             }
         }
     }
@@ -541,22 +753,19 @@ impl Runtime {
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.cv.notify_all();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.wake_all();
         for t in self.workers.drain(..) {
             let _ = t.join();
         }
-        // Retire whatever never ran so task-held resources drop.
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
-        self.shared
-            .timers
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clear();
+        // Retire whatever never finished, so that what the tasks hold
+        // drops and the waker → task → runtime cycles break. Taken out
+        // first: a task's drop deregisters its sockets and may wake.
+        let queued = std::mem::take(&mut *self.shared.queue());
+        drop(queued);
+        let timers = std::mem::take(&mut *self.shared.timers());
+        drop(timers);
+        drop(self.shared.reactor.take_wakers());
     }
 }
 
@@ -565,6 +774,9 @@ struct RootWaker {
     woken: AtomicBool,
     thread: std::thread::Thread,
     shared: Arc<Shared>,
+    /// Current-thread flavor: the thread waits in `Shared::turn`, not
+    /// in `park`.
+    drives: bool,
 }
 
 impl Wake for RootWaker {
@@ -573,11 +785,12 @@ impl Wake for RootWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.woken.store(true, Ordering::Release);
-        // Current-thread block_on sleeps on the runtime condvar;
-        // multi-thread block_on parks the thread. Cover both.
-        self.shared.cv.notify_all();
-        self.thread.unpark();
+        self.woken.store(true, Ordering::SeqCst);
+        if self.drives {
+            self.shared.wake_all();
+        } else {
+            self.thread.unpark();
+        }
     }
 }
 
@@ -608,8 +821,11 @@ impl Future for YieldNow {
     }
 }
 
-/// Sleep for `duration` (timer-heap based; resolution is the workers'
-/// park granularity, ~1 ms worst case on an idle runtime).
+/// Sleep for `duration`. The deadline becomes the driver's
+/// `epoll_pwait2` timeout (nanosecond resolution), so on an idle
+/// runtime the overshoot is the kernel's timer slack and wake-up
+/// latency: tens of microseconds, not a scheduler tick. With every
+/// thread busy the timer fires at the next task switch.
 pub fn sleep(duration: Duration) -> Sleep {
     sleep_until(Instant::now() + duration)
 }
@@ -671,6 +887,8 @@ impl<F: Future> Future for Timeout<F> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         // SAFETY: structural projection; neither field is moved out.
         let this = unsafe { self.get_unchecked_mut() };
+        // SAFETY: `this.future` is a field of the pinned `self` and is
+        // only ever polled through this pin.
         let future = unsafe { Pin::new_unchecked(&mut this.future) };
         if let Poll::Ready(v) = future.poll(cx) {
             return Poll::Ready(Ok(v));
@@ -748,6 +966,118 @@ mod tests {
             });
             assert!(t0.elapsed() >= Duration::from_millis(20));
         }
+    }
+
+    #[test]
+    fn sleep_500us_on_an_idle_runtime_returns_within_a_millisecond() {
+        // The root's timer reaches a driver that is blocked until the
+        // next tick (a worker, on the multi-thread flavor: registered
+        // from another thread), which has to come out and re-arm.
+        for rt in both_flavors() {
+            let mut took: Vec<Duration> = (0..9)
+                .map(|_| {
+                    std::thread::sleep(Duration::from_millis(2)); // the workers go idle
+                    rt.block_on(async {
+                        let t = Instant::now();
+                        sleep(Duration::from_micros(500)).await;
+                        t.elapsed()
+                    })
+                })
+                .collect();
+            took.sort();
+            assert!(took[0] >= Duration::from_micros(500));
+            assert!(took[4] < Duration::from_millis(1), "{:?}: {took:?}", rt.flavor());
+        }
+    }
+
+    struct Flag(AtomicBool);
+
+    impl Wake for Flag {
+        fn wake(self: Arc<Self>) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Returns once the runtime's driver has stayed in one park for a
+    /// few milliseconds: with no task to run, it is blocked.
+    fn wait_until_blocked(handle: &Handle) {
+        loop {
+            let parks = handle.stats().driver_parks;
+            std::thread::sleep(Duration::from_millis(3));
+            if parks > 0 && handle.stats().driver_parks == parks {
+                return;
+            }
+        }
+    }
+
+    #[test]
+    fn a_timer_from_another_thread_interrupts_the_driver_iff_it_is_the_earliest() {
+        let rt = Runtime::multi_thread(1);
+        let handle = rt.handle();
+        let idle = Waker::from(Arc::new(Flag(AtomicBool::new(false))));
+        let far = Instant::now() + Duration::from_secs(60);
+        let mut interrupts = 0;
+        // (deadline, whether the blocked driver's timeout is too long)
+        for (deadline, earlier) in [
+            (far, true),
+            (far - Duration::from_secs(20), true),
+            (far - Duration::from_secs(10), false),
+            (far + Duration::from_secs(10), false),
+        ] {
+            wait_until_blocked(&handle);
+            handle.register_timer_at(deadline, idle.clone());
+            interrupts += u64::from(earlier);
+            assert_eq!(handle.stats().driver_interrupts, interrupts, "after {deadline:?}");
+        }
+        // And the interrupt does what it is for: a near deadline is met
+        // though the driver went to sleep until the tick.
+        wait_until_blocked(&handle);
+        let fired = Arc::new(Flag(AtomicBool::new(false)));
+        let t = Instant::now();
+        handle.register_timer_at(t + Duration::from_millis(1), Waker::from(Arc::clone(&fired)));
+        assert_eq!(handle.stats().driver_interrupts, interrupts + 1);
+        while !fired.0.load(Ordering::SeqCst) {
+            assert!(t.elapsed() < Duration::from_secs(10), "the timer never fired");
+            std::thread::yield_now();
+        }
+        assert_eq!(handle.stats().timer_fires, 1);
+    }
+
+    #[test]
+    fn a_yield_beside_an_idle_worker_wakes_nobody() {
+        // The yielding task's worker pops it again itself; poking the
+        // other worker out of the reactor for each yield would cost a
+        // syscall on both sides and bounce the task between cores.
+        let rt = Runtime::multi_thread(2);
+        rt.block_on(async {
+            spawn(async {
+                for _ in 0..100 {
+                    // Long enough for the other worker to block again.
+                    std::thread::sleep(Duration::from_micros(300));
+                    yield_now().await;
+                }
+            })
+            .await;
+        });
+        let interrupts = rt.handle().stats().driver_interrupts;
+        assert!(interrupts <= 10, "{interrupts} interrupts for 100 yields of one task");
+    }
+
+    #[test]
+    fn dropping_an_idle_runtime_does_not_wait_for_the_tick() {
+        // One worker sleeps in the reactor and two on the condvar:
+        // `wake_all` has to reach all three.
+        let mut took: Vec<Duration> = (0..9)
+            .map(|_| {
+                let rt = Runtime::multi_thread(3);
+                wait_until_blocked(&rt.handle());
+                let t = Instant::now();
+                drop(rt);
+                t.elapsed()
+            })
+            .collect();
+        took.sort();
+        assert!(took[4] < TICK / 5, "{took:?}");
     }
 
     #[test]
