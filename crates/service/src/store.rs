@@ -3,17 +3,50 @@
 //!
 //! ## Concurrency protocol
 //!
-//! The directory (`RwLock<Vec<Arc<Shard>>>`) and the shard locks are
-//! never held together by an operation: an op reads the directory,
-//! clones the routed shard's `Arc`, **drops the directory guard**, and
-//! only then takes the shard lock. A shard found `retired` means a
-//! split raced the routing — the op re-reads the directory and retries
-//! (the rewire is a handful of pointer stores, so the window is tiny).
+//! There is one lock level an operation ever takes: its shard's. The
+//! directory in front of the shards is *published*, never locked by a
+//! reader, so routing a key is a handful of loads from lines that are
+//! written once per split — no read-modify-write, no store, no
+//! reference count — and it hands out a `&Shard` that lives as long as
+//! the store:
+//!
+//! * **Slot tables, one per global depth.** `tables[d]` has `2^d`
+//!   slots, each the id of a shard; `depth` names the table ops route
+//!   through. A split that needs no more slots stores its children's
+//!   ids *in place* into the current table; a split that does builds
+//!   table `d + 1` (slot `i` mirrors slot `i % 2^d`), wires the
+//!   children into it, sets it, and only then raises `depth`. A table
+//!   is never written again once `depth` has moved past it.
+//! * **An append-only arena.** Every shard ever created lives at a
+//!   fixed index (its id) in doubling chunks that are allocated on
+//!   demand and never move. A retired shard stays there — its map was
+//!   already taken — until the store drops.
+//! * **One writer mutex** (`created`) serialises splits from "append
+//!   the children" to "slots rewired". Readers never touch it, so a
+//!   rewire blocks nobody.
+//!
+//! Publication is `Release` (slot stores, the `depth` store; the
+//! `OnceLock`s of tables and arena slots release on `set`) against the
+//! `Acquire` loads in `route`: whoever can see a shard's id in a slot
+//! can see the shard, and whoever can see a depth can see its table.
+//!
+//! What keeps this correct is the shard's `retired` flag, checked under
+//! the shard lock. Any slot of any table — the current one or a stale
+//! one a reader picked up before a doubling — holds a shard that owned
+//! that slot's keys when it was written; that shard is either still
+//! their live owner or has been retired by a split. An op that reaches
+//! a retired shard comes back un-run and routes again through the
+//! current `depth` (the split is a few stores from done, so it yields
+//! rather than spins).
 //!
 //! A split holds the shard lock only to mark it retired and take its
-//! contents, releases it, then takes the directory write lock to
-//! rewire. Since no op holds directory-then-shard, the two lock levels
-//! cannot deadlock.
+//! contents, releases it, and only then takes the writer mutex; no
+//! thread holds a shard lock and the writer mutex together.
+//!
+//! Retained until drop: tables `initial_depth..=depth`, at most
+//! `2 × slots() × 4` bytes together, and one arena entry per shard ever
+//! created (`initial shards + 2 × splits`, in chunks that at most
+//! double that count). Nothing is sized by `max_depth` up front.
 //!
 //! ## Resharding
 //!
@@ -27,9 +60,9 @@
 //! threshold — the lock's own contention statistics, not key counts,
 //! decide where more parallelism is needed.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use adaptive_control::BreakerHub;
@@ -161,8 +194,13 @@ struct ShardData {
 
 /// One shard: an immutable identity plus the guarded data.
 struct Shard {
-    id: u64,
+    /// Arena index, handed out in creation order; the number in the
+    /// registry name.
+    id: u32,
     local_depth: u32,
+    /// The low `local_depth` bits of `scramble(key)` for every key this
+    /// shard owns; with `local_depth`, the slots it is wired into.
+    pattern: u64,
     lock: Arc<AdaptiveMutex<ShardData>>,
     /// Contended-acquisition count as of the last maintenance pass;
     /// the baseline for the per-second split-rate computation.
@@ -173,8 +211,65 @@ struct Shard {
 }
 
 impl Shard {
+    fn new(id: u32, local_depth: u32, pattern: u64, lock: AdaptiveMutex<ShardData>) -> Shard {
+        Shard {
+            id,
+            local_depth,
+            pattern,
+            lock: Arc::new(lock),
+            seen_contended: AtomicU64::new(0),
+            split_streak: AtomicU32::new(0),
+        }
+    }
+
     fn name(&self) -> String {
         format!("shard-{}", self.id)
+    }
+}
+
+/// Slot tables exist for global depths `0..=MAX_GLOBAL_DEPTH`.
+const MAX_GLOBAL_DEPTH: u32 = 32;
+/// Slots in the arena's first chunk; chunk `c` holds `ARENA_FIRST << c`.
+const ARENA_FIRST: u64 = 16;
+/// Doubling chunks from `ARENA_FIRST` that cover every `u32` id.
+const ARENA_CHUNKS: usize = (u32::BITS - ARENA_FIRST.ilog2() + 1) as usize;
+
+/// Append-only home of every shard the store creates. A shard's index
+/// is its id and never changes, chunks are allocated on demand and
+/// never move, so a `&Shard` is good for the life of the store and
+/// finding one is loads only. Appends are the writer's (see the module
+/// docs); reads are anyone's.
+struct Arena {
+    chunks: [OnceLock<Box<[OnceLock<Shard>]>>; ARENA_CHUNKS],
+}
+
+impl Arena {
+    fn new() -> Arena {
+        Arena { chunks: std::array::from_fn(|_| OnceLock::new()) }
+    }
+
+    /// Chunk and offset of an id: chunk `c` starts at id
+    /// `ARENA_FIRST × (2^c − 1)`.
+    fn locate(id: u32) -> (usize, usize) {
+        let n = u64::from(id) + ARENA_FIRST;
+        let chunk = n.ilog2() - ARENA_FIRST.ilog2();
+        (chunk as usize, (n - (ARENA_FIRST << chunk)) as usize)
+    }
+
+    fn get(&self, id: u32) -> &Shard {
+        let (chunk, at) = Arena::locate(id);
+        self.chunks[chunk]
+            .get()
+            .and_then(|slots| slots[at].get())
+            .expect("an id read from a slot table names a shard already in the arena")
+    }
+
+    fn push(&self, shard: Shard) -> &Shard {
+        let (chunk, at) = Arena::locate(shard.id);
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..ARENA_FIRST << chunk).map(|_| OnceLock::new()).collect());
+        assert!(slots[at].set(shard).is_ok(), "shard ids are handed out once");
+        slots[at].get().expect("set just above")
     }
 }
 
@@ -260,74 +355,90 @@ pub fn divergence(snapshots: &[ShardSnapshot]) -> Option<DivergenceVerdict> {
 /// The sharded KV/counter store. See the module docs for the
 /// concurrency protocol.
 pub struct ShardedStore {
-    dir: RwLock<Vec<Arc<Shard>>>,
+    /// Global depth: ops route through `tables[depth]`.
+    depth: AtomicU32,
+    /// `tables[d]`, once set, has `2^d` slots of shard ids.
+    tables: [OnceLock<Box<[AtomicU32]>>; MAX_GLOBAL_DEPTH as usize + 1],
+    arena: Arena,
+    /// Shards ever created, which is the next id. Its mutex is the
+    /// writer mutex: held from a split's first arena append to its last
+    /// slot store.
+    created: Mutex<u32>,
     config: ServiceConfig,
-    next_id: AtomicU64,
     splits: AtomicU64,
     hub: Mutex<Option<Arc<BreakerHub>>>,
     last_maintenance: Mutex<Instant>,
 }
 
+fn low_bits(depth: u32) -> u64 {
+    (1u64 << depth) - 1
+}
+
 impl ShardedStore {
     /// An empty store with `2^initial_depth` shards.
     pub fn new(config: ServiceConfig) -> ShardedStore {
+        let config = ServiceConfig { max_depth: config.max_depth.min(MAX_GLOBAL_DEPTH), ..config };
         let depth = config.initial_depth.min(config.max_depth);
-        let next_id = AtomicU64::new(0);
-        let shards: Vec<Arc<Shard>> = (0..1u64 << depth)
-            .map(|_| {
-                Arc::new(Shard {
-                    id: next_id.fetch_add(1, Ordering::Relaxed),
-                    local_depth: depth,
-                    lock: Arc::new(config.policy.build(ShardData {
-                        map: HashMap::new(),
-                        retired: false,
-                    })),
-                    seen_contended: AtomicU64::new(0),
-                    split_streak: AtomicU32::new(0),
-                })
-            })
-            .collect();
-        ShardedStore {
-            dir: RwLock::new(shards),
+        let shards = u32::try_from(1u64 << depth).expect("2^32 initial shards");
+        let store = ShardedStore {
+            depth: AtomicU32::new(depth),
+            tables: std::array::from_fn(|_| OnceLock::new()),
+            arena: Arena::new(),
+            created: Mutex::new(shards),
             config,
-            next_id,
             splits: AtomicU64::new(0),
             hub: Mutex::new(None),
             last_maintenance: Mutex::new(Instant::now()),
-        }
+        };
+        let table = (0..shards)
+            .map(|id| {
+                let data = ShardData { map: HashMap::new(), retired: false };
+                store.arena.push(Shard::new(id, depth, u64::from(id), config.policy.build(data)));
+                AtomicU32::new(id)
+            })
+            .collect();
+        store.tables[depth as usize].set(table).expect("a new store has no tables");
+        store
     }
 
-    fn read_dir(&self) -> std::sync::RwLockReadGuard<'_, Vec<Arc<Shard>>> {
-        match self.dir.read() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    fn table(&self, depth: u32) -> &[AtomicU32] {
+        self.tables[depth as usize]
+            .get()
+            .expect("a table is set before the depth that names it is stored")
     }
 
-    fn write_dir(&self) -> std::sync::RwLockWriteGuard<'_, Vec<Arc<Shard>>> {
-        match self.dir.write() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
+    /// The shard wired into `hash`'s slot of table `depth`. Loads only.
+    /// `depth` is the current one for an op and may be an older one a
+    /// reader picked up before a doubling: either way the shard is the
+    /// hash's live owner or retired.
+    fn route(&self, depth: u32, hash: u64) -> &Shard {
+        let table = self.table(depth);
+        let slot = (hash & (table.len() as u64 - 1)) as usize;
+        self.arena.get(table[slot].load(Ordering::Acquire))
     }
 
-    fn router(&self) -> ShardRouter {
-        ShardRouter::new(self.read_dir().len().trailing_zeros())
+    fn shard_for(&self, key: u64) -> &Shard {
+        self.route(self.depth.load(Ordering::Acquire), scramble(key))
     }
 
-    fn shard_for(&self, key: u64) -> Arc<Shard> {
-        let dir = self.read_dir();
-        let slot = (scramble(key) & (dir.len() as u64 - 1)) as usize;
-        Arc::clone(&dir[slot])
+    /// The distinct shards wired into the current table's slots whose
+    /// low `local_depth` bits are `pattern`, in id order: the live
+    /// owners of that part of the hash space (mid-split, a retired
+    /// shard whose children are not wired yet). `(0, 0)` is the whole
+    /// directory.
+    fn owners(&self, local_depth: u32, pattern: u64) -> Vec<&Shard> {
+        let table = self.table(self.depth.load(Ordering::Acquire));
+        let mut ids: Vec<u32> = (pattern as usize..table.len())
+            .step_by(1 << local_depth)
+            .map(|slot| table[slot].load(Ordering::Acquire))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter().map(|id| self.arena.get(id)).collect()
     }
 
-    fn shard_at(&self, slot: usize) -> Option<Arc<Shard>> {
-        let dir = self.read_dir();
-        dir.get(slot).map(Arc::clone)
-    }
-
-    /// Run `f` on the shard owning `key`, retrying through the
-    /// directory if a split retired the routed shard mid-flight.
+    /// Run `f` on the shard owning `key`, routing again if a split
+    /// retired the routed shard mid-flight.
     fn with_key_shard<R: Send>(
         &self,
         key: u64,
@@ -426,12 +537,19 @@ impl ShardedStore {
     /// Fold over every key/value pair, shard by shard (each shard
     /// visited atomically under its lock; the whole scan is not a
     /// snapshot — run it at quiescence when exact totals matter).
+    /// Splits racing the scan move pairs between shards but neither
+    /// hide one nor show it twice.
     pub fn scan<A: Send>(&self, mut acc: A, f: impl Fn(&mut A, u64, u64) + Send + Sync) -> A {
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut slot = 0usize;
-        while let Some(shard) = self.shard_at(slot) {
-            if seen.contains(&shard.id) {
-                slot += 1;
+        // One view of the directory, walked to the end. A shard found
+        // retired is replaced by the current owners of its slots; the
+        // parts of the hash space already folded in, as
+        // `(local_depth, pattern)`, keep a shard visited live from
+        // being met again through the children it has split into since.
+        let mut folded: BTreeSet<(u32, u64)> = BTreeSet::new();
+        let mut pending = self.owners(0, 0);
+        pending.reverse();
+        while let Some(shard) = pending.pop() {
+            if (0..=shard.local_depth).any(|d| folded.contains(&(d, shard.pattern & low_bits(d)))) {
                 continue;
             }
             let fr = &f;
@@ -446,11 +564,15 @@ impl ShardedStore {
                 true
             });
             if visited {
-                seen.insert(shard.id);
-                slot += 1;
+                folded.insert((shard.local_depth, shard.pattern));
+                continue;
             }
-            // A retired shard means a split is rewiring this slot;
-            // re-read it until the child appears.
+            let heirs = self.owners(shard.local_depth, shard.pattern);
+            if heirs.iter().any(|heir| heir.id == shard.id) {
+                // Retired but not rewired yet: give the splitter the core.
+                std::thread::yield_now();
+            }
+            pending.extend(heirs.into_iter().rev());
         }
         acc
     }
@@ -473,7 +595,7 @@ impl ShardedStore {
 
     /// Distinct shards currently wired into the directory.
     pub fn shard_count(&self) -> usize {
-        self.distinct_shards().len()
+        self.owners(0, 0).len()
     }
 
     /// Splits performed since creation.
@@ -483,23 +605,14 @@ impl ShardedStore {
 
     /// Current directory slot count (`2^global_depth`).
     pub fn slots(&self) -> usize {
-        self.read_dir().len()
-    }
-
-    fn distinct_shards(&self) -> Vec<Arc<Shard>> {
-        let dir = self.read_dir();
-        let mut by_id: BTreeMap<u64, Arc<Shard>> = BTreeMap::new();
-        for shard in dir.iter() {
-            by_id.entry(shard.id).or_insert_with(|| Arc::clone(shard));
-        }
-        by_id.into_values().collect()
+        self.current_router().slots()
     }
 
     /// Snapshot every shard's identity, occupancy, and lock
     /// configuration.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
-        self.distinct_shards()
-            .iter()
+        self.owners(0, 0)
+            .into_iter()
             .map(|shard| {
                 let stats = shard.lock.stats();
                 ShardSnapshot {
@@ -525,7 +638,7 @@ impl ShardedStore {
     /// registry across splits: retired shards are unregistered, their
     /// children registered.
     pub fn register_with_hub(&self, hub: Arc<BreakerHub>) {
-        for shard in self.distinct_shards() {
+        for shard in self.owners(0, 0) {
             hub.register(shard.name(), shard.lock.clone());
         }
         *self.hub_slot() = Some(hub);
@@ -562,8 +675,8 @@ impl ShardedStore {
         // same window for everyone (and a shard that later crosses the
         // acquisition floor doesn't report its whole history as one
         // interval's rate).
-        let shards = self.distinct_shards();
-        let rated: Vec<(Arc<Shard>, u64, f64)> = shards
+        let rated: Vec<(&Shard, u64, f64)> = self
+            .owners(0, 0)
             .into_iter()
             .map(|shard| {
                 let stats = shard.lock.stats();
@@ -595,7 +708,7 @@ impl ShardedStore {
             if streak < self.config.split_sustain {
                 continue;
             }
-            if self.split(&shard) {
+            if self.split(shard) {
                 performed += 1;
             } else {
                 // Lost the race (someone else retired it); start over.
@@ -608,7 +721,7 @@ impl ShardedStore {
 
     /// Split one shard: retire it, partition its keys on hash bit
     /// `local_depth`, rewire (and double, if needed) the directory.
-    fn split(&self, old: &Arc<Shard>) -> bool {
+    fn split(&self, old: &Shard) -> bool {
         // Phase 1 — retire under the shard lock only.
         let taken = old.lock.with_locked(|data| {
             if data.retired {
@@ -632,42 +745,54 @@ impl ShardedStore {
             }
         }
         let parent_algo = old.lock.algorithm();
-        let child = |map: HashMap<u64, u64>| {
+        let child_lock = |map: HashMap<u64, u64>| {
             // Only a child that actually received keys inherits the
             // parent's (possibly hot) engine; an empty child has no
             // traffic to justify it — and, getting no samples, would
             // otherwise sit on the inherited engine forever.
             let algo = if map.is_empty() { LockAlgorithm::SpinPark } else { parent_algo };
-            Arc::new(Shard {
-                id: self.next_id.fetch_add(1, Ordering::Relaxed),
-                local_depth: old.local_depth + 1,
-                lock: Arc::new(
-                    self.config
-                        .policy
-                        .build_child(ShardData { map, retired: false }, algo),
-                ),
-                seen_contended: AtomicU64::new(0),
-                split_streak: AtomicU32::new(0),
-            })
+            self.config.policy.build_child(ShardData { map, retired: false }, algo)
         };
-        let (s_low, s_high) = (child(low), child(high));
+        let (low, high) = (child_lock(low), child_lock(high));
 
-        // Phase 3 — rewire under the directory write lock.
-        {
-            let mut dir = self.write_dir();
-            let global_depth = dir.len().trailing_zeros();
-            if old.local_depth == global_depth {
-                // Double: new slot i mirrors old slot i % old_len.
-                let doubled: Vec<Arc<Shard>> = dir.iter().chain(dir.iter()).cloned().collect();
-                *dir = doubled;
-            }
-            for (slot, entry) in dir.iter_mut().enumerate() {
-                if entry.id == old.id {
-                    *entry =
-                        Arc::clone(if slot as u64 & bit != 0 { &s_high } else { &s_low });
+        // Phase 3 — append the children and rewire, as the one writer.
+        let (s_low, s_high) = {
+            let mut created = match self.created.lock() {
+                Ok(g) => g,
+                Err(p) => p.into_inner(),
+            };
+            let mut child = |pattern, lock| {
+                let id = *created;
+                *created = id.checked_add(1).expect("more than 2^32 shards");
+                self.arena.push(Shard::new(id, old.local_depth + 1, pattern, lock))
+            };
+            let (s_low, s_high) = (child(old.pattern, low), child(old.pattern | bit, high));
+            let wire = |table: &[AtomicU32]| {
+                for slot in (old.pattern as usize..table.len()).step_by(1 << old.local_depth) {
+                    let heir = if slot as u64 & bit != 0 { s_high } else { s_low };
+                    table[slot].store(heir.id, Ordering::Release);
                 }
+            };
+            // Only the writer stores `depth`, and that is us.
+            let depth = self.depth.load(Ordering::Relaxed);
+            if old.local_depth == depth {
+                // Double: new slot i mirrors old slot i % old_len. The
+                // old table keeps pointing at `old`, which sends the
+                // readers still holding it back through the new depth.
+                let current = self.table(depth);
+                let doubled: Box<[AtomicU32]> = current
+                    .iter()
+                    .chain(current)
+                    .map(|slot| AtomicU32::new(slot.load(Ordering::Relaxed)))
+                    .collect();
+                wire(&doubled);
+                self.tables[depth as usize + 1].set(doubled).expect("one table per depth");
+                self.depth.store(depth + 1, Ordering::Release);
+            } else {
+                wire(self.table(depth));
             }
-        }
+            (s_low, s_high)
+        };
 
         // Phase 4 — keep the control-plane registry current.
         if let Some(hub) = self.hub_slot().clone() {
@@ -681,13 +806,14 @@ impl ShardedStore {
     /// The store's current router (slot arithmetic for the present
     /// directory size).
     pub fn current_router(&self) -> ShardRouter {
-        self.router()
+        ShardRouter::new(self.depth.load(Ordering::Acquire))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn tiny(policy: ServicePolicy) -> ServiceConfig {
         ServiceConfig {
@@ -832,6 +958,183 @@ mod tests {
                 s.algorithm, "flat-combining",
                 "{} lost the parent's engine across the split", s.name
             );
+        }
+    }
+
+    #[test]
+    fn arena_chunks_double_and_cover_every_id() {
+        assert_eq!(Arena::locate(0), (0, 0));
+        assert_eq!(Arena::locate(15), (0, 15));
+        assert_eq!(Arena::locate(16), (1, 0));
+        assert_eq!(Arena::locate(47), (1, 31));
+        assert_eq!(Arena::locate(48), (2, 0));
+        let (last_chunk, at) = Arena::locate(u32::MAX);
+        assert_eq!(last_chunk, ARENA_CHUNKS - 1);
+        assert!((at as u64) < ARENA_FIRST << last_chunk);
+    }
+
+    fn is_retired(shard: &Shard) -> bool {
+        shard.lock.with_locked(|data| data.retired)
+    }
+
+    #[test]
+    fn a_held_writer_mutex_blocks_no_op_on_another_shard() {
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        for k in 0..64u64 {
+            store.put(k, k);
+        }
+        let victim = store.shard_for(0);
+        let (elsewhere, on_victim): (Vec<u64>, Vec<u64>) =
+            (0..64u64).partition(|&k| !std::ptr::eq(store.shard_for(k), victim));
+        assert!(!elsewhere.is_empty() && !on_victim.is_empty());
+
+        // Stop a split half way: its shard retired, its children not
+        // wired, the writer mutex taken.
+        let writer = store.created.lock().expect("no thread panicked holding it");
+        std::thread::scope(|scope| {
+            let splitter = scope.spawn(|| store.split(victim));
+            while !is_retired(victim) {
+                std::thread::yield_now();
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let keys = &elsewhere;
+            let store = &store;
+            scope.spawn(move || {
+                for &k in keys {
+                    assert_eq!(store.get(k), Some(k));
+                    assert_eq!(store.increment(k, 1), k + 1);
+                    assert_eq!(store.put(k, k), Some(k + 1));
+                }
+                done_tx.send(()).expect("the test is waiting");
+            });
+            let finished = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+            drop(writer);
+            finished.expect("an op on another shard waited for the writer mutex");
+            assert!(splitter.join().expect("the split does not panic"));
+        });
+        // The victim's keys were waiting for the rewire, not lost.
+        for k in on_victim {
+            assert_eq!(store.get(k), Some(k));
+        }
+        assert_eq!(store.len(), 64);
+    }
+
+    #[test]
+    fn a_stale_table_leads_to_the_owner_or_to_one_reroute_per_split() {
+        let store = ShardedStore::new(ServiceConfig {
+            max_depth: 8,
+            ..tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64)))
+        });
+        let keys: Vec<u64> = (0..256).collect();
+        for &k in &keys {
+            store.put(k, k);
+        }
+        let first_table = store.depth.load(Ordering::Acquire);
+        let (mut direct, mut rerouted) = (0, 0);
+        for round in 0..4 {
+            // Key 0's owner is always as deep as the directory, so
+            // splitting it doubles; the last round rewires in place.
+            let depth = store.depth.load(Ordering::Acquire);
+            let victim = if round < 3 {
+                store.shard_for(0)
+            } else {
+                let shallow = keys.iter().find(|&&k| store.shard_for(k).local_depth < depth);
+                store.shard_for(*shallow.expect("one initial shard was never split"))
+            };
+            assert!(store.split(victim));
+            let current = store.depth.load(Ordering::Acquire);
+            assert_eq!(current, if round < 3 { depth + 1 } else { depth });
+            for &k in &keys {
+                let owner = store.shard_for(k);
+                assert!(owner.lock.with_locked(|data| !data.retired && data.map.contains_key(&k)));
+                for held in first_table..current {
+                    // Through a table from before the doublings: home
+                    // at once, or at a retired shard, from which the op
+                    // comes back un-run and `shard_for` is its one
+                    // re-route.
+                    let reached = store.route(held, scramble(k));
+                    if std::ptr::eq(reached, owner) {
+                        direct += 1;
+                    } else {
+                        assert!(is_retired(reached), "table {held} sent {k} to a live stranger");
+                        rerouted += 1;
+                    }
+                }
+            }
+        }
+        assert!(direct > 0 && rerouted > 0, "direct {direct}, rerouted {rerouted}");
+        // What is kept until drop: tables 1..=4, under twice the final
+        // one, and an arena entry per shard ever created.
+        let kept: usize = store.tables.iter().filter_map(|t| t.get()).map(|t| t.len()).sum();
+        assert_eq!((store.slots(), kept), (16, 2 + 4 + 8 + 16));
+        assert_eq!(*store.created.lock().expect("unpoisoned"), 2 + 2 * 4);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 48, ..Default::default() })]
+
+        /// Arbitrary split sequences, doublings included, against a
+        /// reference extendible-hash map of `(local_depth, low bits) →
+        /// shard id`: after every split the current table routes every
+        /// key to the model's owner, and every older table routes it
+        /// there too or to a retired shard.
+        #[test]
+        fn every_table_routes_like_the_reference_directory(
+            initial_depth in 0u32..3,
+            victims in proptest::collection::vec(proptest::any::<u64>(), 1..48),
+        ) {
+            const MAX_DEPTH: u32 = 6;
+            let store = ShardedStore::new(ServiceConfig {
+                initial_depth,
+                max_depth: MAX_DEPTH,
+                ..tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64)))
+            });
+            let mut model: BTreeMap<(u32, u64), u32> =
+                (0..1u32 << initial_depth).map(|id| ((initial_depth, u64::from(id)), id)).collect();
+            let mut next_id = 1u32 << initial_depth;
+            let owner = |model: &BTreeMap<(u32, u64), u32>, hash: u64| {
+                (0..=MAX_DEPTH)
+                    .find_map(|d| model.get_key_value(&(d, hash & low_bits(d))))
+                    .map(|(&region, &id)| (region, id))
+                    .expect("the model's regions cover the hash space")
+            };
+            let keys: Vec<u64> = (0..384).collect();
+            for &k in &keys {
+                store.put(k, !k);
+            }
+            for victim in victims {
+                let ((depth, pattern), id) = owner(&model, scramble(victim));
+                let shard = store.shard_for(victim);
+                proptest::prop_assert_eq!(shard.id, id);
+                if depth == MAX_DEPTH {
+                    continue;
+                }
+                proptest::prop_assert!(store.split(shard));
+                model.remove(&(depth, pattern));
+                model.insert((depth + 1, pattern), next_id);
+                model.insert((depth + 1, pattern | 1 << depth), next_id + 1);
+                next_id += 2;
+
+                let global = model.keys().map(|&(d, _)| d).max().expect("never empty");
+                proptest::prop_assert_eq!(store.slots(), 1usize << global.max(initial_depth));
+                proptest::prop_assert_eq!(store.shard_count(), model.len());
+                for table in initial_depth..=store.depth.load(Ordering::Acquire) {
+                    for &k in &keys {
+                        let (_, want) = owner(&model, scramble(k));
+                        let reached = store.route(table, scramble(k));
+                        if reached.id != want {
+                            proptest::prop_assert!(
+                                table < global && is_retired(reached),
+                                "table {} sent key {} to live shard {}, not to {}",
+                                table, k, reached.id, want
+                            );
+                        }
+                    }
+                }
+            }
+            for &k in &keys {
+                proptest::prop_assert_eq!(store.get(k), Some(!k));
+            }
         }
     }
 

@@ -3,9 +3,9 @@
 //! concurrent ops with mid-run resharding, and the open-loop load
 //! generator's arrival schedule must be a pure function of its seed.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adaptive_objects::service::{ServiceConfig, ServicePolicy, ShardedStore};
 use adaptive_objects::workloads::{arrival_schedule, ServiceLoadSpec};
@@ -177,4 +177,99 @@ fn puts_stay_visible_across_an_explicit_split() {
             assert_eq!(store.get(key), Some(key * 3 + 1), "increment on {key} misapplied");
         }
     });
+}
+
+/// Regression for `scan` folding a shard in twice: the scan has
+/// visited the first shard and is inside the second when the first
+/// splits and doubles the directory, so its children appear at slots
+/// the scan has not reached. Each pair is still seen once.
+#[test]
+fn a_scan_sees_a_shard_that_splits_behind_it_once() {
+    const KEYS: u64 = 512;
+    let store = ShardedStore::new(eager_split_config(1, 4));
+    for key in 0..KEYS {
+        store.put(key, 1);
+    }
+    let router = store.current_router();
+    assert_eq!(router.slots(), 2, "two shards, visited in slot order");
+    let in_first = (0..KEYS).filter(|&key| router.slot(key) == 0).count() as u64;
+    let first_seen = AtomicU64::new(0);
+    let first_seen_at_injection = AtomicU64::new(u64::MAX);
+    let go = AtomicBool::new(false);
+    let seen = std::thread::scope(|scope| {
+        // Eager thresholds: one pass splits the first shard, then waits
+        // for the scan to let go of the second.
+        scope.spawn(|| {
+            while !go.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            store.maintenance();
+        });
+        store.scan(0u64, |seen, key, _| {
+            *seen += 1;
+            if router.slot(key) == 0 {
+                first_seen.fetch_add(1, Ordering::Relaxed);
+            } else if !go.swap(true, Ordering::AcqRel) {
+                first_seen_at_injection.store(first_seen.load(Ordering::Relaxed), Ordering::Relaxed);
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while store.shard_count() == 2 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+        })
+    });
+    assert_eq!(
+        first_seen_at_injection.load(Ordering::Relaxed),
+        in_first,
+        "the first shard was to be folded in whole before it split"
+    );
+    assert!(store.shard_count() > 2, "the split was to land inside the scan");
+    assert_eq!(seen, KEYS, "a pair was seen twice or not at all");
+    assert_eq!(store.len() as u64, KEYS);
+    assert_eq!(store.total(), u128::from(KEYS));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// For a fixed key set `len()` and `total()` are exact on every
+    /// scan, not only at quiescence, while a splitter takes the
+    /// directory from its initial depth to `max_depth` underneath
+    /// (the scans themselves are the traffic that lets each new child
+    /// qualify for the next pass).
+    #[test]
+    fn scans_stay_exact_while_a_splitter_runs_to_max_depth(
+        keys in 1u64..600,
+        initial_depth in 0u32..3,
+        max_depth in 3u32..7,
+        seed in any::<u64>(),
+    ) {
+        let store = ShardedStore::new(eager_split_config(initial_depth, max_depth));
+        for i in 0..keys {
+            store.put(seed.wrapping_add(i), i + 1);
+        }
+        let total = u128::from(keys) * u128::from(keys + 1) / 2;
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    store.maintenance();
+                    std::thread::yield_now();
+                }
+            });
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut exact = true;
+            while exact && store.shard_count() < 1 << max_depth && Instant::now() < deadline {
+                exact = store.len() as u64 == keys && store.total() == total;
+            }
+            stop.store(true, Ordering::Release);
+            prop_assert!(exact, "a scan beside a split miscounted");
+        });
+        prop_assert_eq!(store.shard_count(), 1usize << max_depth, "the splitter never got there");
+        prop_assert_eq!(store.len() as u64, keys);
+        prop_assert_eq!(store.total(), total);
+    }
 }
