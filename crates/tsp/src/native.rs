@@ -25,6 +25,17 @@
 //! axis, reproduce its headline result: once the centralized `qlock` is
 //! split into N mostly-local ones, contended acquisitions collapse.
 //!
+//! ## The queue step
+//!
+//! A searcher visits its home `qlock` once per node: the critical
+//! section that queues the children of the node it has just expanded
+//! also hands it the next node (`Shared::exchange`). If the best queued
+//! node cannot beat the incumbent, nothing behind it can either, so the
+//! same critical section takes the whole queue out, to be counted as
+//! pruned and dropped after the lock is released. A queue entry is a
+//! 24-byte key beside a boxed node, and the FIFO sequence number is a
+//! counter beside the heap, under the same lock.
+//!
 //! Termination mirrors the simulated solver's protocol, generalized to
 //! many queues: an idle searcher retires from the active count and
 //! polls the queue-length mirrors of *every* queue; the search is over
@@ -44,16 +55,20 @@
 //! can duplicate children that were already pushed before the panic —
 //! branch-and-bound tolerates duplicates (they are pruned or re-expanded
 //! to the same result), so exactness survives. A panic carrying the
-//! [`WorkerKilled`] marker retires the worker permanently; its local
-//! ring queue is *not* orphaned — the length mirrors keep its work
-//! visible, idle peers reactivate and steal it through the ordinary
-//! ring scan (counted in [`NativeResult::orphaned`]). If every worker
-//! dies with work outstanding, the caller's thread drains the residue
-//! of all queues sequentially, so `solve_native` still returns the
-//! optimal tour when k < N (or even k = N) workers die.
+//! [`WorkerKilled`] marker retires the worker permanently. It strikes
+//! between the queue step and the expansion, so the worker dies with
+//! the node the step handed it in its stash; that node is requeued
+//! without spending its retry budget (the worker's doom, not the node,
+//! caused the panic), so kills alone never drop a node, whatever the
+//! budget. A doomed worker that sits idle past its kill step dies when
+//! it is next handed a node, or at termination. Its local ring queue is
+//! *not* orphaned — the length mirrors keep its work visible, idle peers
+//! reactivate and steal it through the ordinary ring scan (counted in
+//! [`NativeResult::orphaned`]). If every worker dies with work
+//! outstanding, the caller's thread drains the residue of all queues
+//! sequentially, so `solve_native` still returns the optimal tour when
+//! k < N (or even k = N) workers die.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -65,7 +80,7 @@ use adaptive_native::{
 };
 
 use crate::instance::{TspInstance, INF};
-use crate::lmsk::{Expansion, SearchStats, SubProblem};
+use crate::lmsk::{BestFirst, Expansion, QNode, SearchStats, SubProblem};
 
 /// Which shared-abstraction structure the native solver uses — the
 /// real-thread counterpart of the simulator's [`Variant`](crate::Variant).
@@ -97,14 +112,16 @@ impl NativeVariant {
     ];
 }
 
-/// Mid-run waiting-policy reconfiguration plan: searcher 0 retunes every
+/// Mid-run waiting-policy reconfiguration plan: a searcher retunes every
 /// shared lock (all `qlock`s and `glob-low-lock`s) to the next policy in
-/// `cycle` each time it completes `every_steps` work items. This is the
-/// native analogue of the stress harness's external reconfigurer — the
-/// locks must stay correct while their attributes change under load.
+/// `cycle` each time it completes `every_steps` work items of its own
+/// (any searcher, so the plan fires even if the host keeps one of them
+/// off the CPU for the whole search). This is the native analogue of the
+/// stress harness's external reconfigurer — the locks must stay correct
+/// while their attributes change under load.
 #[derive(Debug, Clone)]
 pub struct RetunePlan {
-    /// Work items between retunes (0 disables the plan).
+    /// Work items of one searcher between its retunes (0 disables the plan).
     pub every_steps: u64,
     /// Waiting policies applied round-robin.
     pub cycle: Vec<NativeWaitingPolicy>,
@@ -148,7 +165,8 @@ pub struct NativeTspConfig {
     /// `None` disables injection and its per-step overhead.
     pub faults: Option<Arc<FaultPlan>>,
     /// How many times a subproblem lost to a panic is requeued before it
-    /// is dropped (the bounded retry budget).
+    /// is dropped (the bounded retry budget). A [`WorkerKilled`] death
+    /// does not count against the node the worker died holding.
     pub max_retries: u32,
     /// Optional mid-run waiting-policy reconfiguration (testing).
     pub retune: Option<RetunePlan>,
@@ -243,41 +261,10 @@ impl NativeResult {
     }
 }
 
-/// Queue entry ordered best-first: smallest bound first, FIFO within a
-/// bound (via the global sequence number).
-struct QItem {
-    bound: u32,
-    seq: u64,
-    /// How many times this subproblem has been requeued after a panic.
-    attempts: u32,
-    sp: SubProblem,
-}
-
-impl PartialEq for QItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.seq == other.seq
-    }
-}
-impl Eq for QItem {}
-impl PartialOrd for QItem {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QItem {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest bound.
-        other
-            .bound
-            .cmp(&self.bound)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// One work queue and its lock-free length mirror (readable without the
 /// `qlock` for idle polling, ring scanning, and balance decisions).
 struct QueueSlot {
-    lock: Arc<AdaptiveMutex<BinaryHeap<QItem>>>,
+    lock: Arc<AdaptiveMutex<BestFirst>>,
     /// Cache-line padded: every idle searcher polls every ring slot's
     /// mirror, so a mirror write must invalidate one line per queue,
     /// not one line shared by several slots of the `Vec`.
@@ -287,7 +274,7 @@ struct QueueSlot {
 impl QueueSlot {
     fn new(policy: PolicyChoice) -> QueueSlot {
         QueueSlot {
-            lock: Arc::new(policy.build_mutex(BinaryHeap::new())),
+            lock: Arc::new(policy.build_mutex(BestFirst::default())),
             len: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -317,13 +304,11 @@ impl BestSlot {
     }
 }
 
-/// A subproblem currently in a searcher's hands — being expanded, or
-/// part of a stolen batch in transit between queues. Held by the
-/// supervisor so a panic cannot lose it.
-struct InFlight {
-    sp: SubProblem,
-    attempts: u32,
-}
+/// A node's fresh children on their way to a queue: boxed where they are
+/// made, so that the `qlock` critical section that queues them moves
+/// pointers and allocates nothing per node.
+#[allow(clippy::vec_box)]
+type Children = Vec<Box<SubProblem>>;
 
 struct Shared {
     variant: NativeVariant,
@@ -333,7 +318,6 @@ struct Shared {
     /// Searchers currently holding or producing work.
     active: AtomicUsize,
     done: AtomicBool,
-    seq: AtomicU64,
     transfer_refs: usize,
     balance_threshold: usize,
     faults: Option<Arc<FaultPlan>>,
@@ -407,104 +391,116 @@ impl Shared {
     }
 
     /// Push one subproblem into queue `q`, refreshing the mirror.
-    fn requeue(&self, q: usize, sp: SubProblem, attempts: u32) {
+    fn requeue(&self, q: usize, sp: Box<SubProblem>, attempts: u32) {
         let slot = &self.queues[q];
-        let mut heap = slot.lock.lock();
-        heap.push(QItem {
-            bound: sp.bound,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            attempts,
-            sp,
-        });
-        slot.len.store(heap.len(), Ordering::Release);
+        let mut queue = slot.lock.lock();
+        queue.push(sp, attempts);
+        slot.len.store(queue.len(), Ordering::Release);
     }
 
-    /// Push a batch of fresh children produced by `worker`, applying the
-    /// Balanced diversion rule. The caller still holds the parent in its
-    /// in-flight stash, so an injected panic inside the push critical
-    /// section only re-expands the parent (duplicates are pruned).
-    fn push_children(&self, worker: usize, mut batch: Vec<SubProblem>) {
-        if batch.is_empty() {
+    /// The Balanced diversion rule, applied to the fresh children a
+    /// searcher is about to queue at `home`: when they would grow the
+    /// local queue past the threshold, up to one transfer batch goes to
+    /// the shorter ring neighbor instead, if it is actually shorter
+    /// than us. The rest stays in `batch` for the home queue.
+    fn divert_surplus(&self, home: usize, batch: &mut Children) {
+        let s = self.queues.len();
+        if self.variant != NativeVariant::Balanced || s < 2 || batch.is_empty() {
             return;
         }
-        let home = self.home(worker);
-        let s = self.queues.len();
-        if self.variant == NativeVariant::Balanced && s > 1 {
-            let local_len = self.queues[home].mirror_len();
-            if local_len + batch.len() > self.balance_threshold {
-                // Divert up to one transfer batch to the shorter ring
-                // neighbor, if it is actually shorter than us.
-                let next = (home + 1) % s;
-                let prev = (home + s - 1) % s;
-                let target = if self.queues[next].mirror_len() <= self.queues[prev].mirror_len() {
-                    next
-                } else {
-                    prev
-                };
-                if self.queues[target].mirror_len() < local_len {
-                    let n = self.transfer_refs.clamp(1, batch.len());
-                    let diverted: Vec<SubProblem> = batch.drain(..n).collect();
-                    self.balance_pushes.fetch_add(1, Ordering::Relaxed);
-                    self.transfers.fetch_add(n as u64, Ordering::Relaxed);
-                    self.push_batch(target, diverted);
-                    if batch.is_empty() {
-                        return;
-                    }
-                }
+        let local_len = self.queues[home].mirror_len();
+        if local_len + batch.len() <= self.balance_threshold {
+            return;
+        }
+        let next = (home + 1) % s;
+        let prev = (home + s - 1) % s;
+        let target = if self.queues[next].mirror_len() <= self.queues[prev].mirror_len() {
+            next
+        } else {
+            prev
+        };
+        if self.queues[target].mirror_len() < local_len {
+            let n = self.transfer_refs.clamp(1, batch.len());
+            self.balance_pushes.fetch_add(1, Ordering::Relaxed);
+            self.transfers.fetch_add(n as u64, Ordering::Relaxed);
+            // The caller still holds the parent in its in-flight stash,
+            // so an injected panic inside this critical section only
+            // re-expands the parent (duplicates are pruned).
+            let slot = &self.queues[target];
+            let mut queue = slot.lock.lock();
+            self.maybe_die_in_cs();
+            for sp in batch.drain(..n) {
+                queue.push(sp, 0);
             }
+            slot.len.store(queue.len(), Ordering::Release);
         }
-        self.push_batch(home, batch);
     }
 
-    /// Push `sps` into queue `q` in one `qlock` critical section.
-    fn push_batch(&self, q: usize, sps: Vec<SubProblem>) {
+    /// The queue step, in **one** `qlock` critical section of queue
+    /// `q`: push `children` — the fresh children of the node at
+    /// `in_flight[0]`, if there is one — retire that node, and take the
+    /// best queued node into the stash in its place. Returns whether a
+    /// node was taken.
+    ///
+    /// If the best queued node cannot beat `worker`'s incumbent,
+    /// nothing queued can: the whole queue comes out at once
+    /// ([`BestFirst::pop_below`]), is counted as pruned, and is dropped
+    /// after the lock is released.
+    ///
+    /// The injection point (`inject`; off for the residual drain) sits
+    /// before any queue edit: a holder that dies there has pushed no
+    /// child and still has the parent in its stash, so the supervisor's
+    /// requeue re-expands it and nothing is lost or duplicated. After
+    /// the point nothing in the critical section can panic.
+    fn exchange(
+        &self,
+        q: usize,
+        worker: usize,
+        mut children: Children,
+        in_flight: &mut Vec<QNode>,
+        local: &mut SearchStats,
+        inject: bool,
+    ) -> bool {
+        debug_assert!(in_flight.len() <= 1, "the stash holds the expanded parent, no more");
         let slot = &self.queues[q];
-        let mut heap = slot.lock.lock();
-        self.maybe_die_in_cs();
-        for sp in sps {
-            heap.push(QItem {
-                bound: sp.bound,
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                attempts: 0,
-                sp,
-            });
+        let mut queue = slot.lock.lock();
+        if inject {
+            self.maybe_die_in_cs();
         }
-        slot.len.store(heap.len(), Ordering::Release);
-    }
-
-    /// Pop the best item of queue `q`. No fault injection here: the
-    /// popped item exists only in the returned value until the caller
-    /// stashes it.
-    fn pop_local(&self, q: usize) -> Option<QItem> {
-        let slot = &self.queues[q];
-        let mut heap = slot.lock.lock();
-        let it = heap.pop();
-        slot.len.store(heap.len(), Ordering::Release);
-        it
+        for sp in children.drain(..) {
+            queue.push(sp, 0);
+        }
+        let next = queue.pop_below(self.read_best(worker));
+        slot.len.store(queue.len(), Ordering::Release);
+        let parent = in_flight.pop();
+        let dead = match next {
+            Ok(node) => {
+                in_flight.push(node);
+                None
+            }
+            Err(dead) => Some(dead),
+        };
+        drop(queue);
+        drop(parent);
+        let Some(dead) = dead else { return true };
+        local.pruned += dead.len() as u64;
+        false
     }
 
     /// Steal up to `transfer_refs` subproblems from `victim` into the
     /// caller's in-flight stash (so a panic cannot lose them — they are
     /// stashed *inside* the critical section, before the injection
     /// point). Returns whether anything was taken.
-    fn steal_from(&self, victim: usize, in_flight: &mut Vec<InFlight>) -> bool {
+    fn steal_from(&self, victim: usize, in_flight: &mut Vec<QNode>) -> bool {
         let slot = &self.queues[victim];
-        let mut heap = slot.lock.lock();
+        let mut queue = slot.lock.lock();
         let before = in_flight.len();
-        for _ in 0..self.transfer_refs.max(1) {
-            match heap.pop() {
-                Some(it) => in_flight.push(InFlight {
-                    sp: it.sp,
-                    attempts: it.attempts,
-                }),
-                None => break,
-            }
-        }
-        slot.len.store(heap.len(), Ordering::Release);
+        in_flight.extend((0..self.transfer_refs.max(1)).map_while(|_| queue.pop()));
+        slot.len.store(queue.len(), Ordering::Release);
         let took = in_flight.len() - before;
         if took > 0 {
             self.maybe_die_in_cs();
-            drop(heap);
+            drop(queue);
             self.steals.fetch_add(1, Ordering::Relaxed);
             self.transfers.fetch_add(took as u64, Ordering::Relaxed);
             true
@@ -518,36 +514,35 @@ impl Shared {
     /// critical section. The injection point is *before* the stash is
     /// drained, so a die-in-CS panic here still finds every item in the
     /// stash and the supervisor requeues them all.
-    fn bank_surplus(&self, home: usize, in_flight: &mut Vec<InFlight>) {
+    fn bank_surplus(&self, home: usize, in_flight: &mut Vec<QNode>) {
         if in_flight.len() <= 1 {
             return;
         }
         let slot = &self.queues[home];
-        let mut heap = slot.lock.lock();
+        let mut queue = slot.lock.lock();
         self.maybe_die_in_cs();
-        for f in in_flight.drain(1..) {
-            heap.push(QItem {
-                bound: f.sp.bound,
-                seq: self.seq.fetch_add(1, Ordering::Relaxed),
-                attempts: f.attempts,
-                sp: f.sp,
-            });
+        for node in in_flight.drain(1..) {
+            queue.push(node.sp, node.attempts);
         }
-        slot.len.store(heap.len(), Ordering::Release);
+        slot.len.store(queue.len(), Ordering::Release);
     }
 
-    /// Acquire the next work item for `worker`: on success the item is
-    /// at `in_flight[0]` (stash semantics — the supervisor requeues
-    /// whatever is in the stash if a panic strikes). Surplus stolen
-    /// items are moved to the worker's local queue before returning.
-    fn take_work(&self, worker: usize, in_flight: &mut Vec<InFlight>) -> bool {
-        debug_assert!(in_flight.is_empty(), "previous item fully processed");
+    /// Queue `children` (the fresh children of the node at
+    /// `in_flight[0]`, which is thereby done) and acquire the next work
+    /// item for `worker`: on success the item is at `in_flight[0]`
+    /// (stash semantics — the supervisor requeues whatever is in the
+    /// stash if a panic strikes). Surplus stolen items are moved to the
+    /// worker's local queue before returning.
+    fn take_work(
+        &self,
+        worker: usize,
+        mut children: Children,
+        in_flight: &mut Vec<QNode>,
+        local: &mut SearchStats,
+    ) -> bool {
         let home = self.home(worker);
-        if let Some(it) = self.pop_local(home) {
-            in_flight.push(InFlight {
-                sp: it.sp,
-                attempts: it.attempts,
-            });
+        self.divert_surplus(home, &mut children);
+        if self.exchange(home, worker, children, in_flight, local, true) {
             return true;
         }
         if self.variant == NativeVariant::Centralized {
@@ -587,16 +582,60 @@ impl Shared {
             }
         }
         for slot in &self.queues {
-            let heap = slot.lock.lock();
-            slot.len.store(heap.len(), Ordering::Release);
+            let queue = slot.lock.lock();
+            slot.len.store(queue.len(), Ordering::Release);
         }
     }
 
+    /// Prune `sp` against `worker`'s incumbent or expand it, publishing
+    /// a finished tour. Returns the children that can still beat the
+    /// incumbent, boxed for the queue.
+    fn expand_node(&self, worker: usize, sp: &SubProblem, local: &mut SearchStats) -> Children {
+        if sp.bound >= self.read_best(worker) {
+            local.pruned += 1;
+            return Vec::new();
+        }
+        local.expanded += 1;
+        match sp.expand() {
+            Expansion::Tour { cost, .. } => {
+                local.tours += 1;
+                if cost < self.read_best(worker) {
+                    self.publish_best(worker, cost);
+                }
+                Vec::new()
+            }
+            Expansion::Children(children) => {
+                let incumbent = self.read_best(worker);
+                let mut fresh = Vec::with_capacity(children.len());
+                for c in children {
+                    if c.bound < incumbent {
+                        local.generated += 1;
+                        fresh.push(Box::new(c));
+                    } else {
+                        local.pruned += 1;
+                    }
+                }
+                fresh
+            }
+            Expansion::Dead => Vec::new(),
+        }
+    }
+
+    /// Fold one searcher's counters into the run's.
+    fn add_stats(&self, local: SearchStats) {
+        let mut agg = self.stats.lock();
+        agg.expanded += local.expanded;
+        agg.generated += local.generated;
+        agg.tours += local.tours;
+        agg.pruned += local.pruned;
+    }
+
     /// Apply the next retune of `plan` to every shared lock.
-    fn apply_retune(&self, plan: &RetunePlan, round: u64) {
+    fn apply_retune(&self, plan: &RetunePlan) {
         if plan.cycle.is_empty() {
             return;
         }
+        let round = self.retunes.fetch_add(1, Ordering::Relaxed) + 1;
         let policy = plan.cycle[(round as usize) % plan.cycle.len()];
         for q in &self.queues {
             q.lock.set_waiting_policy(policy);
@@ -604,7 +643,6 @@ impl Shared {
         for b in &self.best {
             b.lock.set_waiting_policy(policy);
         }
-        self.retunes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -649,7 +687,6 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
         stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
         active: AtomicUsize::new(searchers),
         done: AtomicBool::new(false),
-        seq: AtomicU64::new(0),
         transfer_refs: cfg.transfer_refs.max(1),
         balance_threshold: cfg.balance_threshold,
         faults: cfg.faults.clone(),
@@ -665,7 +702,7 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
         poison_recoveries: AtomicU64::new(0),
         retunes: AtomicU64::new(0),
     };
-    shared.requeue(0, SubProblem::root(inst), 0);
+    shared.requeue(0, Box::new(SubProblem::root(inst)), 0);
 
     // Under a fault plan, the mutexes themselves consult the plan
     // (dropped/delayed unparks, stalled monitor samples) and a watchdog
@@ -746,7 +783,7 @@ fn searcher_resilient(
 ) {
     let doom = sh.faults.as_ref().and_then(|p| p.worker_doom(worker, total));
     let mut steps = 0u64;
-    let mut in_flight: Vec<InFlight> = Vec::new();
+    let mut in_flight: Vec<QNode> = Vec::new();
     let mut local = SearchStats::default();
     // Whether the worker currently counts itself in `sh.active`; a death
     // in the idle loop (already retired) must not decrement again.
@@ -771,16 +808,20 @@ fn searcher_resilient(
                 sh.recover_after_panic();
                 // Requeue everything the panic caught in our hands: the
                 // item under expansion and/or a stolen batch in transit.
+                // A kill strikes between the queue step and the
+                // expansion, whatever node is in hand, so it does not
+                // count against that node's retry budget.
+                let killed = payload.is::<WorkerKilled>();
                 let home = sh.home(worker);
                 for lost in in_flight.drain(..) {
-                    if lost.attempts < max_retries {
-                        sh.requeue(home, lost.sp, lost.attempts + 1);
+                    if killed || lost.attempts < max_retries {
+                        sh.requeue(home, lost.sp, lost.attempts + u32::from(!killed));
                         sh.requeued.fetch_add(1, Ordering::Relaxed);
                     } else {
                         sh.dropped.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                if payload.is::<WorkerKilled>() {
+                if killed {
                     sh.workers_died.fetch_add(1, Ordering::Relaxed);
                     // Whatever sits in our local ring queue is now
                     // orphaned: visible through the mirrors, stolen by
@@ -803,17 +844,13 @@ fn searcher_resilient(
             }
         }
     }
-    let mut agg = sh.stats.lock();
-    agg.expanded += local.expanded;
-    agg.generated += local.generated;
-    agg.tours += local.tours;
-    agg.pruned += local.pruned;
+    sh.add_stats(local);
 }
 
 #[allow(clippy::too_many_arguments)] // internal: the worker's full context
 fn searcher_loop(
     sh: &Shared,
-    in_flight: &mut Vec<InFlight>,
+    in_flight: &mut Vec<QNode>,
     local: &mut SearchStats,
     steps: &mut u64,
     active: &std::cell::Cell<bool>,
@@ -821,22 +858,18 @@ fn searcher_loop(
     worker: usize,
     retune: Option<&RetunePlan>,
 ) {
+    // What the last expansion left to queue. A panic forgets them, and
+    // the requeued parent's re-expansion makes them again.
+    let mut children = Vec::new();
     'outer: loop {
-        // A doomed worker dies here, between work items: no locks held,
-        // nothing in flight.
-        if doom.is_some_and(|after| *steps >= after) {
-            std::panic::panic_any(WorkerKilled { worker });
-        }
-        if worker == 0 {
-            if let Some(plan) = retune {
-                if plan.every_steps > 0 && *steps > 0 && (*steps).is_multiple_of(plan.every_steps)
-                {
-                    sh.apply_retune(plan, *steps / plan.every_steps);
-                }
+        if let Some(plan) = retune {
+            if plan.every_steps > 0 && *steps > 0 && (*steps).is_multiple_of(plan.every_steps) {
+                sh.apply_retune(plan);
             }
         }
-        debug_assert!(in_flight.is_empty(), "previous item fully processed");
-        if !sh.take_work(worker, in_flight) {
+        // Resuming after a panic, the stash is empty (the supervisor
+        // requeued it); otherwise it holds the node just expanded.
+        if !sh.take_work(worker, std::mem::take(&mut children), in_flight, local) {
             // Retire from the active count; the last one out with every
             // queue empty ends the search.
             if sh.active.fetch_sub(1, Ordering::AcqRel) == 1 && !sh.work_visible() {
@@ -868,43 +901,16 @@ fn searcher_loop(
                 std::thread::yield_now();
             }
         }
-        // From here until the item is fully expanded it sits in the
+        // From here until its children are queued the item sits in the
         // in-flight stash; a panic anywhere below requeues it.
-        let bound = in_flight[0].sp.bound;
-
-        if bound >= sh.read_best(worker) {
-            local.pruned += 1;
-            in_flight.clear();
-            *steps += 1;
-            continue;
+        //
+        // A doomed worker dies here, between work items: no locks held,
+        // and the node the queue step just handed it goes back to the
+        // queue through the stash.
+        if doom.is_some_and(|after| *steps >= after) {
+            std::panic::panic_any(WorkerKilled { worker });
         }
-        local.expanded += 1;
-        match in_flight[0].sp.expand() {
-            Expansion::Tour { cost, .. } => {
-                local.tours += 1;
-                if cost < sh.read_best(worker) {
-                    sh.publish_best(worker, cost);
-                }
-            }
-            Expansion::Children(children) => {
-                let incumbent = sh.read_best(worker);
-                let fresh: Vec<SubProblem> = children
-                    .into_iter()
-                    .filter(|c| {
-                        if c.bound < incumbent {
-                            local.generated += 1;
-                            true
-                        } else {
-                            local.pruned += 1;
-                            false
-                        }
-                    })
-                    .collect();
-                sh.push_children(worker, fresh);
-            }
-            Expansion::Dead => {}
-        }
-        in_flight.clear();
+        children = sh.expand_node(worker, &in_flight[0].sp, local);
         *steps += 1;
     }
 }
@@ -915,54 +921,19 @@ fn searcher_loop(
 fn drain_residual(sh: &Shared) -> u64 {
     let mut local = SearchStats::default();
     let mut processed = 0u64;
-    let s = sh.queues.len();
-    'drain: loop {
-        let mut item = None;
-        for q in 0..s {
-            if let Some(it) = sh.pop_local(q) {
-                item = Some(it);
-                break;
-            }
-        }
-        let Some(item) = item else { break 'drain };
+    let mut in_flight = Vec::new();
+    let mut children = Vec::new();
+    // Children go to queue 0; the next node comes from the first queue
+    // that still has one worth expanding.
+    while (0..sh.queues.len()).any(|q| {
+        let children = std::mem::take(&mut children);
+        sh.exchange(q, 0, children, &mut in_flight, &mut local, false)
+    }) {
         processed += 1;
-        if item.bound >= sh.read_best(0) {
-            local.pruned += 1;
-            continue;
-        }
-        local.expanded += 1;
-        match item.sp.expand() {
-            Expansion::Tour { cost, .. } => {
-                local.tours += 1;
-                if cost < sh.read_best(0) {
-                    sh.publish_best(0, cost);
-                }
-            }
-            Expansion::Children(children) => {
-                let incumbent = sh.read_best(0);
-                let fresh: Vec<SubProblem> = children
-                    .into_iter()
-                    .filter(|c| {
-                        if c.bound < incumbent {
-                            local.generated += 1;
-                            true
-                        } else {
-                            local.pruned += 1;
-                            false
-                        }
-                    })
-                    .collect();
-                sh.push_batch(0, fresh);
-            }
-            Expansion::Dead => {}
-        }
+        children = sh.expand_node(0, &in_flight[0].sp, &mut local);
     }
     sh.done.store(true, Ordering::Release);
-    let mut agg = sh.stats.lock();
-    agg.expanded += local.expanded;
-    agg.generated += local.generated;
-    agg.tours += local.tours;
-    agg.pruned += local.pruned;
+    sh.add_stats(local);
     processed
 }
 
@@ -1028,10 +999,11 @@ mod tests {
     fn distributed_structures_steal_work_through_the_ring() {
         // The root seeds queue 0; every other searcher must steal to
         // participate at all. The instance needs a search tree that
-        // outlasts a scheduler quantum on a single-core host (~1.7k
-        // expansions here), or searcher 0 can finish the whole search
-        // before the others ever run.
-        let inst = TspInstance::random_euclidean(14, 500, 3);
+        // outlasts thread start-up and a few scheduler quanta on a loaded
+        // host in a release build too (~35k expansions here, 0.1 s for
+        // one optimised searcher), or searcher 0 can finish the whole
+        // search before the others ever run.
+        let inst = TspInstance::random_euclidean(20, 500, 10);
         let (oracle, _) = crate::solve_sequential(&inst);
         for variant in [NativeVariant::Distributed, NativeVariant::Balanced] {
             let res = solve_native(
@@ -1072,13 +1044,32 @@ mod tests {
                 ..NativeTspConfig::default()
             },
         );
-        // Every pop and push goes through the queue lock.
-        assert!(res.queue_lock().acquisitions > res.stats.expanded);
+        // Every expanded node left the queue under `qlock`.
+        assert!(res.queue_lock().acquisitions >= res.stats.expanded);
         assert!(res.best_lock().acquisitions > 0);
         assert_eq!(res.per_queue_locks.len(), 1);
         assert_eq!(
             res.per_queue_locks[0].acquisitions,
             res.queue_lock().acquisitions
+        );
+
+        // ... and under little else: the children go in and the next
+        // node comes out in one critical section, and what is left when
+        // the optimum is proven comes out in one more. Push-then-pop
+        // with a pop per pruned node is 3 per expansion.
+        let searchers = 2;
+        let res = solve_native(
+            &TspInstance::random_euclidean(14, 500, 3),
+            NativeTspConfig {
+                searchers,
+                ..NativeTspConfig::default()
+            },
+        );
+        let (acquisitions, expanded) = (res.queue_lock().acquisitions, res.stats.expanded);
+        assert!(acquisitions >= expanded);
+        assert!(
+            acquisitions as f64 <= 1.1 * expanded as f64 + searchers as f64,
+            "{acquisitions} qlock acquisitions for {expanded} expansions"
         );
     }
 
@@ -1120,6 +1111,72 @@ mod tests {
         assert_eq!(res.worker_panics, plan.report().cs_panics);
         assert_eq!(res.dropped, 0, "retry budget must suffice at this rate");
         assert!(res.poison_recoveries > 0, "panics poison, supervisors clear");
+    }
+
+    #[test]
+    fn cs_panics_inside_the_queue_step_lose_nothing() {
+        let inst = TspInstance::random_euclidean(12, 500, 3);
+        let oracle = inst.held_karp();
+        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(41).with_cs_panics(16)));
+        let res = solve_native(
+            &inst,
+            NativeTspConfig {
+                searchers: 2,
+                variant: NativeVariant::Centralized,
+                faults: Some(Arc::clone(&plan)),
+                ..NativeTspConfig::default()
+            },
+        );
+        let cs_panics = plan.report().cs_panics;
+        // A centralized run injects in two places: the best-tour update
+        // (at most once per tour found) and the queue step.
+        assert!(
+            cs_panics > res.stats.tours,
+            "{cs_panics} panics over {} tours: none is shown to be the queue step's",
+            res.stats.tours
+        );
+        assert_eq!(res.best, oracle, "a holder dying mid-step must lose no node");
+        assert_eq!(res.dropped, 0);
+        assert_eq!(res.worker_panics, cs_panics);
+        assert!(res.requeued > 0, "the dying holder's parent goes back through the stash");
+    }
+
+    #[test]
+    fn worker_killed_holding_a_handed_over_node_requeues_it() {
+        // The whole crew is doomed within its first few steps of a
+        // search that needs hundreds: each searcher dies between the
+        // queue step and the expansion, with the node the step (or, on
+        // the ring, a steal) handed it in its stash. None of those nodes
+        // may be lost, and a kill must not spend the node's retry budget
+        // (there is none here): kills alone never cost exactness.
+        let inst = TspInstance::random_euclidean(12, 500, 3);
+        let oracle = inst.held_karp();
+        for (variant, searchers) in [
+            (NativeVariant::Centralized, 2),
+            (NativeVariant::Distributed, 3),
+            (NativeVariant::Balanced, 3),
+        ] {
+            let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(43).with_worker_kills(100, 2)));
+            let res = solve_native(
+                &inst,
+                NativeTspConfig {
+                    searchers,
+                    variant,
+                    faults: Some(Arc::clone(&plan)),
+                    max_retries: 0,
+                    ..NativeTspConfig::default()
+                },
+            );
+            let label = variant.label();
+            assert_eq!(res.best, oracle, "{label}: a killed worker's node must reach the drain");
+            assert_eq!(res.workers_died, searchers as u64, "{label}");
+            assert_eq!(
+                res.requeued, searchers as u64,
+                "{label}: each doomed worker dies with a node in hand"
+            );
+            assert_eq!(res.dropped, 0, "{label}");
+            assert!(res.residual_drained > 0, "{label}");
+        }
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! queue(s) of subproblems, the best-tour value, and the four locks the
 //! paper names (`qlock`, `glob-act-lock`, `glob-low-lock`, `globlock`).
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AOrd};
+use std::sync::atomic::{AtomicUsize, Ordering as AOrd};
 use std::sync::{Arc, Mutex};
 
 use adaptive_locks::{
@@ -14,7 +12,7 @@ use adaptive_native::CachePadded;
 use butterfly_sim::{ctx, NodeId, SimCell};
 
 use crate::instance::INF;
-use crate::lmsk::SubProblem;
+use crate::lmsk::{BestFirst, SubProblem};
 
 /// Which lock implementation backs the application's four locks — the
 /// independent variable of the paper's Tables 1–3.
@@ -61,32 +59,6 @@ impl LockImpl {
     }
 }
 
-/// A heap entry ordered by (bound asc, seq asc) — best-first with
-/// deterministic tie-breaking.
-struct QEntry {
-    bound: u32,
-    seq: u64,
-    sp: SubProblem,
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.bound, self.seq) == (other.bound, other.seq)
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for best(lowest-bound)-first.
-        (other.bound, other.seq).cmp(&(self.bound, self.seq))
-    }
-}
-
 /// A best-first work queue of subproblems homed on one memory node.
 ///
 /// Every push/pop charges `transfer_refs` simulated references against
@@ -96,8 +68,7 @@ impl Ord for QEntry {
 pub struct WorkQueue {
     home: NodeId,
     transfer_refs: u32,
-    heap: Mutex<BinaryHeap<QEntry>>,
-    seq: AtomicU64,
+    heap: Mutex<BestFirst>,
     /// Lock-free length mirror on its own cache line, maintained by
     /// every heap mutation while the heap mutex is still held. Monitors
     /// and peek paths read it without touching the mutex, and the pad
@@ -112,8 +83,7 @@ impl WorkQueue {
         WorkQueue {
             home: node,
             transfer_refs,
-            heap: Mutex::new(BinaryHeap::new()),
-            seq: AtomicU64::new(0),
+            heap: Mutex::new(BestFirst::default()),
             len: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -133,20 +103,15 @@ impl WorkQueue {
     /// the heap itself consistent (the `Mutex` only guards it against
     /// concurrent access), so a panic in some earlier holder does not
     /// invalidate the data.
-    fn heap(&self) -> std::sync::MutexGuard<'_, BinaryHeap<QEntry>> {
+    fn heap(&self) -> std::sync::MutexGuard<'_, BestFirst> {
         self.heap.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Push a subproblem (call with the queue's `qlock` held).
     pub fn push(&self, sp: SubProblem) {
         self.charge(ctx::MemOp::Write);
-        let seq = self.seq.fetch_add(1, AOrd::Relaxed);
         let mut heap = self.heap();
-        heap.push(QEntry {
-            bound: sp.bound,
-            seq,
-            sp,
-        });
+        heap.push(Box::new(sp), 0);
         self.len.store(heap.len(), AOrd::Release);
     }
 
@@ -163,7 +128,7 @@ impl WorkQueue {
         } else {
             ctx::charge_mem(ctx::MemOp::Read, self.home);
         }
-        e.map(|e| e.sp)
+        e.map(|e| *e.sp)
     }
 
     /// Steal-aware batched pop: take up to `max` best subproblems in one
@@ -177,7 +142,7 @@ impl WorkQueue {
             let mut heap = self.heap();
             for _ in 0..max {
                 match heap.pop() {
-                    Some(e) => out.push(e.sp),
+                    Some(e) => out.push(*e.sp),
                     None => break,
                 }
             }
@@ -204,12 +169,7 @@ impl WorkQueue {
         }
         let mut heap = self.heap();
         for sp in sps {
-            let seq = self.seq.fetch_add(1, AOrd::Relaxed);
-            heap.push(QEntry {
-                bound: sp.bound,
-                seq,
-                sp,
-            });
+            heap.push(Box::new(sp), 0);
         }
         self.len.store(heap.len(), AOrd::Release);
     }

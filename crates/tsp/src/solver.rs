@@ -23,7 +23,7 @@ use butterfly_sim::{ctx, Duration, NodeId, ProcId, SimCell};
 use cthreads::fork;
 
 use crate::instance::TspInstance;
-use crate::lmsk::{Expansion, SearchStats, SubProblem};
+use crate::lmsk::{best_first_search, Expansion, SearchStats, SubProblem};
 use crate::shared::{ActiveCounter, BestTour, LockImpl, WorkQueue};
 
 /// Which shared-abstraction structure to use.
@@ -426,45 +426,10 @@ pub fn solve_sequential_timed(
     inst: &TspInstance,
     expand_ns_per_cell: u64,
 ) -> (u32, SearchStats, Duration) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     let t0 = ctx::now();
-    let mut stats = SearchStats::default();
-    let mut best = crate::instance::INF;
-    let mut heap: BinaryHeap<Reverse<(u32, u64)>> = BinaryHeap::new();
-    let mut store: Vec<Option<SubProblem>> = Vec::new();
-    let root = SubProblem::root(inst);
-    heap.push(Reverse((root.bound, 0)));
-    store.push(Some(root));
-    while let Some(Reverse((bound, id))) = heap.pop() {
-        if bound >= best {
-            stats.pruned += 1;
-            continue;
-        }
-        let sp = store[id as usize].take().expect("taken twice");
+    let (best, stats) = best_first_search(inst, |sp| {
         ctx::advance(Duration::nanos(expand_ns_per_cell * sp.work_cells()));
-        stats.expanded += 1;
-        match sp.expand() {
-            Expansion::Tour { cost, .. } => {
-                stats.tours += 1;
-                best = best.min(cost);
-            }
-            Expansion::Children(children) => {
-                for c in children {
-                    if c.bound < best {
-                        stats.generated += 1;
-                        let id = store.len() as u64;
-                        heap.push(Reverse((c.bound, id)));
-                        store.push(Some(c));
-                    } else {
-                        stats.pruned += 1;
-                    }
-                }
-            }
-            Expansion::Dead => {}
-        }
-    }
+    });
     (best, stats, ctx::now().since(t0))
 }
 
