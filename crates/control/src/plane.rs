@@ -11,7 +11,7 @@
 //! health [lock]                        one status line per lock
 //! retune <lock> <spin|delay|timeout> <value>   edit one waiting attribute
 //! set-policy <lock> <descriptor>       spin | blocking | combined:<n> [+timeout:<ns>]
-//! set-algorithm <lock> <label>         spin-park | ticket | clh | flat-combining
+//! set-algorithm <lock> <label>         any `LockAlgorithm::ALL` label (`help` lists them)
 //! quarantine <lock>                    force the breaker open
 //! heal <lock>                          end the dwell, start the half-open trial
 //! clear-poison <lock>                  clear the poison flag
@@ -32,6 +32,11 @@ use thread_monitor::TextSnapshot;
 
 use crate::hub::BreakerHub;
 use crate::target::{health_line, retune, ControlTarget};
+
+/// Every engine label, `|`-separated, for usage and error text.
+fn algorithm_labels() -> String {
+    LockAlgorithm::ALL.map(LockAlgorithm::label).join("|")
+}
 
 /// The router. Cheap to clone; all clones share the hub.
 #[derive(Clone)]
@@ -113,12 +118,14 @@ impl ControlPlane {
         };
         match cmd {
             "" => Err("empty command (try `help`)".into()),
-            "help" => Ok("commands: targets | health [lock] | \
-                          retune <lock> <spin|delay|timeout> <value> | \
-                          set-policy <lock> <spin|blocking|combined:N[+timeout:NS]> | \
-                          set-algorithm <lock> <spin-park|ticket|clh|flat-combining> | \
-                          quarantine <lock> | heal <lock> | clear-poison <lock> | snapshot"
-                .into()),
+            "help" => Ok(format!(
+                "commands: targets | health [lock] | \
+                 retune <lock> <spin|delay|timeout> <value> | \
+                 set-policy <lock> <spin|blocking|combined:N[+timeout:NS]> | \
+                 set-algorithm <lock> <{}> | \
+                 quarantine <lock> | heal <lock> | clear-poison <lock> | snapshot",
+                algorithm_labels()
+            )),
             "targets" => {
                 let names = self.hub.names();
                 if names.is_empty() {
@@ -167,10 +174,11 @@ impl ControlPlane {
                 Ok(format!("policy of {} set to {}", args[0], p.descriptor()))
             }
             "set-algorithm" => {
-                arity(2, "set-algorithm <lock> <spin-park|ticket|clh|flat-combining>")?;
+                let labels = algorithm_labels();
+                arity(2, &format!("set-algorithm <lock> <{labels}>"))?;
                 let t = self.target(args[0])?;
                 let algo = LockAlgorithm::from_label(args[1])
-                    .ok_or_else(|| format!("unknown algorithm {:?}", args[1]))?;
+                    .ok_or_else(|| format!("unknown algorithm {:?} (one of {labels})", args[1]))?;
                 t.set_algorithm(algo);
                 if t.algorithm() == algo {
                     Ok(format!("{} now running {}", args[0], algo.label()))
@@ -308,7 +316,11 @@ mod tests {
         let resp = plane.execute("set-algorithm z clh").unwrap();
         assert!(resp.contains("now running clh"), "{resp}");
         assert_eq!(locks[0].algorithm(), LockAlgorithm::Queue);
-        assert!(plane.execute("set-algorithm z mcs").is_err());
+        let err = plane.execute("set-algorithm z mcs").unwrap_err();
+        assert!(err.contains("ticket"), "the error must list the valid labels: {err}");
+        assert_eq!(locks[0].algorithm(), LockAlgorithm::Queue, "a bad label moved the lock");
+        let resp = plane.execute("set-algorithm z ticket").unwrap();
+        assert!(resp.contains("now running ticket"), "{resp}");
     }
 
     #[test]

@@ -89,6 +89,9 @@ pub struct ClhLock {
 // synchronize through whatever moved ownership of the guard between
 // them, so the accesses never race.
 unsafe impl Send for ClhLock {}
+// SAFETY: as for `Send` — through a shared `&ClhLock` only the current
+// holder touches `holder`. Exercised by
+// `exclusion_holds_under_hammering`.
 unsafe impl Sync for ClhLock {}
 
 impl ClhLock {
@@ -126,6 +129,10 @@ impl ClhLock {
         // SAFETY: the swap made the chain exclusively ours.
         let mut rest = unsafe { (*head).free_next.load(Ordering::Relaxed) };
         while !rest.is_null() {
+            // SAFETY: `rest` is a link of the chain the swap made
+            // exclusively ours, read before `push_garbage` republishes
+            // the node. Exercised by
+            // `nodes_recycle_through_spare_and_garbage`.
             let next = unsafe { (*rest).free_next.load(Ordering::Relaxed) };
             self.push_garbage(rest);
             rest = next;
@@ -253,6 +260,11 @@ impl Drop for ClhLock {
         };
         let mut g = *self.garbage.get_mut();
         while !g.is_null() {
+            // SAFETY: `&mut self` — no concurrent users — and every
+            // garbage node is a live `ClhNode::boxed` allocation until
+            // `free` below. Exercised by
+            // `nodes_recycle_through_spare_and_garbage`, which drops a
+            // lock with nodes still on the garbage stack.
             let next = *unsafe { &mut *g }.free_next.get_mut();
             free(g);
             g = next;

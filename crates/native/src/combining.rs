@@ -71,6 +71,9 @@ struct Slot {
 // publish the pointed-to closure across threads. The closures
 // themselves are required to be `Send` at the publish sites.
 unsafe impl Send for Slot {}
+// SAFETY: as for `Send` — a shared `&Slot` touches `op` only from the
+// thread the `state` machine currently names as owner. Exercised by
+// `combined_ops_are_exact_and_exclusive`.
 unsafe impl Sync for Slot {}
 
 /// What a publisher observes about its slot.
@@ -191,11 +194,15 @@ impl FcLock {
                 debug_assert!(false, "pending slot without an op");
                 continue;
             };
-            // SAFETY (caller contract + slot state machine): the
-            // publisher keeps the closure alive until the slot leaves
-            // EXECUTING, and the EXECUTING transition made us its
-            // unique executor.
-            let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { (*op)() }));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: caller contract + slot state machine — the
+                // publisher keeps the closure alive until the slot
+                // leaves EXECUTING, and the EXECUTING transition made us
+                // its unique executor. Exercised by
+                // `combined_ops_are_exact_and_exclusive` and
+                // `publisher_rethrows_its_own_panic`.
+                unsafe { (*op)() }
+            }));
             match outcome {
                 Ok(()) => {
                     slot.state.store(SLOT_DONE, Ordering::Release);

@@ -230,11 +230,16 @@ struct StateLine {
 
 impl Drop for QueueWord {
     fn drop(&mut self) {
-        // SAFETY: `&mut self` proves no thread is using the mutex; every
-        // node still linked was leaked into the queue via `Arc::into_raw`
-        // by an enqueuer whose wait was abandoned.
         let mut cur = Self::head(*self.0.get_mut());
         while !cur.is_null() {
+            // SAFETY: `&mut self` proves no thread is using the mutex, so
+            // nobody else walks or edits the list; every node still
+            // linked was leaked into it with `Arc::into_raw` by an
+            // enqueuer whose wait was abandoned, and is reclaimed exactly
+            // once here because `cur` advances past it. Exercised by
+            // `lock_timeout_expires_and_recovers` and
+            // `timed_and_untimed_waiters_interleave_without_loss`, which
+            // drop mutexes that timed-out waiters left nodes in.
             let node = unsafe { Arc::from_raw(cur) };
             cur = node.next.get();
         }
@@ -367,6 +372,11 @@ pub struct AdaptiveMutex<T> {
 // only the holder touches `value` through the guard. Every other field
 // is `Sync` on its own (the policy slot through `GuardedLoop`).
 unsafe impl<T: Send> Send for AdaptiveMutex<T> {}
+// SAFETY: as for `Send` — shared `&AdaptiveMutex` access reaches `value`
+// only through the one holder, so `T: Send` (not `T: Sync`) is the
+// bound, exactly as for `std::sync::Mutex`. Exercised by
+// `counter_hammering_loses_no_updates` and, across engine switches, by
+// `live_switching_under_contention_loses_no_updates`.
 unsafe impl<T: Send> Sync for AdaptiveMutex<T> {}
 
 /// RAII guard; releases (and runs the feedback loop) on drop.
@@ -1256,6 +1266,11 @@ impl<T> AdaptiveMutex<T> {
         struct ValuePtr<T>(*mut T);
         // SAFETY: see above — access is serialized by the mutex.
         unsafe impl<T> Send for ValuePtr<T> {}
+        // SAFETY: the op closure only dereferences the pointer while its
+        // executor (the publisher after acquiring, or a combiner) holds
+        // the mutex, so a shared `&ValuePtr` never yields two live
+        // `&mut T`. Exercised by
+        // `with_locked_combines_under_the_combining_engine`.
         unsafe impl<T> Sync for ValuePtr<T> {}
 
         let value = ValuePtr(self.value.get());

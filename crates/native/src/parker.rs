@@ -65,6 +65,10 @@ pub(crate) struct WaitNode {
 // ordering, or (b) under the mutex's QUEUE_LOCKED bit, which at most one
 // thread holds at a time. `status` and `thread` are Sync on their own.
 unsafe impl Send for WaitNode {}
+// SAFETY: as for `Send` — shared `&WaitNode` access writes `next` only
+// under (a) or (b) above. Exercised by the mutex's
+// `timed_and_untimed_waiters_interleave_without_loss`, where releasers
+// relink nodes that other threads are parked on.
 unsafe impl Sync for WaitNode {}
 
 impl WaitNode {

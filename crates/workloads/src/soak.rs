@@ -43,7 +43,9 @@ use std::time::Duration;
 use adaptive_control::{
     validate_events, BreakerEvent, BreakerHub, BreakerState, ControlPlane,
 };
-use adaptive_native::{AdaptiveMutex, FaultHook, FaultPlan, FaultSpec, PolicyChoice};
+use adaptive_native::{
+    AdaptiveMutex, FaultHook, FaultPlan, FaultSpec, LockAlgorithm, PolicyChoice,
+};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -257,8 +259,8 @@ fn draw_command(rng: &mut Rng, names: &[String], storm: bool) -> String {
     match pool {
         0 => format!("quarantine {name}"),
         1 => {
-            let algo = ["spin-park", "ticket", "clh", "flat-combining"][rng.below(4)];
-            format!("set-algorithm {name} {algo}")
+            let algo = LockAlgorithm::ALL[rng.below(LockAlgorithm::ALL.len())];
+            format!("set-algorithm {name} {}", algo.label())
         }
         2 => {
             let spin = [16u32, 64, 256][rng.below(3)];
