@@ -1,10 +1,17 @@
 //! # adaptive-service
 //!
 //! The paper's claim, taken to service scale: a sharded in-memory
-//! KV/counter store where **every shard is guarded by its own
-//! [`AdaptiveMutex`](adaptive_native::AdaptiveMutex)** — so per-object
-//! lock configuration can diverge with per-shard load, which a single
-//! global lock choice cannot do.
+//! KV/counter store where **every shard's writers are serialised by
+//! its own [`AdaptiveMutex`](adaptive_native::AdaptiveMutex)** — so
+//! per-object lock configuration can diverge with per-shard load, which
+//! a single global lock choice cannot do.
+//!
+//! The object is adjusted to how a caller uses it: a shard's pairs live
+//! in a table of atomic cells, a caller that only reads
+//! ([`ShardedStore::get`]) walks it with loads and takes no lock, and
+//! what the lock guards is the right to write. Shard-lock statistics —
+//! and the heat, split and ranking decisions made from them — are
+//! therefore about write load.
 //!
 //! Three adaptive mechanisms stack on the plain sharded store:
 //!
@@ -14,7 +21,9 @@
 //!   skew the hot shards observably settle on different engines and
 //!   spin attributes than the cold ones ([`divergence`] asserts this
 //!   from stats, not vibes).
-//! * **Hot-shard write batching** — every mutation goes through the
+//! * **Hot-shard write batching** — every mutation (and
+//!   [`ShardedStore::read`], whose closure runs in the critical
+//!   section) goes through the
 //!   mutex's `with_locked` op-shipping path, so when a hot shard's
 //!   policy installs the flat-combining engine, queued writes are
 //!   batched through a single combiner pass instead of a handoff
@@ -22,7 +31,7 @@
 //! * **Resharding** — [`ShardedStore::maintenance`] splits a shard
 //!   (extendible-hashing style: local depth + directory doubling) when
 //!   its contended-acquisition rate crosses a threshold, halving the
-//!   load the hottest lock sees.
+//!   write load the hottest lock sees.
 //!
 //! The store integrates with the PR 8 control plane: pass a
 //! [`BreakerHub`](adaptive_control::BreakerHub) and every shard lock is
@@ -31,12 +40,13 @@
 //! any other supervised lock.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
 mod policy;
 mod router;
 mod store;
+mod table;
 
 pub use policy::HotShardPolicy;
 pub use router::{scramble, ShardRouter};

@@ -4,7 +4,11 @@
 //! most of the traffic while the long tail sits nearly idle. One lock
 //! configuration cannot serve both — which is the paper's thesis, per
 //! object. [`HotShardPolicy`] is the per-shard feedback loop that makes
-//! the divergence happen:
+//! the divergence happen. It sees what the shard lock sees, and since a
+//! `get` reads the shard's cell table without the lock that is *write*
+//! traffic (with `read` and `scan` visits): a shard that is only read,
+//! however often, stays cold here, and pays nothing for it, because no
+//! reader ever waits for its lock.
 //!
 //! * **Cold / warm shards** ride the paper's `simple-adapt` on the
 //!   spin-park engine, tuning the spin count to the observed waiting
@@ -29,7 +33,7 @@
 //!    waiters pile up while a holder runs elsewhere.
 //! 2. **Sample rate**: the feedback loop delivers one observation per
 //!    `N` acquisitions, so the *gap between samples* is inversely
-//!    proportional to the shard's traffic. An EWMA of that gap below
+//!    proportional to the shard's write traffic. An EWMA of that gap below
 //!    [`HOT_SAMPLE_GAP_NANOS`] marks the shard hot even when queues
 //!    never form — the regime of an oversubscribed host, where the
 //!    single runnable holder means `waiting` stays 0 on exactly the

@@ -1,12 +1,24 @@
 //! The sharded store: an extendible-hashing directory of shards, each
-//! guarded by its own `AdaptiveMutex`.
+//! a table of atomic cells whose *writers* are serialised by the
+//! shard's own `AdaptiveMutex`.
 //!
 //! ## Concurrency protocol
 //!
-//! There is one lock level an operation ever takes: its shard's. The
-//! directory in front of the shards is *published*, never locked by a
-//! reader, so routing a key is a handful of loads from lines that are
-//! written once per split — no read-modify-write, no store, no
+//! There is one lock level a write ever takes: its shard's. A `get`
+//! takes none: it routes, probes the shard's cell table and checks the
+//! shard's `retired` flag, loads all three, and writes no line another
+//! thread reads (`crate::table` has the cell protocol: a key is
+//! published once, after its value; a bigger table is published beside
+//! the smaller one). What the lock guards is the *right to write* — the
+//! table's one `Writer` lives inside it — so `put`, `increment`,
+//! `update`, `read` and each shard visit of `scan` still go through
+//! `with_locked`, and a hot shard's flat-combining engine still batches
+//! them. The lock's statistics, and everything decided from them (heat,
+//! splits, the load ranking), therefore describe *write* load.
+//!
+//! The directory in front of the shards is *published*, never locked
+//! by a reader, so routing a key is a handful of loads from lines that
+//! are written once per split — no read-modify-write, no store, no
 //! reference count — and it hands out a `&Shard` that lives as long as
 //! the store:
 //!
@@ -19,8 +31,8 @@
 //!   is never written again once `depth` has moved past it.
 //! * **An append-only arena.** Every shard ever created lives at a
 //!   fixed index (its id) in doubling chunks that are allocated on
-//!   demand and never move. A retired shard stays there — its map was
-//!   already taken — until the store drops.
+//!   demand and never move. A retired shard stays there, frozen table
+//!   and all, until the store drops.
 //! * **One writer mutex** (`created`) serialises splits from "append
 //!   the children" to "slots rewired". Readers never touch it, so a
 //!   rewire blocks nobody.
@@ -30,23 +42,31 @@
 //! `Acquire` loads in `route`: whoever can see a shard's id in a slot
 //! can see the shard, and whoever can see a depth can see its table.
 //!
-//! What keeps this correct is the shard's `retired` flag, checked under
+//! What keeps this correct is the shard's `retired` flag, stored under
 //! the shard lock. Any slot of any table — the current one or a stale
 //! one a reader picked up before a doubling — holds a shard that owned
 //! that slot's keys when it was written; that shard is either still
-//! their live owner or has been retired by a split. An op that reaches
-//! a retired shard comes back un-run and routes again through the
-//! current `depth` (the split is a few stores from done, so it yields
-//! rather than spins).
+//! their live owner or has been retired by a split. A write checks the
+//! flag under the lock; an op that reaches a retired shard comes back
+//! un-run and routes again through the current `depth` (the split is a
+//! few stores from done, so it yields rather than spins). A `get` loads
+//! the flag *after* the value: heirs are wired only after the flag is
+//! stored, so "not retired" says that when the value was read no heir
+//! existed that a completed write could have gone to, and the value was
+//! the key's current one. "Retired" sends it round again like a writer,
+//! although the frozen table still has the pair.
 //!
-//! A split holds the shard lock only to mark it retired and take its
-//! contents, releases it, and only then takes the writer mutex; no
+//! A split holds the shard lock only to mark it retired and copy its
+//! pairs out, releases it, and only then takes the writer mutex; no
 //! thread holds a shard lock and the writer mutex together.
 //!
 //! Retained until drop: tables `initial_depth..=depth`, at most
-//! `2 × slots() × 4` bytes together, and one arena entry per shard ever
+//! `2 × slots() × 4` bytes together; one arena entry per shard ever
 //! created (`initial shards + 2 × splits`, in chunks that at most
-//! double that count). Nothing is sized by `max_depth` up front.
+//! double that count); and with each shard its cell arrays — the
+//! smaller ones it grew out of, under twice the cells of its last, and
+//! a retired parent's whole table, so a key has one stale copy per
+//! split level above it. Nothing is sized by `max_depth` up front.
 //!
 //! ## Resharding
 //!
@@ -58,10 +78,12 @@
 //! `local_depth == global_depth`. [`ShardedStore::maintenance`] splits
 //! any shard whose *contended-acquisition ratio* crossed the configured
 //! threshold — the lock's own contention statistics, not key counts,
-//! decide where more parallelism is needed.
+//! decide where more parallelism is needed. Reads take no lock, so it
+//! is contention among *writes* that splits a shard: the thing a split
+//! relieves.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -71,6 +93,7 @@ use serde::Serialize;
 
 use crate::policy::HotShardPolicy;
 use crate::router::{scramble, ShardRouter};
+use crate::table::{Table, Writer};
 
 /// How each shard's lock is configured.
 #[derive(Debug, Clone, Copy)]
@@ -97,11 +120,11 @@ impl ServicePolicy {
         }
     }
 
-    fn build(&self, data: ShardData) -> AdaptiveMutex<ShardData> {
+    fn build(&self, writer: Writer) -> AdaptiveMutex<Writer> {
         match *self {
-            ServicePolicy::Static(p) => p.build_mutex(data),
+            ServicePolicy::Static(p) => p.build_mutex(writer),
             ServicePolicy::HotShard { high_water, patience } => AdaptiveMutex::with_policy(
-                data,
+                writer,
                 Box::new(HotShardPolicy::new(high_water, patience)),
                 2,
             ),
@@ -113,12 +136,12 @@ impl ServicePolicy {
     /// resetting them to spin-park would un-batch the hottest keys
     /// exactly when batching pays), while static children stay whatever
     /// the static choice dictates.
-    fn build_child(&self, data: ShardData, parent: LockAlgorithm) -> AdaptiveMutex<ShardData> {
+    fn build_child(&self, writer: Writer, parent: LockAlgorithm) -> AdaptiveMutex<Writer> {
         match *self {
-            ServicePolicy::Static(_) => self.build(data),
+            ServicePolicy::Static(_) => self.build(writer),
             ServicePolicy::HotShard { high_water, patience } => {
                 let m = AdaptiveMutex::with_policy(
-                    data,
+                    writer,
                     Box::new(HotShardPolicy::starting(high_water, patience, parent)),
                     2,
                 );
@@ -142,13 +165,16 @@ pub struct ServiceConfig {
     pub max_depth: u32,
     /// Split a shard once its contended-acquisition *rate* — contended
     /// acquisitions per second, measured between maintenance passes —
-    /// reaches this. A rate, not a ratio: on an oversubscribed host the
+    /// reaches this. Only writes (and `read`, `scan`) acquire a shard
+    /// lock; a `get` does not, so reads never move this rate. A rate,
+    /// not a ratio: on an oversubscribed host the
     /// contended *fraction* stays tiny everywhere (contention appears
     /// only at preemption boundaries), but hot shards still rack up
     /// contended events orders of magnitude faster than cold ones.
     pub split_contended_per_sec: f64,
-    /// ... but only after it has absorbed this many acquisitions
-    /// (don't split on startup noise).
+    /// ... but only after it has absorbed this many acquisitions —
+    /// writes, that is; `get`s are not counted (don't split on startup
+    /// noise).
     pub split_min_acquisitions: u64,
     /// ... and only while its contended rate is at least this multiple
     /// of the mean rate across all shards. Splitting answers *skew*:
@@ -184,15 +210,8 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What a shard lock protects.
-struct ShardData {
-    map: HashMap<u64, u64>,
-    /// Set by a split after the contents were taken; routes that still
-    /// reach this shard must retry through the (rewired) directory.
-    retired: bool,
-}
-
-/// One shard: an immutable identity plus the guarded data.
+/// One shard: an immutable identity, the pairs, and the lock that
+/// guards the right to write them.
 struct Shard {
     /// Arena index, handed out in creation order; the number in the
     /// registry name.
@@ -201,7 +220,15 @@ struct Shard {
     /// The low `local_depth` bits of `scramble(key)` for every key this
     /// shard owns; with `local_depth`, the slots it is wired into.
     pattern: u64,
-    lock: Arc<AdaptiveMutex<ShardData>>,
+    /// The shard's pairs. Anyone reads them; `lock` holds the writer.
+    table: Table,
+    lock: Arc<AdaptiveMutex<Writer>>,
+    /// Stored (`Release`) under the shard lock by a split, before it
+    /// copies the pairs out: from then on the table is frozen and an op
+    /// that reaches this shard routes again through the (rewired)
+    /// directory. Writers check it under the lock, `get` after its
+    /// value load.
+    retired: AtomicBool,
     /// Contended-acquisition count as of the last maintenance pass;
     /// the baseline for the per-second split-rate computation.
     seen_contended: AtomicU64,
@@ -211,12 +238,20 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(id: u32, local_depth: u32, pattern: u64, lock: AdaptiveMutex<ShardData>) -> Shard {
+    fn new(
+        id: u32,
+        local_depth: u32,
+        pattern: u64,
+        table: Table,
+        lock: AdaptiveMutex<Writer>,
+    ) -> Shard {
         Shard {
             id,
             local_depth,
             pattern,
+            table,
             lock: Arc::new(lock),
+            retired: AtomicBool::new(false),
             seen_contended: AtomicU64::new(0),
             split_streak: AtomicU32::new(0),
         }
@@ -282,7 +317,8 @@ pub struct ShardSnapshot {
     pub name: String,
     /// Extendible-hashing local depth.
     pub local_depth: u32,
-    /// Live keys.
+    /// Live keys, as last published by the shard's writer; read
+    /// without the lock.
     pub keys: usize,
     /// Engine currently installed on the shard lock.
     pub algorithm: String,
@@ -290,7 +326,8 @@ pub struct ShardSnapshot {
     pub spin_limit: u32,
     /// Waiters at snapshot time.
     pub waiting: u32,
-    /// Total lock acquisitions — the load ranking.
+    /// Total lock acquisitions — the *write*-load ranking: a `get`
+    /// acquires nothing.
     pub acquisitions: u64,
     /// Acquisitions that found the lock held.
     pub contended: u64,
@@ -306,11 +343,11 @@ pub struct ShardSnapshot {
 }
 
 /// The hot-vs-cold divergence verdict, computed from shard snapshots:
-/// did the busiest and idlest shards actually settle on different lock
-/// configurations?
+/// did the shards busiest and idlest with *writes* — the only load a
+/// shard lock sees — actually settle on different lock configurations?
 #[derive(Debug, Clone, Serialize)]
 pub struct DivergenceVerdict {
-    /// Busiest shard (most acquisitions).
+    /// Busiest shard (most acquisitions, so most writes).
     pub hot_name: String,
     /// Its engine.
     pub hot_algorithm: String,
@@ -392,8 +429,9 @@ impl ShardedStore {
         };
         let table = (0..shards)
             .map(|id| {
-                let data = ShardData { map: HashMap::new(), retired: false };
-                store.arena.push(Shard::new(id, depth, u64::from(id), config.policy.build(data)));
+                let (table, writer) = Table::with_room(0);
+                let lock = config.policy.build(writer);
+                store.arena.push(Shard::new(id, depth, u64::from(id), table, lock));
                 AtomicU32::new(id)
             })
             .collect();
@@ -442,14 +480,19 @@ impl ShardedStore {
     fn with_key_shard<R: Send>(
         &self,
         key: u64,
-        f: impl Fn(&mut HashMap<u64, u64>) -> R + Send + Sync,
+        f: impl Fn(&Table, &mut Writer) -> R + Send + Sync,
     ) -> R {
         loop {
             let shard = self.shard_for(key);
             let fr = &f;
-            let done = shard
-                .lock
-                .with_locked(move |data| if data.retired { None } else { Some(fr(&mut data.map)) });
+            let done = shard.lock.with_locked(move |writer| {
+                // Stored under this lock, so `Relaxed` reads it exactly.
+                if shard.retired.load(Ordering::Relaxed) {
+                    None
+                } else {
+                    Some(fr(&shard.table, writer))
+                }
+            });
             if let Some(r) = done {
                 return r;
             }
@@ -467,19 +510,17 @@ impl ShardedStore {
     fn with_key_shard_once<R, F>(&self, key: u64, mut f: F) -> R
     where
         R: Send,
-        F: FnOnce(&mut HashMap<u64, u64>) -> R + Send,
+        F: FnOnce(&Table, &mut Writer) -> R + Send,
     {
         loop {
             let shard = self.shard_for(key);
-            let done = shard.lock.with_locked(
-                move |data| {
-                    if data.retired {
-                        Err(f)
-                    } else {
-                        Ok(f(&mut data.map))
-                    }
-                },
-            );
+            let done = shard.lock.with_locked(move |writer| {
+                if shard.retired.load(Ordering::Relaxed) {
+                    Err(f)
+                } else {
+                    Ok(f(&shard.table, writer))
+                }
+            });
             match done {
                 Ok(r) => return r,
                 Err(back) => {
@@ -490,24 +531,37 @@ impl ShardedStore {
         }
     }
 
-    /// Read a key.
+    /// Read a key: route, probe, check `retired` — loads only. It takes
+    /// no lock, writes no shared line and never waits for a writer; the
+    /// one thing it waits for is the rewire of a split it ran into.
     pub fn get(&self, key: u64) -> Option<u64> {
-        self.with_key_shard(key, move |m| m.get(&key).copied())
+        loop {
+            let shard = self.shard_for(key);
+            let value = shard.table.get(key);
+            // Loaded after the value (an `Acquire` load in `Table::get`
+            // keeps it there): not retired now means that when the value
+            // was read no heir existed a completed write could have gone
+            // to, so the value was the key's current one.
+            if !shard.retired.load(Ordering::Acquire) {
+                return value;
+            }
+            // Frozen, its heirs a few stores from wired; see
+            // `with_key_shard` for why this yields.
+            std::thread::yield_now();
+        }
     }
 
     /// Write a key; returns the previous value.
     pub fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.with_key_shard(key, move |m| m.insert(key, value))
+        self.with_key_shard(key, move |table, writer| table.upsert(writer, key, |_| value).0)
     }
 
     /// Add `by` to a counter key (missing counters start at 0); returns
     /// the new value. On a flat-combining hot shard these ship as ops
     /// and are executed in batches by a single combiner.
     pub fn increment(&self, key: u64, by: u64) -> u64 {
-        self.with_key_shard(key, move |m| {
-            let v = m.entry(key).or_insert(0);
-            *v = v.wrapping_add(by);
-            *v
+        self.with_key_shard(key, move |table, writer| {
+            table.upsert(writer, key, |v| v.unwrap_or(0).wrapping_add(by)).1
         })
     }
 
@@ -518,7 +572,7 @@ impl ShardedStore {
     /// processing a real service does under the lock (decode,
     /// validate, serialize). Runs exactly once.
     pub fn read<R: Send>(&self, key: u64, f: impl FnOnce(Option<u64>) -> R + Send) -> R {
-        self.with_key_shard_once(key, move |m| f(m.get(&key).copied()))
+        self.with_key_shard_once(key, move |table, _| f(table.get(key)))
     }
 
     /// Read-modify-write `key` inside the shard critical section: `f`
@@ -527,11 +581,7 @@ impl ShardedStore {
     /// where a workload models per-request work done under the lock.
     /// Runs exactly once.
     pub fn update(&self, key: u64, f: impl FnOnce(Option<u64>) -> u64 + Send) -> u64 {
-        self.with_key_shard_once(key, move |m| {
-            let v = f(m.get(&key).copied());
-            m.insert(key, v);
-            v
-        })
+        self.with_key_shard_once(key, move |table, writer| table.upsert(writer, key, f).1)
     }
 
     /// Fold over every key/value pair, shard by shard (each shard
@@ -554,13 +604,11 @@ impl ShardedStore {
             }
             let fr = &f;
             let acc_ref = &mut acc;
-            let visited = shard.lock.with_locked(move |data| {
-                if data.retired {
+            let visited = shard.lock.with_locked(move |writer| {
+                if shard.retired.load(Ordering::Relaxed) {
                     return false;
                 }
-                for (&k, &v) in &data.map {
-                    fr(acc_ref, k, v);
-                }
+                shard.table.for_each(writer, |k, v| fr(acc_ref, k, v));
                 true
             });
             if visited {
@@ -609,7 +657,7 @@ impl ShardedStore {
     }
 
     /// Snapshot every shard's identity, occupancy, and lock
-    /// configuration.
+    /// configuration. Acquires no shard lock.
     pub fn snapshots(&self) -> Vec<ShardSnapshot> {
         self.owners(0, 0)
             .into_iter()
@@ -618,7 +666,7 @@ impl ShardedStore {
                 ShardSnapshot {
                     name: shard.name(),
                     local_depth: shard.local_depth,
-                    keys: shard.lock.with_locked(|d| d.map.len()),
+                    keys: shard.table.keys(),
                     algorithm: shard.lock.algorithm().label().to_string(),
                     spin_limit: shard.lock.spin_limit(),
                     waiting: shard.lock.waiting_now(),
@@ -722,38 +770,40 @@ impl ShardedStore {
     /// Split one shard: retire it, partition its keys on hash bit
     /// `local_depth`, rewire (and double, if needed) the directory.
     fn split(&self, old: &Shard) -> bool {
-        // Phase 1 — retire under the shard lock only.
-        let taken = old.lock.with_locked(|data| {
-            if data.retired {
+        // Phase 1 — retire under the shard lock only, then copy the
+        // pairs out of the table that just froze. The table itself stays
+        // for the readers still in it.
+        let bit = 1u64 << old.local_depth;
+        let taken = old.lock.with_locked(|writer| {
+            if old.retired.load(Ordering::Relaxed) {
                 return None;
             }
-            data.retired = true;
-            Some(std::mem::take(&mut data.map))
+            old.retired.store(true, Ordering::Release);
+            // Phase 2 — partition on the next hash bit.
+            let (mut low, mut high) = (Vec::new(), Vec::new());
+            old.table.for_each(writer, |k, v| {
+                if scramble(k) & bit != 0 { &mut high } else { &mut low }.push((k, v));
+            });
+            Some((low, high))
         });
-        let Some(map) = taken else {
+        let Some((low, high)) = taken else {
             return false; // another maintenance pass won the race
         };
-
-        // Phase 2 — partition on the next hash bit.
-        let bit = 1u64 << old.local_depth;
-        let (mut low, mut high) = (HashMap::new(), HashMap::new());
-        for (k, v) in map {
-            if scramble(k) & bit != 0 {
-                high.insert(k, v);
-            } else {
-                low.insert(k, v);
-            }
-        }
         let parent_algo = old.lock.algorithm();
-        let child_lock = |map: HashMap<u64, u64>| {
+        let child = |pairs: Vec<(u64, u64)>| {
+            // Sized for what it receives, so filling it never grows it.
+            let (table, mut writer) = Table::with_room(pairs.len());
+            for &(k, v) in &pairs {
+                table.upsert(&mut writer, k, |_| v);
+            }
             // Only a child that actually received keys inherits the
             // parent's (possibly hot) engine; an empty child has no
             // traffic to justify it — and, getting no samples, would
             // otherwise sit on the inherited engine forever.
-            let algo = if map.is_empty() { LockAlgorithm::SpinPark } else { parent_algo };
-            self.config.policy.build_child(ShardData { map, retired: false }, algo)
+            let algo = if pairs.is_empty() { LockAlgorithm::SpinPark } else { parent_algo };
+            (table, self.config.policy.build_child(writer, algo))
         };
-        let (low, high) = (child_lock(low), child_lock(high));
+        let (low, high) = (child(low), child(high));
 
         // Phase 3 — append the children and rewire, as the one writer.
         let (s_low, s_high) = {
@@ -761,10 +811,10 @@ impl ShardedStore {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             };
-            let mut child = |pattern, lock| {
+            let mut child = |pattern, (table, lock)| {
                 let id = *created;
                 *created = id.checked_add(1).expect("more than 2^32 shards");
-                self.arena.push(Shard::new(id, old.local_depth + 1, pattern, lock))
+                self.arena.push(Shard::new(id, old.local_depth + 1, pattern, table, lock))
             };
             let (s_low, s_high) = (child(old.pattern, low), child(old.pattern | bit, high));
             let wire = |table: &[AtomicU32]| {
@@ -974,7 +1024,7 @@ mod tests {
     }
 
     fn is_retired(shard: &Shard) -> bool {
-        shard.lock.with_locked(|data| data.retired)
+        shard.retired.load(Ordering::Acquire)
     }
 
     #[test]
@@ -1020,6 +1070,116 @@ mod tests {
     }
 
     #[test]
+    fn a_get_that_meets_a_retired_shard_waits_for_the_rewire() {
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        for k in 0..64u64 {
+            store.put(k, k);
+        }
+        let victim = store.shard_for(0);
+        let (elsewhere, on_victim): (Vec<u64>, Vec<u64>) =
+            (0..64u64).partition(|&k| !std::ptr::eq(store.shard_for(k), victim));
+        assert!(!elsewhere.is_empty() && !on_victim.is_empty());
+
+        // The same half-way split: retired, children not wired.
+        let writer = store.created.lock().expect("no thread panicked holding it");
+        std::thread::scope(|scope| {
+            let splitter = scope.spawn(|| store.split(victim));
+            while !is_retired(victim) {
+                std::thread::yield_now();
+            }
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (store, key) = (&store, on_victim[0]);
+            scope.spawn(move || {
+                tx.send(None).expect("the test is waiting");
+                tx.send(Some(store.get(key))).expect("the test is waiting");
+            });
+            assert_eq!(rx.recv(), Ok(None), "the reader is about to call get");
+            // Reads of the other shards take no notice of any of it.
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let keys = &elsewhere;
+            scope.spawn(move || {
+                for &k in keys {
+                    assert_eq!(store.get(k), Some(k));
+                }
+                done_tx.send(()).expect("the test is waiting");
+            });
+            let elsewhere_done = done_rx.recv_timeout(std::time::Duration::from_secs(30));
+            // The frozen table still has the pair; handing it out would
+            // be a read of a shard whose heirs may already take writes.
+            let early = rx.recv_timeout(std::time::Duration::from_millis(50));
+            drop(writer);
+            elsewhere_done.expect("a get on another shard waited for the split");
+            assert!(early.is_err(), "a get answered from a retired shard: {early:?}");
+            let late = rx.recv_timeout(std::time::Duration::from_secs(30));
+            assert_eq!(late, Ok(Some(Some(key))), "the get did not come back from the heir");
+            assert!(splitter.join().expect("the split does not panic"));
+        });
+        let heir = store.shard_for(on_victim[0]);
+        assert!(!is_retired(heir) && heir.local_depth == victim.local_depth + 1);
+    }
+
+    #[test]
+    fn reads_neither_heat_nor_split_a_shard() {
+        // One shard; every split gate open to a shard that has taken a
+        // thousand acquisitions, and a policy that batches a shard whose
+        // lock is taken back to back (`split_children_inherit_a_hot_
+        // parents_engine` heats it with increments in well under 40 000).
+        let store = ShardedStore::new(ServiceConfig {
+            initial_depth: 0,
+            max_depth: 2,
+            split_contended_per_sec: 0.0,
+            split_min_acquisitions: 1_000,
+            split_imbalance_factor: 0.0,
+            split_sustain: 1,
+            policy: ServicePolicy::HotShard { high_water: 64, patience: 2 },
+        });
+        for k in 0..8u64 {
+            store.put(k, k);
+        }
+        let before = store.snapshots();
+        assert_eq!((before.len(), before[0].keys, before[0].acquisitions), (1, 8, 8));
+        for i in 0..100_000u64 {
+            assert_eq!(store.get(i % 8), Some(i % 8));
+        }
+        let after = store.snapshots();
+        // A count, and it repeats exactly: reads and snapshots take no lock.
+        assert_eq!(after[0].acquisitions - before[0].acquisitions, 0);
+        assert_eq!(after[0].algorithm, "spin-park", "reads heated the shard lock");
+        assert_eq!(store.maintenance(), 0, "reads counted towards a split");
+        assert_eq!(store.shard_count(), 1);
+    }
+
+    #[test]
+    fn the_sentinel_key_and_its_neighbours_round_trip_across_splits() {
+        // `u64::MAX` is the table's empty-cell sentinel and lives in a
+        // side cell; 0 is what a zeroed cell would hold.
+        let edge = [0, u64::MAX - 1, u64::MAX];
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        for k in edge {
+            assert_eq!(store.get(k), None);
+            assert_eq!(store.put(k, 7), None);
+            assert_eq!(store.put(k, !k), Some(7));
+            assert_eq!(store.increment(k, 1), (!k).wrapping_add(1));
+            assert_eq!(store.update(k, |v| v.expect("just written").wrapping_sub(1)), !k);
+        }
+        let scanned = |store: &ShardedStore| {
+            let mut pairs = store.scan(Vec::new(), |v: &mut Vec<(u64, u64)>, k, x| v.push((k, x)));
+            pairs.sort_unstable();
+            pairs
+        };
+        let want: Vec<(u64, u64)> = edge.iter().map(|&k| (k, !k)).collect();
+        assert_eq!(scanned(&store), want);
+        while store.maintenance() > 0 {}
+        assert!(store.splits() > 0);
+        assert_eq!(scanned(&store), want);
+        for k in edge {
+            assert_eq!(store.read(k, |v| v), Some(!k));
+            assert_eq!(store.get(k), Some(!k));
+        }
+        assert_eq!(store.snapshots().iter().map(|s| s.keys).sum::<usize>(), 3);
+    }
+
+    #[test]
     fn a_stale_table_leads_to_the_owner_or_to_one_reroute_per_split() {
         let store = ShardedStore::new(ServiceConfig {
             max_depth: 8,
@@ -1046,7 +1206,7 @@ mod tests {
             assert_eq!(current, if round < 3 { depth + 1 } else { depth });
             for &k in &keys {
                 let owner = store.shard_for(k);
-                assert!(owner.lock.with_locked(|data| !data.retired && data.map.contains_key(&k)));
+                assert!(!is_retired(owner) && owner.table.get(k).is_some());
                 for held in first_table..current {
                     // Through a table from before the doublings: home
                     // at once, or at a retired shard, from which the op
