@@ -228,7 +228,8 @@ pub struct AsyncAdaptiveMutex<T> {
     queue: Mutex<VecDeque<Arc<Waiter>>>,
     /// Serialized by the lock itself (bumped while held).
     acquisitions: AtomicU64,
-    /// Monitor sampling cadence, in acquisitions.
+    /// Monitor sampling cadence, in acquisitions: fixed, and not the
+    /// feedback kernel's.
     gate: SampleGate,
     /// Longest contended wait (ns) since the last sample.
     max_wait: AtomicU64,
@@ -372,6 +373,7 @@ impl<T> AsyncAdaptiveMutex<T> {
             || NativeObservation {
                 waiting: u64::from(self.waiters.load(Ordering::Relaxed)),
                 max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
+                acquisitions: 2,
             },
             |decision| self.apply(decision),
         );
@@ -393,7 +395,7 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// an earlier `SetPolicy`'s park timeout live underneath, and parked
     /// waiters would keep abandoning and re-queueing on a bound no
     /// current policy asked for.
-    fn apply(&self, decision: NativeDecision) {
+    fn apply(&self, decision: NativeDecision) -> bool {
         let p = match decision {
             NativeDecision::PureSpin => poll_policy(SPIN_FOREVER),
             NativeDecision::PureBlocking => poll_policy(0),
@@ -402,9 +404,9 @@ impl<T> AsyncAdaptiveMutex<T> {
             // The async mutex has a single engine; an engine-migration
             // decision (from a policy shared with the native mutex) is
             // a no-op here, not an error.
-            NativeDecision::SetAlgorithm(_) => return,
+            NativeDecision::SetAlgorithm(_) => return false,
         };
-        self.set_waiting_policy(p);
+        self.install(p)
     }
 
     /// Snap to the safe endpoint (pure park) and disable adaptation for
@@ -453,9 +455,17 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// Install new waiting-policy attributes (operator retune; the
     /// feedback loop keeps adapting from here unless quarantined).
     pub fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
-        if self.attrs.store(policy) {
+        self.install(policy);
+    }
+
+    /// Store `policy`; returns whether that changed anything, and
+    /// counts it if so.
+    fn install(&self, policy: NativeWaitingPolicy) -> bool {
+        let changed = self.attrs.store(policy);
+        if changed {
             self.stats.reconfigurations.fetch_add(1, Ordering::Relaxed);
         }
+        changed
     }
 
     /// Current waiting-policy attributes.
@@ -521,6 +531,7 @@ impl<T> AsyncAdaptiveMutex<T> {
             poisoned: self.is_poisoned(),
             quarantined: self.is_quarantined(),
             policy_panics: self.stats.policy_panics.load(Ordering::Relaxed),
+            sample_period: self.gate.period(),
         }
     }
 
@@ -1035,7 +1046,7 @@ mod tests {
         // Feed it a storm of deep-queue samples.
         let mut last = None;
         for _ in 0..16 {
-            if let Some(d) = policy.decide(NativeObservation { waiting: 12, max_wait_nanos: 0 }) {
+            if let Some(d) = policy.decide(NativeObservation::of(12)) {
                 last = Some(d);
             }
         }

@@ -294,6 +294,7 @@ mod tests {
         assert!(health.contains("a.lock state=closed"));
         let one = plane.execute("health b.lock").unwrap();
         assert!(one.starts_with("b.lock "));
+        assert!(one.contains(" policy=combined(64) sample_every=2 "), "{one}");
         assert!(plane.execute("health nope").is_err());
     }
 

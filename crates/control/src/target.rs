@@ -96,11 +96,12 @@ impl<T: Send> ControlTarget for AdaptiveMutex<T> {
 pub(crate) fn health_line(name: &str, state: &str, t: &dyn ControlTarget) -> String {
     let h = t.health();
     format!(
-        "{name} state={state} algo={algo} policy={policy} waiting={waiting} acq={acq} \
-         handoffs={handoffs} locked={locked} poisoned={poisoned} quarantined={quarantined} \
-         policy_panics={panics}",
+        "{name} state={state} algo={algo} policy={policy} sample_every={sample_every} \
+         waiting={waiting} acq={acq} handoffs={handoffs} locked={locked} poisoned={poisoned} \
+         quarantined={quarantined} policy_panics={panics}",
         algo = t.algorithm().label(),
         policy = t.waiting_policy().descriptor(),
+        sample_every = h.sample_period,
         waiting = h.waiting,
         acq = h.acquisitions,
         handoffs = h.handoffs,

@@ -14,6 +14,19 @@
 //! after [`PROBATION_DECIDES`] clean decisions. Counters, and the snap
 //! to the object's safe static configuration, stay with the caller,
 //! steered by the [`Sampled`] outcome.
+//!
+//! The loop also owns its own *sampling period* — the paper's monitor
+//! has "a sampling rate", and the rate is an attribute like any other.
+//! [`GuardedLoop::period`] starts at [`SAMPLE_PERIOD_FLOOR`], doubles up
+//! to [`SAMPLE_PERIOD_CEILING`] after every decision that changed
+//! nothing (the policy re-affirmed the configuration it installed
+//! earlier, or had no decision), and snaps back to the floor on a
+//! change of regime: a decision that changed an attribute, or any
+//! [`Sampled::Panicked`] / [`Sampled::CoolingDown`] /
+//! [`Sampled::Reenabled`] outcome, so a quarantine sentence runs down at
+//! the floor cadence. A [`Sampled::Skipped`] sample leaves it alone. The
+//! object reads the period when its gate fires; one that was built with
+//! an explicit period ignores it.
 
 #![allow(unsafe_code)] // the policy slot behind the busy flag
 
@@ -31,6 +44,12 @@ pub const QUARANTINE_BASE_TICKS: u64 = 8;
 pub const QUARANTINE_MAX_SHIFT: u32 = 10;
 /// Clean decisions after a re-enable before the backoff level resets.
 pub const PROBATION_DECIDES: u64 = 64;
+/// Shortest sampling period, in gate events: the paper's "once during
+/// every other unlock". Where the cadence starts, and where it returns
+/// on a change of regime.
+pub const SAMPLE_PERIOD_FLOOR: u64 = 2;
+/// Longest sampling period the back-off reaches.
+pub const SAMPLE_PERIOD_CEILING: u64 = 64;
 
 /// What one [`GuardedLoop::sample`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,6 +79,9 @@ pub struct GuardedLoop<P> {
     level: AtomicU32,
     /// Clean decisions remaining until `level` resets.
     probation: AtomicU64,
+    /// Gate events between samples (see the module doc). Written under
+    /// `busy`, read by whoever re-arms the object's gate.
+    period: AtomicU64,
     inner: UnsafeCell<FeedbackLoop<P>>,
 }
 
@@ -77,6 +99,7 @@ impl<P> GuardedLoop<P> {
             ticks: AtomicU64::new(0),
             level: AtomicU32::new(0),
             probation: AtomicU64::new(0),
+            period: AtomicU64::new(SAMPLE_PERIOD_FLOOR),
             inner: UnsafeCell::new(FeedbackLoop::new(policy)),
         }
     }
@@ -84,11 +107,13 @@ impl<P> GuardedLoop<P> {
     /// Feed one sample through the loop; never blocks. `observe` is
     /// called only when the policy will actually run, so a monitor
     /// whose read consumes state (a max-since-last-sample window) loses
-    /// nothing to a skipped or swallowed sample.
+    /// nothing to a skipped or swallowed sample. `apply` reports
+    /// whether the decision changed anything; the answer paces the
+    /// next samples (see the module doc).
     pub fn sample<Obs>(
         &self,
         observe: impl FnOnce() -> Obs,
-        apply: impl FnOnce(P::Decision),
+        apply: impl FnOnce(P::Decision) -> bool,
     ) -> Sampled
     where
         P: AdaptationPolicy<Obs>,
@@ -97,6 +122,7 @@ impl<P> GuardedLoop<P> {
             return Sampled::Skipped;
         }
         let ticks = self.ticks.load(Ordering::Relaxed);
+        let mut changed = false;
         let outcome = if ticks > 0 {
             // A CAS, not a store: `heal` and `quarantine` write `ticks`
             // without taking `busy`, and one that lands between the
@@ -118,7 +144,8 @@ impl<P> GuardedLoop<P> {
             // else; `tests::sample_is_never_reentered` hammers this
             // from four threads with a policy that asserts it is alone.
             let feedback = unsafe { &mut *self.inner.get() };
-            match catch_unwind(AssertUnwindSafe(|| feedback.step(observe(), apply))) {
+            let step = || feedback.step(observe(), |decision| changed = apply(decision));
+            match catch_unwind(AssertUnwindSafe(step)) {
                 Ok(_) => {
                     self.note_clean_decide();
                     Sampled::Decided
@@ -129,8 +156,21 @@ impl<P> GuardedLoop<P> {
                 }
             }
         };
+        let period = if outcome == Sampled::Decided && !changed {
+            (self.period.load(Ordering::Relaxed) * 2).min(SAMPLE_PERIOD_CEILING)
+        } else {
+            SAMPLE_PERIOD_FLOOR
+        };
+        self.period.store(period, Ordering::Relaxed);
         self.busy.store(false, Ordering::Release);
         outcome
+    }
+
+    /// Gate events the object should let pass before its next sample.
+    /// Instantly stale, which is harmless: a reader that misses an
+    /// update paces one gap by the previous period.
+    pub fn period(&self) -> u64 {
+        self.period.load(Ordering::Relaxed)
     }
 
     /// One clean decision: pay down the probation period, and reset
@@ -189,7 +229,7 @@ mod tests {
     }
 
     fn tick<P: AdaptationPolicy<(), Decision = ()>>(fb: &GuardedLoop<P>) -> Sampled {
-        fb.sample(|| (), |()| {})
+        fb.sample(|| (), |()| false)
     }
 
     #[test]
@@ -220,6 +260,7 @@ mod tests {
                                     || (),
                                     |()| {
                                         applied.fetch_add(1, Ordering::Relaxed);
+                                        true
                                     },
                                 )
                             })
@@ -308,7 +349,7 @@ mod tests {
     fn quarantined_samples_do_not_observe() {
         let fb = GuardedLoop::new(FnPolicy::new("none", |_: u64| -> Option<()> { None }));
         let observed = AtomicU64::new(0);
-        let sample = || fb.sample(|| observed.fetch_add(1, Ordering::Relaxed), |()| {});
+        let sample = || fb.sample(|| observed.fetch_add(1, Ordering::Relaxed), |()| false);
         assert_eq!(sample(), Sampled::Decided);
         fb.quarantine();
         for _ in 0..QUARANTINE_BASE_TICKS {
@@ -317,5 +358,85 @@ mod tests {
         assert_eq!(observed.load(Ordering::Relaxed), 1, "a swallowed sample built an observation");
         assert_eq!(sample(), Sampled::Decided);
         assert_eq!(observed.load(Ordering::Relaxed), 2);
+    }
+
+    /// The period after each of `n` samples whose `apply` reports
+    /// `changed`.
+    fn periods<P: AdaptationPolicy<(), Decision = ()>>(
+        fb: &GuardedLoop<P>,
+        n: usize,
+        changed: bool,
+    ) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                assert_eq!(fb.sample(|| (), |()| changed), Sampled::Decided);
+                fb.period()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn period_doubles_to_the_ceiling_while_decisions_change_nothing() {
+        let reaffirms = GuardedLoop::new(FnPolicy::new("same", |()| Some(())));
+        assert_eq!(reaffirms.period(), SAMPLE_PERIOD_FLOOR);
+        assert_eq!(periods(&reaffirms, 8, false), [4, 8, 16, 32, 64, 64, 64, 64]);
+        // A policy with no decision changed nothing either.
+        let silent = GuardedLoop::new(FnPolicy::new("none", |()| -> Option<()> { None }));
+        assert_eq!(periods(&silent, 6, true), [4, 8, 16, 32, 64, 64]);
+    }
+
+    #[test]
+    fn a_decision_that_changes_something_snaps_the_period_to_the_floor() {
+        let fb = GuardedLoop::new(FnPolicy::new("some", |()| Some(())));
+        assert_eq!(periods(&fb, 5, false).last(), Some(&SAMPLE_PERIOD_CEILING));
+        assert_eq!(periods(&fb, 2, true), [SAMPLE_PERIOD_FLOOR; 2]);
+        assert_eq!(periods(&fb, 2, false), [4, 8], "and backs off again from there");
+    }
+
+    #[test]
+    fn every_quarantine_outcome_keeps_the_period_at_the_floor() {
+        let bomb = Arc::new(AtomicBool::new(false));
+        let fb = bombable(Arc::clone(&bomb));
+        for _ in 0..5 {
+            tick(&fb);
+        }
+        assert_eq!(fb.period(), SAMPLE_PERIOD_CEILING);
+        bomb.store(true, Ordering::Relaxed);
+        assert_eq!(tick(&fb), Sampled::Panicked);
+        assert_eq!(fb.period(), SAMPLE_PERIOD_FLOOR);
+        bomb.store(false, Ordering::Relaxed);
+        for _ in 1..QUARANTINE_BASE_TICKS {
+            assert_eq!(tick(&fb), Sampled::CoolingDown);
+            assert_eq!(fb.period(), SAMPLE_PERIOD_FLOOR);
+        }
+        assert_eq!(tick(&fb), Sampled::Reenabled);
+        assert_eq!(fb.period(), SAMPLE_PERIOD_FLOOR);
+        assert_eq!(tick(&fb), Sampled::Decided);
+        assert_eq!(fb.period(), 2 * SAMPLE_PERIOD_FLOOR);
+    }
+
+    #[test]
+    fn a_skipped_sample_leaves_the_period_alone() {
+        use std::sync::mpsc::channel;
+        let (inside_tx, inside_rx) = channel();
+        let (go_tx, go_rx) = channel::<()>();
+        let mut first = true;
+        let fb = GuardedLoop::new(FnPolicy::new("slow", move |()| -> Option<()> {
+            // Only the first decision waits, with the loop marked busy.
+            if std::mem::take(&mut first) {
+                inside_tx.send(()).expect("test is listening");
+                go_rx.recv().expect("test lets the policy go");
+            }
+            None
+        }));
+        std::thread::scope(|s| {
+            let slow = s.spawn(|| tick(&fb));
+            inside_rx.recv().expect("policy entered");
+            assert_eq!(tick(&fb), Sampled::Skipped);
+            assert_eq!(fb.period(), SAMPLE_PERIOD_FLOOR, "a skip neither backs off nor resets");
+            go_tx.send(()).expect("policy is waiting");
+            assert_eq!(slow.join().expect("sampler"), Sampled::Decided);
+        });
+        assert_eq!(fb.period(), 2 * SAMPLE_PERIOD_FLOOR);
     }
 }

@@ -66,6 +66,7 @@ pub use cost::{CostLog, CostRecord, OpCost, OpKind};
 pub use feedback::{FeedbackLoop, LaggedLoop, LoopStats};
 pub use guarded::{
     GuardedLoop, Sampled, PROBATION_DECIDES, QUARANTINE_BASE_TICKS, QUARANTINE_MAX_SHIFT,
+    SAMPLE_PERIOD_CEILING, SAMPLE_PERIOD_FLOOR,
 };
 pub use monitor::{FnSensor, MonitorStats, SampleGate, SamplingGate, Sensor};
 pub use policy::{AdaptationPolicy, FnPolicy, NullPolicy};

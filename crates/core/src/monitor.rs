@@ -7,6 +7,9 @@
 //! state variables are sensed) and the **sampling rate** (how often).
 //! [`SamplingGate`] implements the rate ("sampled once during every other
 //! unlock operation" in the TSP experiments is `SamplingGate::every(2)`).
+//! Both gates here hold a *fixed* period. A rate that the feedback loop
+//! itself moves — backing off while its decisions change nothing — is
+//! [`GuardedLoop::period`](crate::GuardedLoop::period).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,6 +78,15 @@ impl SampleGate {
             0 | u64::MAX => SampleGate::Never,
             p if p.is_power_of_two() => SampleGate::Mask(p - 1),
             p => SampleGate::Modulo(p),
+        }
+    }
+
+    /// The period this gate was classified from (`0`: never fires).
+    pub fn period(self) -> u64 {
+        match self {
+            SampleGate::Never => 0,
+            SampleGate::Mask(m) => m + 1,
+            SampleGate::Modulo(p) => p,
         }
     }
 
@@ -198,6 +210,8 @@ mod tests {
         assert_eq!(SampleGate::new(u64::MAX), SampleGate::Never);
         assert_eq!(SampleGate::new(2), SampleGate::Mask(1));
         assert_eq!(SampleGate::new(6), SampleGate::Modulo(6));
+        let periods = [0, 1, 2, 6, 64, u64::MAX].map(|p| SampleGate::new(p).period());
+        assert_eq!(periods, [0, 1, 2, 6, 64, 0]);
         assert!((1..100).all(|n| !SampleGate::Never.fires(n)));
         let fired: Vec<u64> = (1..=12).filter(|&n| SampleGate::new(4).fires(n)).collect();
         assert_eq!(fired, vec![4, 8, 12]);

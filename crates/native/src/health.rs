@@ -49,6 +49,10 @@ pub struct LockHealth {
     /// flag so a supervisor can detect *repeated* policy panics across
     /// polls and escalate instead of treating them as one incident.
     pub policy_panics: u64,
+    /// Acquisitions between monitor samples right now (`0`: the monitor
+    /// is off). Read-only: on a self-paced lock the feedback kernel
+    /// moves it between 2 and 64.
+    pub sample_period: u64,
 }
 
 /// A lock the watchdog can examine and heal.

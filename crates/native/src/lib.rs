@@ -4,7 +4,9 @@
 //! [`AdaptiveMutex`] is a spin-then-park mutex for actual threads whose
 //! spin count is a run-time-mutable attribute retuned by an adaptation
 //! policy (default: the paper's `simple-adapt`) from a built-in monitor
-//! of the waiting-thread count, sampled every other unlock.
+//! of the waiting-thread count, sampled every other unlock to begin
+//! with and less often — down to every 64th — while the policy's
+//! decisions change nothing.
 //!
 //! This is the lineage the paper started: adaptive mutexes later
 //! appeared in Solaris, glibc (`PTHREAD_MUTEX_ADAPTIVE_NP`), and JVM

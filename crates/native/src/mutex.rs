@@ -3,8 +3,10 @@
 //! `AdaptiveMutex<T>` is a spin-then-park mutex whose waiting policy is a
 //! *mutable attribute set* `{spin, delay, timeout}` retuned at run time
 //! by an adaptation policy fed from a built-in monitor (waiter count,
-//! sampled every other unlock) — the paper's adaptive lock, thirty years
-//! on, on `std` atomics.
+//! sampled every other unlock to begin with, then at whatever period the
+//! feedback kernel has backed off to: up to every 64th while its
+//! decisions change nothing, every other one again once they do) — the
+//! paper's adaptive lock, thirty years on, on `std` atomics.
 //!
 //! Protocol: a single state word packs the `LOCKED` bit, a `QUEUE_LOCKED`
 //! maintenance bit, and the head pointer of an *intrusive MCS-style
@@ -33,9 +35,12 @@
 //! the contention statistics live in per-thread-stripe slabs
 //! ([`crate::stats`]). The acquisition count shares the state line and
 //! is bumped with a plain load + store under the lock, and the sampling
-//! gate decides from that same count at acquire time — so an
-//! uncontended acquire/release touches exactly *one* line (the state
-//! line) and performs no RMW beyond its two CASes, sampled or not.
+//! gate is one compare of that count against a `next_sample` word on
+//! the same line, at acquire time — so an unsampled acquire/release
+//! touches exactly *one* line (the state line) and performs no RMW
+//! beyond its two CASes. An acquisition whose gate fires re-arms the
+//! word from the sampling period, which lives with the feedback kernel
+//! on the line its release is about to write anyway.
 //!
 //! # The engine zoo and live algorithm switching
 //!
@@ -74,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize,
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled};
+use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled, SAMPLE_PERIOD_FLOOR};
 
 use crate::clh::ClhLock;
 use crate::combining::{FcLock, OpPtr, SlotOutcome};
@@ -216,16 +221,23 @@ impl QueueWord {
     }
 }
 
-/// The state line: the queue word plus the acquisition count, padded
-/// together. The count is written with plain load + store — not an
-/// atomic RMW — because every writer holds the lock at the time, so the
-/// writes are serialized, and the release/acquire chain on the queue
-/// word makes each holder see its predecessor's store. Counting an
-/// acquisition is therefore two register-width moves on the very line
-/// the acquire CAS just made exclusive: zero extra cache traffic.
+/// The state line: the queue word, the acquisition count and the two
+/// words of the sampling gate, padded together. All three counters are
+/// written with plain load + store — not an atomic RMW — because every
+/// writer holds the lock at the time, so the writes are serialized, and
+/// the release/acquire chain on the queue word makes each holder see
+/// its predecessor's store. Counting an acquisition and asking the gate
+/// is therefore three register-width moves and a compare on the very
+/// line the acquire CAS just made exclusive: zero extra cache traffic.
 struct StateLine {
     word: QueueWord,
     acquisitions: AtomicU64,
+    /// The acquisition count at which the gate fires next (`u64::MAX`:
+    /// never). Re-armed by the acquisition that reaches it.
+    next_sample: AtomicU64,
+    /// The acquisition count at which it last fired, so a sample can
+    /// say how many acquisitions it stands for.
+    sampled_at: AtomicU64,
 }
 
 impl Drop for QueueWord {
@@ -320,9 +332,10 @@ impl Engines {
 /// Field order is the cache layout (DESIGN.md §12): one exclusive line
 /// for the state word, one read-mostly line for the attributes, one
 /// write-on-contention line for the waiter count, a striped slab for
-/// the statistics, and one line for the feedback machinery. The cold
-/// tail (poison flag, sampling gate, fault hook, value) shares
-/// whatever is left.
+/// the statistics, and one line for the feedback machinery (the
+/// sampling period with it). The cold tail (poison flag, the fixed
+/// cadence of a lock built with one, fault hook, value) shares whatever
+/// is left.
 pub struct AdaptiveMutex<T> {
     state: CachePadded<StateLine>,
     /// Read by spinners, written only by reconfigurations.
@@ -358,9 +371,13 @@ pub struct AdaptiveMutex<T> {
     feedback: CachePadded<GuardedLoop<BoxedNativePolicy>>,
     /// Sticky poison flag: a holder panicked with the lock held.
     poisoned: AtomicBool,
-    /// Monitor sampling cadence (immutable; every `period`-th gate
-    /// event *per stripe* feeds the policy).
-    gate: SampleGate,
+    /// `Some(p)`: the caller asked for a sample on exactly every `p`-th
+    /// acquisition (`0` = never). `None`: the feedback kernel paces the
+    /// monitor ([`GuardedLoop::period`]).
+    fixed_period: Option<u64>,
+    /// Cadence of the failed-`try_lock` stream: the fixed period, or
+    /// the kernel's floor on a self-paced lock.
+    try_gate: SampleGate,
     /// Optional fault-injection hook (tests); one relaxed load on the
     /// contended release and sampled-observation paths when unset.
     fault_hook: OnceLock<Arc<dyn FaultHook>>,
@@ -382,30 +399,47 @@ unsafe impl<T: Send> Sync for AdaptiveMutex<T> {}
 /// RAII guard; releases (and runs the feedback loop) on drop.
 pub struct AdaptiveMutexGuard<'a, T> {
     mutex: &'a AdaptiveMutex<T>,
-    /// Whether this acquisition's unlock is a monitor sample. Decided
-    /// at acquire time from the same state-line count that records the
+    /// Non-zero when this acquisition's unlock is a monitor sample: the
+    /// number of acquisitions the sample stands for. Decided at acquire
+    /// time from the same state-line count that records the
     /// acquisition, so the release path does no counter work at all.
-    adapt: bool,
+    sampled: u64,
 }
 
 impl<T> AdaptiveMutex<T> {
     /// Mutex with the default `simple-adapt` policy (threshold 2,
-    /// increment 32 spins) sampling every other unlock, starting from a
-    /// moderate combined configuration.
+    /// increment 32 spins), self-paced, starting from a moderate
+    /// combined configuration.
     pub fn new(value: T) -> AdaptiveMutex<T> {
-        AdaptiveMutex::with_policy(value, Box::new(NativeSimpleAdapt::new(2, 32)), 2)
+        AdaptiveMutex::self_paced(value, Box::new(NativeSimpleAdapt::new(2, 32)))
     }
 
-    /// Mutex with an explicit adaptation policy and sampling period.
+    /// Mutex with an explicit adaptation policy, sampled on exactly
+    /// every `sample_every`-th acquisition (`0` or `u64::MAX`: never).
     pub fn with_policy(
         value: T,
         policy: BoxedNativePolicy,
         sample_every: u64,
     ) -> AdaptiveMutex<T> {
+        AdaptiveMutex::build(value, policy, Some(SampleGate::new(sample_every).period()))
+    }
+
+    /// Mutex with an explicit adaptation policy whose monitor the
+    /// feedback kernel paces: sampled every other unlock at first, then
+    /// at a period that doubles up to 64 while the policy's decisions
+    /// change nothing and returns to 2 when one does.
+    pub fn self_paced(value: T, policy: BoxedNativePolicy) -> AdaptiveMutex<T> {
+        AdaptiveMutex::build(value, policy, None)
+    }
+
+    fn build(value: T, policy: BoxedNativePolicy, fixed_period: Option<u64>) -> AdaptiveMutex<T> {
+        let first_period = fixed_period.unwrap_or(SAMPLE_PERIOD_FLOOR);
         AdaptiveMutex {
             state: CachePadded::new(StateLine {
                 word: QueueWord(AtomicUsize::new(0)),
                 acquisitions: AtomicU64::new(0),
+                next_sample: AtomicU64::new(if first_period == 0 { u64::MAX } else { first_period }),
+                sampled_at: AtomicU64::new(0),
             }),
             attrs: CachePadded::new(WaitAttrs::new(NativeWaitingPolicy::default())),
             engines: Engines::new(),
@@ -415,29 +449,58 @@ impl<T> AdaptiveMutex<T> {
             try_failures: CachePadded::new(AtomicU64::new(0)),
             feedback: CachePadded::new(GuardedLoop::new(policy)),
             poisoned: AtomicBool::new(false),
-            gate: SampleGate::new(sample_every),
+            fixed_period,
+            try_gate: SampleGate::new(first_period),
             fault_hook: OnceLock::new(),
             value: UnsafeCell::new(value),
         }
     }
 
     /// Count this acquisition and decide — from the same count — whether
-    /// its unlock is a monitor sample. Called with the lock held, so the
-    /// plain load + store is race-free (see [`StateLine`]) and lands on
-    /// the already-exclusive state line: counting and pacing together
-    /// cost no atomic RMW and no extra line.
+    /// its unlock is a monitor sample (non-zero: the acquisitions that
+    /// sample stands for). Called with the lock held, so the plain
+    /// load + store is race-free (see [`StateLine`]) and lands on the
+    /// already-exclusive state line: counting and pacing together cost
+    /// no atomic RMW and no extra line.
     #[inline]
-    fn charge_acquisition(&self) -> bool {
+    fn charge_acquisition(&self) -> u64 {
         let n = self.state.acquisitions.load(Ordering::Relaxed) + 1;
         self.state.acquisitions.store(n, Ordering::Relaxed);
-        self.gate.fires(n)
+        self.sample_due(n)
+    }
+
+    /// The gate. `n` is the acquisition count the caller, who holds the
+    /// lock, has just written; at or past `next_sample` the gate fires
+    /// and is re-armed one period on. A count that jumped several
+    /// periods ahead (a combined batch) still yields one sample.
+    #[inline]
+    fn sample_due(&self, n: u64) -> u64 {
+        if n < self.state.next_sample.load(Ordering::Relaxed) {
+            return 0;
+        }
+        let since = n - self.state.sampled_at.load(Ordering::Relaxed);
+        self.state.sampled_at.store(n, Ordering::Relaxed);
+        self.state.next_sample.store(n.saturating_add(self.sample_period()), Ordering::Relaxed);
+        since
+    }
+
+    /// Acquisitions between monitor samples right now: the period the
+    /// mutex was built with (`0` = never sampled), or on a self-paced
+    /// mutex the one the feedback kernel has reached.
+    pub fn sample_period(&self) -> u64 {
+        self.fixed_period.unwrap_or_else(|| self.feedback.period())
+    }
+
+    /// A guard for the lock the caller has just won.
+    fn guard(&self) -> AdaptiveMutexGuard<'_, T> {
+        AdaptiveMutexGuard { mutex: self, sampled: self.charge_acquisition() }
     }
 
     /// Acquire the mutex.
     pub fn lock(&self) -> AdaptiveMutexGuard<'_, T> {
         let acquired = self.acquire(None);
         debug_assert!(acquired, "untimed acquire cannot fail");
-        AdaptiveMutexGuard { mutex: self, adapt: self.charge_acquisition() }
+        self.guard()
     }
 
     /// Acquire through the current engine, re-dispatching across any
@@ -485,7 +548,9 @@ impl<T> AdaptiveMutex<T> {
     /// itself is the engine's. A timed wait polls `try_acquire` instead
     /// of joining the queue — a zoo engine's queue slot cannot be
     /// abandoned, so a timed waiter must never enter it (FIFO order is
-    /// therefore not guaranteed for timed acquires on zoo engines).
+    /// therefore not guaranteed for timed acquires on zoo engines). The
+    /// wait clock follows [`AdaptiveMutex::lock_contended`]'s rule, with
+    /// joining the engine's queue in the place of the park.
     #[cold]
     fn acquire_zoo(&self, raw: &dyn RawLock, deadline: Option<Instant>) -> bool {
         if raw.try_acquire() {
@@ -493,9 +558,10 @@ impl<T> AdaptiveMutex<T> {
         }
         self.stats.bump(CONTENDED);
         self.waiters.fetch_add(1, Ordering::Relaxed);
-        let wait_start = Instant::now();
+        let mut wait_start = None;
         let acquired = match deadline {
             None => {
+                wait_start = Some(Instant::now());
                 raw.acquire();
                 true
             }
@@ -514,6 +580,9 @@ impl<T> AdaptiveMutex<T> {
                         std::hint::spin_loop();
                     }
                     backoff = (backoff << 1).min(self.attrs.delay().max(1));
+                    if probes.is_multiple_of(SPIN_RECHECK_PROBES) {
+                        wait_start.get_or_insert_with(Instant::now);
+                    }
                     if probes.is_multiple_of(SPIN_YIELD_PROBES) {
                         std::thread::yield_now();
                     }
@@ -521,11 +590,7 @@ impl<T> AdaptiveMutex<T> {
             }
         };
         self.waiters.fetch_sub(1, Ordering::Relaxed);
-        if acquired {
-            self.note_wait(wait_start);
-        } else {
-            self.stats.bump(TIMEOUTS);
-        }
+        self.note_wait_end(acquired, wait_start);
         acquired
     }
 
@@ -608,16 +673,12 @@ impl<T> AdaptiveMutex<T> {
     /// queue node that the next contended release prunes.
     pub fn lock_timeout(&self, timeout: Duration) -> Option<AdaptiveMutexGuard<'_, T>> {
         if self.try_acquire_raw() {
-            return Some(AdaptiveMutexGuard { mutex: self, adapt: self.charge_acquisition() });
+            return Some(self.guard());
         }
         // A timeout too large for the clock to represent is no bound at
         // all (`None` deadline = untimed), not an instant failure.
         let deadline = Instant::now().checked_add(timeout);
-        if self.acquire(deadline) {
-            Some(AdaptiveMutexGuard { mutex: self, adapt: self.charge_acquisition() })
-        } else {
-            None
-        }
+        self.acquire(deadline).then(|| self.guard())
     }
 
     /// *Conditional* acquire, bounded by the mutable `timeout` attribute
@@ -633,11 +694,22 @@ impl<T> AdaptiveMutex<T> {
     /// The contended path: spin (bounded, with backoff), then enqueue and
     /// park. Returns whether the lock was acquired (always, when
     /// `deadline` is `None`).
+    ///
+    /// The wait is timed for the monitor's `max_wait` window, but the
+    /// clock starts only at the first [`SPIN_RECHECK_PROBES`] boundary
+    /// or at the park, whichever comes first: a wait that ends sooner —
+    /// most of them under two-thread contention — reads no clock and
+    /// leaves the `max_wait` line alone, instead of paying two clock
+    /// reads and a `fetch_max` while holding the lock it just won. Every
+    /// recorded wait is therefore short by its first 32 probes: at the
+    /// default `delay` of 64 that is about 1 700 pause hints, some
+    /// 18 µs, against the 200 µs and up that the one consumer
+    /// ([`NativeFairnessAdapt`](crate::NativeFairnessAdapt)) looks for.
     #[cold]
     fn lock_contended(&self, deadline: Option<Instant>) -> bool {
         self.stats.bump(CONTENDED);
         self.waiters.fetch_add(1, Ordering::Relaxed);
-        let wait_start = Instant::now();
+        let mut wait_start = None;
         let acquired = 'acquire: {
             // --- Spin phase, bounded by the mutable spin attribute. ---
             let mut limit = self.attrs.spin();
@@ -670,6 +742,7 @@ impl<T> AdaptiveMutex<T> {
                 // forever.
                 if probes.is_multiple_of(SPIN_RECHECK_PROBES) {
                     limit = self.attrs.spin();
+                    wait_start.get_or_insert_with(Instant::now);
                     if probes.is_multiple_of(SPIN_YIELD_PROBES) {
                         std::thread::yield_now();
                     }
@@ -684,6 +757,7 @@ impl<T> AdaptiveMutex<T> {
             // --- Park phase: lock-free CAS prepend onto the waiter
             // list, marked in the same state word so release cannot
             // miss us. ---
+            wait_start.get_or_insert_with(Instant::now);
             let node = Arc::new(WaitNode::new());
             let node_ptr = Arc::into_raw(Arc::clone(&node));
             let mut enqueued = false;
@@ -751,20 +825,20 @@ impl<T> AdaptiveMutex<T> {
         self.waiters.fetch_sub(1, Ordering::Relaxed);
         // Acquisitions are charged by the caller when it builds the
         // guard (the charge also decides the guard's sample flag).
-        if acquired {
-            self.note_wait(wait_start);
-        } else {
-            self.stats.bump(TIMEOUTS);
-        }
+        self.note_wait_end(acquired, wait_start);
         acquired
     }
 
-    /// Record a completed contended wait into the per-window maximum
-    /// (the monitor's fairness proxy). Two clock reads per *contended*
-    /// acquisition — noise next to the spin phase or park it just paid.
-    fn note_wait(&self, since: Instant) {
-        let ns = since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.max_wait.fetch_max(ns, Ordering::Relaxed);
+    /// Close a contended wait: a timeout is counted; a completed wait
+    /// that got as far as starting its clock goes into the per-window
+    /// maximum (the monitor's fairness proxy).
+    fn note_wait_end(&self, acquired: bool, clocked_since: Option<Instant>) {
+        if !acquired {
+            self.stats.bump(TIMEOUTS);
+        } else if let Some(since) = clocked_since {
+            let ns = since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+            self.max_wait.fetch_max(ns, Ordering::Relaxed);
+        }
     }
 
     /// Release (and hand off) without feeding the monitor. Sampling is
@@ -1007,8 +1081,8 @@ impl<T> AdaptiveMutex<T> {
     /// performs no counter RMW and reads nothing shared — the waiter
     /// count is only loaded here, once the sample actually fires.
     #[cold]
-    fn adapt(&self) {
-        self.observe(self.waiters.load(Ordering::Relaxed) as u64);
+    fn adapt(&self, acquisitions: u64) {
+        self.observe(self.waiters.load(Ordering::Relaxed) as u64, acquisitions);
     }
 
     /// Feed one sampled observation into the policy (the gate has
@@ -1016,7 +1090,7 @@ impl<T> AdaptiveMutex<T> {
     /// contends (a sample that finds another thread inside is skipped),
     /// and panic-safe — a policy callback that panics is caught,
     /// counted, and answered with a quarantine.
-    fn observe(&self, waiting: u64) {
+    fn observe(&self, waiting: u64, acquisitions: u64) {
         // Fault injection: a stalled monitor feed drops the sample here,
         // after the gate — the policy sees a gap, not a stale value.
         if self.fault_hook.get().is_some_and(|h| h.stall_monitor_sample()) {
@@ -1026,7 +1100,11 @@ impl<T> AdaptiveMutex<T> {
             // Consume the window's worst contended wait: the next window
             // starts empty, so a single historic stall cannot keep a
             // fairness policy pinned to FIFO forever.
-            || NativeObservation { waiting, max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed) },
+            || NativeObservation {
+                waiting,
+                max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
+                acquisitions,
+            },
             |decision| self.apply(decision),
         );
         match outcome {
@@ -1097,8 +1175,8 @@ impl<T> AdaptiveMutex<T> {
         }
     }
 
-    /// Install a reconfiguration decision, counting it if it changed
-    /// anything.
+    /// Install a reconfiguration decision; returns whether it changed
+    /// anything, and counts it if so.
     ///
     /// Every waiting-attribute decision resolves to a *complete*
     /// `{spin, delay, timeout}` set before it is installed (`PureSpin`,
@@ -1109,7 +1187,7 @@ impl<T> AdaptiveMutex<T> {
     /// attributes live underneath: after a `PureSpin` decision, every
     /// `lock_conditional` was still bounded by a timeout no current
     /// policy had asked for.
-    fn apply(&self, decision: NativeDecision) {
+    fn apply(&self, decision: NativeDecision) -> bool {
         let p = match decision {
             NativeDecision::PureSpin => NativeWaitingPolicy::pure_spin(),
             NativeDecision::PureBlocking => NativeWaitingPolicy::pure_blocking(),
@@ -1119,19 +1197,22 @@ impl<T> AdaptiveMutex<T> {
                 // An engine migration; the waiting attributes are left
                 // alone (they steer the spin-park engine and the timed
                 // zoo waits, whichever engine is current).
-                if self.engines.current() != algo {
+                let changed = self.engines.current() != algo;
+                if changed {
                     self.set_algorithm(algo);
                     self.stats.bump(RECONFIGURATIONS);
                 }
-                return;
+                return changed;
             }
         };
         // A decision that re-affirms the current attributes (the
         // steady-state case for `simple-adapt`, which decides on every
         // sample) stores nothing and counts nothing.
-        if self.attrs.store(p) {
+        let changed = self.attrs.store(p);
+        if changed {
             self.stats.bump(RECONFIGURATIONS);
         }
+        changed
     }
 
     /// Externally install a full `{spin, delay, timeout}` attribute set
@@ -1187,7 +1268,7 @@ impl<T> AdaptiveMutex<T> {
     /// initial configuration forever.
     pub fn try_lock(&self) -> Option<AdaptiveMutexGuard<'_, T>> {
         if self.try_acquire_raw() {
-            return Some(AdaptiveMutexGuard { mutex: self, adapt: self.charge_acquisition() });
+            return Some(self.guard());
         }
         self.note_try_failure();
         None
@@ -1202,8 +1283,8 @@ impl<T> AdaptiveMutex<T> {
     #[cold]
     fn note_try_failure(&self) {
         let n = self.try_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.gate.fires(n) {
-            self.observe(self.waiters.load(Ordering::Relaxed) as u64 + 1);
+        if self.try_gate.fires(n) {
+            self.observe(self.waiters.load(Ordering::Relaxed) as u64 + 1, self.try_gate.period());
         }
     }
 
@@ -1237,13 +1318,10 @@ impl<T> AdaptiveMutex<T> {
         // through the guard and poisons, exactly like the `lock()`
         // path.
         if self.try_acquire_raw() {
-            let mut guard = AdaptiveMutexGuard {
-                mutex: self,
-                adapt: self.charge_acquisition(),
-            };
+            let mut guard = self.guard();
             // SAFETY: we hold the mutex (the guard above releases it).
             let r = f(unsafe { &mut *self.value.get() });
-            guard.adapt |= self.drain_combined();
+            guard.sampled += self.drain_combined();
             drop(guard);
             return r;
         }
@@ -1312,11 +1390,8 @@ impl<T> AdaptiveMutex<T> {
                                 // this stays correct across a live
                                 // switch away from Combining).
                                 if self.try_acquire_raw() {
-                                    let mut guard = AdaptiveMutexGuard {
-                                        mutex: self,
-                                        adapt: self.charge_acquisition(),
-                                    };
-                                    guard.adapt |= self.drain_combined();
+                                    let mut guard = self.guard();
+                                    guard.sampled += self.drain_combined();
                                     drop(guard);
                                     continue;
                                 }
@@ -1335,7 +1410,7 @@ impl<T> AdaptiveMutex<T> {
                     // (and help drain the backlog while holding it).
                     let mut guard = self.lock();
                     op();
-                    guard.adapt |= self.drain_combined();
+                    guard.sampled += self.drain_combined();
                     drop(guard);
                 }
             }
@@ -1353,33 +1428,33 @@ impl<T> AdaptiveMutex<T> {
     /// publishers re-raise — and executed ops are charged to
     /// [`MutexStats::combined_ops`] in one batch RMW.
     ///
-    /// Returns whether the batch crossed a monitor-sample boundary, so
-    /// the caller can fold it into its guard's `adapt` flag. Shipped
-    /// ops are charged to the acquisition count too: an op the lock
-    /// serviced is an op the lock serviced, whichever thread ran it —
-    /// and if batches didn't advance the sample clock, a lock that
-    /// migrates to combining would starve its own policy of samples at
-    /// peak load (reading as idle exactly when hottest, then flapping
-    /// engines), and look frozen to the breaker's stall detector.
-    fn drain_combined(&self) -> bool {
+    /// Returns non-zero when the batch carried the count past the gate
+    /// (the acquisitions that sample stands for), so the caller can add
+    /// it to its guard's `sampled`. Shipped ops are charged to the
+    /// acquisition count too: an op the lock serviced is an op the lock
+    /// serviced, whichever thread ran it — and if batches didn't
+    /// advance the sample clock, a lock that migrates to combining
+    /// would starve its own policy of samples at peak load (reading as
+    /// idle exactly when hottest, then flapping engines), and look
+    /// frozen to the breaker's stall detector.
+    fn drain_combined(&self) -> u64 {
         // SAFETY: the caller holds the mutex, which is the exclusion
         // `drain` requires.
         let report = unsafe { self.engines.combining.drain() };
-        let mut fired = false;
+        let mut sampled = 0;
         if report.executed > 0 {
             self.stats.bump_by(COMBINED_OPS, u64::from(report.executed));
             // Plain load + store: we hold the lock, same argument as
             // `charge_acquisition`.
-            let n0 = self.state.acquisitions.load(Ordering::Relaxed);
-            let n = n0 + u64::from(report.executed);
+            let n = self.state.acquisitions.load(Ordering::Relaxed) + u64::from(report.executed);
             self.state.acquisitions.store(n, Ordering::Relaxed);
-            fired = (n0 + 1..=n).any(|i| self.gate.fires(i));
+            sampled = self.sample_due(n);
         }
         if report.panicked > 0 {
             self.poisoned.store(true, Ordering::Release);
             self.stats.bump_by(POISON_EVENTS, u64::from(report.panicked));
         }
-        fired
+        sampled
     }
 
     /// Current value of the spin attribute.
@@ -1483,8 +1558,8 @@ impl<T> Drop for AdaptiveMutexGuard<'_, T> {
             self.mutex.unlock_raw();
         } else {
             self.mutex.unlock_raw();
-            if self.adapt {
-                self.mutex.adapt();
+            if self.sampled != 0 {
+                self.mutex.adapt(self.sampled);
             }
         }
     }
@@ -1501,6 +1576,7 @@ impl<T: Send> HealthProbe for AdaptiveMutex<T> {
             poisoned: self.is_poisoned(),
             quarantined: self.is_quarantined(),
             policy_panics: self.stats.sum(POLICY_PANICS),
+            sample_period: self.sample_period(),
         }
     }
 
@@ -1532,6 +1608,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for AdaptiveMutex<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut d = f.debug_struct("AdaptiveMutex");
         d.field("spin_limit", &self.spin_limit());
+        d.field("sample_period", &self.sample_period());
         d.field("waiting", &self.waiting_now());
         match self.try_lock() {
             Some(g) => d.field("value", &*g).finish(),
@@ -1772,6 +1849,7 @@ mod tests {
         let m = AdaptiveMutex::new(7u8);
         let s = format!("{m:?}");
         assert!(s.contains("spin_limit"));
+        assert!(s.contains("sample_period: 2"), "{s}");
         assert!(s.contains('7'));
     }
 
@@ -2247,6 +2325,43 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(m.with_locked(|v| *v), before + threads * iters);
+    }
+
+    #[test]
+    fn a_combined_batch_that_jumps_the_gate_yields_one_sample_and_rearms() {
+        let decides = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let m = Arc::new(AdaptiveMutex::with_policy(
+            (),
+            Box::new(CountingPolicy(Arc::clone(&decides))),
+            4,
+        ));
+        m.set_algorithm(LockAlgorithm::Combining);
+        let base = m.stats().acquisitions;
+        // Acquisition 1 holds the lock while four ops are published;
+        // acquisition 2 is the worker that becomes the combiner, and its
+        // drain takes the count from 2 to 6, over the gate at 4.
+        let guard = m.lock();
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || m.with_locked(|()| {}))
+            })
+            .collect();
+        while m.engines.combining.pending_ops() < 4 {
+            std::thread::yield_now();
+        }
+        drop(guard);
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(m.stats().acquisitions, base + 6);
+        assert_eq!(decides.load(Ordering::Relaxed), 1, "one batch, one sample");
+        // Re-armed from where the count landed: the next sample is four
+        // acquisitions on, at 10, not at the multiple of four it passed.
+        for expected in [1, 1, 1, 2] {
+            drop(m.lock());
+            assert_eq!(decides.load(Ordering::Relaxed), expected);
+        }
     }
 
     #[test]

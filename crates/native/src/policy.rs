@@ -266,8 +266,8 @@ impl PolicyChoice {
 
     /// Build an [`AdaptiveMutex`](crate::AdaptiveMutex) configured for
     /// this choice: static choices install a fixed waiting policy and a
-    /// no-op feedback loop; `Adaptive` installs `simple-adapt` sampling
-    /// every other unlock.
+    /// no-op feedback loop; the adaptive ones install their policy on a
+    /// self-paced mutex ([`AdaptiveMutex::self_paced`](crate::AdaptiveMutex::self_paced)).
     pub fn build_mutex<T>(&self, value: T) -> crate::AdaptiveMutex<T> {
         use crate::AdaptiveMutex;
         match *self {
@@ -290,7 +290,7 @@ impl PolicyChoice {
                 m
             }
             PolicyChoice::Adaptive { threshold, n } => {
-                AdaptiveMutex::with_policy(value, Box::new(NativeSimpleAdapt::new(threshold, n)), 2)
+                AdaptiveMutex::self_paced(value, Box::new(NativeSimpleAdapt::new(threshold, n)))
             }
             PolicyChoice::Algorithm(algo) => {
                 let m = AdaptiveMutex::with_policy(
@@ -303,18 +303,14 @@ impl PolicyChoice {
                 m.set_algorithm(algo);
                 m
             }
-            PolicyChoice::AlgoAdaptive { high_water, patience } => AdaptiveMutex::with_policy(
+            PolicyChoice::AlgoAdaptive { high_water, patience } => AdaptiveMutex::self_paced(
                 value,
                 Box::new(NativeAlgorithmAdapt::new(high_water, patience)),
-                2,
             ),
-            PolicyChoice::FairAdaptive { unfair_wait_nanos, patience } => {
-                AdaptiveMutex::with_policy(
-                    value,
-                    Box::new(NativeFairnessAdapt::new(unfair_wait_nanos, patience)),
-                    2,
-                )
-            }
+            PolicyChoice::FairAdaptive { unfair_wait_nanos, patience } => AdaptiveMutex::self_paced(
+                value,
+                Box::new(NativeFairnessAdapt::new(unfair_wait_nanos, patience)),
+            ),
         }
     }
 }
@@ -333,13 +329,20 @@ pub struct NativeObservation {
     /// wait stretches far past that, so this maximum diverges from the
     /// mean long before a full per-thread histogram could say so.
     pub max_wait_nanos: u64,
+    /// Acquisitions this sample stands for: how many the lock has
+    /// served since its previous sample. `2` at the paper's cadence, up
+    /// to 64 once the feedback kernel has backed the monitor off (more
+    /// after a combined batch). A policy that reads the *time* between
+    /// its samples as a load signal must divide by this.
+    pub acquisitions: u64,
 }
 
 impl NativeObservation {
     /// Observation with only the waiter count (no recorded wait in the
-    /// window) — the common case for tests and synthetic feeds.
+    /// window, the paper's every-other-unlock cadence) — the common
+    /// case for tests and synthetic feeds.
     pub fn of(waiting: u64) -> NativeObservation {
-        NativeObservation { waiting, max_wait_nanos: 0 }
+        NativeObservation { waiting, max_wait_nanos: 0, acquisitions: 2 }
     }
 }
 
@@ -773,7 +776,7 @@ mod tests {
 
     /// Observation carrying a worst-wait signal.
     fn obs(waiting: u64, max_wait_nanos: u64) -> NativeObservation {
-        NativeObservation { waiting, max_wait_nanos }
+        NativeObservation { max_wait_nanos, ..NativeObservation::of(waiting) }
     }
 
     #[test]

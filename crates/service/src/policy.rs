@@ -32,8 +32,11 @@
 //!    contention evidence — decisive on multiprocessor hosts where
 //!    waiters pile up while a holder runs elsewhere.
 //! 2. **Sample rate**: the feedback loop delivers one observation per
-//!    `N` acquisitions, so the *gap between samples* is inversely
-//!    proportional to the shard's write traffic. An EWMA of that gap below
+//!    `N` acquisitions, and says which `N` with each one
+//!    ([`NativeObservation::acquisitions`]: 2 at first, up to 64 once
+//!    the lock's monitor has backed off), so the *gap between samples*,
+//!    scaled to two acquisitions, is inversely proportional to the
+//!    shard's write traffic. An EWMA of that gap below
 //!    [`HOT_SAMPLE_GAP_NANOS`] marks the shard hot even when queues
 //!    never form — the regime of an oversubscribed host, where the
 //!    single runnable holder means `waiting` stays 0 on exactly the
@@ -50,8 +53,8 @@ use adaptive_native::{
     LockAlgorithm, NativeDecision, NativeObservation, NativeSimpleAdapt,
 };
 
-/// EWMA sample gap at or below which a shard counts as hot (30µs
-/// between samples ≈ tens of thousands of acquisitions per second).
+/// EWMA sample gap at or below which a shard counts as hot (30µs per
+/// two acquisitions ≈ tens of thousands of acquisitions per second).
 /// Deliberately tight: under Zipfian service load the *hot* shard's
 /// sample gap sits well under this while merely-busy shards sit a few
 /// multiples above it, so only genuinely hot shards pay the batching
@@ -183,7 +186,10 @@ impl AdaptationPolicy<NativeObservation> for HotShardPolicy {
             None => GAP_CLAMP_NANOS,
         };
         self.last_sample = Some(now);
-        self.decide_with_gap(obs, gap)
+        // The thresholds are in nanoseconds per two acquisitions, the
+        // cadence they were tuned at; a sample that stands for more
+        // spans proportionally more time at the same write rate.
+        self.decide_with_gap(obs, gap.saturating_mul(2) / obs.acquisitions.max(1))
     }
 
     fn name(&self) -> &'static str {

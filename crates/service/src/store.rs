@@ -123,10 +123,9 @@ impl ServicePolicy {
     fn build(&self, writer: Writer) -> AdaptiveMutex<Writer> {
         match *self {
             ServicePolicy::Static(p) => p.build_mutex(writer),
-            ServicePolicy::HotShard { high_water, patience } => AdaptiveMutex::with_policy(
+            ServicePolicy::HotShard { high_water, patience } => AdaptiveMutex::self_paced(
                 writer,
                 Box::new(HotShardPolicy::new(high_water, patience)),
-                2,
             ),
         }
     }
@@ -140,10 +139,9 @@ impl ServicePolicy {
         match *self {
             ServicePolicy::Static(_) => self.build(writer),
             ServicePolicy::HotShard { high_water, patience } => {
-                let m = AdaptiveMutex::with_policy(
+                let m = AdaptiveMutex::self_paced(
                     writer,
                     Box::new(HotShardPolicy::starting(high_water, patience, parent)),
-                    2,
                 );
                 // The lock is unshared until the directory rewire
                 // publishes it, so the switch installs immediately.
@@ -324,6 +322,9 @@ pub struct ShardSnapshot {
     pub algorithm: String,
     /// Current spin attribute.
     pub spin_limit: u32,
+    /// Acquisitions between the lock's monitor samples right now
+    /// (`0`: a static lock whose monitor is off).
+    pub sample_period: u64,
     /// Waiters at snapshot time.
     pub waiting: u32,
     /// Total lock acquisitions — the *write*-load ranking: a `get`
@@ -669,6 +670,7 @@ impl ShardedStore {
                     keys: shard.table.keys(),
                     algorithm: shard.lock.algorithm().label().to_string(),
                     spin_limit: shard.lock.spin_limit(),
+                    sample_period: shard.lock.sample_period(),
                     waiting: shard.lock.waiting_now(),
                     acquisitions: stats.acquisitions,
                     contended: stats.contended,
@@ -1341,6 +1343,7 @@ mod tests {
             keys: 1,
             algorithm: "spin-park".into(),
             spin_limit: 64,
+            sample_period: 2,
             waiting: 0,
             acquisitions: acq,
             contended: 0,
