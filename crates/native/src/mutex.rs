@@ -45,8 +45,8 @@
 //! # The engine zoo and live algorithm switching
 //!
 //! The spin-then-park protocol above is only the *default engine*. The
-//! mutex also embeds the native lock zoo — [`crate::TicketLock`],
-//! [`crate::ClhLock`], [`crate::FcLock`] — and an adaptation policy (or
+//! mutex also embeds the native lock zoo — [`crate::TicketLock`] and
+//! [`crate::FcLock`] — and an adaptation policy (or
 //! [`AdaptiveMutex::set_algorithm`]) can migrate a running, contended
 //! lock between engines with a quiesce-and-switch protocol:
 //!
@@ -81,7 +81,6 @@ use std::time::{Duration, Instant};
 
 use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled, SAMPLE_PERIOD_FLOOR};
 
-use crate::clh::ClhLock;
 use crate::combining::{FcLock, OpPtr, SlotOutcome};
 use crate::faults::FaultHook;
 use crate::health::{HealthProbe, LockHealth};
@@ -281,7 +280,6 @@ struct EngineMeta {
 struct Engines {
     meta: CachePadded<EngineMeta>,
     ticket: TicketLock,
-    queue: ClhLock,
     combining: FcLock,
 }
 
@@ -293,7 +291,6 @@ impl Engines {
                 pending: AtomicU8::new(ALGO_NONE),
             }),
             ticket: TicketLock::new(),
-            queue: ClhLock::new(),
             combining: FcLock::new(),
         }
     }
@@ -521,7 +518,6 @@ impl<T> AdaptiveMutex<T> {
                         || self.lock_contended(deadline)
                 }
                 LockAlgorithm::Ticket => self.acquire_zoo(&self.engines.ticket, deadline),
-                LockAlgorithm::Queue => self.acquire_zoo(&self.engines.queue, deadline),
                 LockAlgorithm::Combining => self.acquire_zoo(&self.engines.combining, deadline),
             };
             if !got {
@@ -603,7 +599,6 @@ impl<T> AdaptiveMutex<T> {
             let got = match algo {
                 LockAlgorithm::SpinPark => self.try_acquire_spin_park(),
                 LockAlgorithm::Ticket => self.engines.ticket.try_acquire(),
-                LockAlgorithm::Queue => self.engines.queue.try_acquire(),
                 LockAlgorithm::Combining => self.engines.combining.try_acquire(),
             };
             if !got {
@@ -879,7 +874,6 @@ impl<T> AdaptiveMutex<T> {
                 }
             }
             LockAlgorithm::Ticket => self.engines.ticket.release(),
-            LockAlgorithm::Queue => self.engines.queue.release(),
             LockAlgorithm::Combining => self.engines.combining.release(),
         }
     }
@@ -1480,7 +1474,6 @@ impl<T> AdaptiveMutex<T> {
         match self.engines.current() {
             LockAlgorithm::SpinPark => self.state.word.0.load(Ordering::Relaxed) & LOCKED != 0,
             LockAlgorithm::Ticket => self.engines.ticket.is_locked(),
-            LockAlgorithm::Queue => self.engines.queue.is_locked(),
             LockAlgorithm::Combining => self.engines.combining.is_locked(),
         }
     }
@@ -2198,8 +2191,7 @@ mod tests {
             assert!(!m.is_locked());
         }
         assert_eq!(*m.lock(), LockAlgorithm::ALL.len() as u32);
-        // SpinPark -> Ticket -> Queue -> Combining and back: 3 real
-        // switches plus the final return... ALL starts at SpinPark, so
+        // SpinPark -> Ticket -> Combining: ALL starts at SpinPark, so
         // the first request re-affirms and does not count.
         assert_eq!(m.stats().algorithm_switches, LockAlgorithm::ALL.len() as u64 - 1);
     }
@@ -2208,15 +2200,15 @@ mod tests {
     fn pending_switch_installs_at_the_next_release() {
         let m = Arc::new(AdaptiveMutex::new(0u32));
         let g = m.lock();
-        m.set_algorithm(LockAlgorithm::Queue);
+        m.set_algorithm(LockAlgorithm::Ticket);
         assert_eq!(
             m.algorithm(),
             LockAlgorithm::SpinPark,
             "a held lock must not switch under its holder"
         );
-        assert_eq!(m.pending_algorithm(), Some(LockAlgorithm::Queue));
+        assert_eq!(m.pending_algorithm(), Some(LockAlgorithm::Ticket));
         drop(g);
-        assert_eq!(m.algorithm(), LockAlgorithm::Queue, "release installs the switch");
+        assert_eq!(m.algorithm(), LockAlgorithm::Ticket, "release installs the switch");
         assert_eq!(m.pending_algorithm(), None);
         assert_eq!(m.stats().algorithm_switches, 1);
         *m.lock() += 1;
@@ -2387,7 +2379,7 @@ mod tests {
 
     #[test]
     fn timed_acquires_time_out_on_zoo_engines() {
-        for algo in [LockAlgorithm::Ticket, LockAlgorithm::Queue, LockAlgorithm::Combining] {
+        for algo in [LockAlgorithm::Ticket, LockAlgorithm::Combining] {
             let m = AdaptiveMutex::new(());
             m.set_algorithm(algo);
             let g = m.lock();

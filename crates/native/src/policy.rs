@@ -229,15 +229,6 @@ pub enum PolicyChoice {
     /// Pin the lock to one zoo algorithm with default attributes and no
     /// feedback — the static baselines of the algorithm sweep.
     Algorithm(LockAlgorithm),
-    /// Attribute tuning plus live algorithm switching
-    /// ([`NativeAlgorithmAdapt`]): queue under sustained heavy
-    /// pressure, attribute-tuned spin-park otherwise.
-    AlgoAdaptive {
-        /// Waiting count that counts as heavy pressure.
-        high_water: u64,
-        /// Consecutive heavy (or calm) samples before switching.
-        patience: u32,
-    },
     /// Fairness-aware switching ([`NativeFairnessAdapt`]): FIFO ticket
     /// engine when the per-window worst wait says barging is starving
     /// someone, barging spin-park (with attribute tuning) when service
@@ -259,7 +250,6 @@ impl PolicyChoice {
             PolicyChoice::PureBlocking => "blocking".into(),
             PolicyChoice::Adaptive { .. } => "simple-adapt".into(),
             PolicyChoice::Algorithm(algo) => algo.label().into(),
-            PolicyChoice::AlgoAdaptive { .. } => "algo-adapt".into(),
             PolicyChoice::FairAdaptive { .. } => "fair-adapt".into(),
         }
     }
@@ -303,10 +293,6 @@ impl PolicyChoice {
                 m.set_algorithm(algo);
                 m
             }
-            PolicyChoice::AlgoAdaptive { high_water, patience } => AdaptiveMutex::self_paced(
-                value,
-                Box::new(NativeAlgorithmAdapt::new(high_water, patience)),
-            ),
             PolicyChoice::FairAdaptive { unfair_wait_nanos, patience } => AdaptiveMutex::self_paced(
                 value,
                 Box::new(NativeFairnessAdapt::new(unfair_wait_nanos, patience)),
@@ -413,88 +399,6 @@ impl AdaptationPolicy<NativeObservation> for NativeSimpleAdapt {
     }
 }
 
-/// Algorithm-level adaptation — the full expression of the paper's
-/// configurable object, where the feedback loop swaps the lock's
-/// *implementation*, not just its attributes.
-///
-/// On the spin-park engine the inner [`NativeSimpleAdapt`] tunes the
-/// spin count as usual. When the sampled waiting count stays at or
-/// above `high_water` for `patience` consecutive samples — sustained
-/// FIFO pressure, where spin-park handoff makes every waiter hammer the
-/// shared state word — the policy migrates the lock to the CLH queue
-/// engine (strict FIFO, local spinning). A streak of `patience` calm
-/// samples (waiting at or below `high_water / 2`) migrates it back to
-/// attribute-tuned spin-park, which is cheaper when uncontended.
-#[derive(Debug, Clone)]
-pub struct NativeAlgorithmAdapt {
-    /// Attribute tuning used while on the spin-park engine.
-    attrs: NativeSimpleAdapt,
-    /// Waiting count that counts as heavy pressure.
-    pub high_water: u64,
-    /// Consecutive heavy (or calm) samples before switching.
-    pub patience: u32,
-    heavy_streak: u32,
-    calm_streak: u32,
-    algo: LockAlgorithm,
-}
-
-impl NativeAlgorithmAdapt {
-    /// Policy that rides `simple-adapt` until `high_water` waiters are
-    /// sustained for `patience` samples.
-    pub fn new(high_water: u64, patience: u32) -> NativeAlgorithmAdapt {
-        NativeAlgorithmAdapt {
-            attrs: NativeSimpleAdapt::new(2, 32),
-            high_water: high_water.max(1),
-            patience: patience.max(1),
-            heavy_streak: 0,
-            calm_streak: 0,
-            algo: LockAlgorithm::SpinPark,
-        }
-    }
-
-    /// The algorithm this policy believes is installed (it mirrors its
-    /// own `SetAlgorithm` decisions; a re-request after an external
-    /// switch is harmless — the mutex drops no-op switches).
-    pub fn algorithm(&self) -> LockAlgorithm {
-        self.algo
-    }
-}
-
-impl AdaptationPolicy<NativeObservation> for NativeAlgorithmAdapt {
-    type Decision = NativeDecision;
-
-    fn decide(&mut self, obs: NativeObservation) -> Option<NativeDecision> {
-        if obs.waiting >= self.high_water {
-            self.heavy_streak += 1;
-            self.calm_streak = 0;
-        } else if obs.waiting <= self.high_water / 2 {
-            self.calm_streak += 1;
-            self.heavy_streak = 0;
-        } else {
-            self.heavy_streak = 0;
-            self.calm_streak = 0;
-        }
-        match self.algo {
-            LockAlgorithm::SpinPark if self.heavy_streak >= self.patience => {
-                self.algo = LockAlgorithm::Queue;
-                self.heavy_streak = 0;
-                Some(NativeDecision::SetAlgorithm(LockAlgorithm::Queue))
-            }
-            LockAlgorithm::SpinPark => self.attrs.decide(obs),
-            _ if self.calm_streak >= self.patience => {
-                self.algo = LockAlgorithm::SpinPark;
-                self.calm_streak = 0;
-                Some(NativeDecision::SetAlgorithm(LockAlgorithm::SpinPark))
-            }
-            _ => None,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "native-algo-adapt"
-    }
-}
-
 /// Fairness-aware adaptation: barging for throughput until the fairness
 /// proxy says someone is being starved, FIFO until service is cheap to
 /// make even again.
@@ -538,8 +442,9 @@ impl NativeFairnessAdapt {
         }
     }
 
-    /// The algorithm this policy believes is installed (mirrors its own
-    /// `SetAlgorithm` decisions, like [`NativeAlgorithmAdapt`]).
+    /// The algorithm this policy believes is installed (it mirrors its
+    /// own `SetAlgorithm` decisions; a re-request after an external
+    /// switch is harmless — the mutex drops no-op switches).
     pub fn algorithm(&self) -> LockAlgorithm {
         self.algo
     }
@@ -552,8 +457,7 @@ impl AdaptationPolicy<NativeObservation> for NativeFairnessAdapt {
         let unfair = obs.max_wait_nanos >= self.unfair_wait_nanos;
         // Calm needs more than "not unfair": the worst wait must sit
         // comfortably under the threshold *and* pressure must be light,
-        // or the switch back would re-trigger immediately (hysteresis,
-        // same shape as [`NativeAlgorithmAdapt`]).
+        // or the switch back would re-trigger immediately (hysteresis).
         let calm = obs.max_wait_nanos <= self.unfair_wait_nanos / 2 && obs.waiting <= 1;
         match self.algo {
             LockAlgorithm::SpinPark => {
@@ -705,9 +609,7 @@ mod tests {
             PolicyChoice::Adaptive { threshold: 2, n: 32 },
             PolicyChoice::Algorithm(LockAlgorithm::SpinPark),
             PolicyChoice::Algorithm(LockAlgorithm::Ticket),
-            PolicyChoice::Algorithm(LockAlgorithm::Queue),
             PolicyChoice::Algorithm(LockAlgorithm::Combining),
-            PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 },
         ] {
             let m = choice.build_mutex(0u32);
             *m.lock() += 1;
@@ -719,59 +621,12 @@ mod tests {
             PolicyChoice::Adaptive { threshold: 2, n: 32 }.label(),
             "simple-adapt"
         );
-        assert_eq!(PolicyChoice::Algorithm(LockAlgorithm::Queue).label(), "clh");
-        assert_eq!(
-            PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 }.label(),
-            "algo-adapt"
-        );
         // Pinning an algorithm installs it immediately on an unshared lock.
         let m = PolicyChoice::Algorithm(LockAlgorithm::Ticket).build_mutex(());
         assert_eq!(m.algorithm(), LockAlgorithm::Ticket);
         // Static choices pin the attribute set.
         let m = PolicyChoice::PureBlocking.build_mutex(());
         assert_eq!(m.waiting_policy(), NativeWaitingPolicy::pure_blocking());
-    }
-
-    #[test]
-    fn sustained_pressure_switches_to_the_queue_and_calm_switches_back() {
-        let mut p = NativeAlgorithmAdapt::new(4, 3);
-        assert_eq!(p.algorithm(), LockAlgorithm::SpinPark);
-        // Two heavy samples: not yet patient enough; attribute tuning
-        // keeps running underneath.
-        assert!(p.decide(NativeObservation::of(6)).is_some());
-        assert!(p.decide(NativeObservation::of(6)).is_some());
-        assert_eq!(p.algorithm(), LockAlgorithm::SpinPark);
-        // Third consecutive heavy sample crosses patience.
-        assert_eq!(
-            p.decide(NativeObservation::of(6)),
-            Some(NativeDecision::SetAlgorithm(LockAlgorithm::Queue))
-        );
-        assert_eq!(p.algorithm(), LockAlgorithm::Queue);
-        // On the queue engine the policy stays quiet until calm.
-        assert_eq!(p.decide(NativeObservation::of(6)), None);
-        assert_eq!(p.decide(NativeObservation::of(1)), None);
-        assert_eq!(p.decide(NativeObservation::of(0)), None);
-        assert_eq!(
-            p.decide(NativeObservation::of(0)),
-            Some(NativeDecision::SetAlgorithm(LockAlgorithm::SpinPark))
-        );
-        assert_eq!(p.algorithm(), LockAlgorithm::SpinPark);
-    }
-
-    #[test]
-    fn a_heavy_sample_resets_the_calm_streak() {
-        let mut p = NativeAlgorithmAdapt::new(4, 2);
-        for _ in 0..2 {
-            p.decide(NativeObservation::of(8));
-        }
-        assert_eq!(p.algorithm(), LockAlgorithm::Queue);
-        assert_eq!(p.decide(NativeObservation::of(0)), None);
-        assert_eq!(p.decide(NativeObservation::of(8)), None);
-        assert_eq!(p.decide(NativeObservation::of(0)), None);
-        assert_eq!(
-            p.decide(NativeObservation::of(0)),
-            Some(NativeDecision::SetAlgorithm(LockAlgorithm::SpinPark))
-        );
     }
 
     /// Observation carrying a worst-wait signal.

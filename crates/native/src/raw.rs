@@ -4,10 +4,9 @@
 //! *implementation* so the implementation can be swapped while threads
 //! are using the object. [`RawLock`] is the native expression of that
 //! split: a value-free mutual-exclusion engine ([`crate::TicketLock`],
-//! [`crate::ClhLock`], [`crate::FcLock`]) that `AdaptiveMutex` can
-//! drive interchangeably, and [`LockAlgorithm`] names each engine so an
-//! adaptation policy can pick one at run time
-//! (`NativeDecision::SetAlgorithm`).
+//! [`crate::FcLock`]) that `AdaptiveMutex` can drive interchangeably,
+//! and [`LockAlgorithm`] names each engine so an adaptation policy can
+//! pick one at run time (`NativeDecision::SetAlgorithm`).
 //!
 //! Every engine follows the PR 5 cache-layout discipline: the words a
 //! waiter spins on are [`crate::CachePadded`] so the only line
@@ -55,20 +54,17 @@ pub enum LockAlgorithm {
     SpinPark = 0,
     /// FIFO ticket lock: two counters, bounded spinning on `serving`.
     Ticket = 1,
-    /// CLH queue lock: FIFO handoff with purely local spinning.
-    Queue = 2,
     /// Flat combining: a test-and-set engine plus publication slots;
     /// `AdaptiveMutex::with_locked` hands tiny critical sections to the
     /// current holder instead of bouncing the lock line.
-    Combining = 3,
+    Combining = 2,
 }
 
 impl LockAlgorithm {
     /// Every algorithm, in switch-cycle order.
-    pub const ALL: [LockAlgorithm; 4] = [
+    pub const ALL: [LockAlgorithm; 3] = [
         LockAlgorithm::SpinPark,
         LockAlgorithm::Ticket,
-        LockAlgorithm::Queue,
         LockAlgorithm::Combining,
     ];
 
@@ -77,13 +73,12 @@ impl LockAlgorithm {
         match self {
             LockAlgorithm::SpinPark => "spin-park",
             LockAlgorithm::Ticket => "ticket",
-            LockAlgorithm::Queue => "clh",
             LockAlgorithm::Combining => "flat-combining",
         }
     }
 
     /// Decode a [`LockAlgorithm::label`] string, for control-plane
-    /// commands (`set-algorithm <lock> clh`). `None` for unknown labels.
+    /// commands (`set-algorithm <lock> ticket`). `None` for unknown labels.
     pub fn from_label(label: &str) -> Option<LockAlgorithm> {
         LockAlgorithm::ALL.into_iter().find(|a| a.label() == label)
     }
@@ -94,8 +89,7 @@ impl LockAlgorithm {
         match v {
             0 => Some(LockAlgorithm::SpinPark),
             1 => Some(LockAlgorithm::Ticket),
-            2 => Some(LockAlgorithm::Queue),
-            3 => Some(LockAlgorithm::Combining),
+            2 => Some(LockAlgorithm::Combining),
             _ => None,
         }
     }
@@ -111,7 +105,7 @@ mod tests {
             assert_eq!(LockAlgorithm::from_u8(algo as u8), Some(algo));
         }
         assert_eq!(LockAlgorithm::from_u8(ALGO_NONE), None);
-        assert_eq!(LockAlgorithm::from_u8(4), None);
+        assert_eq!(LockAlgorithm::from_u8(3), None);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! RMW plus one read on acquire and one read plus one write on release
 //! — but under contention every waiter polls the *same* `serving` line,
 //! so each grant broadcasts an invalidation to all of them. That shared
-//! polling is what [`crate::ClhLock`] removes; the ticket lock's virtue
-//! is strict FIFO order with two words of state.
+//! polling is the price; the ticket lock's virtue is strict FIFO order
+//! with two words of state and no per-waiter node to recycle.
 //!
 //! `next` and `serving` live on separate [`CachePadded`] lines so
 //! ticket-taking traffic (writes to `next`) does not disturb the line

@@ -951,9 +951,8 @@ mod tests {
             PolicyChoice::PureBlocking,
             PolicyChoice::Adaptive { threshold: 2, n: 32 },
             PolicyChoice::Algorithm(adaptive_native::LockAlgorithm::Ticket),
-            PolicyChoice::Algorithm(adaptive_native::LockAlgorithm::Queue),
             PolicyChoice::Algorithm(adaptive_native::LockAlgorithm::Combining),
-            PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 },
+            PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 4 },
         ] {
             for searchers in [1, 4] {
                 let res = solve_native(

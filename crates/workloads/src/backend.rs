@@ -169,12 +169,9 @@ pub fn sim_lock_spec(policy: PolicyChoice) -> LockSpec {
         // flat-combining engine has no sim twin, so it maps to the
         // plain spin lock its waiters degrade to when nothing combines.
         PolicyChoice::Algorithm(LockAlgorithm::Ticket) => LockSpec::Ticket,
-        PolicyChoice::Algorithm(LockAlgorithm::Queue) => LockSpec::Mcs,
         PolicyChoice::Algorithm(LockAlgorithm::Combining) => LockSpec::Spin,
         PolicyChoice::Algorithm(LockAlgorithm::SpinPark) => LockSpec::Combined(64),
-        PolicyChoice::AlgoAdaptive { .. } | PolicyChoice::FairAdaptive { .. } => {
-            LockSpec::Adaptive { threshold: 2, n: 32 }
-        }
+        PolicyChoice::FairAdaptive { .. } => LockSpec::Adaptive { threshold: 2, n: 32 },
     }
 }
 
@@ -400,9 +397,9 @@ fn async_mutex_for(policy: PolicyChoice, value: u64) -> asyncx::AsyncAdaptiveMut
         PolicyChoice::Adaptive { threshold, n } => {
             AsyncAdaptiveMutex::with_policy(value, Box::new(AsyncPollAdapt::new(threshold, n)), 2)
         }
-        PolicyChoice::Algorithm(_)
-        | PolicyChoice::AlgoAdaptive { .. }
-        | PolicyChoice::FairAdaptive { .. } => AsyncAdaptiveMutex::new(value),
+        PolicyChoice::Algorithm(_) | PolicyChoice::FairAdaptive { .. } => {
+            AsyncAdaptiveMutex::new(value)
+        }
     }
 }
 
@@ -719,15 +716,11 @@ mod tests {
             LockSpec::Ticket
         );
         assert_eq!(
-            sim_lock_spec(PolicyChoice::Algorithm(LockAlgorithm::Queue)),
-            LockSpec::Mcs
-        );
-        assert_eq!(
             sim_lock_spec(PolicyChoice::Algorithm(LockAlgorithm::Combining)),
             LockSpec::Spin
         );
         assert!(matches!(
-            sim_lock_spec(PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 }),
+            sim_lock_spec(PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 4 }),
             LockSpec::Adaptive { .. }
         ));
     }
@@ -739,7 +732,7 @@ mod tests {
             PolicyChoice::FixedSpin(32),
             PolicyChoice::PureBlocking,
             PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            PolicyChoice::AlgoAdaptive { high_water: 4, patience: 4 },
+            PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 4 },
         ];
         policies.extend(LockAlgorithm::ALL.map(PolicyChoice::Algorithm));
         for policy in policies {

@@ -6,7 +6,7 @@
 //! iteration critical section and the other half a 3000-iteration one,
 //! dial the non-critical-section length from zero (saturated lock) to
 //! 100k iterations (rare visits), and watch whether every thread still
-//! gets served. A FIFO engine (ticket, CLH) keeps per-thread service
+//! gets served. A FIFO engine (ticket) keeps per-thread service
 //! even; a barging engine lets the thread already in cache re-acquire
 //! and starve the rest — the fairness collapse the Locks-repo
 //! experiments (SNIPPETS.md Snippet 1) and "Mutable Locks" (PAPERS.md)
@@ -290,7 +290,6 @@ mod tests {
             PolicyChoice::FixedSpin(32),
             PolicyChoice::PureBlocking,
             PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            PolicyChoice::AlgoAdaptive { high_water: 2, patience: 2 },
             PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 2 },
         ];
         policies.extend(LockAlgorithm::ALL.map(PolicyChoice::Algorithm));
@@ -321,7 +320,7 @@ mod tests {
 
     #[test]
     fn sim_fairness_is_deterministic() {
-        let spec = quick_spec(PolicyChoice::Algorithm(LockAlgorithm::Queue));
+        let spec = quick_spec(PolicyChoice::Algorithm(LockAlgorithm::Ticket));
         let a = run_fairness(Backend::Sim, &spec);
         let b = run_fairness(Backend::Sim, &spec);
         assert_eq!(a.total_nanos, b.total_nanos);

@@ -14,7 +14,7 @@
 //! these rows is pricing engines against real memory effects. Every
 //! lock-protected structure runs under every [`PolicyChoice`],
 //! including the pinned zoo engines and the live-switching
-//! `AlgoAdaptive`, with the same per-thread accounting and fairness
+//! `FairAdaptive`, with the same per-thread accounting and fairness
 //! reporting as the synthetic suite.
 
 use std::collections::{HashMap, VecDeque};
@@ -339,7 +339,7 @@ mod tests {
         let mut policies = vec![
             PolicyChoice::PureBlocking,
             PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            PolicyChoice::AlgoAdaptive { high_water: 2, patience: 2 },
+            PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 2 },
         ];
         policies.extend(LockAlgorithm::ALL.map(PolicyChoice::Algorithm));
         for policy in policies {

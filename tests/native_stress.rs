@@ -200,7 +200,7 @@ fn oracle_invariants_hold_on_every_zoo_engine() {
     // The same stress pattern as the spin-park tests above, pinned to
     // each zoo engine: exclusion, exactness, and conservation are
     // engine-independent properties of the mutex.
-    for algo in [LockAlgorithm::Ticket, LockAlgorithm::Queue, LockAlgorithm::Combining] {
+    for algo in [LockAlgorithm::Ticket, LockAlgorithm::Combining] {
         let mutex = Arc::new(AdaptiveMutex::new(Oracle::default()));
         mutex.set_algorithm(algo);
         stress(Arc::clone(&mutex), 8, 300, |i, m| {
@@ -435,7 +435,7 @@ fn unpark_faults_and_abandon_storms_never_strand_waiters() {
 fn cs_panics_poison_every_zoo_engine_without_breaking_the_oracle() {
     // `faulted_stress` (lock_checked + clear_poison + poison-reporting
     // unwinds) must behave identically on every engine.
-    for algo in [LockAlgorithm::Ticket, LockAlgorithm::Queue, LockAlgorithm::Combining] {
+    for algo in [LockAlgorithm::Ticket, LockAlgorithm::Combining] {
         let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(0xfa118).with_cs_panics(16)));
         let mutex = Arc::new(AdaptiveMutex::new(Oracle::default()));
         mutex.set_algorithm(algo);
@@ -456,7 +456,7 @@ fn cs_panics_poison_every_zoo_engine_without_breaking_the_oracle() {
 }
 
 /// The tentpole acceptance test: a running, contended lock migrates
-/// between all four engines while 10 threads (half through guards, half
+/// between all three engines while 10 threads (half through guards, half
 /// through `with_locked`) hammer it, critical sections panic, and
 /// unparks are dropped. The `LockOracle` audits every event; zero lost
 /// waiters means the joins complete and the waiting count conserves.

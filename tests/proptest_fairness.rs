@@ -6,19 +6,18 @@ use adaptive_native::{LockAlgorithm, PolicyChoice};
 use proptest::prelude::*;
 use workloads::{jains_index, run_fairness, Backend, FairnessSpec};
 
-/// Strategy: every engine family, including an AlgoAdaptive tuned to
-/// switch algorithms mid-run (high_water 1, patience 1 trips on the
-/// first sign of contention).
+/// Strategy: every engine family, including a FairAdaptive tuned to
+/// switch algorithms mid-run (a 1 ns unfair wait with patience 1 moves
+/// the lock to ticket on the first clocked wait).
 fn any_policy() -> impl Strategy<Value = PolicyChoice> {
     prop_oneof![
         Just(PolicyChoice::Algorithm(LockAlgorithm::SpinPark)),
         Just(PolicyChoice::Algorithm(LockAlgorithm::Ticket)),
-        Just(PolicyChoice::Algorithm(LockAlgorithm::Queue)),
         Just(PolicyChoice::Algorithm(LockAlgorithm::Combining)),
         (1u32..32).prop_map(PolicyChoice::FixedSpin),
         Just(PolicyChoice::PureBlocking),
         (1u64..4, 1u32..16).prop_map(|(threshold, n)| PolicyChoice::Adaptive { threshold, n }),
-        Just(PolicyChoice::AlgoAdaptive { high_water: 1, patience: 1 }),
+        Just(PolicyChoice::FairAdaptive { unfair_wait_nanos: 1, patience: 1 }),
     ]
 }
 
