@@ -35,7 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
 
 mod instance;

@@ -32,9 +32,14 @@
 //! also hands it the next node (`Shared::exchange`). If the best queued
 //! node cannot beat the incumbent, nothing behind it can either, so the
 //! same critical section takes the whole queue out, to be counted as
-//! pruned and dropped after the lock is released. A queue entry is a
-//! 24-byte key beside a boxed node, and the FIFO sequence number is a
-//! counter beside the heap, under the same lock.
+//! pruned and dropped after the lock is released. A node is expanded
+//! where it lies: the include child is built from it, then it is turned
+//! into its own exclude child, so a step allocates one node and the
+//! queue step frees none. A queue entry is 16 bytes — `(bound << 32) |
+//! seq` beside the node's pointer — in a 4-ary heap whose sibling
+//! groups are one cache line each, so a level of a sift is one line;
+//! the FIFO sequence number is a counter beside the heap, under the
+//! same lock. The thread that calls [`solve_native`] is searcher 0.
 //!
 //! Termination mirrors the simulated solver's protocol, generalized to
 //! many queues: an idle searcher retires from the active count and
@@ -45,16 +50,22 @@
 //!
 //! ## Failure model
 //!
-//! Each searcher runs under a supervisor ([`searcher_resilient`]) that
-//! catches panics escaping the search loop. A panic may poison the
-//! shared locks (the holder died mid-critical-section) and may lose the
-//! subproblems the searcher had in hand — the one being expanded, or a
-//! whole stolen batch in transit between queues; the supervisor clears
-//! the poison, resynchronizes the queue-length mirrors, and requeues
-//! every in-flight subproblem under a bounded retry budget. Requeuing
-//! can duplicate children that were already pushed before the panic —
-//! branch-and-bound tolerates duplicates (they are pruned or re-expanded
-//! to the same result), so exactness survives. A panic carrying the
+//! Each searcher — the caller's thread included — runs under a
+//! supervisor ([`searcher_resilient`]) that catches panics escaping the
+//! search loop. A panic may poison the shared locks (the holder died
+//! mid-critical-section) and may lose the subproblems the searcher had
+//! in hand; the supervisor clears the poison, resynchronizes the
+//! queue-length mirrors, and requeues every in-flight subproblem under
+//! a bounded retry budget. What is in hand is what the in-flight stash
+//! holds: from a queue step to the end of the expansion, the node the
+//! step handed over (a death in the best-tour update requeues it, and
+//! it completes into the same tour again); from the expansion to the
+//! next queue step, that node's children in push order, carrying its
+//! retry count (a death at the step's injection point, before any
+//! queue edit, requeues the children themselves: nothing is lost,
+//! nothing is queued twice and nothing is expanded twice); in the middle
+//! of a steal, the stolen batch. A step that goes through queues its
+//! children with a fresh budget. A panic carrying the
 //! [`WorkerKilled`] marker retires the worker permanently. It strikes
 //! between the queue step and the expansion, so the worker dies with
 //! the node the step handed it in its stash; that node is requeued
@@ -80,7 +91,7 @@ use adaptive_native::{
 };
 
 use crate::instance::{TspInstance, INF};
-use crate::lmsk::{BestFirst, Expansion, QNode, SearchStats, SubProblem};
+use crate::lmsk::{BestFirst, Expanded, Node, SearchStats, SubProblem};
 
 /// Which shared-abstraction structure the native solver uses — the
 /// real-thread counterpart of the simulator's [`Variant`](crate::Variant).
@@ -304,11 +315,13 @@ impl BestSlot {
     }
 }
 
-/// A node's fresh children on their way to a queue: boxed where they are
-/// made, so that the `qlock` critical section that queues them moves
-/// pointers and allocates nothing per node.
-#[allow(clippy::vec_box)]
-type Children = Vec<Box<SubProblem>>;
+/// A searcher's in-flight stash: every node it has taken out of a queue
+/// or made and not yet queued, which is what its supervisor requeues if
+/// a panic strikes. After a queue step it holds the node the step
+/// handed over; after the expansion, that node's children in push order
+/// — `[include, exclude]`, less whatever the incumbent pruned; in the
+/// middle of a steal, the stolen batch.
+type Stash = Vec<Node>;
 
 struct Shared {
     variant: NativeVariant,
@@ -335,6 +348,38 @@ struct Shared {
 }
 
 impl Shared {
+    /// The shared state of one run of `searchers` searchers under `cfg`.
+    fn new(cfg: &NativeTspConfig, searchers: usize) -> Shared {
+        let queue_count = if cfg.variant == NativeVariant::Centralized {
+            1
+        } else {
+            searchers
+        };
+        let best_count = queue_count;
+        Shared {
+            variant: cfg.variant,
+            queues: (0..queue_count).map(|_| QueueSlot::new(cfg.policy)).collect(),
+            best: (0..best_count).map(|_| BestSlot::new(cfg.policy)).collect(),
+            stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
+            active: AtomicUsize::new(searchers),
+            done: AtomicBool::new(false),
+            transfer_refs: cfg.transfer_refs.max(1),
+            balance_threshold: cfg.balance_threshold,
+            faults: cfg.faults.clone(),
+            steals: AtomicU64::new(0),
+            steal_failures: AtomicU64::new(0),
+            transfers: AtomicU64::new(0),
+            balance_pushes: AtomicU64::new(0),
+            orphaned: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            workers_died: AtomicU64::new(0),
+            requeued: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+            poison_recoveries: AtomicU64::new(0),
+            retunes: AtomicU64::new(0),
+        }
+    }
+
     /// The queue a searcher treats as local.
     fn home(&self, worker: usize) -> usize {
         if self.variant == NativeVariant::Centralized {
@@ -391,10 +436,10 @@ impl Shared {
     }
 
     /// Push one subproblem into queue `q`, refreshing the mirror.
-    fn requeue(&self, q: usize, sp: Box<SubProblem>, attempts: u32) {
+    fn requeue(&self, q: usize, sp: Node) {
         let slot = &self.queues[q];
         let mut queue = slot.lock.lock();
-        queue.push(sp, attempts);
+        queue.push(sp);
         slot.len.store(queue.len(), Ordering::Release);
     }
 
@@ -403,7 +448,7 @@ impl Shared {
     /// local queue past the threshold, up to one transfer batch goes to
     /// the shorter ring neighbor instead, if it is actually shorter
     /// than us. The rest stays in `batch` for the home queue.
-    fn divert_surplus(&self, home: usize, batch: &mut Children) {
+    fn divert_surplus(&self, home: usize, batch: &mut Stash) {
         let s = self.queues.len();
         if self.variant != NativeVariant::Balanced || s < 2 || batch.is_empty() {
             return;
@@ -423,24 +468,25 @@ impl Shared {
             let n = self.transfer_refs.clamp(1, batch.len());
             self.balance_pushes.fetch_add(1, Ordering::Relaxed);
             self.transfers.fetch_add(n as u64, Ordering::Relaxed);
-            // The caller still holds the parent in its in-flight stash,
-            // so an injected panic inside this critical section only
-            // re-expands the parent (duplicates are pruned).
+            // `batch` is the caller's in-flight stash, drained after the
+            // injection point: a holder that dies there has every child
+            // requeued by its supervisor, none of them twice.
             let slot = &self.queues[target];
             let mut queue = slot.lock.lock();
             self.maybe_die_in_cs();
-            for sp in batch.drain(..n) {
-                queue.push(sp, 0);
+            for mut sp in batch.drain(..n) {
+                sp.attempts = 0;
+                queue.push(sp);
             }
             slot.len.store(queue.len(), Ordering::Release);
         }
     }
 
     /// The queue step, in **one** `qlock` critical section of queue
-    /// `q`: push `children` — the fresh children of the node at
-    /// `in_flight[0]`, if there is one — retire that node, and take the
-    /// best queued node into the stash in its place. Returns whether a
-    /// node was taken.
+    /// `q`: push what the stash holds — the fresh children of the node
+    /// the last step handed over, in push order — and take the best
+    /// queued node into the stash in their place. Returns whether a node
+    /// was taken.
     ///
     /// If the best queued node cannot beat `worker`'s incumbent,
     /// nothing queued can: the whole queue comes out at once
@@ -449,49 +495,49 @@ impl Shared {
     ///
     /// The injection point (`inject`; off for the residual drain) sits
     /// before any queue edit: a holder that dies there has pushed no
-    /// child and still has the parent in its stash, so the supervisor's
-    /// requeue re-expands it and nothing is lost or duplicated. After
-    /// the point nothing in the critical section can panic.
+    /// child and still has them all in its stash, so the supervisor
+    /// requeues the children themselves and nothing is lost, duplicated
+    /// or expanded twice. After the point nothing in the critical
+    /// section can panic.
     fn exchange(
         &self,
         q: usize,
         worker: usize,
-        mut children: Children,
-        in_flight: &mut Vec<QNode>,
+        in_flight: &mut Stash,
         local: &mut SearchStats,
         inject: bool,
     ) -> bool {
-        debug_assert!(in_flight.len() <= 1, "the stash holds the expanded parent, no more");
+        debug_assert!(in_flight.len() <= 2, "the stash holds one node's children, no more");
         let slot = &self.queues[q];
         let mut queue = slot.lock.lock();
         if inject {
             self.maybe_die_in_cs();
         }
-        for sp in children.drain(..) {
-            queue.push(sp, 0);
+        // Queued whole, the children start with a fresh retry budget.
+        for mut sp in in_flight.drain(..) {
+            sp.attempts = 0;
+            queue.push(sp);
         }
         let next = queue.pop_below(self.read_best(worker));
         slot.len.store(queue.len(), Ordering::Release);
-        let parent = in_flight.pop();
-        let dead = match next {
+        drop(queue);
+        match next {
             Ok(node) => {
                 in_flight.push(node);
-                None
+                true
             }
-            Err(dead) => Some(dead),
-        };
-        drop(queue);
-        drop(parent);
-        let Some(dead) = dead else { return true };
-        local.pruned += dead.len() as u64;
-        false
+            Err(dead) => {
+                local.pruned += dead.len() as u64;
+                false
+            }
+        }
     }
 
     /// Steal up to `transfer_refs` subproblems from `victim` into the
     /// caller's in-flight stash (so a panic cannot lose them — they are
     /// stashed *inside* the critical section, before the injection
     /// point). Returns whether anything was taken.
-    fn steal_from(&self, victim: usize, in_flight: &mut Vec<QNode>) -> bool {
+    fn steal_from(&self, victim: usize, in_flight: &mut Stash) -> bool {
         let slot = &self.queues[victim];
         let mut queue = slot.lock.lock();
         let before = in_flight.len();
@@ -514,7 +560,7 @@ impl Shared {
     /// critical section. The injection point is *before* the stash is
     /// drained, so a die-in-CS panic here still finds every item in the
     /// stash and the supervisor requeues them all.
-    fn bank_surplus(&self, home: usize, in_flight: &mut Vec<QNode>) {
+    fn bank_surplus(&self, home: usize, in_flight: &mut Stash) {
         if in_flight.len() <= 1 {
             return;
         }
@@ -522,27 +568,20 @@ impl Shared {
         let mut queue = slot.lock.lock();
         self.maybe_die_in_cs();
         for node in in_flight.drain(1..) {
-            queue.push(node.sp, node.attempts);
+            queue.push(node);
         }
         slot.len.store(queue.len(), Ordering::Release);
     }
 
-    /// Queue `children` (the fresh children of the node at
-    /// `in_flight[0]`, which is thereby done) and acquire the next work
-    /// item for `worker`: on success the item is at `in_flight[0]`
+    /// Queue the fresh children in the stash and acquire the next work
+    /// item for `worker`: on success the item is the stash's only one
     /// (stash semantics — the supervisor requeues whatever is in the
     /// stash if a panic strikes). Surplus stolen items are moved to the
     /// worker's local queue before returning.
-    fn take_work(
-        &self,
-        worker: usize,
-        mut children: Children,
-        in_flight: &mut Vec<QNode>,
-        local: &mut SearchStats,
-    ) -> bool {
+    fn take_work(&self, worker: usize, in_flight: &mut Stash, local: &mut SearchStats) -> bool {
         let home = self.home(worker);
-        self.divert_surplus(home, &mut children);
-        if self.exchange(home, worker, children, in_flight, local, true) {
+        self.divert_surplus(home, in_flight);
+        if self.exchange(home, worker, in_flight, local, true) {
             return true;
         }
         if self.variant == NativeVariant::Centralized {
@@ -587,37 +626,49 @@ impl Shared {
         }
     }
 
-    /// Prune `sp` against `worker`'s incumbent or expand it, publishing
-    /// a finished tour. Returns the children that can still beat the
-    /// incumbent, boxed for the queue.
-    fn expand_node(&self, worker: usize, sp: &SubProblem, local: &mut SearchStats) -> Children {
-        if sp.bound >= self.read_best(worker) {
+    /// Prune the node the queue step left in the stash against
+    /// `worker`'s incumbent, or expand it where it lies, publishing a
+    /// finished tour. Leaves in the stash the children that can still
+    /// beat the incumbent, in push order. The node stays stashed until
+    /// its children stand in its place, so a panic on the way (the
+    /// best-tour update can die) still finds it there.
+    fn expand_node(
+        &self,
+        worker: usize,
+        in_flight: &mut Stash,
+        local: &mut SearchStats,
+        scratch: &mut Vec<u32>,
+    ) {
+        debug_assert_eq!(in_flight.len(), 1, "a queue step hands over one node");
+        let node = &mut in_flight[0];
+        if node.bound >= self.read_best(worker) {
             local.pruned += 1;
-            return Vec::new();
+            in_flight.clear();
+            return;
         }
         local.expanded += 1;
-        match sp.expand() {
-            Expansion::Tour { cost, .. } => {
+        match node.expand_in_place(scratch) {
+            Expanded::Tour { cost, .. } => {
                 local.tours += 1;
                 if cost < self.read_best(worker) {
                     self.publish_best(worker, cost);
                 }
-                Vec::new()
+                in_flight.clear();
             }
-            Expansion::Children(children) => {
+            Expanded::Branched { include, exclude } => {
                 let incumbent = self.read_best(worker);
-                let mut fresh = Vec::with_capacity(children.len());
-                for c in children {
-                    if c.bound < incumbent {
+                // The node is now its own exclude child, if it has one.
+                let exclude = in_flight.pop().filter(|_| exclude);
+                for child in include.into_iter().chain(exclude) {
+                    if child.bound < incumbent {
                         local.generated += 1;
-                        fresh.push(Box::new(c));
+                        in_flight.push(child);
                     } else {
                         local.pruned += 1;
                     }
                 }
-                fresh
             }
-            Expansion::Dead => Vec::new(),
+            Expanded::Dead => in_flight.clear(),
         }
     }
 
@@ -674,35 +725,8 @@ fn merge_mutex_stats<'a>(stats: impl Iterator<Item = &'a MutexStats>) -> MutexSt
 /// [`NativeResult::dropped`], can compromise exactness).
 pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
     let searchers = cfg.searchers.max(1);
-    let queue_count = if cfg.variant == NativeVariant::Centralized {
-        1
-    } else {
-        searchers
-    };
-    let best_count = queue_count;
-    let shared = Shared {
-        variant: cfg.variant,
-        queues: (0..queue_count).map(|_| QueueSlot::new(cfg.policy)).collect(),
-        best: (0..best_count).map(|_| BestSlot::new(cfg.policy)).collect(),
-        stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
-        active: AtomicUsize::new(searchers),
-        done: AtomicBool::new(false),
-        transfer_refs: cfg.transfer_refs.max(1),
-        balance_threshold: cfg.balance_threshold,
-        faults: cfg.faults.clone(),
-        steals: AtomicU64::new(0),
-        steal_failures: AtomicU64::new(0),
-        transfers: AtomicU64::new(0),
-        balance_pushes: AtomicU64::new(0),
-        orphaned: AtomicU64::new(0),
-        worker_panics: AtomicU64::new(0),
-        workers_died: AtomicU64::new(0),
-        requeued: AtomicU64::new(0),
-        dropped: AtomicU64::new(0),
-        poison_recoveries: AtomicU64::new(0),
-        retunes: AtomicU64::new(0),
-    };
-    shared.requeue(0, Box::new(SubProblem::root(inst)), 0);
+    let shared = Shared::new(&cfg, searchers);
+    shared.requeue(0, Box::new(SubProblem::root(inst)));
 
     // Under a fault plan, the mutexes themselves consult the plan
     // (dropped/delayed unparks, stalled monitor samples) and a watchdog
@@ -720,16 +744,18 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
         dog.spawn(Duration::from_millis(100))
     });
 
+    // The caller is searcher 0: the search is under way before the
+    // first spawn returns, a helper is placed against a busy CPU rather
+    // than beside a parent about to sleep, and one searcher costs no
+    // thread at all. A `WorkerKilled` meant for searcher 0 is caught by
+    // its supervisor like any other's.
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for worker in 0..searchers {
-            let sh = &shared;
-            let max_retries = cfg.max_retries;
-            let retune = cfg.retune.clone();
-            scope.spawn(move || {
-                searcher_resilient(sh, worker, searchers, max_retries, retune)
-            });
+        let (sh, max_retries, retune) = (&shared, cfg.max_retries, cfg.retune.as_ref());
+        for worker in 1..searchers {
+            scope.spawn(move || searcher_resilient(sh, worker, searchers, max_retries, retune));
         }
+        searcher_resilient(sh, 0, searchers, max_retries, retune);
     });
 
     // Every worker died with work outstanding: finish the search here.
@@ -779,11 +805,13 @@ fn searcher_resilient(
     worker: usize,
     total: usize,
     max_retries: u32,
-    retune: Option<RetunePlan>,
+    retune: Option<&RetunePlan>,
 ) {
     let doom = sh.faults.as_ref().and_then(|p| p.worker_doom(worker, total));
     let mut steps = 0u64;
-    let mut in_flight: Vec<QNode> = Vec::new();
+    // Room for a node's two children or a stolen batch, so that the
+    // stash never grows inside a critical section.
+    let mut in_flight: Stash = Vec::with_capacity(sh.transfer_refs.max(2));
     let mut local = SearchStats::default();
     // Whether the worker currently counts itself in `sh.active`; a death
     // in the idle loop (already retired) must not decrement again.
@@ -798,7 +826,7 @@ fn searcher_resilient(
                 &active,
                 doom,
                 worker,
-                retune.as_ref(),
+                retune,
             )
         }));
         match outcome {
@@ -807,15 +835,17 @@ fn searcher_resilient(
                 sh.worker_panics.fetch_add(1, Ordering::Relaxed);
                 sh.recover_after_panic();
                 // Requeue everything the panic caught in our hands: the
-                // item under expansion and/or a stolen batch in transit.
+                // node under expansion, its children on their way to
+                // the queue, or a stolen batch in transit.
                 // A kill strikes between the queue step and the
                 // expansion, whatever node is in hand, so it does not
                 // count against that node's retry budget.
                 let killed = payload.is::<WorkerKilled>();
                 let home = sh.home(worker);
-                for lost in in_flight.drain(..) {
+                for mut lost in in_flight.drain(..) {
                     if killed || lost.attempts < max_retries {
-                        sh.requeue(home, lost.sp, lost.attempts + u32::from(!killed));
+                        lost.attempts += u32::from(!killed);
+                        sh.requeue(home, lost);
                         sh.requeued.fetch_add(1, Ordering::Relaxed);
                     } else {
                         sh.dropped.fetch_add(1, Ordering::Relaxed);
@@ -850,7 +880,7 @@ fn searcher_resilient(
 #[allow(clippy::too_many_arguments)] // internal: the worker's full context
 fn searcher_loop(
     sh: &Shared,
-    in_flight: &mut Vec<QNode>,
+    in_flight: &mut Stash,
     local: &mut SearchStats,
     steps: &mut u64,
     active: &std::cell::Cell<bool>,
@@ -858,18 +888,12 @@ fn searcher_loop(
     worker: usize,
     retune: Option<&RetunePlan>,
 ) {
-    // What the last expansion left to queue. A panic forgets them, and
-    // the requeued parent's re-expansion makes them again.
-    let mut children = Vec::new();
+    let mut scratch = Vec::new();
     'outer: loop {
-        if let Some(plan) = retune {
-            if plan.every_steps > 0 && *steps > 0 && (*steps).is_multiple_of(plan.every_steps) {
-                sh.apply_retune(plan);
-            }
-        }
         // Resuming after a panic, the stash is empty (the supervisor
-        // requeued it); otherwise it holds the node just expanded.
-        if !sh.take_work(worker, std::mem::take(&mut children), in_flight, local) {
+        // requeued it); otherwise it holds what the last expansion left
+        // to queue.
+        if !sh.take_work(worker, in_flight, local) {
             // Retire from the active count; the last one out with every
             // queue empty ends the search.
             if sh.active.fetch_sub(1, Ordering::AcqRel) == 1 && !sh.work_visible() {
@@ -901,8 +925,9 @@ fn searcher_loop(
                 std::thread::yield_now();
             }
         }
-        // From here until its children are queued the item sits in the
-        // in-flight stash; a panic anywhere below requeues it.
+        // From here until the next step queues its children the item,
+        // and then they, sit in the in-flight stash; a panic anywhere
+        // below requeues whichever it finds there.
         //
         // A doomed worker dies here, between work items: no locks held,
         // and the node the queue step just handed it goes back to the
@@ -910,8 +935,15 @@ fn searcher_loop(
         if doom.is_some_and(|after| *steps >= after) {
             std::panic::panic_any(WorkerKilled { worker });
         }
-        children = sh.expand_node(worker, &in_flight[0].sp, local);
+        sh.expand_node(worker, in_flight, local, &mut scratch);
         *steps += 1;
+        // Here and nowhere else: a searcher that comes back from the
+        // idle loop, or resumes after a panic, has completed nothing.
+        if let Some(plan) = retune {
+            if plan.every_steps > 0 && (*steps).is_multiple_of(plan.every_steps) {
+                sh.apply_retune(plan);
+            }
+        }
     }
 }
 
@@ -921,16 +953,13 @@ fn searcher_loop(
 fn drain_residual(sh: &Shared) -> u64 {
     let mut local = SearchStats::default();
     let mut processed = 0u64;
-    let mut in_flight = Vec::new();
-    let mut children = Vec::new();
+    let mut in_flight = Vec::with_capacity(2);
+    let mut scratch = Vec::new();
     // Children go to queue 0; the next node comes from the first queue
     // that still has one worth expanding.
-    while (0..sh.queues.len()).any(|q| {
-        let children = std::mem::take(&mut children);
-        sh.exchange(q, 0, children, &mut in_flight, &mut local, false)
-    }) {
+    while (0..sh.queues.len()).any(|q| sh.exchange(q, 0, &mut in_flight, &mut local, false)) {
         processed += 1;
-        children = sh.expand_node(0, &in_flight[0].sp, &mut local);
+        sh.expand_node(0, &mut in_flight, &mut local, &mut scratch);
     }
     sh.done.store(true, Ordering::Release);
     sh.add_stats(local);
@@ -1090,6 +1119,50 @@ mod tests {
     }
 
     #[test]
+    fn retunes_count_completed_work_items_and_nothing_else() {
+        // With `every_steps` 1 every completed item retunes once, and an
+        // item either expands a node or prunes the one it was handed.
+        //
+        // One searcher whose every fourth critical section dies: the
+        // count is exact. Each resumption re-enters the loop with nothing
+        // new completed; a death in the best-tour update is an expansion
+        // counted and not completed, a death in the queue step neither.
+        let inst = TspInstance::random_symmetric(9, 100, 7);
+        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(5).with_cs_panics(4)));
+        let res = solve_native(
+            &inst,
+            NativeTspConfig {
+                searchers: 1,
+                faults: Some(Arc::clone(&plan)),
+                max_retries: u32::MAX,
+                retune: Some(RetunePlan::full_cycle(1)),
+                ..NativeTspConfig::default()
+            },
+        );
+        assert_eq!(res.best, inst.held_karp());
+        assert!(res.worker_panics > res.stats.tours, "no queue step died: {res:?}");
+        assert!(res.retunes <= res.stats.expanded, "{res:?}");
+        assert!(res.retunes + res.worker_panics >= res.stats.expanded, "{res:?}");
+
+        // Two searchers on a search too small to have work for both:
+        // one of them is in and out of the idle loop all the way
+        // through, and coming back from it is not a completed item.
+        let inst = TspInstance::random_symmetric(6, 100, 5);
+        for _ in 0..50 {
+            let res = solve_native(
+                &inst,
+                NativeTspConfig {
+                    searchers: 2,
+                    retune: Some(RetunePlan::full_cycle(1)),
+                    ..NativeTspConfig::default()
+                },
+            );
+            assert_eq!(res.best, inst.held_karp());
+            assert!(res.retunes <= res.stats.expanded + res.stats.pruned, "{res:?}");
+        }
+    }
+
+    #[test]
     fn solver_survives_cs_panics_exactly() {
         let inst = TspInstance::random_symmetric(9, 100, 7);
         let oracle = inst.held_karp();
@@ -1137,7 +1210,54 @@ mod tests {
         assert_eq!(res.best, oracle, "a holder dying mid-step must lose no node");
         assert_eq!(res.dropped, 0);
         assert_eq!(res.worker_panics, cs_panics);
-        assert!(res.requeued > 0, "the dying holder's parent goes back through the stash");
+        assert!(res.requeued > 0, "the dying holder's children go back through the stash");
+    }
+
+    #[test]
+    fn a_holder_that_always_dies_in_the_queue_step_keeps_both_children_stashed() {
+        let inst = TspInstance::random_euclidean(10, 500, 3);
+        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(1).with_cs_panics(1)));
+        let cfg = NativeTspConfig {
+            faults: Some(Arc::clone(&plan)),
+            ..NativeTspConfig::default()
+        };
+        let sh = Shared::new(&cfg, 1);
+        let mut local = SearchStats::default();
+        let mut stash: Stash = vec![Box::new(SubProblem::root(&inst))];
+        sh.expand_node(0, &mut stash, &mut local, &mut Vec::new());
+        let name = |node: &Node| (node.bound, node.level, node.work_cells());
+        let children: Vec<_> = stash.iter().map(name).collect();
+        assert_eq!(children.len(), 2, "the root branches both ways");
+        assert_eq!((children[0].1, children[1].1), (1, 0), "push order: include, then exclude");
+        // One node queued already, worse than either child, so that
+        // "as before the call" is not "empty".
+        let mut queued = Box::new(SubProblem::root(&inst));
+        queued.bound = children[1].0 + 1;
+        let queued_name = name(&queued);
+        sh.requeue(0, queued);
+
+        for _ in 0..3 {
+            let died = catch_unwind(AssertUnwindSafe(|| {
+                sh.exchange(0, 0, &mut stash, &mut local, true)
+            }));
+            assert!(died.is_err(), "a one-in-one plan dies at every injection point");
+            sh.recover_after_panic();
+            assert_eq!(stash.iter().map(name).collect::<Vec<_>>(), children);
+            assert_eq!(sh.queues[0].mirror_len(), 1);
+            assert_eq!(sh.queues[0].lock.lock().len(), 1);
+        }
+        assert_eq!(plan.report().cs_panics, 3);
+
+        // The same step with no plan in the way queues each child once.
+        assert!(sh.exchange(0, 0, &mut stash, &mut local, false));
+        assert_eq!(sh.queues[0].mirror_len(), 2);
+        let mut out: Vec<_> = stash.drain(..).map(|node| name(&node)).collect();
+        let mut queue = sh.queues[0].lock.lock();
+        out.extend(std::iter::from_fn(|| queue.pop()).map(|node| name(&node)));
+        let mut each_once = vec![children[0], children[1], queued_name];
+        each_once.sort_unstable();
+        assert!(out.is_sorted(), "best first: {out:?}");
+        assert_eq!(out, each_once);
     }
 
     #[test]

@@ -111,7 +111,7 @@ impl WorkQueue {
     pub fn push(&self, sp: SubProblem) {
         self.charge(ctx::MemOp::Write);
         let mut heap = self.heap();
-        heap.push(Box::new(sp), 0);
+        heap.push(Box::new(sp));
         self.len.store(heap.len(), AOrd::Release);
     }
 
@@ -128,7 +128,7 @@ impl WorkQueue {
         } else {
             ctx::charge_mem(ctx::MemOp::Read, self.home);
         }
-        e.map(|e| *e.sp)
+        e.map(|node| *node)
     }
 
     /// Steal-aware batched pop: take up to `max` best subproblems in one
@@ -142,7 +142,7 @@ impl WorkQueue {
             let mut heap = self.heap();
             for _ in 0..max {
                 match heap.pop() {
-                    Some(e) => out.push(*e.sp),
+                    Some(node) => out.push(*node),
                     None => break,
                 }
             }
@@ -169,7 +169,7 @@ impl WorkQueue {
         }
         let mut heap = self.heap();
         for sp in sps {
-            heap.push(Box::new(sp), 0);
+            heap.push(Box::new(sp));
         }
         self.len.store(heap.len(), AOrd::Release);
     }

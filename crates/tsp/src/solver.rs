@@ -23,7 +23,7 @@ use butterfly_sim::{ctx, Duration, NodeId, ProcId, SimCell};
 use cthreads::fork;
 
 use crate::instance::TspInstance;
-use crate::lmsk::{best_first_search, Expansion, SearchStats, SubProblem};
+use crate::lmsk::{best_first_search, Expanded, SearchStats, SubProblem};
 use crate::shared::{ActiveCounter, BestTour, LockImpl, WorkQueue};
 
 /// Which shared-abstraction structure to use.
@@ -254,9 +254,10 @@ impl App {
 
 fn searcher(app: &App, me: usize) -> SearchStats {
     let mut stats = SearchStats::default();
+    let mut scratch = Vec::new();
     'outer: loop {
         match app.take_work(me) {
-            Some(sp) => {
+            Some(mut sp) => {
                 if sp.bound >= app.read_best(me) {
                     stats.pruned += 1;
                     continue;
@@ -266,16 +267,16 @@ fn searcher(app: &App, me: usize) -> SearchStats {
                     app.cfg.expand_ns_per_cell * sp.work_cells(),
                 ));
                 stats.expanded += 1;
-                match sp.expand() {
-                    Expansion::Tour { cost, .. } => {
+                match sp.expand_in_place(&mut scratch) {
+                    Expanded::Tour { cost, .. } => {
                         stats.tours += 1;
                         app.record_tour();
                         app.publish_best(me, cost);
                     }
-                    Expansion::Children(children) => {
+                    Expanded::Branched { include, exclude } => {
                         let best = app.read_best(me);
-                        let mut batch = Vec::with_capacity(children.len());
-                        for c in children {
+                        let mut batch = Vec::with_capacity(2);
+                        for c in include.map(|c| *c).into_iter().chain(exclude.then_some(sp)) {
                             if c.bound < best {
                                 stats.generated += 1;
                                 batch.push(c);
@@ -285,7 +286,7 @@ fn searcher(app: &App, me: usize) -> SearchStats {
                         }
                         app.push_work_batch(me, batch);
                     }
-                    Expansion::Dead => {}
+                    Expanded::Dead => {}
                 }
             }
             None => {
