@@ -190,7 +190,7 @@ const PLAYBOOK_PHASE_NAMES: [&str; PLAYBOOK_PHASES] =
 /// store under live open-loop load while an operator works the control
 /// plane against its hottest shard — retune to park-only at 1/4 of the
 /// schedule, force the breaker open (`quarantine`) at 1/2, `heal` at
-/// 3/4. Every op is an increment of 1, so the conservation oracle is
+/// 3/4. Every op adds 1 under the shard lock, so the conservation oracle is
 /// exact: `store.total()` must equal the op count — a retune,
 /// quarantine, or heal that loses a waiter or an op shows up as a
 /// deficit, not a vibe. Latency is enter-to-complete from the
@@ -245,7 +245,10 @@ fn run_playbook(scale: Scale) -> serde_json::Value {
                 } else {
                     ((id as u64) << 32) | ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 4096)
                 };
-                store.increment(key, 1);
+                // An update: an increment of a present key takes no
+                // shard lock, and the lock is what the heat sensor and
+                // the operator's levers act on.
+                store.update(key, |v| v.unwrap_or(0) + 1);
                 let done = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 let phase = boundaries.iter().filter(|&&b| sched >= b).count();
                 hists[phase].record(done.saturating_sub(sched));

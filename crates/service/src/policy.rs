@@ -5,20 +5,22 @@
 //! configuration cannot serve both — which is the paper's thesis, per
 //! object. [`HotShardPolicy`] is the per-shard feedback loop that makes
 //! the divergence happen. It sees what the shard lock sees, and since a
-//! `get` reads the shard's cell table without the lock that is *write*
-//! traffic (with `read` and `scan` visits): a shard that is only read,
-//! however often, stays cold here, and pays nothing for it, because no
-//! reader ever waits for its lock.
+//! `get` reads the shard's cell table without the lock, and an
+//! `increment` of a present key adds to its value word with a CAS,
+//! that is `put`s, inserts and closures (`update`, `read`, `scan`
+//! visits): a shard that is only read or counted into, however often,
+//! stays cold here, and pays nothing for it, because nobody waits for
+//! its lock.
 //!
 //! * **Cold / warm shards** ride the paper's `simple-adapt` on the
 //!   spin-park engine, tuning the spin count to the observed waiting
 //!   level (an idle shard drifts toward pure spin; a mildly busy one
 //!   toward park-early).
 //! * **Hot shards** migrate to the **flat-combining** engine. Every
-//!   store mutation goes through `with_locked`, so on this engine
-//!   queued writes are *batched*: one combiner executes the whole
+//!   locked store op goes through `with_locked`, so on this engine
+//!   queued ops are *batched*: one combiner executes the whole
 //!   wait-list's ops in a single lock tenure instead of paying a
-//!   handoff per op. That is the write-batching layer, implemented as
+//!   handoff per op. That is the batching layer, implemented as
 //!   a lock engine choice rather than extra queueing code.
 //! * Sustained calm migrates back to spin-park, so a shard whose keys
 //!   went cold stops paying the combining indirection.
@@ -36,7 +38,7 @@
 //!    ([`NativeObservation::acquisitions`]: 2 at first, up to 64 once
 //!    the lock's monitor has backed off), so the *gap between samples*,
 //!    scaled to two acquisitions, is inversely proportional to the
-//!    shard's write traffic. An EWMA of that gap below
+//!    shard's locked traffic. An EWMA of that gap below
 //!    [`HOT_SAMPLE_GAP_NANOS`] marks the shard hot even when queues
 //!    never form — the regime of an oversubscribed host, where the
 //!    single runnable holder means `waiting` stays 0 on exactly the

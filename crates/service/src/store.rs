@@ -1,20 +1,33 @@
 //! The sharded store: an extendible-hashing directory of shards, each
-//! a table of atomic cells whose *writers* are serialised by the
-//! shard's own `AdaptiveMutex`.
+//! a table of atomic cells whose *shape* — which keys it holds, which
+//! array holds them — only the shard's own `AdaptiveMutex` changes.
 //!
 //! ## Concurrency protocol
 //!
-//! There is one lock level a write ever takes: its shard's. A `get`
+//! There is at most one lock level an op takes: its shard's. A `get`
 //! takes none: it routes, probes the shard's cell table and checks the
 //! shard's `retired` flag, loads all three, and writes no line another
-//! thread reads (`crate::table` has the cell protocol: a key is
-//! published once, after its value; a bigger table is published beside
-//! the smaller one). What the lock guards is the *right to write* — the
-//! table's one `Writer` lives inside it — so `put`, `increment`,
-//! `update`, `read` and each shard visit of `scan` still go through
-//! `with_locked`, and a hot shard's flat-combining engine still batches
-//! them. The lock's statistics, and everything decided from them (heat,
-//! splits, the load ranking), therefore describe *write* load.
+//! thread reads. Nor does an `increment` of a key that is already
+//! there: it routes and adds to the value word with one CAS
+//! (`crate::table` has the cell protocol: a key is published once,
+//! after its value; a value word is a value or `CLAIMED`, and only the
+//! holder of the table's one `Writer` claims one; a bigger table is
+//! published beside the smaller one, which it froze). What the lock
+//! guards is that `Writer`, and with it everything that changes a
+//! table's shape or claims a value word: an insert and the growth it
+//! may bring, every `put`, a split's copy, the closures of `update` and
+//! `read`, and each shard visit of `scan`. Those still go through
+//! `with_locked`, and a hot shard's flat-combining engine batches them;
+//! an increment that finds its key absent or its value word `CLAIMED`
+//! joins them. The lock's statistics, and everything decided from them
+//! (heat, splits, the load ranking), therefore describe that load —
+//! `put`s, inserts and closures — and not increments of present keys.
+//!
+//! The shard lock is not reentrant, and a lock-free op may need it: a
+//! closure passed to `update`, `read` or `scan` must not call the store
+//! for a key of the shard it runs on. A `get` there that finds the
+//! value word `CLAIMED` — the key `update` is running on, or any value
+//! of `u64::MAX` — waits for the lock its own caller holds.
 //!
 //! The directory in front of the shards is *published*, never locked
 //! by a reader, so routing a key is a handful of loads from lines that
@@ -46,15 +59,21 @@
 //! the shard lock. Any slot of any table — the current one or a stale
 //! one a reader picked up before a doubling — holds a shard that owned
 //! that slot's keys when it was written; that shard is either still
-//! their live owner or has been retired by a split. A write checks the
-//! flag under the lock; an op that reaches a retired shard comes back
-//! un-run and routes again through the current `depth` (the split is a
-//! few stores from done, so it yields rather than spins). A `get` loads
+//! their live owner or has been retired by a split. A locked op checks
+//! the flag under the lock; an op that reaches a retired shard comes
+//! back un-run and routes again through the current `depth` (the split
+//! is a few stores from done, so it yields rather than spins). A
+//! lock-free write needs no flag: the split claims every value word for
+//! good as it copies the pairs out, so a CAS on a retired shard either
+//! landed before its pair was copied, and the heir has it, or was
+//! refused and goes to the lock like any other write. A `get` loads
 //! the flag *after* the value: heirs are wired only after the flag is
 //! stored, so "not retired" says that when the value was read no heir
 //! existed that a completed write could have gone to, and the value was
 //! the key's current one. "Retired" sends it round again like a writer,
-//! although the frozen table still has the pair.
+//! although the frozen table still has the key. A `CLAIMED` value on a
+//! live shard sends it to the locked `read`, since only the writer can
+//! tell a claim from a real `u64::MAX`.
 //!
 //! A split holds the shard lock only to mark it retired and copy its
 //! pairs out, releases it, and only then takes the writer mutex; no
@@ -78,9 +97,10 @@
 //! `local_depth == global_depth`. [`ShardedStore::maintenance`] splits
 //! any shard whose *contended-acquisition ratio* crossed the configured
 //! threshold — the lock's own contention statistics, not key counts,
-//! decide where more parallelism is needed. Reads take no lock, so it
-//! is contention among *writes* that splits a shard: the thing a split
-//! relieves.
+//! decide where more parallelism is needed. Reads and increments take
+//! no lock, so it is contention among `put`s, inserts and closures that
+//! splits a shard: the thing a split relieves. A split could not spread one
+//! hot counter anyway; its key lands in one child.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -93,7 +113,7 @@ use serde::Serialize;
 
 use crate::policy::HotShardPolicy;
 use crate::router::{scramble, ShardRouter};
-use crate::table::{Table, Writer};
+use crate::table::{Table, Writer, CLAIMED};
 
 /// How each shard's lock is configured.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +122,7 @@ pub enum ServicePolicy {
     /// adaptive layer must beat.
     Static(PolicyChoice),
     /// Every shard runs [`HotShardPolicy`]: attribute tuning while
-    /// cold, flat-combining write batching while hot.
+    /// cold, flat-combining batching of locked ops while hot.
     HotShard {
         /// Waiting level that marks a shard hot.
         high_water: u64,
@@ -163,16 +183,17 @@ pub struct ServiceConfig {
     pub max_depth: u32,
     /// Split a shard once its contended-acquisition *rate* — contended
     /// acquisitions per second, measured between maintenance passes —
-    /// reaches this. Only writes (and `read`, `scan`) acquire a shard
-    /// lock; a `get` does not, so reads never move this rate. A rate,
+    /// reaches this. Only `put`s, inserts and closures (`update`,
+    /// `read`, `scan`) acquire a shard lock; a `get` or an `increment`
+    /// of a present key does not, so they never move this rate. A rate,
     /// not a ratio: on an oversubscribed host the
     /// contended *fraction* stays tiny everywhere (contention appears
     /// only at preemption boundaries), but hot shards still rack up
     /// contended events orders of magnitude faster than cold ones.
     pub split_contended_per_sec: f64,
     /// ... but only after it has absorbed this many acquisitions —
-    /// writes, that is; `get`s are not counted (don't split on startup
-    /// noise).
+    /// `put`s, inserts and closures, that is; `get`s and increments of
+    /// present keys are not counted (don't split on startup noise).
     pub split_min_acquisitions: u64,
     /// ... and only while its contended rate is at least this multiple
     /// of the mean rate across all shards. Splitting answers *skew*:
@@ -209,7 +230,7 @@ impl Default for ServiceConfig {
 }
 
 /// One shard: an immutable identity, the pairs, and the lock that
-/// guards the right to write them.
+/// guards the right to insert, grow, freeze and claim them.
 struct Shard {
     /// Arena index, handed out in creation order; the number in the
     /// registry name.
@@ -222,10 +243,10 @@ struct Shard {
     table: Table,
     lock: Arc<AdaptiveMutex<Writer>>,
     /// Stored (`Release`) under the shard lock by a split, before it
-    /// copies the pairs out: from then on the table is frozen and an op
-    /// that reaches this shard routes again through the (rewired)
-    /// directory. Writers check it under the lock, `get` after its
-    /// value load.
+    /// freezes the pairs and copies them out: from then on an op that
+    /// reaches this shard routes again through the (rewired) directory.
+    /// Locked ops check it under the lock, `get` after its value load;
+    /// a lock-free write is refused by the frozen value word instead.
     retired: AtomicBool,
     /// Contended-acquisition count as of the last maintenance pass;
     /// the baseline for the per-second split-rate computation.
@@ -327,8 +348,9 @@ pub struct ShardSnapshot {
     pub sample_period: u64,
     /// Waiters at snapshot time.
     pub waiting: u32,
-    /// Total lock acquisitions — the *write*-load ranking: a `get`
-    /// acquires nothing.
+    /// Total lock acquisitions — the ranking by `put`s, inserts and
+    /// closures: a `get` or an `increment` of a present key acquires
+    /// nothing.
     pub acquisitions: u64,
     /// Acquisitions that found the lock held.
     pub contended: u64,
@@ -344,11 +366,12 @@ pub struct ShardSnapshot {
 }
 
 /// The hot-vs-cold divergence verdict, computed from shard snapshots:
-/// did the shards busiest and idlest with *writes* — the only load a
-/// shard lock sees — actually settle on different lock configurations?
+/// did the shards busiest and idlest with `put`s, inserts and closures
+/// — the only load a shard lock sees; increments of present keys are
+/// not among it — actually settle on different lock configurations?
 #[derive(Debug, Clone, Serialize)]
 pub struct DivergenceVerdict {
-    /// Busiest shard (most acquisitions, so most writes).
+    /// Busiest shard (most acquisitions, so most locked ops).
     pub hot_name: String,
     /// Its engine.
     pub hot_algorithm: String,
@@ -476,15 +499,15 @@ impl ShardedStore {
         ids.into_iter().map(|id| self.arena.get(id)).collect()
     }
 
-    /// Run `f` on the shard owning `key`, routing again if a split
-    /// retired the routed shard mid-flight.
-    fn with_key_shard<R: Send>(
-        &self,
+    /// Run `f` on `shard`, which `key` was routed to, routing again if
+    /// a split retired it mid-flight.
+    fn with_key_shard<'a, R: Send>(
+        &'a self,
+        mut shard: &'a Shard,
         key: u64,
         f: impl Fn(&Table, &mut Writer) -> R + Send + Sync,
     ) -> R {
         loop {
-            let shard = self.shard_for(key);
             let fr = &f;
             let done = shard.lock.with_locked(move |writer| {
                 // Stored under this lock, so `Relaxed` reads it exactly.
@@ -502,6 +525,7 @@ impl ShardedStore {
             // than spin — on a saturated host a spin loop here steals
             // the timeslice the partitioner needs to finish.
             std::thread::yield_now();
+            shard = self.shard_for(key);
         }
     }
 
@@ -533,8 +557,9 @@ impl ShardedStore {
     }
 
     /// Read a key: route, probe, check `retired` — loads only. It takes
-    /// no lock, writes no shared line and never waits for a writer; the
-    /// one thing it waits for is the rewire of a split it ran into.
+    /// no lock, writes no shared line and never waits for a writer
+    /// unless it finds the value word `CLAIMED`; otherwise the one
+    /// thing it waits for is the rewire of a split it ran into.
     pub fn get(&self, key: u64) -> Option<u64> {
         loop {
             let shard = self.shard_for(key);
@@ -544,6 +569,10 @@ impl ShardedStore {
             // was read no heir existed a completed write could have gone
             // to, so the value was the key's current one.
             if !shard.retired.load(Ordering::Acquire) {
+                if value == Some(CLAIMED) {
+                    // A writer's claim or a real `u64::MAX`: ask the writer.
+                    return self.read(key, |v| v);
+                }
                 return value;
             }
             // Frozen, its heirs a few stores from wired; see
@@ -554,40 +583,57 @@ impl ShardedStore {
 
     /// Write a key; returns the previous value.
     pub fn put(&self, key: u64, value: u64) -> Option<u64> {
-        self.with_key_shard(key, move |table, writer| table.upsert(writer, key, |_| value).0)
+        self.with_key_shard(self.shard_for(key), key, move |table, writer| {
+            table.upsert(writer, key, |_| value).0
+        })
     }
 
-    /// Add `by` to a counter key (missing counters start at 0); returns
-    /// the new value. On a flat-combining hot shard these ship as ops
-    /// and are executed in batches by a single combiner.
+    /// Add `by` to a counter key (missing counters start at 0, and the
+    /// sum wraps); returns the new value. A present key's value takes
+    /// the add with one CAS, without the lock; the lock is only for a
+    /// missing key, or for one whose value word the writer has claimed.
     pub fn increment(&self, key: u64, by: u64) -> u64 {
-        self.with_key_shard(key, move |table, writer| {
+        let shard = self.shard_for(key);
+        if let Some(new) = shard.table.add(key, by) {
+            return new;
+        }
+        self.with_key_shard(shard, key, move |table, writer| {
             table.upsert(writer, key, |v| v.unwrap_or(0).wrapping_add(by)).1
         })
     }
 
     /// Read `key` through `f` inside the shard critical section: `f`
-    /// sees the current value (or `None`) and computes the response
-    /// while the record is pinned. This is the knob every other
+    /// gets the value (or `None`) as it was when loaded under the lock
+    /// and computes the response from that copy; a lock-free
+    /// `increment` may land while it runs. This is the knob every other
     /// workload in this workspace exposes as `cs_iters` — the request
     /// processing a real service does under the lock (decode,
-    /// validate, serialize). Runs exactly once.
+    /// validate, serialize). Runs exactly once; `f` must not call the
+    /// store for a key of this shard (see the module docs).
     pub fn read<R: Send>(&self, key: u64, f: impl FnOnce(Option<u64>) -> R + Send) -> R {
+        // No claim is outstanding under the writer, so a value word of
+        // `CLAIMED` here is a real `u64::MAX`.
         self.with_key_shard_once(key, move |table, _| f(table.get(key)))
     }
 
     /// Read-modify-write `key` inside the shard critical section: `f`
     /// maps the current value (or `None`) to the new value, which is
     /// stored and returned. Like [`ShardedStore::read`], the closure is
-    /// where a workload models per-request work done under the lock.
-    /// Runs exactly once.
+    /// where a workload models per-request work done under the lock;
+    /// here the record is claimed, so nothing changes it until `f`
+    /// returns. Runs exactly once; if it panics, the key keeps the
+    /// value it had. `f` must not call the store for a key of this
+    /// shard (see the module docs).
     pub fn update(&self, key: u64, f: impl FnOnce(Option<u64>) -> u64 + Send) -> u64 {
         self.with_key_shard_once(key, move |table, writer| table.upsert(writer, key, f).1)
     }
 
     /// Fold over every key/value pair, shard by shard (each shard
-    /// visited atomically under its lock; the whole scan is not a
-    /// snapshot — run it at quiescence when exact totals matter).
+    /// visited under its lock, so no key appears or moves during the
+    /// visit, though an `increment` of a present key may land in it;
+    /// the whole scan is not a snapshot — run it at quiescence when
+    /// exact totals matter). `f` must not call the store (see the
+    /// module docs).
     /// Splits racing the scan move pairs between shards but neither
     /// hide one nor show it twice.
     pub fn scan<A: Send>(&self, mut acc: A, f: impl Fn(&mut A, u64, u64) + Send + Sync) -> A {
@@ -772,9 +818,10 @@ impl ShardedStore {
     /// Split one shard: retire it, partition its keys on hash bit
     /// `local_depth`, rewire (and double, if needed) the directory.
     fn split(&self, old: &Shard) -> bool {
-        // Phase 1 — retire under the shard lock only, then copy the
-        // pairs out of the table that just froze. The table itself stays
-        // for the readers still in it.
+        // Phase 1 — retire under the shard lock only, then freeze the
+        // pairs and copy them out: a lock-free write lands before its
+        // pair is claimed, and is copied, or is refused and re-routes.
+        // The table itself stays for the readers still in it.
         let bit = 1u64 << old.local_depth;
         let taken = old.lock.with_locked(|writer| {
             if old.retired.load(Ordering::Relaxed) {
@@ -783,7 +830,7 @@ impl ShardedStore {
             old.retired.store(true, Ordering::Release);
             // Phase 2 — partition on the next hash bit.
             let (mut low, mut high) = (Vec::new(), Vec::new());
-            old.table.for_each(writer, |k, v| {
+            old.table.freeze_each(writer, |k, v| {
                 if scramble(k) & bit != 0 { &mut high } else { &mut low }.push((k, v));
             });
             Some((low, high))
@@ -977,9 +1024,10 @@ mod tests {
 
     #[test]
     fn split_children_inherit_a_hot_parents_engine() {
-        // One shard takes every op: back-to-back increments give the
-        // policy sub-microsecond sample gaps, which read as heat and
-        // migrate the shard to flat combining.
+        // One shard takes every op: back-to-back updates — locked, where
+        // an increment of a present key is not — give the policy
+        // sub-microsecond sample gaps, which read as heat and migrate
+        // the shard to flat combining.
         let store = ShardedStore::new(ServiceConfig {
             initial_depth: 0,
             max_depth: 2,
@@ -991,7 +1039,7 @@ mod tests {
         });
         let mut flipped = false;
         for i in 0..40_000u64 {
-            store.increment(i % 64, 1);
+            store.update(i % 64, |v| v.unwrap_or(0) + 1);
             if i % 512 == 0
                 && store.snapshots().iter().any(|s| s.algorithm == "flat-combining")
             {
@@ -1125,7 +1173,7 @@ mod tests {
         // One shard; every split gate open to a shard that has taken a
         // thousand acquisitions, and a policy that batches a shard whose
         // lock is taken back to back (`split_children_inherit_a_hot_
-        // parents_engine` heats it with increments in well under 40 000).
+        // parents_engine` heats it with updates in well under 40 000).
         let store = ShardedStore::new(ServiceConfig {
             initial_depth: 0,
             max_depth: 2,
@@ -1179,6 +1227,87 @@ mod tests {
             assert_eq!(store.get(k), Some(!k));
         }
         assert_eq!(store.snapshots().iter().map(|s| s.keys).sum::<usize>(), 3);
+    }
+
+    #[test]
+    fn a_value_of_u64_max_reads_wraps_and_splits_like_any_other() {
+        // `u64::MAX` is also the claimed value word: lock-free ops find
+        // it refused and go to the writer, which knows it is a value.
+        let keys = [0, 1, 2, u64::MAX - 1, u64::MAX];
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        let check = |store: &ShardedStore| {
+            for k in keys {
+                assert_eq!(store.put(k, u64::MAX), Some(0), "key {k}");
+                assert_eq!(store.get(k), Some(u64::MAX), "key {k}");
+                assert_eq!(store.increment(k, 1), 0, "key {k}");
+                assert_eq!(store.get(k), Some(0), "key {k}");
+            }
+        };
+        for k in keys {
+            assert_eq!(store.put(k, u64::MAX), None);
+            assert_eq!(store.put(k, 5), Some(u64::MAX));
+            assert_eq!(store.increment(k, u64::MAX - 5), u64::MAX);
+            assert_eq!(store.read(k, |v| v), Some(u64::MAX));
+            assert_eq!(store.increment(k, 1), 0);
+        }
+        check(&store);
+        assert_eq!(store.put(keys[0], u64::MAX), Some(0));
+        while store.maintenance() > 0 {}
+        assert!(store.splits() > 0);
+        assert_eq!(store.get(keys[0]), Some(u64::MAX), "a split lost a value of u64::MAX");
+        assert_eq!(store.increment(keys[0], 1), 0);
+        check(&store);
+        assert_eq!(store.len(), keys.len());
+    }
+
+    #[test]
+    fn a_pair_claimed_by_an_update_sends_increments_and_gets_to_its_lock() {
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        store.put(3, 10);
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let store = &store;
+            let holder = scope.spawn(move || {
+                store.update(3, move |v| {
+                    entered_tx.send(()).expect("the test is waiting");
+                    release_rx.recv().expect("the test releases the update");
+                    v.expect("put above") + 5
+                })
+            });
+            entered_rx.recv().expect("the update runs");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let incr_tx = tx.clone();
+            scope.spawn(move || incr_tx.send(("increment", store.increment(3, 1))));
+            scope.spawn(move || tx.send(("get", store.get(3).expect("put above"))));
+            // Both find the value word claimed and wait for the lock.
+            let early = rx.recv_timeout(std::time::Duration::from_millis(50));
+            assert!(early.is_err(), "an op read or changed a claimed pair: {early:?}");
+            release_tx.send(()).expect("the update is waiting");
+            assert_eq!(holder.join().expect("the update does not panic"), 15);
+            let mut answers: Vec<_> = rx.iter().take(2).collect();
+            answers.sort_unstable();
+            // The get ran before or after the increment, never before the update.
+            assert!(
+                answers == [("get", 15), ("increment", 16)]
+                    || answers == [("get", 16), ("increment", 16)],
+                "{answers:?}"
+            );
+        });
+        assert_eq!(store.get(3), Some(16));
+    }
+
+    #[test]
+    fn an_update_closure_that_panics_leaves_the_old_value_in_place() {
+        let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
+        store.put(3, 7);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.update(3, |_| panic!("an update closure unwinds"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(store.get(3), Some(7));
+        assert_eq!(store.increment(3, 1), 8, "the pair was left claimed");
+        assert_eq!(store.update(3, |v| v.map_or(0, |v| v * 2)), 16);
     }
 
     #[test]

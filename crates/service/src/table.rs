@@ -1,5 +1,6 @@
 //! A shard's pairs: an open-addressing table of atomic cells that a
-//! reader walks with loads only.
+//! reader walks with loads only and that changes the value of a
+//! present key with one CAS.
 //!
 //! The store never deletes and a value is one word, and the whole
 //! protocol rests on those two facts:
@@ -12,21 +13,34 @@
 //!   against a writer. Probe chains only ever get longer, so a key that
 //!   is in the table sits before the first empty cell of its chain for
 //!   good.
-//! * **A bigger table is published, the smaller one left alone.** Cell
+//! * **A value word is a value or [`CLAIMED`].** Anyone may CAS a value
+//!   into another value ([`Table::add`]); nobody but the holder of the
+//!   [`Writer`] turns one into `CLAIMED`, and a CAS that finds `CLAIMED`
+//!   is refused and goes to the writer. The writer claims a word for as
+//!   long as it must be the only one to change it: for good when growth
+//!   or a split copies the pair out ([`Table::freeze_each`]), so every
+//!   racing CAS either landed before the copy and is in it or is
+//!   refused; and for the length of the closure in [`Table::upsert`],
+//!   which stores the result (or, if the closure unwinds, the old value)
+//!   back. A real value of `u64::MAX` reads as `CLAIMED` too. Only the
+//!   writer can tell the two apart — under the writer no claim is
+//!   outstanding on the array in use, so what it loads is a value — and
+//!   a `CLAIMED` found without it always means "ask the writer".
+//! * **A bigger table is published, the smaller one frozen.** Cell
 //!   arrays live in `levels`, each twice the one before, and `level`
-//!   names the one in use. Growth copies every pair into the next
-//!   array, `set`s it and only then stores `level` with `Release`; a
-//!   reader that `Acquire`-loads a level can see its array filled. The
-//!   smaller array is never written again, so a reader still walking it
-//!   finds what was current when growth began — a moment inside its own
-//!   operation, because it picked the level before growth published.
-//!   Arrays stay until the table drops: together under twice the cells
-//!   of the one in use.
+//!   names the one in use. Growth claims every pair of the array in use
+//!   for good, copies it into the next array, `set`s that and only then
+//!   stores `level` with `Release`; a reader that `Acquire`-loads a
+//!   level can see its array filled. The smaller array is never written
+//!   again, so a reader still walking it finds a key where it was and
+//!   `CLAIMED` for its value. Arrays stay until the table drops:
+//!   together under twice the cells of the one in use.
 //!
-//! Writing is the right of whoever holds the table's one [`Writer`],
-//! which the store keeps inside the shard's lock: every mutating method
-//! takes it by reference, so "under the shard lock" is checked by the
-//! compiler rather than remembered.
+//! Inserting, growing, claiming and walking every pair are the right of
+//! whoever holds the table's one [`Writer`], which the store keeps
+//! inside the shard's lock: each of those methods takes it by
+//! reference, so "under the shard lock" is checked by the compiler
+//! rather than remembered.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -36,6 +50,9 @@ use crate::router::scramble;
 /// Key word of a cell that holds no pair. The one key with this value
 /// is kept in [`Table::side`] instead.
 const EMPTY: u64 = u64::MAX;
+/// Value word of a pair the writer has claimed — or of a pair whose
+/// value is `u64::MAX`, which only the writer can tell apart.
+pub(crate) const CLAIMED: u64 = u64::MAX;
 /// Key word of the side cell once it holds the pair of key [`EMPTY`].
 const SIDE_TAKEN: u64 = 0;
 /// Cells at level 0; level `l` has `FIRST_CELLS << l`.
@@ -104,21 +121,54 @@ fn probe(cells: &[Cell], key: u64) -> (&Cell, bool) {
     }
 }
 
-/// The pairs of an array that nobody is writing: an unshared one, or
-/// the one in use while the caller holds the writer.
-fn each_pair(cells: &[Cell], mut f: impl FnMut(u64, u64)) {
+/// The pairs of the array in use, which only the caller, holding the
+/// writer, can add to. `take` reads a value word: a load, or a claim
+/// that freezes it.
+fn each_pair(cells: &[Cell], take: impl Fn(&AtomicU64) -> u64, mut f: impl FnMut(u64, u64)) {
     for cell in cells {
         let key = cell.key.load(Ordering::Relaxed);
         if key != EMPTY {
-            f(key, cell.value.load(Ordering::Relaxed));
+            f(key, take(&cell.value));
         }
     }
+}
+
+fn load(value: &AtomicU64) -> u64 {
+    value.load(Ordering::Relaxed)
+}
+
+/// Claim a value word and return what it held, a real value: claims
+/// are the writer's, and the caller is it. `Relaxed`: the swap
+/// and a racing CAS are read-modify-writes of one word, so one of them
+/// sees the other whatever the ordering, and the word publishes nothing.
+fn freeze(value: &AtomicU64) -> u64 {
+    value.swap(CLAIMED, Ordering::Relaxed)
 }
 
 /// Turn an empty cell into a pair: the value first, then the key.
 fn fill(cell: &Cell, key_word: u64, value: u64) {
     cell.value.store(value, Ordering::Relaxed);
     cell.key.store(key_word, Ordering::Release);
+}
+
+/// A value word the writer has claimed for one closure. Dropping it
+/// stores `value` back: the old value unless the closure returned a new
+/// one, so a closure that unwinds leaves the pair as it found it.
+struct Claim<'a> {
+    word: &'a AtomicU64,
+    value: u64,
+}
+
+impl<'a> Claim<'a> {
+    fn new(word: &'a AtomicU64) -> Claim<'a> {
+        Claim { word, value: freeze(word) }
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.word.store(self.value, Ordering::Relaxed);
+    }
 }
 
 impl Table {
@@ -148,21 +198,44 @@ impl Table {
             .expect("an array is set before the level that names it is stored")
     }
 
-    /// Read a key. Loads only, and never waits for a writer.
+    /// The cell that holds `key`, if one does. Loads only.
     #[inline]
-    pub(crate) fn get(&self, key: u64) -> Option<u64> {
+    fn find(&self, key: u64) -> Option<&Cell> {
         let (cell, found) = if key == EMPTY {
             (&self.side, self.side.key.load(Ordering::Acquire) == SIDE_TAKEN)
         } else {
             probe(self.cells(Ordering::Acquire), key)
         };
+        found.then_some(cell)
+    }
+
+    /// Read a key. Loads only, and never waits for a writer. A value of
+    /// [`CLAIMED`] may be a claim or a real `u64::MAX`; read under the
+    /// writer, it is the value.
+    #[inline]
+    pub(crate) fn get(&self, key: u64) -> Option<u64> {
         // `Acquire` so that what the caller loads next — the shard's
         // `retired` flag — is read after the value, not before.
-        found.then(|| cell.value.load(Ordering::Acquire))
+        self.find(key).map(|cell| cell.value.load(Ordering::Acquire))
+    }
+
+    /// Add `by` (wrapping) to a present key's value with a CAS loop,
+    /// without the writer; returns the new value. `None` if the key is
+    /// absent or its value word reads [`CLAIMED`]: either way only the
+    /// writer can go on.
+    #[inline]
+    pub(crate) fn add(&self, key: u64, by: u64) -> Option<u64> {
+        // The value word is the datum and publishes nothing else.
+        let word = &self.find(key)?.value;
+        let old = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            (v != CLAIMED).then(|| v.wrapping_add(by))
+        });
+        old.ok().map(|old| old.wrapping_add(by))
     }
 
     /// Map `key`'s value (or `None`) through `f` and store the result;
-    /// returns the value before and the value after.
+    /// returns the value before and the value after. The pair is
+    /// claimed while `f` runs; if `f` unwinds it keeps its old value.
     pub(crate) fn upsert(
         &self,
         writer: &mut Writer,
@@ -180,11 +253,10 @@ impl Table {
             (cell, found, key)
         };
         if found {
-            // The value word is the datum and publishes nothing else.
-            let old = cell.value.load(Ordering::Relaxed);
-            let new = f(Some(old));
-            cell.value.store(new, Ordering::Relaxed);
-            return (Some(old), new);
+            let mut claim = Claim::new(&cell.value);
+            let old = claim.value;
+            claim.value = f(Some(old));
+            return (Some(old), claim.value);
         }
         let new = f(None);
         fill(cell, key_word, new);
@@ -193,26 +265,40 @@ impl Table {
         (None, new)
     }
 
-    /// Copy every pair of `from`, the array in use, into one twice its
-    /// size and publish that. The caller holds the writer, so nothing
-    /// changes between the copy and the publication.
+    /// Freeze every pair of `from`, the array in use, copy it into an
+    /// array twice its size and publish that. The caller holds the
+    /// writer, so no pair appears between the copy and the publication,
+    /// and a CAS that races the copy is refused unless its pair is not
+    /// copied yet.
     #[cold]
     fn grow(&self, from: &[Cell]) -> &[Cell] {
         let level = self.level.load(Ordering::Relaxed) + 1;
         assert!((level as usize) < LEVELS, "a table of more than 2^35 cells");
         let bigger = allocate(from.len() * 2);
-        each_pair(from, |key, value| fill(probe(&bigger, key).0, key, value));
+        each_pair(from, freeze, |key, value| fill(probe(&bigger, key).0, key, value));
         assert!(self.levels[level as usize].set(bigger).is_ok(), "one array per level");
         self.level.store(level, Ordering::Release);
         self.cells(Ordering::Relaxed)
     }
 
-    /// Visit every pair. Holding the writer means no pair changes
-    /// underneath.
-    pub(crate) fn for_each(&self, _writer: &Writer, mut f: impl FnMut(u64, u64)) {
-        each_pair(self.cells(Ordering::Relaxed), &mut f);
+    /// Visit every pair. Holding the writer means no pair appears or
+    /// moves underneath; a value may still change by CAS during the
+    /// walk, and `f` sees it once, as it was when it was read.
+    pub(crate) fn for_each(&self, _writer: &Writer, f: impl FnMut(u64, u64)) {
+        self.visit(load, f);
+    }
+
+    /// Claim every pair for good and visit it: the table is frozen from
+    /// here on. A CAS that raced the walk either landed before its pair
+    /// was claimed, and `f` sees it, or was refused.
+    pub(crate) fn freeze_each(&self, _writer: &mut Writer, f: impl FnMut(u64, u64)) {
+        self.visit(freeze, f);
+    }
+
+    fn visit(&self, take: impl Fn(&AtomicU64) -> u64, mut f: impl FnMut(u64, u64)) {
+        each_pair(self.cells(Ordering::Relaxed), &take, &mut f);
         if self.side.key.load(Ordering::Relaxed) == SIDE_TAKEN {
-            f(EMPTY, self.side.value.load(Ordering::Relaxed));
+            f(EMPTY, take(&self.side.value));
         }
     }
 
@@ -304,6 +390,90 @@ mod tests {
             assert_eq!(table.level.load(Ordering::Relaxed), level, "{keys} keys grew the table");
             // ... and was not made a level too big either.
             assert!(level == 0 || !has_room(FIRST_CELLS << (level - 1), keys));
+        }
+    }
+
+    #[test]
+    fn growth_freezes_the_smaller_array_and_every_pair_lives_on_in_the_bigger_one() {
+        let (table, mut writer) = Table::with_room(0);
+        let keys: Vec<u64> = (1..=(FIRST_CELLS / 8 * 7) as u64).collect();
+        for &k in &keys {
+            table.upsert(&mut writer, k, |_| k);
+        }
+        assert_eq!(table.level.load(Ordering::Relaxed), 0);
+        assert_eq!(table.add(1, 10), Some(11), "a live array takes adds without the writer");
+        // The next key grows the table.
+        table.upsert(&mut writer, 100, |_| 100);
+        assert_eq!(table.level.load(Ordering::Relaxed), 1);
+        // An op that loaded the level before growth published it walks
+        // the smaller array: every value there is claimed, so its add
+        // is refused and its get asks the writer.
+        table.level.store(0, Ordering::Relaxed);
+        for &k in &keys {
+            assert_eq!(table.add(k, 1), None, "key {k}");
+            assert_eq!(table.get(k), Some(CLAIMED));
+        }
+        table.level.store(1, Ordering::Relaxed);
+        for &k in &keys {
+            let v = if k == 1 { 11 } else { k };
+            assert_eq!(table.get(k), Some(v), "key {k} lost by growth");
+            assert_eq!(table.add(k, 1), Some(v + 1));
+        }
+    }
+
+    #[test]
+    fn a_table_frozen_for_a_split_refuses_every_add_and_hands_over_every_pair() {
+        let (table, mut writer) = Table::with_room(0);
+        let keys: Vec<u64> = EDGE_KEYS.into_iter().chain(1..=100).collect();
+        for &k in &keys {
+            table.upsert(&mut writer, k, |_| k / 2);
+        }
+        let mut handed = BTreeMap::new();
+        table.freeze_each(&mut writer, |k, v| assert!(handed.insert(k, v).is_none()));
+        assert_eq!(handed, keys.iter().map(|&k| (k, k / 2)).collect());
+        for &k in &keys {
+            assert_eq!(table.add(k, 1), None, "key {k}");
+            assert_eq!(table.get(k), Some(CLAIMED));
+        }
+        // A split child built from what was handed over takes adds again.
+        let (child, mut child_writer) = Table::with_room(handed.len());
+        for (&k, &v) in &handed {
+            child.upsert(&mut child_writer, k, |_| v);
+        }
+        assert!(keys.iter().all(|&k| child.add(k, 1) == Some(k / 2 + 1)));
+    }
+
+    #[test]
+    fn a_claimed_cell_sends_adds_and_gets_to_the_writer_until_its_closure_ends() {
+        let (table, mut writer) = Table::with_room(0);
+        for k in EDGE_KEYS {
+            table.upsert(&mut writer, k, |_| 5);
+        }
+        for k in EDGE_KEYS {
+            let written = table.upsert(&mut writer, k, |v| {
+                let refused = (table.add(k, 1), table.get(k));
+                assert_eq!(refused, (None, Some(CLAIMED)), "key {k} inside upsert");
+                v.map_or(0, |v| v + 1)
+            });
+            assert_eq!(written, (Some(5), 6));
+            assert_eq!(table.add(k, 1), Some(7));
+        }
+    }
+
+    #[test]
+    fn a_closure_that_unwinds_leaves_its_claimed_value_in_place() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (table, mut writer) = Table::with_room(0);
+        for k in EDGE_KEYS {
+            table.upsert(&mut writer, k, |_| k / 2);
+        }
+        for k in EDGE_KEYS {
+            let upsert = catch_unwind(AssertUnwindSafe(|| {
+                table.upsert(&mut writer, k, |_| panic!("an upsert closure unwinds"))
+            }));
+            assert!(upsert.is_err());
+            assert_eq!(table.get(k), Some(k / 2));
+            assert_eq!(table.add(k, 1), Some(k / 2 + 1), "key {k} was left claimed");
         }
     }
 }
