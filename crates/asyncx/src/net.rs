@@ -2,7 +2,11 @@
 //!
 //! Serves [`ShardedStore`] over real TCP using the control plane's
 //! line-oriented protocol (one command per line; `ok`/`err <diag>`,
-//! dot-stuffed body, `.` terminator — see `adaptive_control::socket`).
+//! dot-stuffed body, `.` terminator). The frame format is written and
+//! read only by `adaptive_control::socket`'s codec: the server renders
+//! each reply with `render_response` and writes it in one go, and
+//! [`BlockingLineClient`] sends each request with `write_request` (one
+//! `write`, so one loopback segment) and reads with `read_response`.
 //! Connections are **tasks**, not threads: the listener and every
 //! connection run on an asyncx [`Runtime`], so a thousand idle
 //! connections cost a thousand parked tasks, and the store's shard
@@ -28,8 +32,9 @@
 //! | `ctl <command...>` | forwarded to the control plane         |
 //! | `quit`             | closes the connection                  |
 //!
-//! A line that reaches 64 KiB without its terminator is answered
-//! `err line too long` and the connection is closed.
+//! A line that reaches `MAX_LINE` (64 KiB, shared with the Unix-socket
+//! transport) without its terminator is answered `err line too long`
+//! and the connection is closed.
 //!
 //! `ctl` is the piece that makes the mid-run retune scenario real: an
 //! operator (or the bench driver) connects over the same TCP port the
@@ -43,6 +48,7 @@ use std::sync::Arc;
 use std::task::Poll;
 use std::time::{Duration, Instant};
 
+use adaptive_control::socket::{self, MAX_LINE};
 use adaptive_control::{BreakerHub, ControlPlane};
 use adaptive_service::ShardedStore;
 
@@ -257,13 +263,6 @@ async fn ready<S: std::os::fd::AsRawFd, T>(
     .await
 }
 
-/// Longest command line accepted, terminator included. The longest
-/// well-formed command (`put` with two 20-digit numbers) is under 50
-/// bytes and `ctl` lines are short operator commands, so 64 KiB is a
-/// bound on what a connection may make the server buffer, not a limit
-/// any real client meets.
-const MAX_LINE: usize = 64 * 1024;
-
 /// A nonblocking stream plus its carry buffer of unconsumed bytes.
 struct Conn {
     stream: Io<TcpStream>,
@@ -324,33 +323,10 @@ impl Conn {
     }
 }
 
-/// Render a response in the socket protocol's frame.
-fn render_frame(response: &Result<String, String>) -> String {
-    let mut out = String::new();
-    match response {
-        Ok(body) => {
-            out.push_str("ok\n");
-            for line in body.lines() {
-                if line.starts_with('.') {
-                    out.push('.');
-                }
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        Err(e) => {
-            out.push_str("err ");
-            out.push_str(e);
-            out.push('\n');
-        }
-    }
-    out.push_str(".\n");
-    out
-}
-
 async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
     let mut conn = Conn::new(stream)?;
     loop {
+        let mut counted = None;
         let (response, close) = match conn.read_line(&shared.stop).await {
             Ok(Some(line)) => {
                 let line = line.trim();
@@ -360,7 +336,7 @@ async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::
                 if line.is_empty() {
                     continue;
                 }
-                (execute(line, shared).await, false)
+                (execute(line, shared, &mut counted).await, false)
             }
             Ok(None) => return Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
@@ -371,11 +347,12 @@ async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::
         {
             let mut s = shared.stats.lock().await;
             s.ops += 1;
-            if response.is_err() {
-                s.errors += 1;
+            s.errors += u64::from(response.is_err());
+            if let Some(counter) = counted {
+                *counter(&mut s) += 1;
             }
         }
-        let frame = render_frame(&response);
+        let frame = socket::render_response(&response);
         conn.write_all(frame.as_bytes(), &shared.stop).await?;
         if close {
             return Ok(());
@@ -383,7 +360,18 @@ async fn serve_connection(stream: TcpStream, shared: &ServerShared) -> std::io::
     }
 }
 
-async fn execute(line: &str, shared: &ServerShared) -> Result<String, String> {
+/// The per-command [`ServerStats`] counter a request bumps, beside
+/// `ops` and `errors`.
+type Counter = fn(&mut ServerStats) -> &mut u64;
+
+/// Run one command. The counter it bumps, if any, goes in `counted`:
+/// the caller bumps it with `ops` and `errors`, under one acquisition
+/// of the stats lock.
+async fn execute(
+    line: &str,
+    shared: &ServerShared,
+    counted: &mut Option<Counter>,
+) -> Result<String, String> {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().unwrap_or_default();
     let parse = |s: Option<&str>, what: &str| -> Result<u64, String> {
@@ -394,7 +382,7 @@ async fn execute(line: &str, shared: &ServerShared) -> Result<String, String> {
     match cmd {
         "get" => {
             let key = parse(parts.next(), "key")?;
-            shared.stats.lock().await.gets += 1;
+            *counted = Some(|s| &mut s.gets);
             Ok(match shared.store.get(key) {
                 Some(v) => v.to_string(),
                 None => "none".into(),
@@ -403,7 +391,7 @@ async fn execute(line: &str, shared: &ServerShared) -> Result<String, String> {
         "put" => {
             let key = parse(parts.next(), "key")?;
             let val = parse(parts.next(), "value")?;
-            shared.stats.lock().await.puts += 1;
+            *counted = Some(|s| &mut s.puts);
             Ok(match shared.store.put(key, val) {
                 Some(prev) => prev.to_string(),
                 None => "none".into(),
@@ -412,7 +400,7 @@ async fn execute(line: &str, shared: &ServerShared) -> Result<String, String> {
         "incr" => {
             let key = parse(parts.next(), "key")?;
             let by = parse(parts.next(), "by")?;
-            shared.stats.lock().await.incrs += 1;
+            *counted = Some(|s| &mut s.incrs);
             Ok(shared.store.increment(key, by).to_string())
         }
         "total" => Ok(shared.store.total().to_string()),
@@ -426,7 +414,7 @@ async fn execute(line: &str, shared: &ServerShared) -> Result<String, String> {
             ))
         }
         "ctl" => {
-            shared.stats.lock().await.ctls += 1;
+            *counted = Some(|s| &mut s.ctls);
             let rest = line["ctl".len()..].trim();
             if rest.is_empty() {
                 return Err("missing control command".into());
@@ -463,49 +451,8 @@ impl BlockingLineClient {
     /// Send one command and read the framed response: `Ok(Ok(body))`,
     /// `Ok(Err(diagnostic))`, or a transport error.
     pub fn send(&mut self, line: &str) -> std::io::Result<Result<String, String>> {
-        use std::io::BufRead;
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        let mut status = String::new();
-        if self.reader.read_line(&mut status)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        let status = status.trim_end().to_string();
-        if let Some(e) = status.strip_prefix("err ") {
-            // Error frames still end with the `.` terminator.
-            self.read_body()?;
-            return Ok(Err(e.to_string()));
-        }
-        if status != "ok" {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("bad status line {status:?}"),
-            ));
-        }
-        Ok(Ok(self.read_body()?))
-    }
-
-    fn read_body(&mut self) -> std::io::Result<String> {
-        use std::io::BufRead;
-        let mut body = Vec::new();
-        loop {
-            let mut l = String::new();
-            if self.reader.read_line(&mut l)? == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "truncated response frame",
-                ));
-            }
-            let l = l.trim_end_matches('\n');
-            if l == "." {
-                break;
-            }
-            body.push(l.strip_prefix('.').unwrap_or(l).to_string());
-        }
-        Ok(body.join("\n"))
+        socket::write_request(&mut self.writer, line)?;
+        socket::read_response(&mut self.reader)
     }
 }
 
