@@ -36,10 +36,10 @@
 //! transport) without its terminator is answered `err line too long`
 //! and the connection is closed.
 //!
-//! `ctl` is the piece that makes the mid-run retune scenario real: an
-//! operator (or the bench driver) connects over the same TCP port the
-//! data path uses and quarantines, heals, or retunes a live shard lock
-//! while gets and puts keep flowing.
+//! `ctl` is the piece that makes a mid-run retune real: an operator
+//! connects over the same TCP port the data path uses and quarantines,
+//! heals, or retunes a live shard lock while gets and puts keep flowing
+//! (`a_mid_run_retune_over_tcp_loses_no_increment`, below).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -428,8 +428,8 @@ async fn execute(
     }
 }
 
-/// A minimal blocking client for the TCP store protocol — the bench
-/// driver's and tests' counterpart to `adaptive_control::SocketClient`,
+/// A minimal blocking client for the TCP store protocol — the stack
+/// benchmark's and tests' counterpart to `adaptive_control::SocketClient`,
 /// over TCP instead of a Unix socket.
 pub struct BlockingLineClient {
     reader: std::io::BufReader<TcpStream>,
@@ -545,6 +545,69 @@ mod tests {
         let err = c.send("ctl retune shard-0 spin soon").unwrap();
         assert!(err.is_err(), "plane diagnostics must travel back as err frames");
         assert!(server.shutdown(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn a_mid_run_retune_over_tcp_loses_no_increment() {
+        // An operator connection retunes a live shard through `ctl`
+        // while four clients are halfway through their increments; the
+        // retune must not cost a single one.
+        let store = test_store();
+        let hub = Arc::new(BreakerHub::default());
+        store.register_with_hub(Arc::clone(&hub));
+        let server = serve_store(
+            Arc::clone(&store),
+            StoreServerConfig {
+                plane: Some(ControlPlane::new(Arc::clone(&hub))),
+                hub: Some(Arc::clone(&hub)),
+                ..StoreServerConfig::default()
+            },
+        )
+        .expect("bind");
+        let addr = server.addr();
+        let (clients, per_client) = (4u64, 400u64);
+        let sent = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let threads: Vec<_> = (0..clients)
+            .map(|id| {
+                let sent = Arc::clone(&sent);
+                std::thread::spawn(move || {
+                    let mut c = BlockingLineClient::connect(addr).expect("connect");
+                    let mut errors = Vec::new();
+                    for i in 0..per_client {
+                        let key = (id << 32) | ((i * 31) % 512);
+                        match c.send(&format!("incr {key} 1")) {
+                            Ok(Ok(_)) => {}
+                            other => errors.push(format!("{other:?}")),
+                        }
+                        sent.fetch_add(1, Ordering::Relaxed);
+                    }
+                    c.send("quit").ok();
+                    errors
+                })
+            })
+            .collect();
+
+        let mut operator = BlockingLineClient::connect(addr).expect("connect operator");
+        while sent.load(Ordering::Relaxed) < clients * per_client / 2 {
+            std::thread::yield_now();
+        }
+        for cmd in [
+            "ctl targets",
+            "ctl retune shard-0 spin 0",
+            "ctl retune shard-0 delay 16",
+            "ctl health shard-0",
+        ] {
+            let reply = operator.send(cmd).expect("operator transport");
+            assert!(reply.is_ok(), "`{cmd}` answered {reply:?}");
+        }
+        for t in threads {
+            let errors = t.join().expect("client thread");
+            assert!(errors.is_empty(), "client errors: {errors:?}");
+        }
+        let total = operator.send("total").expect("operator transport");
+        assert_eq!(total, Ok((clients * per_client).to_string()), "lost increments");
+        operator.send("quit").ok();
+        assert!(server.shutdown(Duration::from_secs(5)), "connections did not drain");
     }
 
     #[test]

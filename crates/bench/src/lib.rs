@@ -83,30 +83,6 @@ pub fn scale() -> Scale {
     }
 }
 
-/// Busy-wait (sleeping through long gaps) until `sched_nanos` past
-/// `epoch` — the open-loop pacing helper shared by the scenario
-/// runners. Returns immediately if the moment already passed (the
-/// open-loop contract: late is late, never rescheduled).
-pub fn wait_until_nanos(epoch: std::time::Instant, sched_nanos: u64) {
-    loop {
-        let now = u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if now >= sched_nanos {
-            return;
-        }
-        let gap = sched_nanos - now;
-        if gap > 1_000_000 {
-            std::thread::sleep(std::time::Duration::from_nanos(gap / 2));
-        } else {
-            // Yield, don't spin: scenario clients typically outnumber
-            // host cores, and a spinning waiter would hold the core
-            // for its whole quantum while the threads doing real work
-            // queue behind it — the measured latency would then be the
-            // scheduler's time-slice, not the system under test.
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// One row of a paper-vs-measured comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct Row {

@@ -25,8 +25,9 @@
 //!   exports the lifecycle as Chrome-trace counter tracks.
 //!
 //! The chaos soak harness exercising all of this under seeded fault
-//! storms lives in `workloads::soak`; `tests/control_soak.rs` and the
-//! `bench` `soak` binary drive it.
+//! storms lives in `workloads::soak`; `tests/control_soak.rs` drives
+//! it, and `tests/operator_playbook.rs` drives an operator against a
+//! live store.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]

@@ -26,7 +26,7 @@ mod trace;
 pub use central::{spawn_pipeline, CentralReport, ForwardingMonitor, SummaryBatch};
 pub use chrome::ChromeTrace;
 pub use local::{spawn_local_monitor, MonitorReport, Probe, ProbePort, SensorSummary};
-pub use snapshot::{SnapshotSink, TextSnapshot};
+pub use snapshot::TextSnapshot;
 pub use timeseries::{to_long_csv, Series};
 pub use trace::{TraceBuffer, TraceEvent};
 

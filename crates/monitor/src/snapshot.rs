@@ -3,15 +3,9 @@
 //! The Chrome-trace exporter answers "what happened over time"; this
 //! module answers "what is true right now" in the de-facto standard
 //! scrape format: one `name{label="value"} number` line per metric.
-//! [`TextSnapshot`] is the builder (fed from [`Series`] tails, lock
-//! stats, or arbitrary gauges) and [`SnapshotSink`] is the periodic
-//! collector — a background thread that re-renders on an interval and
-//! keeps the latest text available to whatever serves it (the control
-//! plane's `snapshot` command, a file writer, a debug endpoint).
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+//! [`TextSnapshot`] is the builder, fed from [`Series`] tails, lock
+//! stats, or arbitrary gauges; the control plane's `snapshot` command
+//! serves what it renders.
 
 use crate::timeseries::Series;
 
@@ -95,81 +89,9 @@ impl TextSnapshot {
     }
 }
 
-/// A periodic snapshot collector: re-runs `collect` every `interval`
-/// on a background thread and retains the latest rendered text.
-pub struct SnapshotSink {
-    latest: Arc<Mutex<String>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl SnapshotSink {
-    /// Spawn the collector. The first collection happens immediately,
-    /// so [`SnapshotSink::latest`] is never empty after construction.
-    pub fn spawn(
-        interval: Duration,
-        collect: impl Fn() -> TextSnapshot + Send + 'static,
-    ) -> SnapshotSink {
-        let latest = Arc::new(Mutex::new(collect().render()));
-        let latest2 = Arc::clone(&latest);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Acquire) {
-                std::thread::park_timeout(interval);
-                if stop2.load(Ordering::Acquire) {
-                    break;
-                }
-                let text = collect().render();
-                if let Ok(mut l) = latest2.lock() {
-                    *l = text;
-                }
-            }
-        });
-        SnapshotSink {
-            latest,
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// The most recently rendered exposition text.
-    pub fn latest(&self) -> String {
-        match self.latest.lock() {
-            Ok(l) => l.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
-    }
-
-    /// Stop and join the collector.
-    pub fn stop(mut self) {
-        self.signal();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    fn signal(&self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = &self.thread {
-            t.thread().unpark();
-        }
-    }
-}
-
-impl Drop for SnapshotSink {
-    fn drop(&mut self) {
-        self.signal();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn gauges_render_sorted_prometheus_lines() {
@@ -201,23 +123,5 @@ mod tests {
         let before = s.len();
         s.series_last("x", &[], &empty);
         assert_eq!(s.len(), before, "empty series adds nothing");
-    }
-
-    #[test]
-    fn sink_collects_periodically_and_serves_latest() {
-        let n = Arc::new(AtomicU64::new(0));
-        let n2 = Arc::clone(&n);
-        let sink = SnapshotSink::spawn(Duration::from_millis(1), move || {
-            let mut s = TextSnapshot::new();
-            s.gauge("ticks", &[], n2.fetch_add(1, Ordering::Relaxed) as f64);
-            s
-        });
-        assert!(sink.latest().starts_with("ticks "), "collected immediately");
-        // Wait until at least one periodic re-collection happened.
-        while n.load(Ordering::Relaxed) < 3 {
-            std::thread::yield_now();
-        }
-        sink.stop();
-        assert!(n.load(Ordering::Relaxed) >= 3);
     }
 }

@@ -40,8 +40,8 @@
 //! The store integrates with the PR 8 control plane: pass a
 //! [`BreakerHub`](adaptive_control::BreakerHub) and every shard lock is
 //! registered (and retired shards unregistered) by name, so breakers,
-//! the socket command router, and snapshot sinks see shard locks like
-//! any other supervised lock.
+//! the socket command router, and the `snapshot` command see shard
+//! locks like any other supervised lock.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1447,6 +1447,47 @@ mod tests {
     }
 
     #[test]
+    fn sustained_hot_shard_traffic_switches_its_engine() {
+        // Near-total skew: one key absorbs almost everything, so its
+        // shard must go hot (flat-combining write batching) while the
+        // cold shards keep the spin-park default — the observable
+        // per-shard divergence the service exists to demonstrate. The
+        // critical section sits in the policy's design regime (a few
+        // µs): heat is a *rate* signal, and a CS long enough to pin
+        // lock utilization near 100% pushes the sample gap into the
+        // no-man's-land between the hot and calm thresholds where the
+        // engine would ride scheduler noise instead of load.
+        let store = ShardedStore::new(ServiceConfig {
+            initial_depth: 2,
+            max_depth: 2,
+            policy: ServicePolicy::HotShard { high_water: 2, patience: 2 },
+            ..ServiceConfig::default()
+        });
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    for i in 0..4_000u64 {
+                        let key = if i % 32 == t { (t << 32) | (i % 1_000) } else { 0 };
+                        store.update(key, |v| {
+                            for _ in 0..250 {
+                                std::hint::spin_loop();
+                            }
+                            v.unwrap_or(0) + 1
+                        });
+                    }
+                });
+            }
+        });
+        let verdict = divergence(&store.snapshots()).expect("shards exist");
+        assert!(
+            verdict.engines.contains(&"flat-combining".to_string()),
+            "the hot shard never switched to write batching: {verdict:?}"
+        );
+        assert!(verdict.diverged, "hot and cold shards ended identically: {verdict:?}");
+    }
+
+    #[test]
     fn hub_registry_follows_splits() {
         let store = ShardedStore::new(tiny(ServicePolicy::Static(PolicyChoice::FixedSpin(64))));
         let hub = Arc::new(BreakerHub::default());

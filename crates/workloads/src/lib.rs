@@ -21,9 +21,6 @@
 //!   fairness index + per-thread throughput spread per row;
 //! * [`structures`] — real-data-structure workloads (lock-protected
 //!   counter vs lock-free CAS, queue, hashmap) under every policy;
-//! * [`loadgen`] — the open-loop service load generator: Zipf-skewed,
-//!   bursty arrival schedules against the sharded adaptive store, with
-//!   coordinated-omission-safe enter-to-complete tail latencies;
 //! * [`soak`] — the chaos soak: contention under a seeded fault storm
 //!   with live control-plane traffic, graded against conservation,
 //!   breaker-lifecycle, and quiescence oracles.
@@ -38,7 +35,6 @@ pub mod crossover;
 pub mod csweep;
 pub mod cycle;
 pub mod fairness;
-pub mod loadgen;
 pub mod measure;
 pub mod phased;
 pub mod soak;
@@ -49,9 +45,6 @@ pub use backend::{
     run_contention, sim_lock_spec, Backend, ContentionPoint, ContentionSpec, ThreadSample,
 };
 pub use fairness::{jains_index, run_fairness, FairnessPoint, FairnessSpec};
-pub use loadgen::{
-    arrival_schedule, run_service_load, ServiceLoadPoint, ServiceLoadSpec, ZipfSampler,
-};
 pub use structures::{run_structure, StructureKind, StructurePoint, StructureSpec};
 pub use clientserver::{run_all_schedulers, run_client_server, ClientServerConfig, ClientServerResult};
 pub use crossover::{find_crossover, Crossover};

@@ -32,8 +32,7 @@
 //! [`SoakResult`] carries everything the oracles grade — conservation
 //! (counter values vs successful ops), event-chain legality, per-
 //! episode polls-to-quarantine, heal coverage, quiescence — and the
-//! graders live in `tests/control_soak.rs` and the `bench` `soak`
-//! binary.
+//! grader lives in `tests/control_soak.rs`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,7 +45,6 @@ use adaptive_control::{
 use adaptive_native::{
     AdaptiveMutex, FaultHook, FaultPlan, FaultSpec, LockAlgorithm, PolicyChoice,
 };
-use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// Configuration of one soak run. Durations are denominated in
@@ -99,7 +97,7 @@ impl SoakSpec {
 }
 
 /// One scripted stall episode's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct StallEpisode {
     /// The wedged lock.
     pub target: String,
@@ -109,9 +107,8 @@ pub struct StallEpisode {
     pub polls_to_quarantine: Option<u64>,
 }
 
-/// Everything a soak run measured, ready for the oracles (and for
-/// serialization into the bench report).
-#[derive(Debug, Clone, Serialize)]
+/// Everything a soak run measured, ready for the oracles.
+#[derive(Debug, Clone)]
 pub struct SoakResult {
     /// Total supervisor polls taken.
     pub polls: u64,

@@ -1,8 +1,8 @@
-//! The chaos soak, at CI scale: a seeded fault storm (25% of workers
-//! killed, 1-in-64 critical sections panicking, dropped unparks,
-//! stalled monitor samples) over a live lock registry while a command
-//! driver issues randomized control traffic — graded against the hard
-//! oracles from the issue's acceptance bar:
+//! The chaos soak, at CI scale and at full scale over three seeds: a
+//! seeded fault storm (25% of workers killed, 1-in-64 critical sections
+//! panicking, dropped unparks, stalled monitor samples) over a live lock
+//! registry while a command driver issues randomized control traffic —
+//! graded against the hard oracles from the issue's acceptance bar:
 //!
 //! * every scripted stall reaches `Quarantined` within 2 supervisor
 //!   polls of the wedge being established;
@@ -14,7 +14,8 @@
 //!   retunes, and live algorithm switches);
 //! * quiescence: every lock free and waiter-less after join (zero lost
 //!   waiters);
-//! * the driver's well-formed commands never error.
+//! * the driver's well-formed commands never error;
+//! * dwell is reported for all five breaker states.
 
 use adaptive_objects::native::{FaultSpec, PolicyChoice};
 use adaptive_objects::workloads::{run_soak, SoakSpec};
@@ -39,10 +40,23 @@ fn acceptance_spec(seed: u64) -> SoakSpec {
     }
 }
 
-#[test]
-fn chaos_soak_upholds_every_oracle() {
-    let spec = acceptance_spec(0xc1a05);
-    let r = run_soak(&spec);
+/// The long storm: more locks, a storm three times as long, five
+/// stall episodes, and kills after 400 steps. `SoakSpec::quick` keeps
+/// eight workers, so two still die.
+fn full_scale_spec(seed: u64) -> SoakSpec {
+    SoakSpec {
+        locks: 6,
+        storm_polls: 60,
+        calm_polls: 10,
+        poll_millis: 25,
+        stall_episodes: 5,
+        ..SoakSpec::quick(seed)
+    }
+}
+
+/// Run one soak and grade it against every oracle.
+fn assert_every_oracle(spec: &SoakSpec) {
+    let r = run_soak(spec);
 
     // The storm actually stormed: faults flowed and doomed workers died.
     assert!(r.faults_cs_panics > 0, "no CS panics injected: {r:?}");
@@ -64,7 +78,7 @@ fn chaos_soak_upholds_every_oracle() {
     // Oracle: every scripted stall condemned within 2 polls.
     assert_eq!(
         r.episodes.len() + r.episodes_skipped,
-        3,
+        spec.stall_episodes,
         "all scheduled episodes accounted for: {r:?}"
     );
     assert!(!r.episodes.is_empty(), "at least one stall episode ran");
@@ -92,6 +106,23 @@ fn chaos_soak_upholds_every_oracle() {
 
     // The driver only issues well-formed commands; all must succeed.
     assert_eq!(r.commands_err, 0, "control plane rejected a valid command");
+
+    // Dwell is reported for every breaker state.
+    for state in ["closed", "suspect", "quarantined", "half-open", "healed"] {
+        assert!(r.dwell.contains_key(state), "dwell missing state {state}: {:?}", r.dwell);
+    }
+}
+
+#[test]
+fn chaos_soak_upholds_every_oracle() {
+    assert_every_oracle(&acceptance_spec(0xc1a05));
+}
+
+#[test]
+fn full_scale_soak_upholds_every_oracle_at_three_seeds() {
+    for seed in [0xb0a7, 0x5eaf, 0xc0de] {
+        assert_every_oracle(&full_scale_spec(seed));
+    }
 }
 
 #[test]

@@ -1,14 +1,12 @@
 //! Property tests of the sharded adaptive service: counter
 //! conservation and key visibility must survive any interleaving of
-//! concurrent ops with mid-run resharding, and the open-loop load
-//! generator's arrival schedule must be a pure function of its seed.
+//! concurrent ops with mid-run resharding.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adaptive_objects::service::{ServiceConfig, ServicePolicy, ShardedStore};
-use adaptive_objects::workloads::{arrival_schedule, ServiceLoadSpec};
 use proptest::prelude::*;
 
 fn eager_split_config(initial_depth: u32, max_depth: u32) -> ServiceConfig {
@@ -103,44 +101,6 @@ proptest! {
         }
         prop_assert_eq!(readback, u128::from(expected), "point reads disagree with total()");
         prop_assert!(store.shard_count() >= 2, "eager thresholds must actually split");
-    }
-
-    /// The arrival schedule is a pure function of (spec, worker): same
-    /// seed reproduces it element-for-element, a different seed moves
-    /// it, and it is always nondecreasing with every arrival inside an
-    /// on-phase.
-    #[test]
-    fn arrival_schedules_are_seed_deterministic(
-        seed in any::<u64>(),
-        worker in 0usize..8,
-        ops in 1u32..400,
-        rate_kops in 1u64..2_000,
-        on in 100_000u64..5_000_000,
-        off in 0u64..5_000_000,
-    ) {
-        let spec = ServiceLoadSpec {
-            ops_per_worker: ops,
-            rate_per_worker: rate_kops as f64 * 1_000.0,
-            burst_on_nanos: on,
-            burst_off_nanos: off,
-            seed,
-            ..ServiceLoadSpec::default()
-        };
-        let a = arrival_schedule(&spec, worker);
-        prop_assert_eq!(a.len(), ops as usize);
-        prop_assert_eq!(&a, &arrival_schedule(&spec, worker), "same seed must replay exactly");
-        let moved = ServiceLoadSpec { seed: seed ^ 1, ..spec };
-        prop_assert_ne!(&a, &arrival_schedule(&moved, worker));
-        prop_assert!(a.windows(2).all(|w| w[0] <= w[1]), "arrivals must be nondecreasing");
-        if off > 0 {
-            let period = on + off;
-            for &t in &a {
-                prop_assert!(
-                    t % period <= on + 1,
-                    "arrival at {} fell inside an off-phase", t
-                );
-            }
-        }
     }
 }
 
