@@ -535,6 +535,13 @@ impl<T> AsyncAdaptiveMutex<T> {
         }
     }
 
+    /// Acquire/release if the lock is free, re-running the grant path
+    /// and rescuing any waiter whose wake was lost; a busy lock is left
+    /// alone. Returns whether the nudge ran.
+    pub fn nudge(&self) -> bool {
+        self.try_lock().map(drop).is_some()
+    }
+
     /// Consume the mutex and return the protected value.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
@@ -863,28 +870,6 @@ impl AdaptationPolicy<NativeObservation> for AsyncPollAdapt {
 // Control-plane integration: the async mutex is a first-class target.
 // ---------------------------------------------------------------------
 
-impl<T: Send> adaptive_native::HealthProbe for AsyncAdaptiveMutex<T> {
-    fn health(&self) -> LockHealth {
-        AsyncAdaptiveMutex::health(self)
-    }
-
-    fn quarantine(&self) {
-        AsyncAdaptiveMutex::quarantine(self);
-    }
-
-    fn nudge(&self) -> bool {
-        // Acquire/release re-runs the grant path, rescuing any waiter
-        // whose wake was lost; try_lock so a busy lock is left alone.
-        match self.try_lock() {
-            Some(guard) => {
-                drop(guard);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
     fn health(&self) -> LockHealth {
         AsyncAdaptiveMutex::health(self)
@@ -903,7 +888,7 @@ impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
     }
 
     fn nudge(&self) -> bool {
-        adaptive_native::HealthProbe::nudge(self)
+        AsyncAdaptiveMutex::nudge(self)
     }
 
     fn clear_poison(&self) -> bool {

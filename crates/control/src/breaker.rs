@@ -1,8 +1,8 @@
 //! The circuit-breaker lock lifecycle.
 //!
-//! PR 3's watchdog intervenes on a stall with a one-shot `quarantine()`
-//! and forgets; this module replaces that with an explicit per-lock
-//! state machine in the style of a service-mesh circuit breaker:
+//! A one-shot `quarantine()` on a stall would condemn a lock and forget
+//! it; this module gives each lock an explicit state machine in the
+//! style of a service-mesh circuit breaker instead:
 //!
 //! ```text
 //!            stall / repeated poison / policy panics
@@ -82,8 +82,8 @@ impl BreakerState {
         }
     }
 
-    /// Small integer code for counter series (a Chrome-trace counter
-    /// track of the lifecycle over time).
+    /// Small integer code: the value of the `breaker_state` snapshot
+    /// gauge, and the state's index into the breaker's dwell counts.
     pub fn code(self) -> u8 {
         match self {
             BreakerState::Closed => 0,
@@ -354,7 +354,7 @@ impl Breaker {
                     // current level. A stall additionally gets a nudge —
                     // the rescue for lost wakeups — but *not* another
                     // quarantine (that gate is the point of the breaker;
-                    // see the watchdog regression test).
+                    // see `persistent_fault_extends_the_dwell_without_requarantining`).
                     self.open_left = self.open_dwell_polls().max(1);
                     if finding == Finding::Stall {
                         out.actions.push(BreakerAction::Nudge);

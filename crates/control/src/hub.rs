@@ -1,13 +1,13 @@
 //! The breaker hub: a live registry of named locks, each supervised by
 //! a [`Breaker`], polled on an interval.
 //!
-//! The hub is the impure half of the lifecycle: each poll snapshots
-//! every target's [`LockHealth`], reduces the delta against the
-//! previous snapshot to a [`Finding`], steps the pure state machine,
-//! and applies whatever [`BreakerAction`]s it returns. Every edge taken
-//! is appended to a structured [`BreakerEvent`] log (timestamped and
-//! poll-numbered) that the soak harness validates and the Chrome-trace
-//! exporter renders as counter tracks.
+//! The hub is the impure half of the lifecycle and the one supervisor a
+//! lock has: each poll snapshots every target's [`LockHealth`], reduces
+//! the delta against the previous snapshot to a [`Finding`], steps the
+//! pure state machine, and applies whatever [`BreakerAction`]s it
+//! returns. Every edge taken is appended to a structured
+//! [`BreakerEvent`] log (timestamped and poll-numbered) that the soak
+//! harness checks with [`validate_events`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -15,7 +15,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
-use thread_monitor::Series;
 
 use crate::breaker::{Breaker, BreakerAction, BreakerConfig, BreakerState, Finding, Transition};
 use crate::target::ControlTarget;
@@ -283,30 +282,6 @@ impl BreakerHub {
         true
     }
 
-    /// Render the event log as per-target counter series of the state
-    /// code over time ([`BreakerState::code`]), plus one cumulative
-    /// `breaker_transitions` series — ready for
-    /// [`ChromeTrace::add_counter`](thread_monitor::ChromeTrace::add_counter).
-    pub fn state_series(&self) -> Vec<Series> {
-        let inner = self.locked();
-        let mut per: BTreeMap<String, Series> = BTreeMap::new();
-        let mut total = Series::new("breaker_transitions");
-        for (i, ev) in inner.events.iter().enumerate() {
-            per.entry(ev.target.clone())
-                .or_insert_with(|| {
-                    let mut s = Series::new(format!("breaker_state:{}", ev.target));
-                    // Every breaker starts closed.
-                    s.push(0, f64::from(BreakerState::Closed.code()));
-                    s
-                })
-                .push(ev.at_nanos, f64::from(ev.to.code()));
-            total.push(ev.at_nanos, (i + 1) as f64);
-        }
-        let mut out: Vec<Series> = per.into_values().collect();
-        out.push(total);
-        out
-    }
-
     /// Run the hub on a background thread, polling every `interval`,
     /// until the handle is stopped or dropped.
     pub fn spawn(self: &Arc<Self>, interval: Duration) -> HubHandle {
@@ -460,16 +435,69 @@ mod tests {
     }
 
     #[test]
-    fn state_series_tracks_the_event_log() {
-        let hub = BreakerHub::default();
-        let m = Arc::new(AdaptiveMutex::new(()));
-        hub.register("s", m);
-        hub.force_open("s");
-        let series = hub.state_series();
-        assert_eq!(series.len(), 2, "per-target track + transitions counter");
-        let track = &series[0];
-        assert!(track.name.contains("s"));
-        let last = track.points.last().expect("has points").1;
-        assert_eq!(last, f64::from(BreakerState::Quarantined.code()));
+    fn findings_follow_the_frame_rule() {
+        use Finding::{Clear, Stall};
+        let f = |waiting, acquisitions| LockHealth {
+            waiting,
+            acquisitions,
+            ..LockHealth::default()
+        };
+        // Each row: a run of frames, and the finding of each consecutive pair.
+        let table = [
+            (
+                "busy: waiters, acquisitions advancing",
+                vec![f(3, 1), f(3, 2), f(3, 5), f(2, 9)],
+                vec![Clear; 3],
+            ),
+            ("idle: no waiters, no progress", vec![f(0, 7); 5], vec![Clear; 4]),
+            ("wedged: waiters across frozen frames", vec![f(2, 4); 3], vec![Stall; 2]),
+            (
+                "drained, then waiters back",
+                vec![f(2, 4), f(2, 4), f(0, 9), f(3, 9), f(3, 9)],
+                vec![Stall, Clear, Clear, Stall],
+            ),
+        ];
+        for (case, frames, want) in table {
+            let got: Vec<Finding> =
+                frames.windows(2).map(|w| BreakerHub::finding(&w[0], &w[1])).collect();
+            assert_eq!(got, want, "{case}");
+        }
+    }
+
+    #[test]
+    fn the_background_loop_quarantines_a_wedged_lock_and_joins_on_stop_or_drop() {
+        let hub = Arc::new(BreakerHub::default());
+        let m = Arc::new(AdaptiveMutex::new(0u32));
+        hub.register("app.lock", m.clone());
+        let g = m.lock();
+        let m2 = m.clone();
+        let waiter = std::thread::spawn(move || drop(m2.lock()));
+        while m.waiting_now() == 0 {
+            std::thread::yield_now();
+        }
+
+        // No manual poll: the loop alone condemns the lock.
+        let handle = hub.spawn(Duration::from_millis(1));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while hub.states()[0].1 != BreakerState::Quarantined {
+            assert!(Instant::now() < deadline, "the loop never quarantined the lock");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(m.is_quarantined());
+        handle.stop();
+        assert_eq!(Arc::strong_count(&hub), 1, "stop joined the loop's thread");
+        drop(g);
+        waiter.join().expect("waiter completes");
+
+        let polls = hub.polls();
+        let handle = hub.spawn(Duration::from_millis(1));
+        while hub.polls() == polls {
+            std::thread::yield_now();
+        }
+        drop(handle);
+        assert_eq!(Arc::strong_count(&hub), 1, "drop joined the loop's thread");
+        let polls = hub.polls();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(hub.polls(), polls, "no poll after the drop");
     }
 }

@@ -9,11 +9,12 @@
 //!
 //! * **Lifecycle** ([`breaker`], [`hub`]) — every registered lock is
 //!   supervised by a circuit breaker, `Closed → Suspect → Quarantined →
-//!   HalfOpen → Healed`, driven by the watchdog's findings (stalls,
-//!   poisonings, repeated policy panics) with exponential hysteresis on
-//!   re-open. The machine is pure and property-tested; the
-//!   [`BreakerHub`] applies its decisions to the live locks and logs
-//!   every edge as a structured [`BreakerEvent`].
+//!   HalfOpen → Healed`, driven by the findings the hub reads off
+//!   consecutive health frames (stalls, poisonings, repeated policy
+//!   panics) with exponential hysteresis on re-open. The machine is
+//!   pure and property-tested; the [`BreakerHub`] applies its decisions
+//!   to the live locks and logs every edge as a structured
+//!   [`BreakerEvent`].
 //! * **Commands** ([`plane`], [`socket`]) — a line-oriented router
 //!   (`retune`, `set-policy`, `set-algorithm`, `quarantine`, `heal`,
 //!   `health`, `snapshot`, …) over an in-process channel or a local
@@ -21,8 +22,8 @@
 //!   live-reconfiguration paths the adaptation policies use.
 //! * **Telemetry** — [`ControlPlane::snapshot`] renders the whole
 //!   registry as Prometheus-style text (via
-//!   [`thread_monitor::TextSnapshot`]), and [`BreakerHub::state_series`]
-//!   exports the lifecycle as Chrome-trace counter tracks.
+//!   [`thread_monitor::TextSnapshot`]), each breaker's state among its
+//!   gauges, and [`BreakerHub::events`] returns the lifecycle's edge log.
 //!
 //! The chaos soak harness exercising all of this under seeded fault
 //! storms lives in `workloads::soak`; `tests/control_soak.rs` drives

@@ -1,12 +1,13 @@
 //! The control plane's view of a lock.
 //!
-//! [`HealthProbe`](adaptive_native::HealthProbe) is the watchdog's
-//! read-mostly surface; operator commands need more: retuning waiting
-//! attributes, swapping the engine via the quiesce-and-switch protocol,
-//! and explicit heal/clear-poison. [`ControlTarget`] is that richer,
-//! value-type-erased surface, implemented for every
-//! `AdaptiveMutex<T: Send>` so any lock in the program can be
-//! registered by name without the registry caring what it guards.
+//! [`ControlTarget`] is the one surface a supervisor sees: the breaker
+//! hub reads its health frames and quarantines, nudges and heals it;
+//! operator commands also retune its waiting attributes, swap its
+//! engine via the quiesce-and-switch protocol and clear its poison.
+//! It is value-type-erased and implemented for every
+//! `AdaptiveMutex<T: Send>` (and, in `asyncx`, the async mutex), so any
+//! lock in the program can be registered by name without the registry
+//! caring what it guards.
 
 use std::time::Duration;
 
@@ -16,7 +17,7 @@ use adaptive_native::{
 
 /// A named lock the control plane can observe and reconfigure live.
 pub trait ControlTarget: Send + Sync {
-    /// Snapshot liveness health (same data the watchdog polls).
+    /// Snapshot liveness health (the frame the breaker hub polls).
     fn health(&self) -> LockHealth;
 
     /// Snapshot the full striped statistics.
@@ -54,7 +55,7 @@ pub trait ControlTarget: Send + Sync {
 
 impl<T: Send> ControlTarget for AdaptiveMutex<T> {
     fn health(&self) -> LockHealth {
-        adaptive_native::HealthProbe::health(self)
+        AdaptiveMutex::health(self)
     }
 
     fn stats(&self) -> MutexStats {
@@ -70,7 +71,7 @@ impl<T: Send> ControlTarget for AdaptiveMutex<T> {
     }
 
     fn nudge(&self) -> bool {
-        adaptive_native::HealthProbe::nudge(self)
+        AdaptiveMutex::nudge(self)
     }
 
     fn clear_poison(&self) -> bool {

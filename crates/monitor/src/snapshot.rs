@@ -3,11 +3,8 @@
 //! The Chrome-trace exporter answers "what happened over time"; this
 //! module answers "what is true right now" in the de-facto standard
 //! scrape format: one `name{label="value"} number` line per metric.
-//! [`TextSnapshot`] is the builder, fed from [`Series`] tails, lock
-//! stats, or arbitrary gauges; the control plane's `snapshot` command
-//! serves what it renders.
-
-use crate::timeseries::Series;
+//! [`TextSnapshot`] collects lock stats or arbitrary gauges; the
+//! control plane's `snapshot` command serves what it renders.
 
 /// Builder for one point-in-time text exposition.
 #[derive(Debug, Default, Clone)]
@@ -57,15 +54,6 @@ impl TextSnapshot {
         self
     }
 
-    /// Add the most recent value of a series as a gauge (no-op for an
-    /// empty series).
-    pub fn series_last(&mut self, name: &str, labels: &[(&str, &str)], series: &Series) -> &mut Self {
-        if let Some(&(_, v)) = series.points.last() {
-            self.gauge(name, labels, v);
-        }
-        self
-    }
-
     /// Number of samples added.
     pub fn len(&self) -> usize {
         self.lines.len()
@@ -111,17 +99,5 @@ mod tests {
         let mut s = TextSnapshot::new();
         s.gauge("m", &[("path", "a\"b\\c")], 1.0);
         assert_eq!(s.render(), "m{path=\"a\\\"b\\\\c\"} 1\n");
-    }
-
-    #[test]
-    fn series_last_takes_the_tail_sample() {
-        let series = Series::from_points("w", vec![(1, 4.0), (9, 7.0), (5, 6.0)]);
-        let mut s = TextSnapshot::new();
-        s.series_last("lock_waiting", &[("lock", "w")], &series);
-        assert_eq!(s.render(), "lock_waiting{lock=\"w\"} 7\n");
-        let empty = Series::new("none");
-        let before = s.len();
-        s.series_last("x", &[], &empty);
-        assert_eq!(s.len(), before, "empty series adds nothing");
     }
 }

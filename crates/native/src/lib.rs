@@ -51,7 +51,7 @@ mod ticket;
 
 pub use combining::FcLock;
 pub use faults::{FaultHook, FaultKind, FaultPlan, FaultReport, FaultSpec, WorkerKilled};
-pub use health::{HealthProbe, LockHealth, Watchdog, WatchdogEvent, WatchdogHandle};
+pub use health::LockHealth;
 pub use mutex::{
     AdaptiveMutex, AdaptiveMutexGuard, BoxedNativePolicy, MutexStats, Poisoned, SPIN_FOREVER,
 };

@@ -83,7 +83,7 @@ use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled, SAMPLE_P
 
 use crate::combining::{FcLock, OpPtr, SlotOutcome};
 use crate::faults::FaultHook;
-use crate::health::{HealthProbe, LockHealth};
+use crate::health::LockHealth;
 use crate::pad::CachePadded;
 use crate::parker::WaitNode;
 use crate::policy::{
@@ -148,7 +148,7 @@ pub struct MutexStats {
     /// quarantine).
     pub policy_panics: u64,
     /// Times adaptation was quarantined (snapped to pure blocking and
-    /// disabled), by a policy panic or an external watchdog.
+    /// disabled), by a policy panic or a supervisor.
     pub quarantines: u64,
     /// Times adaptation was re-enabled after a quarantine ran down.
     pub heals: u64,
@@ -1116,7 +1116,7 @@ impl<T> AdaptiveMutex<T> {
     /// disable adaptation for an exponentially backed-off number of
     /// sampled observations, after which it is retried automatically.
     /// Called internally when a policy callback panics, and externally
-    /// by a watchdog that has detected a stall.
+    /// by a supervisor (the breaker hub) that has condemned the lock.
     pub fn quarantine(&self) {
         self.feedback.quarantine();
         self.snap_to_safe_endpoint();
@@ -1485,6 +1485,29 @@ impl<T> AdaptiveMutex<T> {
         self.state.word.0.load(Ordering::Relaxed) & PTR_MASK != 0
     }
 
+    /// Liveness frame for a supervisor (monitoring; instantly stale).
+    pub fn health(&self) -> LockHealth {
+        LockHealth {
+            waiting: self.waiting_now(),
+            acquisitions: self.state.acquisitions.load(Ordering::Relaxed),
+            handoffs: self.stats.sum(HANDOFFS),
+            locked: self.is_locked(),
+            queued: self.has_queued_waiters(),
+            poisoned: self.is_poisoned(),
+            quarantined: self.is_quarantined(),
+            policy_panics: self.stats.sum(POLICY_PANICS),
+            sample_period: self.sample_period(),
+        }
+    }
+
+    /// Try to un-wedge the lock without perturbing its users: if it is
+    /// free, acquire and release it, which re-runs the contended release
+    /// path and grants (or prunes) any queued waiter whose wakeup was
+    /// lost. A held lock is left alone. Returns whether the nudge ran.
+    pub fn nudge(&self) -> bool {
+        self.try_lock().map(drop).is_some()
+    }
+
     /// Counter snapshot, aggregated lazily across the counter stripes —
     /// `O(stripes)` relaxed loads per field, paid by the monitor, never
     /// by the acquire/release hot path. Exact once writers are
@@ -1554,39 +1577,6 @@ impl<T> Drop for AdaptiveMutexGuard<'_, T> {
             if self.sampled != 0 {
                 self.mutex.adapt(self.sampled);
             }
-        }
-    }
-}
-
-impl<T: Send> HealthProbe for AdaptiveMutex<T> {
-    fn health(&self) -> LockHealth {
-        LockHealth {
-            waiting: self.waiting_now(),
-            acquisitions: self.state.acquisitions.load(Ordering::Relaxed),
-            handoffs: self.stats.sum(HANDOFFS),
-            locked: self.is_locked(),
-            queued: self.has_queued_waiters(),
-            poisoned: self.is_poisoned(),
-            quarantined: self.is_quarantined(),
-            policy_panics: self.stats.sum(POLICY_PANICS),
-            sample_period: self.sample_period(),
-        }
-    }
-
-    fn quarantine(&self) {
-        AdaptiveMutex::quarantine(self);
-    }
-
-    fn nudge(&self) -> bool {
-        // An acquire/release re-runs the contended release path, which
-        // grants (or prunes) any queued waiter whose wakeup was lost.
-        // Taken with try_lock so a healthy-but-busy lock is left alone.
-        match self.try_lock() {
-            Some(guard) => {
-                drop(guard);
-                true
-            }
-            None => false,
         }
     }
 }
@@ -2013,18 +2003,17 @@ mod tests {
     #[test]
     fn health_probe_snapshots_and_nudges() {
         let m = Arc::new(AdaptiveMutex::new(0u32));
-        let probe: Arc<dyn HealthProbe> = Arc::clone(&m) as _;
-        let h = probe.health();
+        let h = m.health();
         assert!(!h.locked && !h.poisoned && !h.quarantined);
         assert_eq!(h.waiting, 0);
-        assert!(probe.nudge(), "free lock accepts the nudge");
+        assert!(m.nudge(), "free lock accepts the nudge");
         let g = m.lock();
-        let h = probe.health();
+        let h = m.health();
         assert!(h.locked);
-        assert!(!probe.nudge(), "held lock declines the nudge");
+        assert!(!m.nudge(), "held lock declines the nudge");
         drop(g);
-        probe.quarantine();
-        assert!(probe.health().quarantined);
+        m.quarantine();
+        assert!(m.health().quarantined);
         assert_eq!(m.stats().quarantines, 1);
     }
 

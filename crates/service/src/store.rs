@@ -132,14 +132,6 @@ pub enum ServicePolicy {
 }
 
 impl ServicePolicy {
-    /// Row label for reports.
-    pub fn label(&self) -> String {
-        match self {
-            ServicePolicy::Static(p) => p.label(),
-            ServicePolicy::HotShard { .. } => "hot-shard".into(),
-        }
-    }
-
     fn build(&self, writer: Writer) -> AdaptiveMutex<Writer> {
         match *self {
             ServicePolicy::Static(p) => p.build_mutex(writer),

@@ -86,8 +86,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use adaptive_native::{
-    AdaptiveMutex, CachePadded, FaultHook, FaultPlan, HealthProbe, MutexStats,
-    NativeWaitingPolicy, PolicyChoice, Watchdog, WorkerKilled,
+    AdaptiveMutex, CachePadded, FaultHook, FaultPlan, MutexStats, NativeWaitingPolicy,
+    PolicyChoice, WorkerKilled,
 };
 
 use crate::instance::{TspInstance, INF};
@@ -729,20 +729,17 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
     shared.requeue(0, Box::new(SubProblem::root(inst)));
 
     // Under a fault plan, the mutexes themselves consult the plan
-    // (dropped/delayed unparks, stalled monitor samples) and a watchdog
-    // stands guard over stalls.
-    let watchdog = cfg.faults.as_ref().map(|plan| {
-        let mut dog = Watchdog::new();
-        for (i, q) in shared.queues.iter().enumerate() {
-            q.lock.set_fault_hook(Arc::clone(plan) as Arc<dyn FaultHook>);
-            dog.watch(format!("tsp.queue{i}"), Arc::clone(&q.lock) as Arc<dyn HealthProbe>);
+    // (dropped/delayed unparks, stalled monitor samples); the parker's
+    // rescue poll turns a dropped unpark into a bounded delay.
+    if let Some(plan) = &cfg.faults {
+        let hook = || Arc::clone(plan) as Arc<dyn FaultHook>;
+        for q in &shared.queues {
+            q.lock.set_fault_hook(hook());
         }
-        for (i, b) in shared.best.iter().enumerate() {
-            b.lock.set_fault_hook(Arc::clone(plan) as Arc<dyn FaultHook>);
-            dog.watch(format!("tsp.best{i}"), Arc::clone(&b.lock) as Arc<dyn HealthProbe>);
+        for b in &shared.best {
+            b.lock.set_fault_hook(hook());
         }
-        dog.spawn(Duration::from_millis(100))
-    });
+    }
 
     // The caller is searcher 0: the search is under way before the
     // first spawn returns, a helper is placed against a busy CPU rather
@@ -765,7 +762,6 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
         residual_drained = drain_residual(&shared);
     }
     let elapsed = t0.elapsed();
-    drop(watchdog); // stop and join before reading final stats
 
     let per_queue_locks: Vec<MutexStats> =
         shared.queues.iter().map(|q| q.lock.stats()).collect();

@@ -17,7 +17,7 @@
 //!   `clear-poison`, `snapshot`) through [`ControlPlane::execute`],
 //!   concurrently with everything else;
 //! * scripted stall episodes wedge a lock (guard held across polls, a
-//!   real waiter queued) so the watchdog sees a genuinely frozen lock,
+//!   real waiter queued) so the hub sees a genuinely frozen lock,
 //!   and the run measures how many supervisor polls the breaker needs
 //!   to reach `Quarantined`;
 //! * after the storm an operator `heal` sweep starts half-open trials,
@@ -202,7 +202,7 @@ impl Rng {
 }
 
 /// A wedged lock: a holder thread keeps the guard while a dedicated
-/// waiter blocks behind it, so the watchdog's health frames show
+/// waiter blocks behind it, so the hub's health frames show
 /// `waiting > 0` with frozen progress until [`Wedge::release`].
 struct Wedge {
     release: mpsc::Sender<()>,

@@ -1,5 +1,5 @@
 //! Property tests of the circuit-breaker state machine: under *any*
-//! interleaving of watchdog findings and operator overrides, the
+//! interleaving of hub findings and operator overrides, the
 //! lifecycle stays legal (every edge one of the seven allowed, no
 //! `Closed → Quarantined` skip), the half-open trial always resolves,
 //! a quarantine dwell is bounded by the capped backoff, and an
@@ -10,7 +10,7 @@ use adaptive_objects::control::{
 };
 use proptest::prelude::*;
 
-/// One step of the simulated world: a watchdog finding reaching the
+/// One step of the simulated world: a hub finding reaching the
 /// breaker on a poll, or an operator override between polls.
 #[derive(Debug, Clone, Copy)]
 enum Op {
