@@ -1,14 +1,15 @@
 //! The configuration space `C = Γ × Φ` (Section 3.1).
 //!
 //! A configuration pairs a *method-set implementation* `Γ_i` (e.g. which
-//! lock scheduler is installed) with an *attribute instance* `Φ_i` (the
-//! current values of the mutable attributes). Reconfiguration (Ψ) moves
-//! the object between configurations; [`TransitionLog`] records each move
-//! with its cost so experiments can audit the adaptation trajectory.
+//! lock scheduler is installed, named by a [`MethodSetId`]) with an
+//! *attribute instance* `Φ_i` (the current values of the mutable
+//! attributes, an [`AttrSet`](crate::AttrSet)). Reconfiguration (Ψ)
+//! moves the object between configurations; [`TransitionLog`] records
+//! each move, as a pair of descriptors, with its cost so experiments can
+//! audit the adaptation trajectory.
 
 use serde::{Deserialize, Serialize};
 
-use crate::attrs::AttrSet;
 use crate::cost::{OpCost, OpKind};
 
 /// Identifies one element of Γ — a concrete implementation of the
@@ -20,27 +21,6 @@ pub struct MethodSetId(pub &'static str);
 impl std::fmt::Display for MethodSetId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.0)
-    }
-}
-
-/// A point in the configuration space: `⟨Γ_i, Φ_i⟩`.
-#[derive(Debug, Clone, Serialize)]
-pub struct Configuration {
-    /// The installed method-set implementation.
-    pub methods: MethodSetId,
-    /// The attribute instance.
-    pub attrs: AttrSet,
-}
-
-impl Configuration {
-    /// Construct a configuration.
-    pub fn new(methods: MethodSetId, attrs: AttrSet) -> Configuration {
-        Configuration { methods, attrs }
-    }
-
-    /// Compact descriptor for traces: method-set name plus attributes.
-    pub fn descriptor(&self) -> String {
-        format!("{}{}", self.methods, self.attrs)
     }
 }
 
@@ -122,16 +102,6 @@ impl TransitionLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrs::AttrValue;
-
-    #[test]
-    fn configuration_descriptor() {
-        let c = Configuration::new(
-            MethodSetId("fcfs"),
-            AttrSet::new().with("spin-time", AttrValue::Int(10)),
-        );
-        assert_eq!(c.descriptor(), "fcfs{spin-time=10}");
-    }
 
     #[test]
     fn transition_log_accumulates() {

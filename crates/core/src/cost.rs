@@ -3,9 +3,10 @@
 //! Section 3.1 expresses the cost of every state-transition (Υ),
 //! reconfiguration (Ψ), and initialization (I) operation as
 //! `t = n1 R n2 W` — a count of memory reads and writes. [`OpCost`]
-//! carries that pair; [`CostLog`] accumulates per-operation records so
-//! that the cost of a *complex* reconfiguration ("obtained by adding
-//! costs of the individual operations") falls out by summation.
+//! carries that pair and adds, so the cost of a *complex*
+//! reconfiguration ("obtained by adding costs of the individual
+//! operations") falls out by summation, as
+//! [`TransitionLog::total_cost`](crate::TransitionLog::total_cost) does.
 
 use std::ops::{Add, AddAssign};
 
@@ -91,68 +92,6 @@ impl std::fmt::Display for OpKind {
     }
 }
 
-/// One logged operation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CostRecord {
-    /// Operation name (e.g. `configure(waiting-policy)`).
-    pub op: String,
-    /// Operation category.
-    pub kind: OpKind,
-    /// Its `n1 R n2 W` cost.
-    pub cost: OpCost,
-}
-
-/// Accumulating log of operation costs.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct CostLog {
-    records: Vec<CostRecord>,
-}
-
-impl CostLog {
-    /// An empty log.
-    pub fn new() -> CostLog {
-        CostLog::default()
-    }
-
-    /// Append a record.
-    pub fn record(&mut self, op: impl Into<String>, kind: OpKind, cost: OpCost) {
-        self.records.push(CostRecord {
-            op: op.into(),
-            kind,
-            cost,
-        });
-    }
-
-    /// All records, in order.
-    pub fn records(&self) -> &[CostRecord] {
-        &self.records
-    }
-
-    /// Sum of all recorded costs (the paper's rule for complex
-    /// reconfigurations).
-    pub fn total(&self) -> OpCost {
-        self.records.iter().fold(OpCost::ZERO, |a, r| a + r.cost)
-    }
-
-    /// Sum of costs of one category.
-    pub fn total_of(&self, kind: OpKind) -> OpCost {
-        self.records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .fold(OpCost::ZERO, |a, r| a + r.cost)
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,20 +103,6 @@ mod tests {
         assert_eq!(a + b, OpCost::new(4, 3));
         assert_eq!((a + b).total(), 7);
         assert_eq!(format!("{}", a), "1R 2W");
-    }
-
-    #[test]
-    fn log_sums_by_category() {
-        let mut log = CostLog::new();
-        log.record("init", OpKind::Initialization, OpCost::new(0, 4));
-        log.record("configure(waiting)", OpKind::Reconfiguration, OpCost::new(1, 1));
-        log.record("configure(scheduler)", OpKind::Reconfiguration, OpCost::new(0, 5));
-        log.record("lock", OpKind::StateTransition, OpCost::new(2, 1));
-        assert_eq!(log.total(), OpCost::new(3, 11));
-        assert_eq!(log.total_of(OpKind::Reconfiguration), OpCost::new(1, 6));
-        assert_eq!(log.total_of(OpKind::Initialization), OpCost::new(0, 4));
-        assert_eq!(log.len(), 4);
-        assert!(!log.is_empty());
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! and reconfiguration run inline in the object's own methods, as in the
 //! customized lock monitor) from *loosely-coupled* loops (observations
 //! are queued to an external agent, which may lag and then act on stale
-//! state). [`FeedbackLoop`] implements the closely-coupled form;
-//! [`LaggedLoop`] wraps it with a bounded observation queue so the lag
-//! and overflow phenomena the paper warns about can be measured.
-
-use std::collections::VecDeque;
+//! state). [`FeedbackLoop`] implements the closely-coupled form. The
+//! loosely-coupled form is the simulated local monitor in
+//! `thread-monitor`, whose delivery lag is measured there.
 
 use crate::policy::AdaptationPolicy;
 
@@ -19,8 +17,6 @@ pub struct LoopStats {
     pub observations: u64,
     /// Decisions the policy emitted.
     pub decisions: u64,
-    /// Observations dropped due to queue overflow (loosely coupled only).
-    pub dropped: u64,
 }
 
 /// A closely-coupled feedback loop: each observation is handed to the
@@ -72,67 +68,6 @@ impl<P> FeedbackLoop<P> {
     }
 }
 
-/// A loosely-coupled loop: observations are queued (bounded) and the
-/// policy runs only when the external agent calls [`LaggedLoop::drain`].
-/// When the queue overflows, the *oldest* observations are dropped — the
-/// agent then decides on stale state, which is precisely the failure
-/// mode the paper's "coupling of the feedback loop" section describes.
-pub struct LaggedLoop<P, Obs> {
-    inner: FeedbackLoop<P>,
-    queue: VecDeque<Obs>,
-    capacity: usize,
-}
-
-impl<P, Obs> LaggedLoop<P, Obs> {
-    /// Wrap a policy with an observation queue of `capacity`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(policy: P, capacity: usize) -> LaggedLoop<P, Obs> {
-        assert!(capacity > 0, "observation queue needs capacity");
-        LaggedLoop {
-            inner: FeedbackLoop::new(policy),
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Deposit an observation from the monitored object's hot path.
-    pub fn observe(&mut self, obs: Obs) {
-        if self.queue.len() == self.capacity {
-            self.queue.pop_front();
-            self.inner.stats.dropped += 1;
-        }
-        self.queue.push_back(obs);
-    }
-
-    /// Current queue depth (the loop's lag, in observations).
-    pub fn lag(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Run the policy over everything queued, applying decisions in
-    /// order. Returns how many decisions were applied.
-    pub fn drain(&mut self, mut apply: impl FnMut(P::Decision)) -> usize
-    where
-        P: AdaptationPolicy<Obs>,
-    {
-        let mut applied = 0;
-        while let Some(obs) = self.queue.pop_front() {
-            if self.inner.step(obs, &mut apply) {
-                applied += 1;
-            }
-        }
-        applied
-    }
-
-    /// Loop statistics so far.
-    pub fn stats(&self) -> LoopStats {
-        self.inner.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,33 +84,6 @@ mod tests {
         let s = fb.stats();
         assert_eq!(s.observations, 2);
         assert_eq!(s.decisions, 1);
-        assert_eq!(s.dropped, 0);
-    }
-
-    #[test]
-    fn lagged_loop_defers_until_drain() {
-        let policy = FnPolicy::new("all", |obs: u32| Some(obs));
-        let mut fb = LaggedLoop::new(policy, 8);
-        fb.observe(1);
-        fb.observe(2);
-        assert_eq!(fb.lag(), 2);
-        let mut got = Vec::new();
-        assert_eq!(fb.drain(|d| got.push(d)), 2);
-        assert_eq!(got, vec![1, 2]);
-        assert_eq!(fb.lag(), 0);
-    }
-
-    #[test]
-    fn overflow_drops_oldest_and_counts() {
-        let policy = FnPolicy::new("all", |obs: u32| Some(obs));
-        let mut fb = LaggedLoop::new(policy, 2);
-        fb.observe(1);
-        fb.observe(2);
-        fb.observe(3); // drops 1
-        let mut got = Vec::new();
-        fb.drain(|d| got.push(d));
-        assert_eq!(got, vec![2, 3], "oldest observation must be the one dropped");
-        assert_eq!(fb.stats().dropped, 1);
     }
 
     #[test]
@@ -194,14 +102,5 @@ mod tests {
         fb.policy_mut().limit = 1;
         assert!(fb.step(5, |_| {}));
         assert_eq!(fb.policy().limit, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = LaggedLoop::<FnPolicy<fn(u32) -> Option<u32>>, u32>::new(
-            FnPolicy::new("x", (|_| None) as fn(u32) -> Option<u32>),
-            0,
-        );
     }
 }

@@ -12,8 +12,9 @@
 //!   attributes* ([`AttrSet`]) with explicit mutability and ownership
 //!   rules;
 //! * **adaptive** — a reconfigurable object plus a built-in *monitor*
-//!   ([`Sensor`], [`SamplingGate`]) and a user-provided *adaptation
-//!   policy* ([`AdaptationPolicy`]), wired into a feedback loop
+//!   (a sensor read inline, at a rate set by a [`SamplingGate`]) and a
+//!   user-provided *adaptation policy* ([`AdaptationPolicy`]), wired into
+//!   a closely-coupled feedback loop
 //!   ([`FeedbackLoop`]): `M --v_i--> P --d_c--> Ψ` — hardened for real
 //!   threads and tasks as [`GuardedLoop`].
 //!
@@ -61,12 +62,12 @@ mod monitor;
 mod policy;
 
 pub use attrs::{AttrError, AttrName, AttrSet, AttrValue, OwnerId};
-pub use config_space::{Configuration, MethodSetId, Transition, TransitionLog};
-pub use cost::{CostLog, CostRecord, OpCost, OpKind};
-pub use feedback::{FeedbackLoop, LaggedLoop, LoopStats};
+pub use config_space::{MethodSetId, Transition, TransitionLog};
+pub use cost::{OpCost, OpKind};
+pub use feedback::{FeedbackLoop, LoopStats};
 pub use guarded::{
     GuardedLoop, Sampled, PROBATION_DECIDES, QUARANTINE_BASE_TICKS, QUARANTINE_MAX_SHIFT,
     SAMPLE_PERIOD_CEILING, SAMPLE_PERIOD_FLOOR,
 };
-pub use monitor::{FnSensor, MonitorStats, SampleGate, SamplingGate, Sensor};
-pub use policy::{AdaptationPolicy, FnPolicy, NullPolicy};
+pub use monitor::{SampleGate, SamplingGate};
+pub use policy::{AdaptationPolicy, FnPolicy};

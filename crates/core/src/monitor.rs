@@ -13,49 +13,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A sensor reads one state variable of the monitored object.
-pub trait Sensor {
-    /// The sampled value's type.
-    type Sample;
-
-    /// Read the state variable. Implementations should be cheap — this
-    /// runs inline on the object's hot path when closely coupled.
-    fn sense(&self) -> Self::Sample;
-
-    /// Human-readable sensor name (for traces and reports).
-    fn name(&self) -> &'static str {
-        "sensor"
-    }
-}
-
-/// Blanket sensor from a closure.
-pub struct FnSensor<F> {
-    name: &'static str,
-    f: F,
-}
-
-impl<F> FnSensor<F> {
-    /// Wrap `f` as a named sensor.
-    pub fn new<T>(name: &'static str, f: F) -> FnSensor<F>
-    where
-        F: Fn() -> T,
-    {
-        FnSensor { name, f }
-    }
-}
-
-impl<T, F: Fn() -> T> Sensor for FnSensor<F> {
-    type Sample = T;
-
-    fn sense(&self) -> T {
-        (self.f)()
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 /// A sampling cadence, classified once at construction so the hot path
 /// never pays a runtime divide: power-of-two periods (the paper's
 /// every-other-unlock `2` included) reduce to a mask, the static-object
@@ -153,27 +110,6 @@ impl SamplingGate {
     }
 }
 
-/// Aggregate statistics about a monitor's activity, for reasoning about
-/// the paper's monitoring-cost-vs-information trade-off.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorStats {
-    /// Events that passed through the gate.
-    pub events: u64,
-    /// Events on which sensing actually happened.
-    pub samples: u64,
-}
-
-impl MonitorStats {
-    /// Fraction of events sampled, in `[0, 1]`.
-    pub fn sampling_ratio(&self) -> f64 {
-        if self.events == 0 {
-            0.0
-        } else {
-            self.samples as f64 / self.events as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,23 +159,5 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn zero_period_rejected() {
         let _ = SamplingGate::every(0);
-    }
-
-    #[test]
-    fn fn_sensor_reads_through() {
-        use std::sync::atomic::AtomicUsize;
-        let waiting = AtomicUsize::new(3);
-        let s = FnSensor::new("no-of-waiting-threads", || waiting.load(Ordering::Relaxed));
-        assert_eq!(s.sense(), 3);
-        waiting.store(7, Ordering::Relaxed);
-        assert_eq!(s.sense(), 7);
-        assert_eq!(s.name(), "no-of-waiting-threads");
-    }
-
-    #[test]
-    fn monitor_stats_ratio() {
-        let m = MonitorStats { events: 10, samples: 5 };
-        assert!((m.sampling_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(MonitorStats::default().sampling_ratio(), 0.0);
     }
 }

@@ -35,23 +35,6 @@ where
     }
 }
 
-/// A policy that never adapts — turns an adaptive object back into a
-/// plain reconfigurable one. Useful as an experimental control.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullPolicy;
-
-impl<Obs> AdaptationPolicy<Obs> for NullPolicy {
-    type Decision = std::convert::Infallible;
-
-    fn decide(&mut self, _obs: Obs) -> Option<Self::Decision> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "null"
-    }
-}
-
 /// Adapt via a plain function (for tests and one-off experiments).
 pub struct FnPolicy<F> {
     name: &'static str,
@@ -83,15 +66,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_policy_never_decides() {
-        let mut p = NullPolicy;
-        for i in 0..10 {
-            assert!(AdaptationPolicy::<u32>::decide(&mut p, i).is_none());
-        }
-        assert_eq!(AdaptationPolicy::<u32>::name(&p), "null");
-    }
 
     #[test]
     fn fn_policy_threads_state() {

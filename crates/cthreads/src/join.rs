@@ -51,15 +51,6 @@ where
     JoinHandle { tid, state }
 }
 
-/// Fork on the current thread's processor.
-pub fn fork_local<T, F>(name: impl Into<String>, f: F) -> JoinHandle<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    fork(ctx::current_proc(), name, f)
-}
-
 impl<T> JoinHandle<T> {
     /// The simulated thread's id.
     pub fn thread(&self) -> ThreadId {

@@ -2,7 +2,7 @@
 //!
 //! A user-level thread package for the Butterfly simulator, modelled on
 //! the multiprocessor version of Cthreads that the paper's experiments
-//! use as their substrate ([Muk91] in the paper's bibliography).
+//! use as their substrate (\[Muk91\] in the paper's bibliography).
 //!
 //! The package provides:
 //!
@@ -49,7 +49,7 @@ mod semaphore;
 pub use barrier::{Barrier, BarrierWaitResult};
 pub use channel::{channel, channel_on, Receiver, RecvError, Sender};
 pub use condvar::Condvar;
-pub use join::{fork, fork_join_all, fork_local, JoinHandle};
+pub use join::{fork, fork_join_all, JoinHandle};
 pub use probe::{ProbeEvent, SyncProbe};
 pub use semaphore::Semaphore;
 

@@ -137,143 +137,6 @@ impl AdaptationPolicy<LockObservation> for SimpleAdapt {
     }
 }
 
-/// Extension policy: `simple-adapt` with hysteresis — two thresholds so
-/// the policy does not thrash when waiting oscillates around a single
-/// threshold.
-#[derive(Debug, Clone)]
-pub struct HysteresisAdapt {
-    /// Below (or at) this, spins grow.
-    pub low: u64,
-    /// Above this, spins shrink; between the two nothing changes.
-    pub high: u64,
-    /// Spin step.
-    pub n: u32,
-    /// Upper clamp on the spin count.
-    pub max_spins: u32,
-    spins: i64,
-}
-
-impl HysteresisAdapt {
-    /// Policy with a dead band `[low, high]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low > high`.
-    pub fn new(low: u64, high: u64, n: u32) -> HysteresisAdapt {
-        assert!(low <= high, "hysteresis band inverted");
-        HysteresisAdapt {
-            low,
-            high,
-            n,
-            max_spins: 1 << 14,
-            spins: WaitingPolicy::default().spin as i64,
-        }
-    }
-}
-
-impl AdaptationPolicy<LockObservation> for HysteresisAdapt {
-    type Decision = LockDecision;
-
-    fn decide(&mut self, obs: LockObservation) -> Option<LockDecision> {
-        if obs.waiting == 0 {
-            return Some(LockDecision::PureSpin);
-        }
-        if obs.waiting <= self.low {
-            self.spins = if self.spins == 0 {
-                // Regime change out of pure blocking (see SimpleAdapt).
-                i64::from(WaitingPolicy::default().spin.min(self.max_spins))
-            } else {
-                (self.spins + i64::from(self.n)).min(i64::from(self.max_spins))
-            };
-        } else if obs.waiting > self.high {
-            self.spins -= 2 * i64::from(self.n);
-        } else {
-            return None; // inside the dead band
-        }
-        if self.spins <= 0 {
-            self.spins = 0;
-            Some(LockDecision::PureBlocking)
-        } else {
-            Some(LockDecision::SetSpins(self.spins as u32))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "hysteresis-adapt"
-    }
-}
-
-/// Extension policy: adapt on an exponentially weighted moving average of
-/// the waiting count instead of raw samples (robust to bursty patterns).
-#[derive(Debug, Clone)]
-pub struct EwmaAdapt {
-    /// Threshold on the smoothed waiting count.
-    pub waiting_threshold: f64,
-    /// Smoothing factor in `(0, 1]` (1 = no smoothing).
-    pub alpha: f64,
-    /// Spin step.
-    pub n: u32,
-    /// Upper clamp on the spin count.
-    pub max_spins: u32,
-    ewma: f64,
-    spins: i64,
-}
-
-impl EwmaAdapt {
-    /// Policy smoothing with factor `alpha`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < alpha <= 1`.
-    pub fn new(waiting_threshold: f64, alpha: f64, n: u32) -> EwmaAdapt {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-        EwmaAdapt {
-            waiting_threshold,
-            alpha,
-            n,
-            max_spins: 1 << 14,
-            ewma: 0.0,
-            spins: WaitingPolicy::default().spin as i64,
-        }
-    }
-
-    /// Current smoothed waiting estimate.
-    pub fn ewma(&self) -> f64 {
-        self.ewma
-    }
-}
-
-impl AdaptationPolicy<LockObservation> for EwmaAdapt {
-    type Decision = LockDecision;
-
-    fn decide(&mut self, obs: LockObservation) -> Option<LockDecision> {
-        self.ewma = self.alpha * obs.waiting as f64 + (1.0 - self.alpha) * self.ewma;
-        if self.ewma < 0.5 {
-            return Some(LockDecision::PureSpin);
-        }
-        if self.ewma <= self.waiting_threshold {
-            self.spins = if self.spins == 0 {
-                // Regime change out of pure blocking (see SimpleAdapt).
-                i64::from(WaitingPolicy::default().spin.min(self.max_spins))
-            } else {
-                (self.spins + i64::from(self.n)).min(i64::from(self.max_spins))
-            };
-        } else {
-            self.spins -= 2 * i64::from(self.n);
-        }
-        if self.spins <= 0 {
-            self.spins = 0;
-            Some(LockDecision::PureBlocking)
-        } else {
-            Some(LockDecision::SetSpins(self.spins as u32))
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "ewma-adapt"
-    }
-}
-
 /// Extension policy realizing the paper's future-work direction of
 /// "applying closely-coupled adaptation to alter lock *schedulers* in
 /// different phases of a computation": when the waiting queue stays deep
@@ -555,24 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn ewma_adapt_reenters_combined_at_default_spin_after_blocking() {
-        let mut p = EwmaAdapt::new(3.0, 0.5, 5);
-        let obs = |w| LockObservation {
-            waiting: w,
-            at: VirtualTime::ZERO,
-        };
-        // One heavy burst: ewma 5.0 > threshold, spins 10 -> 0.
-        assert_eq!(p.decide(obs(10)), Some(LockDecision::PureBlocking));
-        // Still above threshold while the average decays.
-        assert_eq!(p.decide(obs(2)), Some(LockDecision::PureBlocking)); // ewma 3.5
-        // Below threshold (ewma 2.75): re-enter at the default spin count.
-        assert_eq!(
-            p.decide(obs(2)),
-            Some(LockDecision::SetSpins(WaitingPolicy::default().spin))
-        );
-    }
-
-    #[test]
     fn adaptive_lock_converges_to_spin_without_contention() {
         let (kind, _) = sim::run(cfg(1), || {
             let lock = AdaptiveLock::new_local();
@@ -672,40 +517,6 @@ mod tests {
         })
         .unwrap();
         assert!(n >= 2, "uncontended unlocks must have triggered pure-spin decisions");
-    }
-
-    #[test]
-    fn hysteresis_dead_band_suppresses_decisions() {
-        let mut p = HysteresisAdapt::new(2, 5, 5);
-        let obs = |w| LockObservation {
-            waiting: w,
-            at: VirtualTime::ZERO,
-        };
-        assert!(p.decide(obs(1)).is_some()); // below low: grow
-        assert!(p.decide(obs(3)).is_none()); // inside band: nothing
-        assert!(p.decide(obs(4)).is_none());
-        assert!(p.decide(obs(6)).is_some()); // above high: shrink
-    }
-
-    #[test]
-    fn ewma_smooths_bursts() {
-        let mut p = EwmaAdapt::new(3.0, 0.5, 5);
-        let obs = |w| LockObservation {
-            waiting: w,
-            at: VirtualTime::ZERO,
-        };
-        // A single burst of 10 with alpha 0.5 leaves ewma at 5, then
-        // decays: 2.5, 1.25, ...
-        p.decide(obs(10));
-        assert!((p.ewma() - 5.0).abs() < 1e-9);
-        p.decide(obs(0));
-        assert!((p.ewma() - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "band inverted")]
-    fn hysteresis_validates_band() {
-        let _ = HysteresisAdapt::new(5, 2, 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! | [`ReconfigurableLock`] | \[MS93\] configurable lock: mutable waiting-policy attributes `{spin-time, delay-time, sleep-time, timeout}` + pluggable registration/acquisition/release scheduler (FCFS / Priority / Handoff) |
 //! | [`ReconfigurableLock::combined`] | static combined lock (spin *k*, then block) — Figure 1's combined(1/10/50) |
 //! | [`AdvisoryLock`] | owner-advised (speculative) lock |
-//! | [`AdaptiveLock`] | reconfigurable lock + built-in monitor + adaptation policy ([`SimpleAdapt`] et al.) in a closely-coupled feedback loop |
+//! | [`AdaptiveLock`] | reconfigurable lock + built-in monitor + adaptation policy ([`SimpleAdapt`], [`SchedulerAdapt`]) in a closely-coupled feedback loop |
 //!
 //! ## Spinning and the simulator
 //!
@@ -59,8 +59,7 @@ mod spin;
 mod ticket;
 
 pub use adaptive::{
-    AdaptiveLock, BoxedLockPolicy, EwmaAdapt, HysteresisAdapt, LockDecision, LockObservation,
-    SchedulerAdapt, SimpleAdapt,
+    AdaptiveLock, BoxedLockPolicy, LockDecision, LockObservation, SchedulerAdapt, SimpleAdapt,
 };
 pub use active::{ActiveLock, ActiveLockServer};
 pub use advisory::{Advice, AdvisoryLock};

@@ -90,7 +90,7 @@ impl Lock for SpinLock {
     }
 }
 
-/// Spin lock with backoff, after Anderson et al. [ALL89]: a thread probes,
+/// Spin lock with backoff, after Anderson et al. \[ALL89\]: a thread probes,
 /// and while the lock is busy backs off for an exponentially growing,
 /// bounded delay (a stand-in for "proportional to the number of active
 /// threads waiting", which the hardware cannot observe directly).

@@ -2,10 +2,9 @@
 //!
 //! The monitoring substrate of the adaptive-objects paper: a
 //! general-purpose thread monitor in the style of \[GS93\] with
-//! insertable sensors/probes, bounded per-thread trace buffers, a
-//! loosely-coupled *local monitor* thread with central aggregation, and
-//! the time-series capture used for the paper's locking-pattern figures
-//! (Figures 4–9).
+//! insertable sensors/probes feeding a loosely-coupled *local monitor*
+//! thread, and the time-series capture used for the paper's
+//! locking-pattern figures (Figures 4–9).
 //!
 //! The closely-coupled "customized lock monitor" the adaptive lock uses
 //! lives inside `adaptive-locks` (inline sampling from the unlocking
@@ -16,19 +15,17 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod central;
 mod chrome;
 mod local;
 mod snapshot;
 mod timeseries;
 mod trace;
 
-pub use central::{spawn_pipeline, CentralReport, ForwardingMonitor, SummaryBatch};
 pub use chrome::ChromeTrace;
 pub use local::{spawn_local_monitor, MonitorReport, Probe, ProbePort, SensorSummary};
 pub use snapshot::TextSnapshot;
 pub use timeseries::{to_long_csv, Series};
-pub use trace::{TraceBuffer, TraceEvent};
+pub use trace::TraceEvent;
 
 use adaptive_locks::{Lock, PatternSample};
 

@@ -4,11 +4,12 @@
 //! This reproduces the structure of the general-purpose thread monitor
 //! \[GS93\] the paper started from: application threads send trace data
 //! to a *local monitor* (a thread on a dedicated processor) which
-//! performs low-level processing and forwards summaries to a *central
-//! monitor*. The paper found this pipeline "too loosely coupled to be
-//! used in adaptive lock objects" — observations arrive late — which is
-//! why the adaptive lock's customized monitor samples inline instead.
-//! Both are provided so the coupling trade-off is measurable.
+//! performs low-level processing (and, in \[GS93\], forwards summaries
+//! to a central monitor; only the local stage is modelled here). The
+//! paper found this pipeline "too loosely coupled to be used in adaptive
+//! lock objects" — observations arrive late — which is why the adaptive
+//! lock's customized monitor samples inline instead. The local stage
+//! alone shows that lag, so the coupling trade-off is measurable.
 
 use std::collections::HashMap;
 
@@ -65,7 +66,7 @@ impl ProbePort {
     }
 }
 
-/// A named probe bound to a port — the "insertable sensor" of [GS93].
+/// A named probe bound to a port — the "insertable sensor" of \[GS93\].
 pub struct Probe {
     sensor: &'static str,
     port: ProbePort,

@@ -1,13 +1,10 @@
-//! Trace events and bounded per-thread trace buffers.
+//! Trace events: the datum a probe sends to the local monitor.
 //!
 //! The general-purpose thread monitor \[GS93\] lets users insert data
 //! collecting *sensors* and *probes* into an application. Application
-//! threads deposit [`TraceEvent`]s into bounded buffers; a monitor thread
-//! drains them. Overflow drops the oldest events and is counted — the
-//! "information overload" phenomenon Section 3 warns about.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
+//! threads send [`TraceEvent`]s, stamped with the virtual time of the
+//! observation, to a monitor thread, which measures how late each one
+//! arrives.
 
 use butterfly_sim::{ctx, ThreadId, VirtualTime};
 use serde::Serialize;
@@ -43,113 +40,10 @@ impl TraceEvent {
     }
 }
 
-/// A bounded FIFO trace buffer with overflow accounting.
-#[derive(Debug)]
-pub struct TraceBuffer {
-    inner: Mutex<BufferState>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct BufferState {
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-    deposited: u64,
-}
-
-impl TraceBuffer {
-    /// A buffer holding at most `capacity` undrained events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> TraceBuffer {
-        assert!(capacity > 0, "trace buffer needs capacity");
-        TraceBuffer {
-            inner: Mutex::new(BufferState {
-                events: VecDeque::with_capacity(capacity),
-                dropped: 0,
-                deposited: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Deposit an event; drops the oldest on overflow.
-    pub fn deposit(&self, ev: TraceEvent) {
-        let mut s = self.inner.lock().unwrap();
-        if s.events.len() == self.capacity {
-            s.events.pop_front();
-            s.dropped += 1;
-        }
-        s.events.push_back(ev);
-        s.deposited += 1;
-    }
-
-    /// Drain everything currently buffered.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        self.inner.lock().unwrap().events.drain(..).collect()
-    }
-
-    /// Undrained event count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().events.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events dropped to overflow so far.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-
-    /// Events ever deposited.
-    pub fn deposited(&self) -> u64 {
-        self.inner.lock().unwrap().deposited
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use butterfly_sim::{self as sim, SimConfig};
-
-    #[test]
-    fn deposit_and_drain_fifo() {
-        let buf = TraceBuffer::new(8);
-        for v in 0..3 {
-            buf.deposit(TraceEvent {
-                at_nanos: v as u64,
-                thread: ThreadId(0),
-                sensor: "x",
-                value: v,
-            });
-        }
-        let out = buf.drain();
-        assert_eq!(out.iter().map(|e| e.value).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert!(buf.is_empty());
-        assert_eq!(buf.deposited(), 3);
-        assert_eq!(buf.dropped(), 0);
-    }
-
-    #[test]
-    fn overflow_drops_oldest() {
-        let buf = TraceBuffer::new(2);
-        for v in 0..5 {
-            buf.deposit(TraceEvent {
-                at_nanos: v as u64,
-                thread: ThreadId(0),
-                sensor: "x",
-                value: v,
-            });
-        }
-        assert_eq!(buf.dropped(), 3);
-        let out = buf.drain();
-        assert_eq!(out.iter().map(|e| e.value).collect::<Vec<_>>(), vec![3, 4]);
-    }
 
     #[test]
     fn capture_now_stamps_time_and_thread() {
@@ -162,11 +56,5 @@ mod tests {
         assert_eq!(ev.at(), t0 + sim::Duration::micros(7));
         assert_eq!(ev.sensor, "waiting");
         assert_eq!(ev.value, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_rejected() {
-        let _ = TraceBuffer::new(0);
     }
 }

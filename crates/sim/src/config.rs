@@ -115,7 +115,7 @@ impl MemoryParams {
 }
 
 /// Schedule-noise parameters for the exploration harness
-/// ([`crate::explore`]).
+/// ([`crate::explore`](mod@crate::explore)).
 ///
 /// When attached to a [`SimConfig`], the engine perturbs its scheduling
 /// decisions using a dedicated deterministic random stream seeded from
@@ -218,8 +218,8 @@ pub struct SimConfig {
     /// pseudo-randomness.
     pub seed: u64,
     /// Optional schedule perturbation for race exploration (see
-    /// [`ScheduleNoise`] and [`crate::explore`]). `None` (the default)
-    /// keeps the canonical deterministic schedule.
+    /// [`ScheduleNoise`] and [`crate::explore`](fn@crate::explore)).
+    /// `None` (the default) keeps the canonical deterministic schedule.
     pub schedule_noise: Option<ScheduleNoise>,
     /// Record every scheduling decision (dispatches, preemptions, ready
     /// transitions) into [`crate::SimReport::schedule`]. Off by default;

@@ -287,12 +287,3 @@ where
         Err(e) => Err(e),
     }
 }
-
-/// [`run`] with the default configuration; convenient in tests and docs.
-pub fn run_default<R, F>(root: F) -> Result<(R, SimReport), SimError>
-where
-    R: Send + 'static,
-    F: FnOnce() -> R + Send + 'static,
-{
-    run(SimConfig::default(), root)
-}

@@ -63,7 +63,7 @@ pub mod explore;
 
 pub use config::{MemoryParams, NodeId, ProcId, ScheduleNoise, SimConfig};
 pub use topology::Topology;
-pub use engine::{run, run_default};
+pub use engine::run;
 pub use error::SimError;
 pub use crate::explore::{explore, replay, ExploreReport, ScheduleFailure};
 pub use mem::{SimCell, SimWord};

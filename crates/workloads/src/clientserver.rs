@@ -1,4 +1,4 @@
-//! The client-server scheduler-comparison workload ([MS93], recalled in
+//! The client-server scheduler-comparison workload (\[MS93\], recalled in
 //! Section 2): "for such applications, priority locks exhibit the best
 //! performance whereas FCFS locks exhibit the worst".
 //!

@@ -179,6 +179,48 @@ mod tests {
         );
     }
 
+    /// Critical-section lengths (µs) of the \[MS93\] ladders below.
+    const LADDER_US: [u64; 10] = [5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000];
+
+    /// Two processors with `tpp` threads on each.
+    fn per_processor(tpp: usize) -> SweepConfig {
+        SweepConfig {
+            processors: 2,
+            threads: 2 * tpp,
+            iters: 12,
+            think: Duration::micros(50),
+            ..SweepConfig::default()
+        }
+    }
+
+    /// The first ladder length at which blocking finishes before spin.
+    fn first_blocking_win(tpp: usize) -> Option<u64> {
+        let cfg = per_processor(tpp);
+        LADDER_US.into_iter().find(|&us| {
+            let cs = Duration::micros(us);
+            run_once(&cfg, LockSpec::Blocking, cs) < run_once(&cfg, LockSpec::Spin, cs)
+        })
+    }
+
+    #[test]
+    fn one_thread_per_processor_blocking_never_beats_spin() {
+        // [MS93]: "spin locks consistently outperform blocking locks when
+        // the number of processors exceeds the number of threads".
+        assert_eq!(first_blocking_win(1), None);
+    }
+
+    #[test]
+    fn oversubscription_lets_blocking_win_from_a_length_that_falls_with_load() {
+        // [MS93]: "when multiple threads on each processor are capable of
+        // making progress, the use of blocking is preferred even for
+        // fairly small critical sections" — and the more threads per
+        // processor, the shorter the section at which blocking wins.
+        let two = first_blocking_win(2).expect("blocking wins somewhere at 2 threads/processor");
+        assert!(two > LADDER_US[0], "spin must still win at {} µs", LADDER_US[0]);
+        let four = first_blocking_win(4).expect("blocking wins somewhere at 4 threads/processor");
+        assert!(four <= two, "4 threads/processor: {four} µs, 2: {two} µs");
+    }
+
     #[test]
     fn sweep_produces_all_points() {
         let cfg = small();

@@ -31,7 +31,6 @@
 
 pub mod backend;
 pub mod clientserver;
-pub mod crossover;
 pub mod csweep;
 pub mod cycle;
 pub mod fairness;
@@ -47,7 +46,6 @@ pub use backend::{
 pub use fairness::{jains_index, run_fairness, FairnessPoint, FairnessSpec};
 pub use structures::{run_structure, StructureKind, StructurePoint, StructureSpec};
 pub use clientserver::{run_all_schedulers, run_client_server, ClientServerConfig, ClientServerResult};
-pub use crossover::{find_crossover, Crossover};
 pub use csweep::{figure1_locks, run_once, run_sweep, SweepConfig, SweepPoint};
 pub use cycle::{measure_cycle, measure_cycle_on};
 pub use measure::{
