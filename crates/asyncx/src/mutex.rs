@@ -43,8 +43,8 @@ use std::time::Instant;
 
 use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled};
 use adaptive_native::{
-    BoxedNativePolicy, FixedPolicy, LockHealth, MutexStats, NativeDecision, NativeObservation,
-    NativeWaitingPolicy, Poisoned, WaitAttrs, SPIN_FOREVER,
+    AttrGroup, BoxedNativePolicy, FixedPolicy, LockHealth, MutexStats, NativeDecision,
+    NativeObservation, NativeWaitingPolicy, Poisoned, WaitAttrs, SPIN_FOREVER,
 };
 
 use crate::rt;
@@ -394,8 +394,12 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// shorthand decision that wrote only the poll budget would leave
     /// an earlier `SetPolicy`'s park timeout live underneath, and parked
     /// waiters would keep abandoning and re-queueing on a bound no
-    /// current policy asked for.
+    /// current policy asked for. A decision on a group an operator
+    /// owns is refused: it changes nothing.
     fn apply(&self, decision: NativeDecision) -> bool {
+        if self.attrs.operator_owns(decision.group()) {
+            return false;
+        }
         let p = match decision {
             NativeDecision::PureSpin => poll_policy(SPIN_FOREVER),
             NativeDecision::PureBlocking => poll_policy(0),
@@ -452,8 +456,9 @@ impl<T> AsyncAdaptiveMutex<T> {
         was
     }
 
-    /// Install new waiting-policy attributes (operator retune; the
-    /// feedback loop keeps adapting from here unless quarantined).
+    /// Install new waiting-policy attributes. This takes no ownership:
+    /// while the policy owns the waiting group, the feedback loop keeps
+    /// adapting from here.
     pub fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
         self.install(policy);
     }
@@ -895,24 +900,22 @@ impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
         AsyncAdaptiveMutex::clear_poison(self)
     }
 
-    fn waiting_policy(&self) -> NativeWaitingPolicy {
-        AsyncAdaptiveMutex::waiting_policy(self)
+    fn attrs(&self) -> Vec<(&'static str, String, bool)> {
+        let operator = self.attrs.operator_owns(AttrGroup::Waiting);
+        self.attrs.load().attrs().into_iter().map(|(n, v)| (n, v, operator)).collect()
     }
 
-    fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
-        AsyncAdaptiveMutex::set_waiting_policy(self, policy);
+    fn set(&self, name: &str, value: &str) -> Result<(), String> {
+        // One engine, so no `algorithm`: `with_attr` refuses the name.
+        let p = self.attrs.load().with_attr(name, value)?;
+        self.feedback.exclusive(|| self.attrs.set_operator_owns(AttrGroup::Waiting, true));
+        self.install(p);
+        Ok(())
     }
 
-    fn algorithm(&self) -> adaptive_native::LockAlgorithm {
-        // One engine: the waker-queue spin-park analogue.
-        adaptive_native::LockAlgorithm::SpinPark
-    }
-
-    fn set_algorithm(&self, _algo: adaptive_native::LockAlgorithm) -> bool {
-        // No engine zoo on the async side: an operator `set-algorithm`
-        // is refused, and the plane says so instead of promising a
-        // switch that never installs.
-        false
+    fn release(&self, _name: Option<&str>) {
+        // Every attribute listed here is in the waiting group.
+        self.attrs.set_operator_owns(AttrGroup::Waiting, false);
     }
 }
 
@@ -1240,22 +1243,22 @@ mod tests {
         let m: Arc<AsyncAdaptiveMutex<Vec<u8>>> = Arc::new(AsyncAdaptiveMutex::new(vec![1]));
         let t: Arc<dyn ControlTarget> = m.clone();
         assert!(!t.health().locked);
-        t.set_waiting_policy(NativeWaitingPolicy::pure_spin());
+        t.set("spin", "forever").unwrap();
         assert_eq!(m.waiting_policy().spin, SPIN_FOREVER);
+        assert!(t.attrs().iter().all(|r| r.2), "the operator took the group");
+        t.release(None);
+        assert!(t.attrs().iter().all(|r| !r.2));
         t.quarantine();
         assert!(t.health().quarantined);
         assert!(t.heal());
         assert!(t.nudge());
-        assert_eq!(t.algorithm(), adaptive_native::LockAlgorithm::SpinPark);
-        assert!(!t.set_algorithm(adaptive_native::LockAlgorithm::Ticket), "no zoo: refused");
-        assert_eq!(t.algorithm(), adaptive_native::LockAlgorithm::SpinPark);
-        // The plane says so, on every call, instead of promising a switch.
+        // No engine to switch: the plane refuses, on every call.
         let hub = Arc::new(adaptive_control::BreakerHub::default());
         hub.register("a", t.clone());
         let plane = adaptive_control::ControlPlane::new(hub);
         for _ in 0..2 {
-            let err = plane.execute("set-algorithm a ticket").unwrap_err();
-            assert_eq!(err, "a has one engine (spin-park)");
+            let err = plane.execute("set a algorithm ticket").unwrap_err();
+            assert_eq!(err, "a has no attribute \"algorithm\" (try `get a`)");
         }
         assert!(t.stats().acquisitions >= 1);
     }

@@ -38,8 +38,8 @@
 //!
 //! `ctl` is the piece that makes a mid-run retune real: an operator
 //! connects over the same TCP port the data path uses and quarantines,
-//! heals, or retunes a live shard lock while gets and puts keep flowing
-//! (`a_mid_run_retune_over_tcp_loses_no_increment`, below).
+//! heals, or `set`s and so pins an attribute of a live shard lock while
+//! gets and puts keep flowing (`a_mid_run_retune_over_tcp_loses_no_increment`).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -539,10 +539,10 @@ mod tests {
             targets.contains("tcp-server.stats"),
             "server stats lock must be hub-registered: {targets}"
         );
-        c.send("ctl retune shard-0 spin 0").unwrap().unwrap();
+        c.send("ctl set shard-0 spin 0").unwrap().unwrap();
         let health = c.send("ctl health shard-0").unwrap().unwrap();
         assert!(!health.is_empty());
-        let err = c.send("ctl retune shard-0 spin soon").unwrap();
+        let err = c.send("ctl set shard-0 spin soon").unwrap();
         assert!(err.is_err(), "plane diagnostics must travel back as err frames");
         assert!(server.shutdown(Duration::from_secs(2)));
     }
@@ -593,8 +593,8 @@ mod tests {
         }
         for cmd in [
             "ctl targets",
-            "ctl retune shard-0 spin 0",
-            "ctl retune shard-0 delay 16",
+            "ctl set shard-0 spin 0",
+            "ctl set shard-0 delay 16",
             "ctl health shard-0",
         ] {
             let reply = operator.send(cmd).expect("operator transport");

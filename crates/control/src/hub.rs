@@ -251,13 +251,13 @@ impl BreakerHub {
     }
 
     /// Operator override: force `name`'s breaker open and quarantine
-    /// the lock. Returns whether the name was known.
+    /// the lock. Returns whether an edge was taken: none if already open.
     pub fn force_open(&self, name: &str) -> bool {
         self.override_with(name, |b| b.force_open())
     }
 
     /// Operator override: end `name`'s dwell and start the half-open
-    /// trial now. Returns whether the name was known.
+    /// trial now. Returns whether an edge was taken: none unless open.
     pub fn force_probe(&self, name: &str) -> bool {
         self.override_with(name, |b| b.force_probe())
     }
@@ -279,7 +279,7 @@ impl BreakerHub {
         let probe = Arc::clone(&t.probe);
         Self::record(inner, name, poll, at_nanos, waiting, &step.transitions);
         Self::apply(&*probe, &step.actions);
-        true
+        !step.transitions.is_empty()
     }
 
     /// Run the hub on a background thread, polling every `interval`,

@@ -16,10 +16,10 @@
 //!   to the live locks and logs every edge as a structured
 //!   [`BreakerEvent`].
 //! * **Commands** ([`plane`], [`socket`]) — a line-oriented router
-//!   (`retune`, `set-policy`, `set-algorithm`, `quarantine`, `heal`,
-//!   `health`, `snapshot`, …) over an in-process channel or a local
-//!   Unix socket, mutating the registry through the same
-//!   live-reconfiguration paths the adaptation policies use.
+//!   (`get`, `set`, `release`, `quarantine`, `heal`, `health`,
+//!   `snapshot`, …) over a local Unix socket or from any thread: `set`
+//!   takes an attribute's group from the lock's policy until `release`,
+//!   writing through the live-reconfiguration paths the policies use.
 //! * **Telemetry** — [`ControlPlane::snapshot`] renders the whole
 //!   registry as Prometheus-style text (via
 //!   [`thread_monitor::TextSnapshot`]), each breaker's state among its
@@ -46,7 +46,7 @@ pub use breaker::{
     Transition,
 };
 pub use hub::{validate_events, BreakerEvent, BreakerHub, HubHandle};
-pub use plane::{ControlChannel, ControlPlane};
+pub use plane::ControlPlane;
 #[cfg(unix)]
 pub use socket::{SocketClient, SocketServer};
 pub use target::ControlTarget;

@@ -1,41 +1,52 @@
 //! The command router: a line-oriented operator surface over a
 //! [`BreakerHub`].
 //!
-//! One command per line, `ok`/`err` semantics via `Result`, transports
-//! layered on top: [`ControlChannel`] (in-process mpsc, for embedding
-//! in a service) and [`socket`](crate::socket) (a local Unix socket,
-//! for an operator with `nc`). Builtin commands:
+//! One command per line, `ok`/`err` semantics via `Result`, callable
+//! from any thread; [`socket`](crate::socket) (a local Unix socket, for
+//! an operator with `nc`) and `asyncx`'s TCP `ctl` carry it. Commands:
 //!
 //! ```text
-//! targets                              list registered lock names
-//! health [lock]                        one status line per lock
-//! retune <lock> <spin|delay|timeout> <value>   edit one waiting attribute
-//! set-policy <lock> <descriptor>       spin | blocking | combined:<n> [+timeout:<ns>]
-//! set-algorithm <lock> <label>         any `LockAlgorithm::ALL` label (`help` lists them)
-//! quarantine <lock>                    force the breaker open
-//! heal <lock>                          end the dwell, start the half-open trial
-//! clear-poison <lock>                  clear the poison flag
-//! snapshot                             Prometheus-style text exposition
-//! help                                 this list
+//! targets                      list registered lock names
+//! health [lock]                one status line per lock
+//! get <lock> [attr]            one `name value owner` row per attribute
+//! set <lock> <attr> <value>    write one attribute; the operator takes its group
+//! release <lock> [attr]        hand the attribute's group, or every group, back
+//! quarantine <lock>            force the breaker open
+//! heal <lock>                  end the dwell, start the half-open trial
+//! clear-poison <lock>          clear the poison flag
+//! snapshot                     Prometheus-style text exposition
+//! help                         this list
 //! ```
 //!
-//! Every mutation goes through the same live-reconfiguration paths the
-//! adaptation policies use (`set_waiting_policy`, quiesce-and-switch
-//! `set_algorithm`, `quarantine`/`heal`), so an operator command is
-//! exactly as safe mid-traffic as a policy decision.
+//! Attributes: `spin <n|forever>`, `delay <n>`, `timeout <ns|none>` (one
+//! group) and, given an engine zoo, `algorithm <label>`. An operator's
+//! group is closed to the lock's policy until `release` (a quarantine
+//! writes through); writes take the paths the policies use. `set`
+//! answers with the row read back, and an engine switch on a busy lock
+//! shows once it installs at the next quiesce.
 
-use std::sync::mpsc;
 use std::sync::Arc;
 
-use adaptive_native::{LockAlgorithm, NativeWaitingPolicy};
 use thread_monitor::TextSnapshot;
 
 use crate::hub::BreakerHub;
-use crate::target::{health_line, retune, ControlTarget};
+use crate::target::{health_line, ControlTarget};
 
-/// Every engine label, `|`-separated, for usage and error text.
-fn algorithm_labels() -> String {
-    LockAlgorithm::ALL.map(LockAlgorithm::label).join("|")
+/// `lock`'s attributes as `name value owner` rows: every row, or only
+/// `attr`'s, which must be one of them.
+fn attr_rows(lock: &str, t: &dyn ControlTarget, attr: Option<&str>) -> Result<String, String> {
+    let rows: Vec<String> = t
+        .attrs()
+        .into_iter()
+        .filter(|(name, ..)| attr.is_none_or(|a| a == *name))
+        .map(|(name, value, operator)| {
+            format!("{name} {value} {}", if operator { "operator" } else { "policy" })
+        })
+        .collect();
+    if rows.is_empty() {
+        return Err(format!("{lock} has no attribute {:?} (try `get {lock}`)", attr.unwrap_or("")));
+    }
+    Ok(rows.join("\n"))
 }
 
 /// The router. Cheap to clone; all clones share the hub.
@@ -118,14 +129,10 @@ impl ControlPlane {
         };
         match cmd {
             "" => Err("empty command (try `help`)".into()),
-            "help" => Ok(format!(
-                "commands: targets | health [lock] | \
-                 retune <lock> <spin|delay|timeout> <value> | \
-                 set-policy <lock> <spin|blocking|combined:N[+timeout:NS]> | \
-                 set-algorithm <lock> <{}> | \
-                 quarantine <lock> | heal <lock> | clear-poison <lock> | snapshot",
-                algorithm_labels()
-            )),
+            "help" => Ok("commands: targets | health [lock] | get <lock> [attr] | \
+                 set <lock> <attr> <value> | release <lock> [attr] | quarantine <lock> | \
+                 heal <lock> | clear-poison <lock> | snapshot"
+                .into()),
             "targets" => {
                 let names = self.hub.names();
                 if names.is_empty() {
@@ -158,51 +165,44 @@ impl ControlPlane {
                     _ => Err("usage: health [lock]".into()),
                 }
             }
-            "retune" => {
-                arity(3, "retune <lock> <spin|delay|timeout> <value>")?;
-                let t = self.target(args[0])?;
-                let p = retune(t.waiting_policy(), args[1], args[2])?;
-                t.set_waiting_policy(p);
-                Ok(format!("retuned {} to {}", args[0], p.descriptor()))
+            "get" => match args.as_slice() {
+                [lock] => attr_rows(lock, &*self.target(lock)?, None),
+                [lock, attr] => attr_rows(lock, &*self.target(lock)?, Some(attr)),
+                _ => Err("usage: get <lock> [attr]".into()),
+            },
+            "set" => {
+                arity(3, "set <lock> <attr> <value>")?;
+                let (lock, attr) = (args[0], args[1]);
+                let t = self.target(lock)?;
+                attr_rows(lock, &*t, Some(attr))?;
+                t.set(attr, args[2])?;
+                attr_rows(lock, &*t, Some(attr))
             }
-            "set-policy" => {
-                arity(2, "set-policy <lock> <spin|blocking|combined:N[+timeout:NS]>")?;
-                let t = self.target(args[0])?;
-                let p = NativeWaitingPolicy::parse(args[1])
-                    .ok_or_else(|| format!("bad policy descriptor {:?}", args[1]))?;
-                t.set_waiting_policy(p);
-                Ok(format!("policy of {} set to {}", args[0], p.descriptor()))
-            }
-            "set-algorithm" => {
-                let labels = algorithm_labels();
-                arity(2, &format!("set-algorithm <lock> <{labels}>"))?;
-                let t = self.target(args[0])?;
-                let algo = LockAlgorithm::from_label(args[1])
-                    .ok_or_else(|| format!("unknown algorithm {:?} (one of {labels})", args[1]))?;
-                if !t.set_algorithm(algo) {
-                    return Err(format!("{} has one engine ({})", args[0], t.algorithm().label()));
-                }
-                if t.algorithm() == algo {
-                    Ok(format!("{} now running {}", args[0], algo.label()))
-                } else {
-                    Ok(format!(
-                        "{} switching to {} (installs at next quiesce)",
-                        args[0],
-                        algo.label()
-                    ))
-                }
+            "release" => {
+                let (lock, attr) = match args.as_slice() {
+                    [lock] => (*lock, None),
+                    [lock, attr] => (*lock, Some(*attr)),
+                    _ => return Err("usage: release <lock> [attr]".into()),
+                };
+                let t = self.target(lock)?;
+                attr_rows(lock, &*t, attr)?;
+                t.release(attr);
+                attr_rows(lock, &*t, None)
             }
             "quarantine" => {
                 arity(1, "quarantine <lock>")?;
                 self.target(args[0])?;
-                self.hub.force_open(args[0]);
-                Ok(format!("{} breaker forced open", args[0]))
+                let edge = if self.hub.force_open(args[0]) { "forced" } else { "already" };
+                Ok(format!("{} breaker {edge} open", args[0]))
             }
             "heal" => {
                 arity(1, "heal <lock>")?;
                 self.target(args[0])?;
-                self.hub.force_probe(args[0]);
-                Ok(format!("{} probing (half-open trial started)", args[0]))
+                Ok(if self.hub.force_probe(args[0]) {
+                    format!("{} probing (half-open trial started)", args[0])
+                } else {
+                    format!("{} not open, nothing to heal", args[0])
+                })
             }
             "clear-poison" => {
                 arity(1, "clear-poison <lock>")?;
@@ -222,59 +222,11 @@ impl ControlPlane {
     }
 }
 
-type Request = (String, mpsc::Sender<Result<String, String>>);
-
-/// In-process transport: commands in, responses out, over mpsc
-/// channels, with the router running on its own thread. Dropping the
-/// channel stops the thread.
-pub struct ControlChannel {
-    tx: mpsc::Sender<Request>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl ControlChannel {
-    /// Spawn a router thread serving `plane`.
-    pub fn spawn(plane: ControlPlane) -> ControlChannel {
-        let (tx, rx) = mpsc::channel::<Request>();
-        let thread = std::thread::spawn(move || {
-            while let Ok((line, reply)) = rx.recv() {
-                let _ = reply.send(plane.execute(&line));
-            }
-        });
-        ControlChannel {
-            tx,
-            thread: Some(thread),
-        }
-    }
-
-    /// Execute one command on the router thread and wait for the
-    /// response. The outer `Err` means the channel is gone.
-    pub fn send(&self, line: &str) -> Result<Result<String, String>, String> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx
-            .send((line.to_string(), reply_tx))
-            .map_err(|_| "control channel closed".to_string())?;
-        reply_rx
-            .recv()
-            .map_err(|_| "control channel closed".to_string())
-    }
-}
-
-impl Drop for ControlChannel {
-    fn drop(&mut self) {
-        // Close the request side so the router thread's recv() ends.
-        let (dead_tx, _) = mpsc::channel();
-        self.tx = dead_tx;
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adaptive_native::{AdaptiveMutex, SPIN_FOREVER};
+    use adaptive_native::{AdaptiveMutex, LockAlgorithm, SPIN_FOREVER};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn plane_with(names: &[&str]) -> (ControlPlane, Vec<Arc<AdaptiveMutex<u64>>>) {
         let hub = Arc::new(BreakerHub::default());
@@ -296,37 +248,84 @@ mod tests {
         assert!(health.contains("a.lock state=closed"));
         let one = plane.execute("health b.lock").unwrap();
         assert!(one.starts_with("b.lock "));
-        assert!(one.contains(" policy=combined(64) sample_every=2 "), "{one}");
+        let attrs = " spin=64 delay=64 timeout=none algorithm=spin-park sample_every=2 ";
+        assert!(one.contains(attrs), "{one}");
         assert!(plane.execute("health nope").is_err());
     }
 
     #[test]
-    fn retune_and_set_policy_change_the_live_lock() {
+    fn set_takes_one_group_for_the_operator_and_release_hands_it_back() {
         let (plane, locks) = plane_with(&["hot"]);
-        plane.execute("retune hot spin forever").unwrap();
+        assert_eq!(plane.execute("set hot spin forever").unwrap(), "spin forever operator");
         assert_eq!(locks[0].waiting_policy().spin, SPIN_FOREVER);
-        plane.execute("retune hot delay 16").unwrap();
-        assert_eq!(locks[0].waiting_policy().delay, 16);
-        plane.execute("set-policy hot blocking").unwrap();
-        assert_eq!(locks[0].waiting_policy().spin, 0);
-        assert!(plane.execute("set-policy hot hammock").is_err());
-        assert!(plane.execute("retune hot spin").is_err(), "arity checked");
+        plane.execute("set hot timeout 5000").unwrap();
+        let rows = "spin forever operator\ndelay 64 operator\ntimeout 5000 operator\n\
+                    algorithm spin-park policy";
+        assert_eq!(plane.execute("get hot").unwrap(), rows);
+        assert!(plane.execute("health hot").unwrap().contains(" delay=64@operator "));
+        assert_eq!(plane.execute("set hot timeout none").unwrap(), "timeout none operator");
+        assert!(plane.execute("set hot spin soon").is_err());
+        assert!(plane.execute("set hot jitter 1").is_err());
+        assert!(plane.execute("set hot spin").is_err(), "arity checked");
+        plane.execute("release hot delay").unwrap();
+        assert_eq!(plane.execute("get hot spin").unwrap(), "spin forever policy");
     }
 
     #[test]
     fn set_algorithm_switches_an_idle_lock_immediately() {
         let (plane, locks) = plane_with(&["z"]);
-        let resp = plane.execute("set-algorithm z flat-combining").unwrap();
-        assert!(resp.contains("now running flat-combining"), "{resp}");
+        let resp = plane.execute("set z algorithm flat-combining").unwrap();
+        assert_eq!(resp, "algorithm flat-combining operator");
         assert_eq!(locks[0].algorithm(), LockAlgorithm::Combining);
-        let err = plane.execute("set-algorithm z mcs").unwrap_err();
+        let err = plane.execute("set z algorithm mcs").unwrap_err();
         assert!(
             err.contains("spin-park|ticket|flat-combining"),
             "the error must list the valid labels: {err}"
         );
         assert_eq!(locks[0].algorithm(), LockAlgorithm::Combining, "a bad label moved the lock");
-        let resp = plane.execute("set-algorithm z ticket").unwrap();
-        assert!(resp.contains("now running ticket"), "{resp}");
+        plane.execute("set z algorithm ticket").unwrap();
+        assert_eq!(locks[0].algorithm(), LockAlgorithm::Ticket);
+    }
+
+    #[test]
+    fn an_operators_set_outlasts_the_policy_until_release() {
+        let (plane, locks) = plane_with(&["hot"]);
+        let (m, stop) = (&*locks[0], AtomicBool::new(false));
+        std::thread::scope(|s| {
+            for _ in 0..6 {
+                s.spawn(|| {
+                    while !stop.load(Ordering::Relaxed) {
+                        *m.lock() += 1;
+                    }
+                });
+            }
+            let wait_for = |n| while m.stats().acquisitions < n { std::thread::yield_now() };
+            wait_for(1_000);
+            plane.execute("set hot spin 0").unwrap();
+            let (at_set, reconfigs) = (m.stats().acquisitions, m.stats().reconfigurations);
+            wait_for(at_set + 10_000);
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(m.waiting_policy().spin, 0, "the policy overwrote the operator");
+            assert_eq!(m.stats().reconfigurations, reconfigs, "a refused decision counted");
+        });
+        plane.execute("release hot spin").unwrap();
+        // Uncontended, `simple-adapt` decides pure spin at its next
+        // sample, at most one backed-off period (64) away.
+        let back = (0..2 * 64).any(|_| {
+            drop(m.lock());
+            m.waiting_policy().spin == SPIN_FOREVER
+        });
+        assert!(back, "the policy did not take the group back");
+    }
+
+    #[test]
+    fn quarantine_and_heal_answer_only_for_an_edge_taken() {
+        let (plane, _locks) = plane_with(&["q"]);
+        assert_eq!(plane.execute("heal q").unwrap(), "q not open, nothing to heal");
+        assert_eq!(plane.execute("quarantine q").unwrap(), "q breaker forced open");
+        let edges = plane.hub().events().len();
+        assert_eq!(plane.execute("quarantine q").unwrap(), "q breaker already open");
+        assert_eq!(plane.hub().events().len(), edges, "no edge, no event");
     }
 
     #[test]
@@ -363,14 +362,4 @@ mod tests {
         assert_eq!(plane.execute("targets").unwrap(), "(no targets registered)");
     }
 
-    #[test]
-    fn channel_transport_serves_commands_from_another_thread() {
-        let (plane, _locks) = plane_with(&["c"]);
-        let chan = ControlChannel::spawn(plane);
-        assert_eq!(chan.send("targets").unwrap().unwrap(), "c");
-        assert!(chan.send("bogus").unwrap().is_err());
-        for _ in 0..4 {
-            assert!(chan.send("health c").unwrap().is_ok());
-        }
-    }
 }

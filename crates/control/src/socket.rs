@@ -263,7 +263,7 @@ mod tests {
         hub.register("net.lock", Arc::new(AdaptiveMutex::new(0u32)));
         hub.register("disk.lock", Arc::new(AdaptiveMutex::new(0u32)));
         let mut w = Writes::default();
-        let requests = b"targets\nretune net.lock spin soon\nsnapshot\n";
+        let requests = b"targets\nset net.lock spin soon\nsnapshot\n";
         serve_connection(&requests[..], &mut w, &ControlPlane::new(hub));
         assert_eq!(w.0.len(), 3, "writes: {:?}", w.0);
         assert_eq!(w.0[0], "ok\ndisk.lock\nnet.lock\n.\n");
@@ -339,7 +339,7 @@ mod tests {
         assert!(snap.contains("breaker_state{lock=\"net.lock\"} 0"));
         client.send("quarantine net.lock").unwrap().unwrap();
         assert!(m.is_quarantined(), "command reached the live lock");
-        let err = client.send("retune net.lock spin soon").unwrap();
+        let err = client.send("set net.lock spin soon").unwrap();
         assert!(err.is_err());
         // A second concurrent client works (per-connection threads).
         let mut c2 = SocketClient::connect(server.path()).expect("connect 2");

@@ -2,18 +2,14 @@
 //!
 //! [`ControlTarget`] is the one surface a supervisor sees: the breaker
 //! hub reads its health frames and quarantines, nudges and heals it;
-//! operator commands also retune its waiting attributes, swap its
-//! engine via the quiesce-and-switch protocol and clear its poison.
+//! operator commands also read and write its live attributes through
+//! one table with an owner per attribute group, and clear its poison.
 //! It is value-type-erased and implemented for every
 //! `AdaptiveMutex<T: Send>` (and, in `asyncx`, the async mutex), so any
 //! lock in the program can be registered by name without the registry
 //! caring what it guards.
 
-use std::time::Duration;
-
-use adaptive_native::{
-    AdaptiveMutex, LockAlgorithm, LockHealth, MutexStats, NativeWaitingPolicy,
-};
+use adaptive_native::{AdaptiveMutex, AttrGroup, LockAlgorithm, LockHealth, MutexStats};
 
 /// A named lock the control plane can observe and reconfigure live.
 pub trait ControlTarget: Send + Sync {
@@ -24,7 +20,7 @@ pub trait ControlTarget: Send + Sync {
     fn stats(&self) -> MutexStats;
 
     /// Snap to the safe endpoint: pure blocking, adaptation disabled
-    /// with exponential backoff.
+    /// with exponential backoff. Writes through any owner.
     fn quarantine(&self);
 
     /// End a quarantine immediately (adaptation restarts on probation).
@@ -38,19 +34,18 @@ pub trait ControlTarget: Send + Sync {
     /// Clear the poison flag. Returns whether it was set.
     fn clear_poison(&self) -> bool;
 
-    /// Current waiting-policy attributes.
-    fn waiting_policy(&self) -> NativeWaitingPolicy;
+    /// Every live attribute as a `(name, value, operator_owned)` row,
+    /// the value spelled as [`ControlTarget::set`] reads it.
+    fn attrs(&self) -> Vec<(&'static str, String, bool)>;
 
-    /// Install new waiting-policy attributes.
-    fn set_waiting_policy(&self, policy: NativeWaitingPolicy);
+    /// Write attribute `name` and take its group for the operator: the
+    /// policy's decisions on the group are refused until
+    /// [`ControlTarget::release`].
+    fn set(&self, name: &str, value: &str) -> Result<(), String>;
 
-    /// The engine currently installed.
-    fn algorithm(&self) -> LockAlgorithm;
-
-    /// Request a live engine migration (PR 6's quiesce-and-switch).
-    /// Returns whether the target took the request: `false` from a lock
-    /// with one engine, which stays on [`ControlTarget::algorithm`].
-    fn set_algorithm(&self, algo: LockAlgorithm) -> bool;
+    /// Hand the group of attribute `name`, or every group, back to the
+    /// policy.
+    fn release(&self, name: Option<&str>);
 }
 
 impl<T: Send> ControlTarget for AdaptiveMutex<T> {
@@ -78,33 +73,53 @@ impl<T: Send> ControlTarget for AdaptiveMutex<T> {
         AdaptiveMutex::clear_poison(self)
     }
 
-    fn waiting_policy(&self) -> NativeWaitingPolicy {
-        AdaptiveMutex::waiting_policy(self)
+    fn attrs(&self) -> Vec<(&'static str, String, bool)> {
+        let waiting = self.operator_owns(AttrGroup::Waiting);
+        let mut rows: Vec<_> =
+            self.waiting_policy().attrs().into_iter().map(|(n, v)| (n, v, waiting)).collect();
+        let algorithm = self.algorithm().label().to_string();
+        rows.push(("algorithm", algorithm, self.operator_owns(AttrGroup::Algorithm)));
+        rows
     }
 
-    fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
-        AdaptiveMutex::set_waiting_policy(self, policy);
+    fn set(&self, name: &str, value: &str) -> Result<(), String> {
+        if name == "algorithm" {
+            let algo = LockAlgorithm::from_label(value).ok_or_else(|| {
+                let labels = LockAlgorithm::ALL.map(LockAlgorithm::label).join("|");
+                format!("unknown algorithm {value:?} (one of {labels})")
+            })?;
+            self.set_operator_owns(AttrGroup::Algorithm, true);
+            self.set_algorithm(algo);
+        } else {
+            let p = self.waiting_policy().with_attr(name, value)?;
+            self.set_operator_owns(AttrGroup::Waiting, true);
+            self.set_waiting_policy(p);
+        }
+        Ok(())
     }
 
-    fn algorithm(&self) -> LockAlgorithm {
-        AdaptiveMutex::algorithm(self)
-    }
-
-    fn set_algorithm(&self, algo: LockAlgorithm) -> bool {
-        AdaptiveMutex::set_algorithm(self, algo);
-        true
+    fn release(&self, name: Option<&str>) {
+        for group in [AttrGroup::Waiting, AttrGroup::Algorithm] {
+            if name.is_none_or(|n| AttrGroup::of(n) == Some(group)) {
+                self.set_operator_owns(group, false);
+            }
+        }
     }
 }
 
-/// One `health` line for a target: compact `key=value` pairs.
+/// One `health` line for a target: compact `key=value` pairs, a value
+/// an operator owns marked `@operator`.
 pub(crate) fn health_line(name: &str, state: &str, t: &dyn ControlTarget) -> String {
     let h = t.health();
+    let attrs: String = t
+        .attrs()
+        .into_iter()
+        .map(|(n, v, operator)| format!(" {n}={v}{}", if operator { "@operator" } else { "" }))
+        .collect();
     format!(
-        "{name} state={state} algo={algo} policy={policy} sample_every={sample_every} \
-         waiting={waiting} acq={acq} handoffs={handoffs} locked={locked} poisoned={poisoned} \
-         quarantined={quarantined} policy_panics={panics}",
-        algo = t.algorithm().label(),
-        policy = t.waiting_policy().descriptor(),
+        "{name} state={state}{attrs} sample_every={sample_every} waiting={waiting} acq={acq} \
+         handoffs={handoffs} locked={locked} poisoned={poisoned} quarantined={quarantined} \
+         policy_panics={panics}",
         sample_every = h.sample_period,
         waiting = h.waiting,
         acq = h.acquisitions,
@@ -116,37 +131,6 @@ pub(crate) fn health_line(name: &str, state: &str, t: &dyn ControlTarget) -> Str
     )
 }
 
-/// Parse a `retune` attribute assignment onto an existing policy.
-pub(crate) fn retune(
-    mut policy: NativeWaitingPolicy,
-    attr: &str,
-    value: &str,
-) -> Result<NativeWaitingPolicy, String> {
-    match attr {
-        "spin" => {
-            policy.spin = if value == "forever" {
-                adaptive_native::SPIN_FOREVER
-            } else {
-                value.parse().map_err(|_| format!("bad spin count {value:?}"))?
-            };
-        }
-        "delay" => {
-            policy.delay = value.parse().map_err(|_| format!("bad delay {value:?}"))?;
-        }
-        "timeout" => {
-            policy.timeout = if value == "none" {
-                None
-            } else {
-                let nanos: u64 =
-                    value.parse().map_err(|_| format!("bad timeout nanos {value:?}"))?;
-                Some(Duration::from_nanos(nanos))
-            };
-        }
-        other => return Err(format!("unknown attribute {other:?} (spin|delay|timeout)")),
-    }
-    Ok(policy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,33 +140,16 @@ mod tests {
         let m = std::sync::Arc::new(AdaptiveMutex::new(vec![1u8, 2, 3]));
         let t: std::sync::Arc<dyn ControlTarget> = m.clone();
         assert!(!t.health().locked);
-        t.set_waiting_policy(NativeWaitingPolicy::pure_spin());
-        assert_eq!(m.waiting_policy(), NativeWaitingPolicy::pure_spin());
-        assert!(t.set_algorithm(LockAlgorithm::Ticket));
-        assert_eq!(t.algorithm(), LockAlgorithm::Ticket);
+        t.set("algorithm", "ticket").unwrap();
+        assert_eq!(m.algorithm(), LockAlgorithm::Ticket);
+        assert!(m.operator_owns(AttrGroup::Algorithm) && !m.operator_owns(AttrGroup::Waiting));
+        t.release(None);
+        assert!(!m.operator_owns(AttrGroup::Algorithm));
         t.quarantine();
         assert!(t.health().quarantined);
         assert!(t.heal());
         assert!(!t.health().quarantined);
         assert!(t.nudge());
         assert!(t.stats().acquisitions >= 1);
-    }
-
-    #[test]
-    fn retune_edits_one_attribute_at_a_time() {
-        let base = NativeWaitingPolicy::combined(32);
-        let p = retune(base, "spin", "128").unwrap();
-        assert_eq!(p.spin, 128);
-        assert_eq!(p.delay, base.delay);
-        let p = retune(p, "spin", "forever").unwrap();
-        assert_eq!(p.spin, adaptive_native::SPIN_FOREVER);
-        let p = retune(p, "delay", "16").unwrap();
-        assert_eq!(p.delay, 16);
-        let p = retune(p, "timeout", "5000").unwrap();
-        assert_eq!(p.timeout, Some(Duration::from_nanos(5000)));
-        let p = retune(p, "timeout", "none").unwrap();
-        assert_eq!(p.timeout, None);
-        assert!(retune(p, "spin", "soon").is_err());
-        assert!(retune(p, "jitter", "1").is_err());
     }
 }

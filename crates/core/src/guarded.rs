@@ -166,6 +166,17 @@ impl<P> GuardedLoop<P> {
         outcome
     }
 
+    /// Run `f`, which must not panic, with no sample in flight: wait out
+    /// the sampler holding the busy flag, then hold it (samples arriving
+    /// meanwhile skip). For a write no decision may race.
+    pub fn exclusive(&self, f: impl FnOnce()) {
+        while self.busy.swap(true, Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+        f();
+        self.busy.store(false, Ordering::Release);
+    }
+
     /// Gate events the object should let pass before its next sample.
     /// Instantly stale, which is harmless: a reader that misses an
     /// update paces one gap by the previous period.

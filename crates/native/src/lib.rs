@@ -57,8 +57,8 @@ pub use mutex::{
 };
 pub use pad::CachePadded;
 pub use policy::{
-    FixedPolicy, NativeDecision, NativeFairnessAdapt, NativeObservation, NativeSimpleAdapt,
-    NativeWaitingPolicy, PolicyChoice, WaitAttrs,
+    AttrGroup, FixedPolicy, NativeDecision, NativeFairnessAdapt, NativeObservation,
+    NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice, WaitAttrs,
 };
 pub use raw::{LockAlgorithm, RawLock};
 pub use ticket::TicketLock;

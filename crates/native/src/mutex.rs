@@ -87,7 +87,7 @@ use crate::health::LockHealth;
 use crate::pad::CachePadded;
 use crate::parker::WaitNode;
 use crate::policy::{
-    NativeDecision, NativeObservation, NativeSimpleAdapt, NativeWaitingPolicy, WaitAttrs,
+    AttrGroup, NativeDecision, NativeObservation, NativeSimpleAdapt, NativeWaitingPolicy, WaitAttrs,
 };
 use crate::raw::{LockAlgorithm, RawLock, ALGO_NONE};
 use crate::stats::{
@@ -1180,8 +1180,12 @@ impl<T> AdaptiveMutex<T> {
     /// previous `SetPolicy`'s delay and — worse — conditional-timeout
     /// attributes live underneath: after a `PureSpin` decision, every
     /// `lock_conditional` was still bounded by a timeout no current
-    /// policy had asked for.
+    /// policy had asked for. A decision on a group an operator owns is
+    /// refused: it changes nothing.
     fn apply(&self, decision: NativeDecision) -> bool {
+        if self.attrs.operator_owns(decision.group()) {
+            return false;
+        }
         let p = match decision {
             NativeDecision::PureSpin => NativeWaitingPolicy::pure_spin(),
             NativeDecision::PureBlocking => NativeWaitingPolicy::pure_blocking(),
@@ -1211,9 +1215,22 @@ impl<T> AdaptiveMutex<T> {
 
     /// Externally install a full `{spin, delay, timeout}` attribute set
     /// (the paper's charged `configure` operation, minus the simulated
-    /// charge). The feedback loop may override it at its next sample.
+    /// charge). This takes no ownership: while the policy owns the
+    /// waiting group, its next decision may override the set.
     pub fn set_waiting_policy(&self, p: NativeWaitingPolicy) {
         self.attrs.store(p);
+    }
+
+    /// Whether an operator owns attribute group `group`.
+    pub fn operator_owns(&self, group: AttrGroup) -> bool {
+        self.attrs.operator_owns(group)
+    }
+
+    /// Hand `group` to an operator (`true`), whose group the policy's
+    /// decisions cannot write, or back to the policy. Waits out a
+    /// decision in flight, so none that read the old owner lands later.
+    pub fn set_operator_owns(&self, group: AttrGroup, operator: bool) {
+        self.feedback.exclusive(|| self.attrs.set_operator_owns(group, operator));
     }
 
     /// Current `{spin, delay, timeout}` attribute set.

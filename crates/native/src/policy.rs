@@ -2,7 +2,7 @@
 //! simulator-side policies, built on the same [`AdaptationPolicy`]
 //! trait), and the native waiting-policy attribute set.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
 use adaptive_core::AdaptationPolicy;
@@ -70,44 +70,29 @@ impl NativeWaitingPolicy {
         self
     }
 
-    /// Compact descriptor for reports.
-    pub fn descriptor(&self) -> String {
-        let base = if self.spin == SPIN_FOREVER {
-            "spin".to_string()
-        } else if self.spin == 0 {
-            "blocking".to_string()
-        } else {
-            format!("combined({})", self.spin)
-        };
-        match self.timeout {
-            Some(t) => format!("{base}+timeout({t:?})"),
-            None => base,
+    /// This set with attribute `name` written from its control-plane
+    /// spelling: `spin <n|forever>`, `delay <n>` or `timeout <ns|none>`.
+    pub fn with_attr(mut self, name: &str, value: &str) -> Result<NativeWaitingPolicy, String> {
+        let bad = || format!("bad {name} {value:?}");
+        match (name, value) {
+            ("spin", "forever") => self.spin = SPIN_FOREVER,
+            ("spin", n) => self.spin = n.parse().map_err(|_| bad())?,
+            ("delay", n) => self.delay = n.parse().map_err(|_| bad())?,
+            ("timeout", "none") => self.timeout = None,
+            ("timeout", ns) => {
+                self.timeout = Some(Duration::from_nanos(ns.parse().map_err(|_| bad())?));
+            }
+            _ => return Err(format!("unknown attribute {name:?} (spin|delay|timeout)")),
         }
+        Ok(self)
     }
 
-    /// Parse a control-plane policy descriptor: `spin`, `blocking`, or
-    /// `combined:<spins>`, optionally suffixed with `+timeout:<nanos>`
-    /// (`spin+timeout:1000000`). The inverse, up to formatting, of
-    /// [`NativeWaitingPolicy::descriptor`]; returns `None` on anything
-    /// it does not recognise.
-    pub fn parse(s: &str) -> Option<NativeWaitingPolicy> {
-        let (base, timeout) = match s.split_once("+timeout:") {
-            Some((base, nanos)) => {
-                let nanos: u64 = nanos.parse().ok()?;
-                (base, Some(Duration::from_nanos(nanos)))
-            }
-            None => (s, None),
-        };
-        let mut policy = match base {
-            "spin" => NativeWaitingPolicy::pure_spin(),
-            "blocking" => NativeWaitingPolicy::pure_blocking(),
-            _ => {
-                let spins: u32 = base.strip_prefix("combined:")?.parse().ok()?;
-                NativeWaitingPolicy::combined(spins)
-            }
-        };
-        policy.timeout = timeout;
-        Some(policy)
+    /// The `(name, value)` pairs of this set, spelled as
+    /// [`NativeWaitingPolicy::with_attr`] reads them.
+    pub fn attrs(&self) -> [(&'static str, String); 3] {
+        let spin = if self.spin == SPIN_FOREVER { "forever".into() } else { self.spin.to_string() };
+        let timeout = self.timeout.map_or("none".into(), |t| t.as_nanos().to_string());
+        [("spin", spin), ("delay", self.delay.to_string()), ("timeout", timeout)]
     }
 }
 
@@ -153,16 +138,45 @@ fn store_if_changed_u64(cell: &AtomicU64, v: u64) -> bool {
     changed
 }
 
+/// A group of a lock's live attributes that changes owner as one: the
+/// adaptation policy (every group starts there) or an operator, whose
+/// group the policy's decisions cannot write. A quarantine writes
+/// through either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AttrGroup {
+    /// `spin`, `delay` and `timeout`.
+    Waiting,
+    /// `algorithm`: the engine.
+    Algorithm,
+}
+
+impl AttrGroup {
+    /// The group attribute `name` belongs to, if any.
+    pub fn of(name: &str) -> Option<AttrGroup> {
+        match name {
+            "spin" | "delay" | "timeout" => Some(AttrGroup::Waiting),
+            "algorithm" => Some(AttrGroup::Algorithm),
+            _ => None,
+        }
+    }
+
+    fn bit(self) -> u8 {
+        1 << self as u8
+    }
+}
+
 /// The live `{spin, delay, timeout}` cells of one lock: a
 /// [`NativeWaitingPolicy`] that waiters read while reconfigurations
 /// write (all relaxed — each attribute is a self-contained hint). Shared
 /// by the real-thread and the async mutex; what one unit of `spin` or
 /// `delay` costs is up to the mutex that reads them. Read-mostly:
-/// [`WaitAttrs::store`] leaves a re-affirmed cell's line shared.
+/// [`WaitAttrs::store`] leaves a re-affirmed cell's line shared. The
+/// line also holds one owner bit per [`AttrGroup`].
 pub struct WaitAttrs {
     spin: AtomicU32,
     delay: AtomicU32,
     timeout_nanos: AtomicU64,
+    operator_owned: AtomicU8,
 }
 
 impl WaitAttrs {
@@ -172,6 +186,7 @@ impl WaitAttrs {
             spin: AtomicU32::new(initial.spin),
             delay: AtomicU32::new(initial.delay),
             timeout_nanos: AtomicU64::new(encode_timeout(initial.timeout)),
+            operator_owned: AtomicU8::new(0),
         }
     }
 
@@ -205,6 +220,20 @@ impl WaitAttrs {
         store_if_changed_u32(&self.spin, p.spin)
             | store_if_changed_u32(&self.delay, p.delay)
             | store_if_changed_u64(&self.timeout_nanos, encode_timeout(p.timeout))
+    }
+
+    /// Whether an operator owns `group`.
+    pub fn operator_owns(&self, group: AttrGroup) -> bool {
+        self.operator_owned.load(Ordering::Relaxed) & group.bit() != 0
+    }
+
+    /// Hand `group` to an operator (`true`) or back to the policy.
+    pub fn set_operator_owns(&self, group: AttrGroup, operator: bool) {
+        if operator {
+            self.operator_owned.fetch_or(group.bit(), Ordering::Relaxed);
+        } else {
+            self.operator_owned.fetch_and(!group.bit(), Ordering::Relaxed);
+        }
     }
 }
 
@@ -347,6 +376,16 @@ pub enum NativeDecision {
     /// switch installs at the next release (quiesce-and-switch), so no
     /// waiter is lost mid-migration.
     SetAlgorithm(LockAlgorithm),
+}
+
+impl NativeDecision {
+    /// The attribute group this decision writes.
+    pub fn group(&self) -> AttrGroup {
+        match self {
+            NativeDecision::SetAlgorithm(_) => AttrGroup::Algorithm,
+            _ => AttrGroup::Waiting,
+        }
+    }
 }
 
 /// The paper's `simple-adapt`, scaled for spin-loop iterations instead
@@ -569,29 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn waiting_policy_parse_round_trips_the_descriptor_shapes() {
-        assert_eq!(
-            NativeWaitingPolicy::parse("spin"),
-            Some(NativeWaitingPolicy::pure_spin())
-        );
-        assert_eq!(
-            NativeWaitingPolicy::parse("blocking"),
-            Some(NativeWaitingPolicy::pure_blocking())
-        );
-        assert_eq!(
-            NativeWaitingPolicy::parse("combined:48"),
-            Some(NativeWaitingPolicy::combined(48))
-        );
-        assert_eq!(
-            NativeWaitingPolicy::parse("blocking+timeout:250000"),
-            Some(NativeWaitingPolicy::pure_blocking().with_timeout(Duration::from_nanos(250_000)))
-        );
-        assert_eq!(NativeWaitingPolicy::parse("adaptive"), None);
-        assert_eq!(NativeWaitingPolicy::parse("combined:lots"), None);
-        assert_eq!(NativeWaitingPolicy::parse("spin+timeout:soon"), None);
-    }
-
-    #[test]
     fn waiting_policy_constructors_cover_the_attribute_table() {
         assert_eq!(NativeWaitingPolicy::pure_spin().spin, SPIN_FOREVER);
         assert_eq!(NativeWaitingPolicy::pure_blocking().spin, 0);
@@ -683,16 +699,5 @@ mod tests {
         let m = choice.build_mutex(0u32);
         *m.lock() += 1;
         assert_eq!(m.into_inner(), 1);
-    }
-
-    #[test]
-    fn descriptors_are_informative() {
-        assert_eq!(NativeWaitingPolicy::pure_spin().descriptor(), "spin");
-        assert_eq!(NativeWaitingPolicy::pure_blocking().descriptor(), "blocking");
-        assert_eq!(NativeWaitingPolicy::combined(10).descriptor(), "combined(10)");
-        assert!(NativeWaitingPolicy::combined(1)
-            .with_timeout(Duration::from_micros(3))
-            .descriptor()
-            .contains("timeout"));
     }
 }

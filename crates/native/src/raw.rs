@@ -78,7 +78,7 @@ impl LockAlgorithm {
     }
 
     /// Decode a [`LockAlgorithm::label`] string, for control-plane
-    /// commands (`set-algorithm <lock> ticket`). `None` for unknown labels.
+    /// commands (`set <lock> algorithm ticket`). `None` for unknown labels.
     pub fn from_label(label: &str) -> Option<LockAlgorithm> {
         LockAlgorithm::ALL.into_iter().find(|a| a.label() == label)
     }

@@ -13,9 +13,9 @@
 //!   via a storm gate (a [`FaultHook`] wrapper) that is open only
 //!   during the storm phase;
 //! * a command driver issues seeded-random control traffic (`health`,
-//!   `retune`, `set-policy`, `set-algorithm`, `quarantine`, `heal`,
-//!   `clear-poison`, `snapshot`) through [`ControlPlane::execute`],
-//!   concurrently with everything else;
+//!   `set` of `spin`, `timeout` or `algorithm`, `quarantine`, `heal`,
+//!   `release`, `clear-poison`, `snapshot`) through
+//!   [`ControlPlane::execute`], concurrently with everything else;
 //! * scripted stall episodes wedge a lock (guard held across polls, a
 //!   real waiter queued) so the hub sees a genuinely frozen lock,
 //!   and the run measures how many supervisor polls the breaker needs
@@ -246,8 +246,8 @@ impl Wedge {
 /// calm phase keeps observation and recovery traffic flowing.
 fn draw_command(rng: &mut Rng, names: &[String], storm: bool) -> String {
     let name = &names[rng.below(names.len())];
-    let destructive = ["quarantine", "set-algorithm", "retune", "set-policy"];
-    let gentle = ["health", "health-one", "targets", "snapshot", "heal", "clear-poison"];
+    let destructive = ["quarantine", "set algorithm", "set spin", "set timeout"];
+    let gentle = ["health", "health-one", "targets", "snapshot", "heal", "clear-poison", "release"];
     let pool = if storm {
         rng.below(destructive.len() + gentle.len())
     } else {
@@ -257,23 +257,23 @@ fn draw_command(rng: &mut Rng, names: &[String], storm: bool) -> String {
         0 => format!("quarantine {name}"),
         1 => {
             let algo = LockAlgorithm::ALL[rng.below(LockAlgorithm::ALL.len())];
-            format!("set-algorithm {name} {}", algo.label())
+            format!("set {name} algorithm {}", algo.label())
         }
         2 => {
             let spin = [16u32, 64, 256][rng.below(3)];
-            format!("retune {name} spin {spin}")
+            format!("set {name} spin {spin}")
         }
         3 => {
-            let policy = ["spin", "blocking", "combined:64", "combined:16+timeout:5000000"]
-                [rng.below(4)];
-            format!("set-policy {name} {policy}")
+            let timeout = ["none", "5000000"][rng.below(2)];
+            format!("set {name} timeout {timeout}")
         }
         4 => "health".into(),
         5 => format!("health {name}"),
         6 => "targets".into(),
         7 => "snapshot".into(),
         8 => format!("heal {name}"),
-        _ => format!("clear-poison {name}"),
+        9 => format!("clear-poison {name}"),
+        _ => format!("release {name}"),
     }
 }
 

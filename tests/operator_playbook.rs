@@ -31,7 +31,7 @@ fn playbook_loses_no_op_and_every_command_answers_ok() {
 
     let ops = AtomicU64::new(0);
     let done = AtomicBool::new(false);
-    let (replies, phases) = std::thread::scope(|scope| {
+    let (replies, phases, spin_before_quarantine) = std::thread::scope(|scope| {
         for id in 0..4u64 {
             let (store, ops, done) = (&store, &ops, &done);
             scope.spawn(move || {
@@ -72,8 +72,9 @@ fn playbook_loses_no_op_and_every_command_answers_ok() {
             .map(|s| s.name)
             .expect("the store has shards");
         let mut replies = Vec::new();
+        let mut spin_before_quarantine = None;
         for (i, cmd) in [
-            format!("retune {hot} spin 0"),
+            format!("set {hot} spin 0"),
             format!("quarantine {hot}"),
             format!("heal {hot}"),
             format!("health {hot}"),
@@ -84,15 +85,19 @@ fn playbook_loses_no_op_and_every_command_answers_ok() {
             if i > 0 {
                 await_phase();
             }
+            if i == 1 {
+                spin_before_quarantine = Some(plane.execute(&format!("get {hot} spin")));
+            }
             replies.push((cmd.clone(), plane.execute(&cmd)));
         }
         done.store(true, Ordering::Relaxed);
-        (replies, phases)
+        (replies, phases, spin_before_quarantine)
     });
 
     for (cmd, reply) in &replies {
         assert!(reply.is_ok(), "`{cmd}` answered {reply:?}");
     }
+    assert_eq!(spin_before_quarantine, Some(Ok("spin 0 operator".into())), "set did not hold");
     assert_eq!(phases.len(), 4, "closed, retuned, breaker open, healed");
     assert!(phases.iter().all(|&n| n > 0), "a phase served no ops: {phases:?}");
     assert_eq!(
