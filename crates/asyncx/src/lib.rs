@@ -13,11 +13,11 @@
 //!   releaser grants the lock directly (the native mutex's handoff,
 //!   with a waker where the thread parker used to be).
 //!
-//! [`AsyncAdaptiveMutex`] carries the same sampled-contention feedback
-//! loop, attribute set ([`NativeWaitingPolicy`]), poisoning,
-//! quarantine, and control-plane registration as
-//! `adaptive_native::AdaptiveMutex` — the policy types are shared, so
-//! one operator surface retunes both.
+//! [`AsyncAdaptiveMutex`] embeds the same adaptive half as
+//! `adaptive_native::AdaptiveMutex` (`adaptive_native::Adaptation`:
+//! attribute set ([`NativeWaitingPolicy`]), sample clock, feedback
+//! loop, ledger, poisoning, quarantine, control-plane rows), so one
+//! operator surface retunes both.
 //!
 //! Modules:
 //!

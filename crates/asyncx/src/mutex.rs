@@ -22,130 +22,91 @@
 //!   native timed wait: the grant/abandon race on the node's status
 //!   word has one winner.
 //!
-//! Which side wins is a measured property, so the same sampled feedback
-//! loop as [`adaptive_native::AdaptiveMutex`] drives it: every
-//! `sample_period`-th release observes the waiting count (and the
-//! longest recent wait), feeds the pluggable policy
-//! ([`BoxedNativePolicy`] — the *same* policy type the native mutex
-//! takes), and applies its decision to the live attributes. Poisoning,
-//! quarantine with exponential backoff, probation, and operator retune
-//! all carry over unchanged, so one control plane manages both mutexes.
+//! Which side wins is a measured property, so the [`Adaptation`] of
+//! [`adaptive_native::AdaptiveMutex`] drives it — the same one, not a
+//! copy: attributes and owners, monitor, ledger, the feedback kernel and
+//! its sampling period, poisoning, quarantine, control-plane rows. This
+//! file keeps how a task waits and wakes, and its default policy.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::ops::{Deref, DerefMut};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled};
+use adaptive_core::AdaptationPolicy;
 use adaptive_native::{
-    AttrGroup, BoxedNativePolicy, FixedPolicy, LockHealth, MutexStats, NativeDecision,
-    NativeObservation, NativeWaitingPolicy, Poisoned, WaitAttrs, SPIN_FOREVER,
+    Adaptation, BoxedNativePolicy, Counter, FixedPolicy, GrantWord, LockHealth, MutexStats,
+    NativeDecision, NativeObservation, NativeWaitingPolicy, Poisoned, SampleClock, Substrate,
 };
 
 use crate::rt;
 
 /// Cap on the poll budget the default adaptive policy will grant
 /// itself. An operator (or a fixed policy) may still install
-/// [`SPIN_FOREVER`]; the cap only bounds *automatic* escalation, so a
-/// misread sample cannot commit the lock to unbounded scheduler churn.
+/// [`SPIN_FOREVER`](adaptive_native::SPIN_FOREVER); the cap only bounds
+/// *automatic* escalation, so a misread sample cannot commit the lock
+/// to unbounded scheduler churn.
 pub const POLL_BUDGET_CAP: u32 = 256;
 
-/// The complete attribute set behind a bare poll budget — what
-/// `SetSpins`, `PureSpin`, `PureBlocking` and a quarantine resolve to:
-/// no park timeout, and the async `delay` default of 0 (the native
-/// default of 64 is a backoff cap; here it would be 64 `spin_loop`
-/// hints wasted per re-poll on a worker the holder may need).
-fn poll_policy(budget: u32) -> NativeWaitingPolicy {
-    NativeWaitingPolicy { spin: budget, delay: 0, timeout: None }
+/// Tasks: a shorthand decision installs a `delay` of 0 (the native 64
+/// is a backoff cap; here it would be 64 `spin_loop` hints wasted per
+/// re-poll on a worker the holder may need), and there is one engine.
+struct Tasks;
+
+impl Substrate for Tasks {
+    const SHORTHAND_DELAY: u32 = 0;
 }
 
-/// Waiter node status word values (same protocol as the native
-/// parker's [`WaitNode`]: grant and abandon race on one CAS).
-const WAITING: u32 = 0;
-const GRANTED: u32 = 1;
-const ABANDONED: u32 = 2;
+/// The complete attribute set behind a bare poll budget, as a shorthand
+/// decision spells it: no park timeout, no pause.
+fn poll_policy(budget: u32) -> NativeWaitingPolicy {
+    NativeWaitingPolicy { spin: budget, delay: Tasks::SHORTHAND_DELAY, timeout: None }
+}
 
-/// One parked task's entry in the waiter queue.
+/// A host mutex's guard, whatever a panicking holder left: no code
+/// panics while holding the queue or a waker slot.
+fn unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// One parked task's entry in the waiter queue: the native waiter's
+/// grant/abandon word, with a waker where the thread handle was.
+#[derive(Default)]
 struct Waiter {
-    status: AtomicU32,
+    status: GrantWord,
     waker: Mutex<Option<Waker>>,
 }
 
 impl Waiter {
-    fn new() -> Waiter {
-        Waiter { status: AtomicU32::new(WAITING), waker: Mutex::new(None) }
-    }
-
     /// Store the current waker. Called by the waiting task on every
     /// poll *before* it re-checks `status`, pairing with the granter's
     /// status-then-waker order: whichever way the race falls, either
     /// the granter wakes the fresh waker or the waiter sees `GRANTED`.
     fn set_waker(&self, waker: &Waker) {
-        let mut slot = self.waker.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = unpoisoned(&self.waker);
         match slot.as_ref() {
             Some(old) if old.will_wake(waker) => {}
             _ => *slot = Some(waker.clone()),
         }
     }
 
-    /// Releaser side: `WAITING → GRANTED`, then wake. Returns `false`
-    /// if the waiter abandoned first.
+    /// Releaser side: grant, then wake. Returns `false` if the waiter
+    /// abandoned first.
     fn try_grant(&self) -> bool {
-        if self
-            .status
-            .compare_exchange(WAITING, GRANTED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
+        if !self.status.try_grant() {
             return false;
         }
-        let waker = self
-            .waker
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .take();
+        let waker = unpoisoned(&self.waker).take();
         if let Some(w) = waker {
             w.wake();
         }
         true
     }
-
-    /// Waiter side: `WAITING → ABANDONED` (timeout or cancellation).
-    /// Returns `false` if a grant won the race — the caller owns the
-    /// lock.
-    fn try_abandon(&self) -> bool {
-        self.status
-            .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    fn is_granted(&self) -> bool {
-        self.status.load(Ordering::Acquire) == GRANTED
-    }
-}
-
-/// Counters (plain atomics: the async hot path is already a task-switch
-/// affair, so striping would buy nothing measurable).
-#[derive(Default)]
-struct Counters {
-    contended: AtomicU64,
-    polls: AtomicU64,
-    parked: AtomicU64,
-    handoffs: AtomicU64,
-    reconfigurations: AtomicU64,
-    try_failures: AtomicU64,
-    timeouts: AtomicU64,
-    cancellations: AtomicU64,
-    cancelled_grants: AtomicU64,
-    poison_events: AtomicU64,
-    poison_clears: AtomicU64,
-    policy_panics: AtomicU64,
-    quarantines: AtomicU64,
-    heals: AtomicU64,
 }
 
 /// Counter snapshot of an [`AsyncAdaptiveMutex`].
@@ -161,7 +122,7 @@ pub struct AsyncMutexStats {
     pub parked: u64,
     /// Direct grants from a releaser to the head waiter.
     pub handoffs: u64,
-    /// Attribute changes actually applied (live retunes included).
+    /// As [`MutexStats::reconfigurations`].
     pub reconfigurations: u64,
     /// Failed `try_lock` calls.
     pub try_failures: u64,
@@ -179,35 +140,8 @@ pub struct AsyncMutexStats {
     pub policy_panics: u64,
     /// Quarantines entered.
     pub quarantines: u64,
-    /// Times adaptation was re-enabled: a quarantine that ran down, or
-    /// an explicit heal (same meaning as [`MutexStats::heals`]).
+    /// As [`MutexStats::heals`].
     pub heals: u64,
-}
-
-impl AsyncMutexStats {
-    /// Project onto the native [`MutexStats`] shape (the control
-    /// plane's lingua franca). Async-only counters fold into their
-    /// closest native meaning: `parked` keeps its name, re-polls have
-    /// no native twin and are dropped, and the engine-zoo counters are
-    /// zero (the async mutex has one engine).
-    pub fn as_native(&self) -> MutexStats {
-        MutexStats {
-            acquisitions: self.acquisitions,
-            contended: self.contended,
-            parked: self.parked,
-            handoffs: self.handoffs,
-            reconfigurations: self.reconfigurations,
-            try_failures: self.try_failures,
-            timeouts: self.timeouts,
-            poison_events: self.poison_events,
-            poison_clears: self.poison_clears,
-            policy_panics: self.policy_panics,
-            quarantines: self.quarantines,
-            heals: self.heals,
-            algorithm_switches: 0,
-            combined_ops: 0,
-        }
-    }
 }
 
 /// An async mutex whose waiting policy — poll budget, pre-retry delay,
@@ -216,27 +150,18 @@ impl AsyncMutexStats {
 pub struct AsyncAdaptiveMutex<T> {
     /// 0 = free, 1 = held. A granted handoff keeps it at 1.
     locked: AtomicU32,
-    /// `spin` = re-poll budget before parking, `delay` = `spin_loop`
-    /// hints before each in-poll retry, `timeout` = park bound.
-    attrs: WaitAttrs,
-    /// Tasks currently waiting (polling or parked) — the monitor's
-    /// `no-of-waiting-threads`, counted in tasks.
-    waiters: AtomicU32,
+    /// Acquisitions and the next sample point, written beside `locked`
+    /// by whoever holds the lock.
+    clock: SampleClock,
     /// FIFO waker queue. The release path sets `locked = 0` only while
     /// holding this lock, and the park path re-tries the acquire while
     /// holding it, so a release and a park cannot miss each other.
     queue: Mutex<VecDeque<Arc<Waiter>>>,
-    /// Serialized by the lock itself (bumped while held).
-    acquisitions: AtomicU64,
-    /// Monitor sampling cadence, in acquisitions: fixed, and not the
-    /// feedback kernel's.
-    gate: SampleGate,
-    /// Longest contended wait (ns) since the last sample.
-    max_wait: AtomicU64,
-    /// The feedback kernel shared with the native mutex.
-    feedback: GuardedLoop<BoxedNativePolicy>,
-    poisoned: AtomicBool,
-    stats: Counters,
+    /// The adaptive half shared with the native mutex. Its `spin` is
+    /// the re-poll budget before parking, `delay` the `spin_loop` hints
+    /// before each in-poll retry, `timeout` the park bound; its waiter
+    /// count is in tasks.
+    adaptation: Adaptation,
     value: UnsafeCell<T>,
 }
 
@@ -249,43 +174,38 @@ unsafe impl<T: Send> Send for AsyncAdaptiveMutex<T> {}
 unsafe impl<T: Send> Sync for AsyncAdaptiveMutex<T> {}
 
 impl<T> AsyncAdaptiveMutex<T> {
-    /// A mutex with the default adaptive policy ([`AsyncPollAdapt`])
-    /// sampling every other release, starting from a 32-poll budget.
+    /// A mutex with the default adaptive policy ([`AsyncPollAdapt`]),
+    /// starting from a 32-poll budget.
     pub fn new(value: T) -> AsyncAdaptiveMutex<T> {
-        AsyncAdaptiveMutex::with_policy(value, Box::new(AsyncPollAdapt::default()), 2)
+        AsyncAdaptiveMutex::with_policy(value, Box::new(AsyncPollAdapt::default()))
     }
 
-    /// A mutex with a fixed poll budget (no adaptation): `0` parks on
-    /// the first failed probe (*pure async wait*), [`SPIN_FOREVER`]
-    /// never parks.
+    /// A mutex with a fixed poll budget and a monitor that never
+    /// samples: `0` parks on the first failed probe (*pure async
+    /// wait*), [`SPIN_FOREVER`](adaptive_native::SPIN_FOREVER) never
+    /// parks.
     pub fn with_poll_budget(value: T, budget: u32) -> AsyncAdaptiveMutex<T> {
-        let m = AsyncAdaptiveMutex::with_policy(
-            value,
-            Box::new(FixedPolicy(NativeDecision::SetSpins(budget))),
-            u64::MAX,
-        );
-        m.attrs.store(poll_policy(budget));
-        m
+        let policy = Box::new(FixedPolicy(NativeDecision::SetSpins(budget)));
+        AsyncAdaptiveMutex::build(value, policy, poll_policy(budget), false)
     }
 
-    /// A mutex with an explicit policy and monitor sampling period
-    /// (in acquisitions; `0` or `u64::MAX` disables sampling).
-    pub fn with_policy(
+    /// A mutex with an explicit policy, sampled at the feedback
+    /// kernel's period.
+    pub fn with_policy(value: T, policy: BoxedNativePolicy) -> AsyncAdaptiveMutex<T> {
+        AsyncAdaptiveMutex::build(value, policy, poll_policy(32), true)
+    }
+
+    fn build(
         value: T,
         policy: BoxedNativePolicy,
-        sample_period: u64,
+        initial: NativeWaitingPolicy,
+        sampled: bool,
     ) -> AsyncAdaptiveMutex<T> {
         AsyncAdaptiveMutex {
             locked: AtomicU32::new(0),
-            attrs: WaitAttrs::new(poll_policy(32)),
-            waiters: AtomicU32::new(0),
+            clock: SampleClock::new(sampled),
             queue: Mutex::new(VecDeque::new()),
-            acquisitions: AtomicU64::new(0),
-            gate: SampleGate::new(sample_period),
-            max_wait: AtomicU64::new(0),
-            feedback: GuardedLoop::new(policy),
-            poisoned: AtomicBool::new(false),
-            stats: Counters::default(),
+            adaptation: Adaptation::new(policy, initial),
             value: UnsafeCell::new(value),
         }
     }
@@ -301,7 +221,7 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// poisoned; use [`AsyncAdaptiveMutex::lock_checked`] to handle
     /// poison explicitly.
     pub fn lock(&self) -> LockFuture<'_, T> {
-        LockFuture { inner: Acquire::new(self) }
+        LockFuture { inner: self.lock_checked() }
     }
 
     /// Like [`AsyncAdaptiveMutex::lock`], but poison resolves to
@@ -315,7 +235,7 @@ impl<T> AsyncAdaptiveMutex<T> {
         if self.try_acquire() {
             Some(self.make_guard())
         } else {
-            self.stats.try_failures.fetch_add(1, Ordering::Relaxed);
+            self.adaptation.try_failed(&Tasks, &self.clock);
             None
         }
     }
@@ -329,10 +249,7 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// Build a guard for a lock we already own, charging the
     /// acquisition and deciding whether this release should sample.
     fn make_guard(&self) -> AsyncMutexGuard<'_, T> {
-        // Plain load + store: serialized by the lock we hold.
-        let n = self.acquisitions.load(Ordering::Relaxed) + 1;
-        self.acquisitions.store(n, Ordering::Relaxed);
-        AsyncMutexGuard { mutex: self, adapt: self.gate.fires(n) }
+        AsyncMutexGuard { mutex: self, sampled: self.clock.charge(1, &self.adaptation) }
     }
 
     /// Release the lock: grant it directly to the oldest live waiter,
@@ -342,150 +259,72 @@ impl<T> AsyncAdaptiveMutex<T> {
     /// seen by the next release.
     fn release(&self) {
         loop {
-            let next = {
-                let mut q = self
-                    .queue
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                match q.pop_front() {
-                    Some(w) => w,
-                    None => {
-                        self.locked.store(0, Ordering::Release);
-                        return;
-                    }
+            // The queue guard lives to the end of this statement, so the
+            // store that frees the lock happens under it.
+            let next = match unpoisoned(&self.queue).pop_front() {
+                Some(w) => w,
+                None => {
+                    self.locked.store(0, Ordering::Release);
+                    return;
                 }
             };
             // Grant outside the queue lock: `wake` may run arbitrary
             // executor code. An abandoned (timed-out / cancelled) node
             // just gets pruned here; try the next one.
             if next.try_grant() {
-                self.stats.handoffs.fetch_add(1, Ordering::Relaxed);
+                self.adaptation.count(Counter::Handoffs);
                 return;
             }
         }
     }
 
-    /// Run the sampled feedback loop once (called by a sampling
-    /// release, after the lock is dropped), through the feedback kernel
-    /// shared with the native mutex.
-    fn adapt(&self) {
-        let outcome = self.feedback.sample(
-            || NativeObservation {
-                waiting: u64::from(self.waiters.load(Ordering::Relaxed)),
-                max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
-                acquisitions: 2,
-            },
-            |decision| self.apply(decision),
-        );
-        match outcome {
-            Sampled::Reenabled => {
-                self.stats.heals.fetch_add(1, Ordering::Relaxed);
-            }
-            Sampled::Panicked => {
-                self.stats.policy_panics.fetch_add(1, Ordering::Relaxed);
-                self.snap_to_safe_endpoint();
-            }
-            Sampled::Skipped | Sampled::CoolingDown | Sampled::Decided => {}
-        }
-    }
-
-    /// Apply a policy decision to the live attributes. Every decision
-    /// installs a *complete* attribute set, like the native mutex's: a
-    /// shorthand decision that wrote only the poll budget would leave
-    /// an earlier `SetPolicy`'s park timeout live underneath, and parked
-    /// waiters would keep abandoning and re-queueing on a bound no
-    /// current policy asked for. A decision on a group an operator
-    /// owns is refused: it changes nothing.
-    fn apply(&self, decision: NativeDecision) -> bool {
-        if self.attrs.operator_owns(decision.group()) {
-            return false;
-        }
-        let p = match decision {
-            NativeDecision::PureSpin => poll_policy(SPIN_FOREVER),
-            NativeDecision::PureBlocking => poll_policy(0),
-            NativeDecision::SetSpins(k) => poll_policy(k),
-            NativeDecision::SetPolicy(p) => p,
-            // The async mutex has a single engine; an engine-migration
-            // decision (from a policy shared with the native mutex) is
-            // a no-op here, not an error.
-            NativeDecision::SetAlgorithm(_) => return false,
-        };
-        self.install(p)
-    }
-
-    /// Snap to the safe endpoint (pure park) and disable adaptation for
-    /// `8 << level` samples, doubling the backoff each time.
+    /// Snap to the safe endpoint (pure park) and disable adaptation
+    /// with exponential backoff (see [`Adaptation::quarantine`]).
     pub fn quarantine(&self) {
-        self.feedback.quarantine();
-        self.snap_to_safe_endpoint();
-    }
-
-    /// The substrate half of a quarantine (the kernel has already
-    /// started the sentence): poll budget 0.
-    fn snap_to_safe_endpoint(&self) {
-        self.stats.quarantines.fetch_add(1, Ordering::Relaxed);
-        self.set_waiting_policy(poll_policy(0));
+        self.adaptation.quarantine(&Tasks);
     }
 
     /// End a quarantine immediately; adaptation resumes on probation.
     /// Returns whether one was in force.
     pub fn heal(&self) -> bool {
-        let healed = self.feedback.heal();
-        if healed {
-            self.stats.heals.fetch_add(1, Ordering::Relaxed);
-        }
-        healed
+        self.adaptation.heal()
     }
 
     /// Whether adaptation is currently suspended by a quarantine.
     pub fn is_quarantined(&self) -> bool {
-        self.feedback.is_quarantined()
+        self.adaptation.is_quarantined()
     }
 
     /// Whether a holder has panicked since the last clear.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.adaptation.is_poisoned()
     }
 
     /// Clear the poison flag; returns whether it was set.
     pub fn clear_poison(&self) -> bool {
-        let was = self.poisoned.swap(false, Ordering::AcqRel);
-        if was {
-            self.stats.poison_clears.fetch_add(1, Ordering::Relaxed);
-        }
-        was
+        self.adaptation.clear_poison()
     }
 
     /// Install new waiting-policy attributes. This takes no ownership:
     /// while the policy owns the waiting group, the feedback loop keeps
     /// adapting from here.
     pub fn set_waiting_policy(&self, policy: NativeWaitingPolicy) {
-        self.install(policy);
-    }
-
-    /// Store `policy`; returns whether that changed anything, and
-    /// counts it if so.
-    fn install(&self, policy: NativeWaitingPolicy) -> bool {
-        let changed = self.attrs.store(policy);
-        if changed {
-            self.stats.reconfigurations.fetch_add(1, Ordering::Relaxed);
-        }
-        changed
+        self.adaptation.attrs().store(policy);
     }
 
     /// Current waiting-policy attributes.
     pub fn waiting_policy(&self) -> NativeWaitingPolicy {
-        self.attrs.load()
+        self.adaptation.attrs().load()
     }
 
     /// Current poll budget (the `spin` attribute).
     pub fn spin_limit(&self) -> u32 {
-        self.attrs.spin()
+        self.adaptation.attrs().spin()
     }
 
     /// Tasks currently waiting (polling or parked).
     pub fn waiting_now(&self) -> u32 {
-        self.waiters.load(Ordering::Relaxed)
+        self.adaptation.waiting_now()
     }
 
     /// Whether the lock is currently held (instantly stale).
@@ -495,49 +334,36 @@ impl<T> AsyncAdaptiveMutex<T> {
 
     /// Whether the parked-waiter queue is non-empty (instantly stale).
     pub fn has_queued_waiters(&self) -> bool {
-        !self
-            .queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .is_empty()
+        !unpoisoned(&self.queue).is_empty()
     }
 
-    /// Counter snapshot.
+    /// Counter snapshot: the native ledger plus the three counters only
+    /// tasks have.
     pub fn stats(&self) -> AsyncMutexStats {
-        let c = &self.stats;
-        let r = |x: &AtomicU64| x.load(Ordering::Relaxed);
+        let s = self.adaptation.stats(&self.clock);
+        let total = |c| self.adaptation.total(c);
         AsyncMutexStats {
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            contended: r(&c.contended),
-            polls: r(&c.polls),
-            parked: r(&c.parked),
-            handoffs: r(&c.handoffs),
-            reconfigurations: r(&c.reconfigurations),
-            try_failures: r(&c.try_failures),
-            timeouts: r(&c.timeouts),
-            cancellations: r(&c.cancellations),
-            cancelled_grants: r(&c.cancelled_grants),
-            poison_events: r(&c.poison_events),
-            poison_clears: r(&c.poison_clears),
-            policy_panics: r(&c.policy_panics),
-            quarantines: r(&c.quarantines),
-            heals: r(&c.heals),
+            acquisitions: s.acquisitions,
+            contended: s.contended,
+            polls: total(Counter::Polls),
+            parked: s.parked,
+            handoffs: s.handoffs,
+            reconfigurations: s.reconfigurations,
+            try_failures: s.try_failures,
+            timeouts: s.timeouts,
+            cancellations: total(Counter::Cancellations),
+            cancelled_grants: total(Counter::CancelledGrants),
+            poison_events: s.poison_events,
+            poison_clears: s.poison_clears,
+            policy_panics: s.policy_panics,
+            quarantines: s.quarantines,
+            heals: s.heals,
         }
     }
 
     /// Liveness health in the shared [`LockHealth`] shape.
     pub fn health(&self) -> LockHealth {
-        LockHealth {
-            waiting: self.waiting_now(),
-            acquisitions: self.acquisitions.load(Ordering::Relaxed),
-            handoffs: self.stats.handoffs.load(Ordering::Relaxed),
-            locked: self.is_locked(),
-            queued: self.has_queued_waiters(),
-            poisoned: self.is_poisoned(),
-            quarantined: self.is_quarantined(),
-            policy_panics: self.stats.policy_panics.load(Ordering::Relaxed),
-            sample_period: self.gate.period(),
-        }
+        self.adaptation.health(&self.clock, self.is_locked(), self.has_queued_waiters())
     }
 
     /// Acquire/release if the lock is free, re-running the grant path
@@ -593,10 +419,7 @@ impl<'a, T> Acquire<'a, T> {
         self.node = None;
         self.deadline = None;
         if let Some(t0) = self.started.take() {
-            let m = self.mutex;
-            m.waiters.fetch_sub(1, Ordering::Relaxed);
-            let waited = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            m.max_wait.fetch_max(waited, Ordering::Relaxed);
+            self.mutex.adaptation.end_wait(Some(t0));
         }
         self.mutex.make_guard()
     }
@@ -608,18 +431,18 @@ impl<'a, T> Acquire<'a, T> {
         // protocol: store waker, then check).
         if let Some(node) = self.node.clone() {
             node.set_waker(cx.waker());
-            if node.is_granted() {
+            if node.status.is_granted() {
                 return Poll::Ready(self.acquired());
             }
             if let Some(deadline) = self.deadline {
                 if Instant::now() >= deadline {
-                    if node.try_abandon() {
+                    if node.status.try_abandon() {
                         // Timed out: retry as a fresh arrival with a
                         // fresh poll budget (the native timed path's
                         // abandon-and-return, made a retry because an
                         // async caller cannot be handed a timeout
                         // error from inside `lock()`).
-                        m.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                        m.adaptation.count(Counter::Timeouts);
                         self.node = None;
                         self.deadline = None;
                         self.polls = 0;
@@ -644,18 +467,18 @@ impl<'a, T> Acquire<'a, T> {
         // Contended: count ourselves as a waiter once.
         if self.started.is_none() {
             self.started = Some(Instant::now());
-            m.waiters.fetch_add(1, Ordering::Relaxed);
-            m.stats.contended.fetch_add(1, Ordering::Relaxed);
+            m.adaptation.begin_wait();
         }
 
         // Poll phase: burn one re-poll if the budget allows.
-        if self.polls < m.attrs.spin() {
+        let attrs = m.adaptation.attrs();
+        if self.polls < attrs.spin() {
             self.polls = self.polls.saturating_add(1);
-            m.stats.polls.fetch_add(1, Ordering::Relaxed);
+            m.adaptation.count(Counter::Polls);
             // The bounded *synchronous* spin: `delay` hints, then one
             // retry before yielding. Pays off only when the holder
             // runs concurrently on another worker.
-            for _ in 0..m.attrs.delay() {
+            for _ in 0..attrs.delay() {
                 std::hint::spin_loop();
             }
             if m.try_acquire() {
@@ -670,19 +493,19 @@ impl<'a, T> Acquire<'a, T> {
         // us against the release path's `locked = 0`, so we re-try the
         // acquire under it — either we get the lock or the next
         // release sees our node.
-        let node = Arc::new(Waiter::new());
+        let node = Arc::new(Waiter::default());
         node.set_waker(cx.waker());
         {
-            let mut q = m.queue.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut q = unpoisoned(&m.queue);
             if m.try_acquire() {
                 return Poll::Ready(self.acquired());
             }
             q.push_back(Arc::clone(&node));
         }
-        m.stats.parked.fetch_add(1, Ordering::Relaxed);
+        m.adaptation.count(Counter::Parked);
         self.node = Some(node);
         // A timeout too large for the clock to represent is no bound.
-        if let Some(deadline) = m.attrs.timeout().and_then(|t| Instant::now().checked_add(t)) {
+        if let Some(deadline) = attrs.timeout().and_then(|t| Instant::now().checked_add(t)) {
             self.deadline = Some(deadline);
             self.arm_timer(deadline, cx);
         }
@@ -704,46 +527,45 @@ impl<T> Drop for Acquire<'_, T> {
     fn drop(&mut self) {
         let m = self.mutex;
         if let Some(node) = self.node.take() {
-            if node.try_abandon() {
+            if node.status.try_abandon() {
                 // Cancelled while parked: the node stays queued and is
                 // pruned by the next release. Nothing is owed.
-                m.stats.cancellations.fetch_add(1, Ordering::Relaxed);
+                m.adaptation.count(Counter::Cancellations);
             } else {
                 // A grant raced the drop (`select!` lost after the
                 // handoff landed): we own a lock nobody will ever
                 // guard — release it or every waiter behind us hangs.
-                m.stats.cancelled_grants.fetch_add(1, Ordering::Relaxed);
+                m.adaptation.count(Counter::CancelledGrants);
                 m.release();
             }
         } else if self.started.is_some() {
-            m.stats.cancellations.fetch_add(1, Ordering::Relaxed);
+            m.adaptation.count(Counter::Cancellations);
         }
         if self.started.take().is_some() {
-            m.waiters.fetch_sub(1, Ordering::Relaxed);
+            m.adaptation.end_wait(None);
         }
     }
 }
 
 /// Future of [`AsyncAdaptiveMutex::lock`].
 pub struct LockFuture<'a, T> {
-    inner: Acquire<'a, T>,
+    inner: LockCheckedFuture<'a, T>,
 }
 
 impl<'a, T> Future for LockFuture<'a, T> {
     type Output = AsyncMutexGuard<'a, T>;
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut(); // `Acquire` holds no self-reference: `Unpin`
-        match this.inner.poll_acquire(cx) {
-            Poll::Ready(guard) => {
-                assert!(
-                    !guard.mutex.is_poisoned(),
-                    "adaptive mutex poisoned: a holder panicked (use lock_checked to recover)"
-                );
-                Poll::Ready(guard)
+        // `Acquire` holds no self-reference: both futures are `Unpin`.
+        Pin::new(&mut self.get_mut().inner).poll(cx).map(|checked| match checked {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                // Release first: a guard dropped by the unwind would
+                // count this caller as one more dying holder.
+                drop(poisoned);
+                panic!("adaptive mutex poisoned: a holder panicked (use lock_checked to recover)")
             }
-            Poll::Pending => Poll::Pending,
-        }
+        })
     }
 }
 
@@ -772,8 +594,9 @@ impl<'a, T> Future for LockCheckedFuture<'a, T> {
 /// `.await` points (it is `Send` when `T` is).
 pub struct AsyncMutexGuard<'a, T> {
     mutex: &'a AsyncAdaptiveMutex<T>,
-    /// Whether this release runs the feedback loop.
-    adapt: bool,
+    /// Non-zero when this release is a monitor sample: the acquisitions
+    /// it stands for.
+    sampled: u64,
 }
 
 impl<T> Deref for AsyncMutexGuard<'_, T> {
@@ -798,13 +621,12 @@ impl<T> Drop for AsyncMutexGuard<'_, T> {
             // The critical section died mid-flight (the panic is
             // unwinding through the task): poison and release without
             // running the policy, exactly like the native guard.
-            self.mutex.poisoned.store(true, Ordering::Release);
-            self.mutex.stats.poison_events.fetch_add(1, Ordering::Relaxed);
+            self.mutex.adaptation.poison(1);
             self.mutex.release();
         } else {
             self.mutex.release();
-            if self.adapt {
-                self.mutex.adapt();
+            if self.sampled != 0 {
+                self.mutex.adaptation.sample(&Tasks, self.sampled);
             }
         }
     }
@@ -871,51 +693,27 @@ impl AdaptationPolicy<NativeObservation> for AsyncPollAdapt {
     }
 }
 
-// ---------------------------------------------------------------------
-// Control-plane integration: the async mutex is a first-class target.
-// ---------------------------------------------------------------------
-
+/// The control plane sees the shared half and, the async mutex having
+/// one engine, only the waiting group's rows.
 impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
+    fn adaptation(&self) -> &Adaptation {
+        &self.adaptation
+    }
+
     fn health(&self) -> LockHealth {
         AsyncAdaptiveMutex::health(self)
     }
 
     fn stats(&self) -> MutexStats {
-        AsyncAdaptiveMutex::stats(self).as_native()
+        self.adaptation.stats(&self.clock)
     }
 
     fn quarantine(&self) {
         AsyncAdaptiveMutex::quarantine(self);
     }
 
-    fn heal(&self) -> bool {
-        AsyncAdaptiveMutex::heal(self)
-    }
-
     fn nudge(&self) -> bool {
         AsyncAdaptiveMutex::nudge(self)
-    }
-
-    fn clear_poison(&self) -> bool {
-        AsyncAdaptiveMutex::clear_poison(self)
-    }
-
-    fn attrs(&self) -> Vec<(&'static str, String, bool)> {
-        let operator = self.attrs.operator_owns(AttrGroup::Waiting);
-        self.attrs.load().attrs().into_iter().map(|(n, v)| (n, v, operator)).collect()
-    }
-
-    fn set(&self, name: &str, value: &str) -> Result<(), String> {
-        // One engine, so no `algorithm`: `with_attr` refuses the name.
-        let p = self.attrs.load().with_attr(name, value)?;
-        self.feedback.exclusive(|| self.attrs.set_operator_owns(AttrGroup::Waiting, true));
-        self.install(p);
-        Ok(())
-    }
-
-    fn release(&self, _name: Option<&str>) {
-        // Every attribute listed here is in the waiting group.
-        self.attrs.set_operator_owns(AttrGroup::Waiting, false);
     }
 }
 
@@ -923,7 +721,9 @@ impl<T: Send> adaptive_control::ControlTarget for AsyncAdaptiveMutex<T> {
 mod tests {
     use super::*;
     use crate::rt::{self, Runtime};
-    use std::sync::atomic::AtomicUsize;
+    use adaptive_core::SAMPLE_PERIOD_FLOOR;
+    use adaptive_native::SPIN_FOREVER;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::task::Wake;
     use std::time::Duration;
 
@@ -1112,6 +912,32 @@ mod tests {
     }
 
     #[test]
+    fn a_lock_that_panics_on_poison_is_not_a_second_poisoning() {
+        // Regression test: `lock()` used to assert "not poisoned" with
+        // the guard alive, so the guard dropped during that unwind and
+        // poisoned the mutex again, once per refused caller.
+        let rt = Runtime::multi_thread(1);
+        let m = Arc::new(AsyncAdaptiveMutex::new(0u32));
+        for task in ["holder", "waiter"] {
+            let m = Arc::clone(&m);
+            let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rt.block_on(async move {
+                    // The holder dies in its critical section; the
+                    // waiter's `lock()` panics on the poison.
+                    rt::spawn(async move {
+                        let _g = m.lock().await;
+                        panic!("critical section dies");
+                    })
+                    .await
+                })
+            }));
+            assert!(res.is_err(), "the {task} task must panic");
+        }
+        assert_eq!(m.stats().poison_events, 1, "only the holder poisoned the mutex");
+        assert!(!m.is_locked(), "the refused waiter released the lock");
+    }
+
+    #[test]
     fn quarantine_snaps_to_pure_park_and_heals_on_command() {
         let m = AsyncAdaptiveMutex::new(());
         assert!(m.spin_limit() > 0);
@@ -1135,9 +961,12 @@ mod tests {
             }
         }
         let rt = Runtime::current_thread();
-        let m = AsyncAdaptiveMutex::with_policy((), Box::new(Bomb), 1);
+        let m = AsyncAdaptiveMutex::with_policy((), Box::new(Bomb));
+        // The first sample is the second release.
         rt.block_on(async {
-            drop(m.lock().await);
+            for _ in 0..SAMPLE_PERIOD_FLOOR {
+                drop(m.lock().await);
+            }
         });
         assert!(m.is_quarantined(), "a panicking policy must be quarantined");
         assert_eq!(m.stats().policy_panics, 1);
@@ -1165,10 +994,19 @@ mod tests {
             NativeDecision::PureBlocking,
         ];
         let rt = Runtime::multi_thread(2);
-        let m = Arc::new(AsyncAdaptiveMutex::with_policy(0u32, Box::new(Scripted(script.into_iter())), 1));
-        rt.block_on(async { drop(m.lock().await) });
+        let m = Arc::new(AsyncAdaptiveMutex::with_policy(0u32, Box::new(Scripted(script.into_iter()))));
+        // Each decision changes something, so every other release is a
+        // sample.
+        let sample = || {
+            rt.block_on(async {
+                for _ in 0..SAMPLE_PERIOD_FLOOR {
+                    drop(m.lock().await);
+                }
+            })
+        };
+        sample();
         assert_eq!(m.waiting_policy().timeout, Some(Duration::from_millis(1)));
-        rt.block_on(async { drop(m.lock().await) });
+        sample();
         assert_eq!(
             m.waiting_policy(),
             NativeWaitingPolicy { spin: 0, delay: 0, timeout: None },

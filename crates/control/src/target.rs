@@ -7,12 +7,18 @@
 //! It is value-type-erased and implemented for every
 //! `AdaptiveMutex<T: Send>` (and, in `asyncx`, the async mutex), so any
 //! lock in the program can be registered by name without the registry
-//! caring what it guards.
+//! caring what it guards. Both mutexes embed the same [`Adaptation`],
+//! which answers every method a lock does not answer itself.
 
-use adaptive_native::{AdaptiveMutex, AttrGroup, LockAlgorithm, LockHealth, MutexStats};
+use adaptive_native::{
+    Adaptation, AdaptiveMutex, AttrGroup, LockAlgorithm, LockHealth, MutexStats,
+};
 
 /// A named lock the control plane can observe and reconfigure live.
 pub trait ControlTarget: Send + Sync {
+    /// The lock's adaptive half.
+    fn adaptation(&self) -> &Adaptation;
+
     /// Snapshot liveness health (the frame the breaker hub polls).
     fn health(&self) -> LockHealth;
 
@@ -25,30 +31,46 @@ pub trait ControlTarget: Send + Sync {
 
     /// End a quarantine immediately (adaptation restarts on probation).
     /// Returns whether one was in force.
-    fn heal(&self) -> bool;
+    fn heal(&self) -> bool {
+        self.adaptation().heal()
+    }
 
     /// Try-lock acquire/release to re-run the contended release path,
     /// rescuing lost wakeups. Returns whether the nudge ran.
     fn nudge(&self) -> bool;
 
     /// Clear the poison flag. Returns whether it was set.
-    fn clear_poison(&self) -> bool;
+    fn clear_poison(&self) -> bool {
+        self.adaptation().clear_poison()
+    }
 
     /// Every live attribute as a `(name, value, operator_owned)` row,
     /// the value spelled as [`ControlTarget::set`] reads it.
-    fn attrs(&self) -> Vec<(&'static str, String, bool)>;
+    fn attrs(&self) -> Vec<(&'static str, String, bool)> {
+        self.adaptation().rows()
+    }
 
     /// Write attribute `name` and take its group for the operator: the
     /// policy's decisions on the group are refused until
     /// [`ControlTarget::release`].
-    fn set(&self, name: &str, value: &str) -> Result<(), String>;
+    fn set(&self, name: &str, value: &str) -> Result<(), String> {
+        self.adaptation().set(name, value)
+    }
 
     /// Hand the group of attribute `name`, or every group, back to the
     /// policy.
-    fn release(&self, name: Option<&str>);
+    fn release(&self, name: Option<&str>) {
+        self.adaptation().release(name);
+    }
 }
 
+/// The waiting group's rows plus the engine, which only the native
+/// mutex has.
 impl<T: Send> ControlTarget for AdaptiveMutex<T> {
+    fn adaptation(&self) -> &Adaptation {
+        AdaptiveMutex::adaptation(self)
+    }
+
     fn health(&self) -> LockHealth {
         AdaptiveMutex::health(self)
     }
@@ -61,49 +83,29 @@ impl<T: Send> ControlTarget for AdaptiveMutex<T> {
         AdaptiveMutex::quarantine(self);
     }
 
-    fn heal(&self) -> bool {
-        AdaptiveMutex::heal(self)
-    }
-
     fn nudge(&self) -> bool {
         AdaptiveMutex::nudge(self)
     }
 
-    fn clear_poison(&self) -> bool {
-        AdaptiveMutex::clear_poison(self)
-    }
-
     fn attrs(&self) -> Vec<(&'static str, String, bool)> {
-        let waiting = self.operator_owns(AttrGroup::Waiting);
-        let mut rows: Vec<_> =
-            self.waiting_policy().attrs().into_iter().map(|(n, v)| (n, v, waiting)).collect();
+        let adaptation = self.adaptation();
+        let mut rows = adaptation.rows();
         let algorithm = self.algorithm().label().to_string();
-        rows.push(("algorithm", algorithm, self.operator_owns(AttrGroup::Algorithm)));
+        rows.push(("algorithm", algorithm, adaptation.operator_owns(AttrGroup::Algorithm)));
         rows
     }
 
     fn set(&self, name: &str, value: &str) -> Result<(), String> {
-        if name == "algorithm" {
-            let algo = LockAlgorithm::from_label(value).ok_or_else(|| {
-                let labels = LockAlgorithm::ALL.map(LockAlgorithm::label).join("|");
-                format!("unknown algorithm {value:?} (one of {labels})")
-            })?;
-            self.set_operator_owns(AttrGroup::Algorithm, true);
-            self.set_algorithm(algo);
-        } else {
-            let p = self.waiting_policy().with_attr(name, value)?;
-            self.set_operator_owns(AttrGroup::Waiting, true);
-            self.set_waiting_policy(p);
+        if name != "algorithm" {
+            return self.adaptation().set(name, value);
         }
+        let algo = LockAlgorithm::from_label(value).ok_or_else(|| {
+            let labels = LockAlgorithm::ALL.map(LockAlgorithm::label).join("|");
+            format!("unknown algorithm {value:?} (one of {labels})")
+        })?;
+        self.adaptation().set_operator_owns(AttrGroup::Algorithm, true);
+        self.set_algorithm(algo);
         Ok(())
-    }
-
-    fn release(&self, name: Option<&str>) {
-        for group in [AttrGroup::Waiting, AttrGroup::Algorithm] {
-            if name.is_none_or(|n| AttrGroup::of(n) == Some(group)) {
-                self.set_operator_owns(group, false);
-            }
-        }
     }
 }
 
@@ -142,9 +144,10 @@ mod tests {
         assert!(!t.health().locked);
         t.set("algorithm", "ticket").unwrap();
         assert_eq!(m.algorithm(), LockAlgorithm::Ticket);
-        assert!(m.operator_owns(AttrGroup::Algorithm) && !m.operator_owns(AttrGroup::Waiting));
+        let owns = |group| m.adaptation().operator_owns(group);
+        assert!(owns(AttrGroup::Algorithm) && !owns(AttrGroup::Waiting));
         t.release(None);
-        assert!(!m.operator_owns(AttrGroup::Algorithm));
+        assert!(!owns(AttrGroup::Algorithm));
         t.quarantine();
         assert!(t.health().quarantined);
         assert!(t.heal());

@@ -25,8 +25,7 @@
 //! [`Sampled::Panicked`] / [`Sampled::CoolingDown`] /
 //! [`Sampled::Reenabled`] outcome, so a quarantine sentence runs down at
 //! the floor cadence. A [`Sampled::Skipped`] sample leaves it alone. The
-//! object reads the period when its gate fires; one that was built with
-//! an explicit period ignores it.
+//! object reads the period when its sample clock fires.
 
 #![allow(unsafe_code)] // the policy slot behind the busy flag
 

@@ -69,5 +69,5 @@ pub use guarded::{
     GuardedLoop, Sampled, PROBATION_DECIDES, QUARANTINE_BASE_TICKS, QUARANTINE_MAX_SHIFT,
     SAMPLE_PERIOD_CEILING, SAMPLE_PERIOD_FLOOR,
 };
-pub use monitor::{SampleGate, SamplingGate};
+pub use monitor::SamplingGate;
 pub use policy::{AdaptationPolicy, FnPolicy};

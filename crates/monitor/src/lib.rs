@@ -22,7 +22,7 @@ mod timeseries;
 mod trace;
 
 pub use chrome::ChromeTrace;
-pub use local::{spawn_local_monitor, MonitorReport, Probe, ProbePort, SensorSummary};
+pub use local::{spawn_local_monitor, MonitorReport, ProbePort, SensorSummary};
 pub use snapshot::TextSnapshot;
 pub use timeseries::{to_long_csv, Series};
 pub use trace::TraceEvent;

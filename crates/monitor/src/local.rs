@@ -66,24 +66,6 @@ impl ProbePort {
     }
 }
 
-/// A named probe bound to a port — the "insertable sensor" of \[GS93\].
-pub struct Probe {
-    sensor: &'static str,
-    port: ProbePort,
-}
-
-impl Probe {
-    /// Create a probe for `sensor` on `port`.
-    pub fn new(sensor: &'static str, port: ProbePort) -> Probe {
-        Probe { sensor, port }
-    }
-
-    /// Record one observation.
-    pub fn record(&self, value: i64) {
-        self.port.record(self.sensor, value);
-    }
-}
-
 /// Spawn a local monitor thread on `proc` (a *dedicated* processor in
 /// the paper's setup). Returns the probe port for application threads
 /// and a join handle yielding the final [`MonitorReport`].
@@ -227,10 +209,10 @@ mod tests {
             let (port, handle) = spawn_local_monitor(ProcId(3), Duration::micros(100));
             let workers: Vec<_> = (0..3)
                 .map(|p| {
-                    let probe = Probe::new("load", port.clone());
+                    let port = port.clone();
                     fork(ProcId(p), format!("w{p}"), move || {
                         for i in 0..10 {
-                            probe.record(i);
+                            port.record("load", i);
                             ctx::advance(Duration::micros(30));
                         }
                     })

@@ -202,7 +202,7 @@ pub trait FaultHook: Send + Sync {
         false
     }
 
-    /// Called for each observation that passed the sampling gate;
+    /// Called for each sample that came due;
     /// returning `true` stalls the monitor feed (the sample never
     /// reaches the policy).
     fn stall_monitor_sample(&self) -> bool {

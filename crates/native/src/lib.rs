@@ -38,9 +38,9 @@
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 
+mod adaptation;
 mod combining;
 mod faults;
-mod health;
 mod mutex;
 mod pad;
 mod parker;
@@ -49,16 +49,18 @@ mod raw;
 mod stats;
 mod ticket;
 
+pub use adaptation::{
+    Adaptation, BoxedNativePolicy, LockHealth, MutexStats, SampleClock, Substrate,
+};
 pub use combining::FcLock;
 pub use faults::{FaultHook, FaultKind, FaultPlan, FaultReport, FaultSpec, WorkerKilled};
-pub use health::LockHealth;
-pub use mutex::{
-    AdaptiveMutex, AdaptiveMutexGuard, BoxedNativePolicy, MutexStats, Poisoned, SPIN_FOREVER,
-};
+pub use mutex::{AdaptiveMutex, AdaptiveMutexGuard, Poisoned, SPIN_FOREVER};
 pub use pad::CachePadded;
+pub use parker::GrantWord;
 pub use policy::{
     AttrGroup, FixedPolicy, NativeDecision, NativeFairnessAdapt, NativeObservation,
     NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice, WaitAttrs,
 };
 pub use raw::{LockAlgorithm, RawLock};
+pub use stats::Counter;
 pub use ticket::TicketLock;

@@ -30,17 +30,17 @@
 //!   the next contended release (or when the mutex is dropped).
 //!
 //! Memory layout follows the paper's `n1·R + n2·W` cost model (DESIGN.md
-//! §12): the state word, the attribute set, the waiter count, and the
-//! feedback machinery each sit on their own [`CachePadded`] line, and
-//! the contention statistics live in per-thread-stripe slabs
-//! ([`crate::stats`]). The acquisition count shares the state line and
-//! is bumped with a plain load + store under the lock, and the sampling
-//! gate is one compare of that count against a `next_sample` word on
-//! the same line, at acquire time — so an unsampled acquire/release
-//! touches exactly *one* line (the state line) and performs no RMW
-//! beyond its two CASes. An acquisition whose gate fires re-arms the
-//! word from the sampling period, which lives with the feedback kernel
-//! on the line its release is about to write anyway.
+//! §12): the state word and the [`SampleClock`] share one
+//! [`CachePadded`] line, and the [`Adaptation`] shared with the async
+//! mutex (attribute set, waiter count, striped statistics, feedback
+//! kernel) puts each of its parts on lines of their own. The clock
+//! counts an acquisition with a plain load + store under the lock and
+//! decides whether its release is a sample with one compare on the same
+//! line, at acquire time — so an unsampled acquire/release touches
+//! exactly *one* line (the state line) and performs no RMW beyond its
+//! two CASes. An acquisition whose clock fires re-arms it from the
+//! sampling period, which lives with the feedback kernel on the line
+//! its release is about to write anyway.
 //!
 //! # The engine zoo and live algorithm switching
 //!
@@ -75,25 +75,20 @@
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use adaptive_core::{AdaptationPolicy, GuardedLoop, SampleGate, Sampled, SAMPLE_PERIOD_FLOOR};
-
+use crate::adaptation::{
+    Adaptation, BoxedNativePolicy, LockHealth, MutexStats, SampleClock, Substrate,
+};
 use crate::combining::{FcLock, OpPtr, SlotOutcome};
 use crate::faults::FaultHook;
-use crate::health::LockHealth;
 use crate::pad::CachePadded;
 use crate::parker::WaitNode;
-use crate::policy::{
-    AttrGroup, NativeDecision, NativeObservation, NativeSimpleAdapt, NativeWaitingPolicy, WaitAttrs,
-};
+use crate::policy::{NativeSimpleAdapt, NativeWaitingPolicy};
 use crate::raw::{LockAlgorithm, RawLock, ALGO_NONE};
-use crate::stats::{
-    StatSlabs, COMBINED_OPS, CONTENDED, HANDOFFS, HEALS, PARKED, POISON_CLEARS, POISON_EVENTS,
-    POLICY_PANICS, QUARANTINES, RECONFIGURATIONS, SWITCHES, TIMEOUTS,
-};
+use crate::stats::Counter;
 use crate::ticket::TicketLock;
 
 /// State-word bit: the lock is held.
@@ -119,51 +114,6 @@ const SPIN_RECHECK_PROBES: u32 = 32;
 const SPIN_YIELD_PROBES: u32 = 32;
 /// How often the timed spin phase consults the clock, in probes.
 const SPIN_DEADLINE_PROBES: u32 = 8;
-
-/// Counters published by the mutex (all relaxed; monitoring only).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MutexStats {
-    /// Successful acquisitions.
-    pub acquisitions: u64,
-    /// Acquisitions that had to wait.
-    pub contended: u64,
-    /// Contended acquires that parked at least once (counted when the
-    /// thread first parks, not when it finally acquires).
-    pub parked: u64,
-    /// Releases that handed the lock directly to a parked waiter.
-    pub handoffs: u64,
-    /// Reconfigurations applied by the feedback loop.
-    pub reconfigurations: u64,
-    /// `try_lock` calls that found the lock held (sampled into the
-    /// monitor as would-be waiters).
-    pub try_failures: u64,
-    /// Timed acquires that gave up.
-    pub timeouts: u64,
-    /// Holders that panicked with the lock held (each one poisoned the
-    /// mutex).
-    pub poison_events: u64,
-    /// Successful [`AdaptiveMutex::clear_poison`] recoveries.
-    pub poison_clears: u64,
-    /// Adaptation-policy callbacks that panicked (each one triggered a
-    /// quarantine).
-    pub policy_panics: u64,
-    /// Times adaptation was quarantined (snapped to pure blocking and
-    /// disabled), by a policy panic or a supervisor.
-    pub quarantines: u64,
-    /// Times adaptation was re-enabled after a quarantine ran down.
-    pub heals: u64,
-    /// Engine migrations actually installed by the quiesce-and-switch
-    /// protocol (requests that re-affirmed the current engine are not
-    /// counted).
-    pub algorithm_switches: u64,
-    /// Critical sections executed *for another thread* by a
-    /// flat-combining drain (plus the combiner's own published op).
-    pub combined_ops: u64,
-}
-
-/// A boxed native lock adaptation policy.
-pub type BoxedNativePolicy =
-    Box<dyn AdaptationPolicy<NativeObservation, Decision = NativeDecision> + Send>;
 
 /// Error of [`AdaptiveMutex::lock_checked`]: the mutex was poisoned by
 /// a holder that panicked. Like [`std::sync::PoisonError`], the guard is
@@ -220,23 +170,14 @@ impl QueueWord {
     }
 }
 
-/// The state line: the queue word, the acquisition count and the two
-/// words of the sampling gate, padded together. All three counters are
-/// written with plain load + store — not an atomic RMW — because every
-/// writer holds the lock at the time, so the writes are serialized, and
-/// the release/acquire chain on the queue word makes each holder see
-/// its predecessor's store. Counting an acquisition and asking the gate
-/// is therefore three register-width moves and a compare on the very
-/// line the acquire CAS just made exclusive: zero extra cache traffic.
+/// The state line: the queue word and the sample clock, padded
+/// together, so counting an acquisition and asking the clock happen on
+/// the very line the acquire CAS just made exclusive (the
+/// release/acquire chain on the queue word orders the clock's plain
+/// stores).
 struct StateLine {
     word: QueueWord,
-    acquisitions: AtomicU64,
-    /// The acquisition count at which the gate fires next (`u64::MAX`:
-    /// never). Re-armed by the acquisition that reaches it.
-    next_sample: AtomicU64,
-    /// The acquisition count at which it last fired, so a sample can
-    /// say how many acquisitions it stands for.
-    sampled_at: AtomicU64,
+    clock: SampleClock,
 }
 
 impl Drop for QueueWord {
@@ -327,54 +268,16 @@ impl Engines {
 /// The adaptive mutex.
 ///
 /// Field order is the cache layout (DESIGN.md §12): one exclusive line
-/// for the state word, one read-mostly line for the attributes, one
-/// write-on-contention line for the waiter count, a striped slab for
-/// the statistics, and one line for the feedback machinery (the
-/// sampling period with it). The cold tail (poison flag, the fixed
-/// cadence of a lock built with one, fault hook, value) shares whatever
-/// is left.
+/// for the state word and the sample clock, the shared adaptive half
+/// (each of its parts padded), the engine zoo, and a cold tail (fault
+/// hook, value).
 pub struct AdaptiveMutex<T> {
     state: CachePadded<StateLine>,
-    /// Read by spinners, written only by reconfigurations.
-    attrs: CachePadded<WaitAttrs>,
+    /// Attributes, monitor, ledger, feedback kernel and poison flag.
+    adaptation: Adaptation,
     /// Engine selection plus the zoo itself (each engine pads its own
     /// hot words).
     engines: Engines,
-    /// Current number of waiting threads (the monitored state variable).
-    /// Padded: contended acquires RMW it, and it must not invalidate
-    /// the state word's line when they do.
-    waiters: CachePadded<AtomicU32>,
-    /// Longest single contended wait (enter-to-acquired, ns) observed
-    /// since the previous monitor sample — the cheap online proxy for
-    /// the per-thread fairness signal. Written with a relaxed
-    /// `fetch_max` by contended acquirers (who already paid a park or a
-    /// spin phase) and consumed with `swap(0)` by the sampled monitor,
-    /// so each observation reports the worst wait of its own window.
-    /// Shares the waiter-count pattern: padded, off the state line.
-    max_wait: CachePadded<AtomicU64>,
-    /// Striped contention/failure counters (acquisitions live on the
-    /// state line instead).
-    stats: StatSlabs,
-    /// Failed `try_lock` count, pacing the failure stream's sampling
-    /// gate. One *global* padded cell, not a stripe slot: the gate
-    /// period must mean "every N-th failed try" regardless of how many
-    /// stripes the failing threads spread across (a per-stripe count
-    /// multiplied the effective period by up to the stripe count), and
-    /// only the failure path writes it, so it costs the acquire/release
-    /// hot path nothing.
-    try_failures: CachePadded<AtomicU64>,
-    /// The feedback kernel, on its own line so a sampled observation
-    /// never dirties the lines the acquire path reads.
-    feedback: CachePadded<GuardedLoop<BoxedNativePolicy>>,
-    /// Sticky poison flag: a holder panicked with the lock held.
-    poisoned: AtomicBool,
-    /// `Some(p)`: the caller asked for a sample on exactly every `p`-th
-    /// acquisition (`0` = never). `None`: the feedback kernel paces the
-    /// monitor ([`GuardedLoop::period`]).
-    fixed_period: Option<u64>,
-    /// Cadence of the failed-`try_lock` stream: the fixed period, or
-    /// the kernel's floor on a self-paced lock.
-    try_gate: SampleGate,
     /// Optional fault-injection hook (tests); one relaxed load on the
     /// contended release and sampled-observation paths when unset.
     fault_hook: OnceLock<Arc<dyn FaultHook>>,
@@ -405,92 +308,49 @@ pub struct AdaptiveMutexGuard<'a, T> {
 
 impl<T> AdaptiveMutex<T> {
     /// Mutex with the default `simple-adapt` policy (threshold 2,
-    /// increment 32 spins), self-paced, starting from a moderate
-    /// combined configuration.
+    /// increment 32 spins), starting from a moderate combined
+    /// configuration.
     pub fn new(value: T) -> AdaptiveMutex<T> {
-        AdaptiveMutex::self_paced(value, Box::new(NativeSimpleAdapt::new(2, 32)))
+        AdaptiveMutex::with_policy(value, Box::new(NativeSimpleAdapt::new(2, 32)))
     }
 
-    /// Mutex with an explicit adaptation policy, sampled on exactly
-    /// every `sample_every`-th acquisition (`0` or `u64::MAX`: never).
-    pub fn with_policy(
-        value: T,
-        policy: BoxedNativePolicy,
-        sample_every: u64,
-    ) -> AdaptiveMutex<T> {
-        AdaptiveMutex::build(value, policy, Some(SampleGate::new(sample_every).period()))
-    }
-
-    /// Mutex with an explicit adaptation policy whose monitor the
+    /// Mutex with an explicit adaptation policy, whose monitor the
     /// feedback kernel paces: sampled every other unlock at first, then
     /// at a period that doubles up to 64 while the policy's decisions
     /// change nothing and returns to 2 when one does.
-    pub fn self_paced(value: T, policy: BoxedNativePolicy) -> AdaptiveMutex<T> {
-        AdaptiveMutex::build(value, policy, None)
+    pub fn with_policy(value: T, policy: BoxedNativePolicy) -> AdaptiveMutex<T> {
+        AdaptiveMutex::build(value, policy, true)
     }
 
-    fn build(value: T, policy: BoxedNativePolicy, fixed_period: Option<u64>) -> AdaptiveMutex<T> {
-        let first_period = fixed_period.unwrap_or(SAMPLE_PERIOD_FLOOR);
+    /// Mutex whose monitor samples (`sampled`) or never runs: a static
+    /// lock's policy is never consulted.
+    pub(crate) fn build(value: T, policy: BoxedNativePolicy, sampled: bool) -> AdaptiveMutex<T> {
         AdaptiveMutex {
             state: CachePadded::new(StateLine {
                 word: QueueWord(AtomicUsize::new(0)),
-                acquisitions: AtomicU64::new(0),
-                next_sample: AtomicU64::new(if first_period == 0 { u64::MAX } else { first_period }),
-                sampled_at: AtomicU64::new(0),
+                clock: SampleClock::new(sampled),
             }),
-            attrs: CachePadded::new(WaitAttrs::new(NativeWaitingPolicy::default())),
+            adaptation: Adaptation::new(policy, NativeWaitingPolicy::default()),
             engines: Engines::new(),
-            waiters: CachePadded::new(AtomicU32::new(0)),
-            max_wait: CachePadded::new(AtomicU64::new(0)),
-            stats: StatSlabs::new(),
-            try_failures: CachePadded::new(AtomicU64::new(0)),
-            feedback: CachePadded::new(GuardedLoop::new(policy)),
-            poisoned: AtomicBool::new(false),
-            fixed_period,
-            try_gate: SampleGate::new(first_period),
             fault_hook: OnceLock::new(),
             value: UnsafeCell::new(value),
         }
     }
 
-    /// Count this acquisition and decide — from the same count — whether
-    /// its unlock is a monitor sample (non-zero: the acquisitions that
-    /// sample stands for). Called with the lock held, so the plain
-    /// load + store is race-free (see [`StateLine`]) and lands on the
-    /// already-exclusive state line: counting and pacing together cost
-    /// no atomic RMW and no extra line.
-    #[inline]
-    fn charge_acquisition(&self) -> u64 {
-        let n = self.state.acquisitions.load(Ordering::Relaxed) + 1;
-        self.state.acquisitions.store(n, Ordering::Relaxed);
-        self.sample_due(n)
-    }
-
-    /// The gate. `n` is the acquisition count the caller, who holds the
-    /// lock, has just written; at or past `next_sample` the gate fires
-    /// and is re-armed one period on. A count that jumped several
-    /// periods ahead (a combined batch) still yields one sample.
-    #[inline]
-    fn sample_due(&self, n: u64) -> u64 {
-        if n < self.state.next_sample.load(Ordering::Relaxed) {
-            return 0;
-        }
-        let since = n - self.state.sampled_at.load(Ordering::Relaxed);
-        self.state.sampled_at.store(n, Ordering::Relaxed);
-        self.state.next_sample.store(n.saturating_add(self.sample_period()), Ordering::Relaxed);
-        since
-    }
-
     /// Acquisitions between monitor samples right now: the period the
-    /// mutex was built with (`0` = never sampled), or on a self-paced
-    /// mutex the one the feedback kernel has reached.
+    /// feedback kernel has reached (`0`: a static lock, never sampled).
     pub fn sample_period(&self) -> u64 {
-        self.fixed_period.unwrap_or_else(|| self.feedback.period())
+        self.adaptation.sample_period(&self.state.clock)
+    }
+
+    /// The adaptive half this mutex shares with the async one.
+    pub fn adaptation(&self) -> &Adaptation {
+        &self.adaptation
     }
 
     /// A guard for the lock the caller has just won.
     fn guard(&self) -> AdaptiveMutexGuard<'_, T> {
-        AdaptiveMutexGuard { mutex: self, sampled: self.charge_acquisition() }
+        AdaptiveMutexGuard { mutex: self, sampled: self.state.clock.charge(1, &self.adaptation) }
     }
 
     /// Acquire the mutex.
@@ -552,8 +412,7 @@ impl<T> AdaptiveMutex<T> {
         if raw.try_acquire() {
             return true;
         }
-        self.stats.bump(CONTENDED);
-        self.waiters.fetch_add(1, Ordering::Relaxed);
+        self.adaptation.begin_wait();
         let mut wait_start = None;
         let acquired = match deadline {
             None => {
@@ -575,7 +434,7 @@ impl<T> AdaptiveMutex<T> {
                     for _ in 0..backoff {
                         std::hint::spin_loop();
                     }
-                    backoff = (backoff << 1).min(self.attrs.delay().max(1));
+                    backoff = (backoff << 1).min(self.adaptation.attrs().delay().max(1));
                     if probes.is_multiple_of(SPIN_RECHECK_PROBES) {
                         wait_start.get_or_insert_with(Instant::now);
                     }
@@ -585,9 +444,7 @@ impl<T> AdaptiveMutex<T> {
                 }
             }
         };
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
-        self.note_wait_end(acquired, wait_start);
-        acquired
+        self.end_wait(acquired, wait_start)
     }
 
     /// Try-acquire through the current engine, re-dispatching across
@@ -639,7 +496,7 @@ impl<T> AdaptiveMutex<T> {
     /// carries the guard; see [`Poisoned`]).
     pub fn lock_checked(&self) -> Result<AdaptiveMutexGuard<'_, T>, Poisoned<AdaptiveMutexGuard<'_, T>>> {
         let guard = self.lock();
-        if self.poisoned.load(Ordering::Acquire) {
+        if self.is_poisoned() {
             Err(Poisoned::new(guard))
         } else {
             Ok(guard)
@@ -649,18 +506,14 @@ impl<T> AdaptiveMutex<T> {
     /// Whether a holder has panicked with the lock held. Sticky until
     /// [`AdaptiveMutex::clear_poison`].
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.adaptation.is_poisoned()
     }
 
     /// Un-poison the mutex after verifying (or repairing) the protected
     /// value. Returns whether it was poisoned — `true` means a recovery
     /// actually happened, and is counted in [`MutexStats::poison_clears`].
     pub fn clear_poison(&self) -> bool {
-        let was = self.poisoned.swap(false, Ordering::AcqRel);
-        if was {
-            self.stats.bump(POISON_CLEARS);
-        }
-        was
+        self.adaptation.clear_poison()
     }
 
     /// Acquire with a bound on the wait. Returns `None` if `timeout`
@@ -680,7 +533,7 @@ impl<T> AdaptiveMutex<T> {
     /// (the paper's conditional sleep/spin row). With the attribute
     /// unset this is a plain [`AdaptiveMutex::lock`].
     pub fn lock_conditional(&self) -> Option<AdaptiveMutexGuard<'_, T>> {
-        match self.attrs.timeout() {
+        match self.adaptation.attrs().timeout() {
             None => Some(self.lock()),
             Some(timeout) => self.lock_timeout(timeout),
         }
@@ -702,12 +555,12 @@ impl<T> AdaptiveMutex<T> {
     /// ([`NativeFairnessAdapt`](crate::NativeFairnessAdapt)) looks for.
     #[cold]
     fn lock_contended(&self, deadline: Option<Instant>) -> bool {
-        self.stats.bump(CONTENDED);
-        self.waiters.fetch_add(1, Ordering::Relaxed);
+        self.adaptation.begin_wait();
+        let attrs = self.adaptation.attrs();
         let mut wait_start = None;
         let acquired = 'acquire: {
             // --- Spin phase, bounded by the mutable spin attribute. ---
-            let mut limit = self.attrs.spin();
+            let mut limit = attrs.spin();
             let mut probes: u32 = 0;
             let mut backoff: u32 = 1;
             loop {
@@ -730,13 +583,13 @@ impl<T> AdaptiveMutex<T> {
                 for _ in 0..backoff {
                     std::hint::spin_loop();
                 }
-                backoff = (backoff << 1).min(self.attrs.delay().max(1));
+                backoff = (backoff << 1).min(attrs.delay().max(1));
                 // Re-read the mutable attribute periodically: a waiter
                 // spinning under SPIN_FOREVER must observe a policy
                 // downgrade to blocking instead of burning a core
                 // forever.
                 if probes.is_multiple_of(SPIN_RECHECK_PROBES) {
-                    limit = self.attrs.spin();
+                    limit = attrs.spin();
                     wait_start.get_or_insert_with(Instant::now);
                     if probes.is_multiple_of(SPIN_YIELD_PROBES) {
                         std::thread::yield_now();
@@ -795,7 +648,7 @@ impl<T> AdaptiveMutex<T> {
                 unsafe { drop(Arc::from_raw(node_ptr)) };
                 break 'acquire true;
             }
-            self.stats.bump(PARKED);
+            self.adaptation.count(Counter::Parked);
             match deadline {
                 None => {
                     node.wait();
@@ -806,7 +659,7 @@ impl<T> AdaptiveMutex<T> {
                     if node.wait_deadline(d) {
                         break 'acquire true;
                     }
-                    if node.try_abandon() {
+                    if node.status.try_abandon() {
                         // Timed out; the node stays linked (harmless) and
                         // is pruned by the next contended release.
                         break 'acquire false;
@@ -817,27 +670,24 @@ impl<T> AdaptiveMutex<T> {
                 }
             }
         };
-        self.waiters.fetch_sub(1, Ordering::Relaxed);
         // Acquisitions are charged by the caller when it builds the
         // guard (the charge also decides the guard's sample flag).
-        self.note_wait_end(acquired, wait_start);
-        acquired
+        self.end_wait(acquired, wait_start)
     }
 
     /// Close a contended wait: a timeout is counted; a completed wait
     /// that got as far as starting its clock goes into the per-window
-    /// maximum (the monitor's fairness proxy).
-    fn note_wait_end(&self, acquired: bool, clocked_since: Option<Instant>) {
+    /// maximum (the monitor's fairness proxy). Returns `acquired`.
+    fn end_wait(&self, acquired: bool, clocked_since: Option<Instant>) -> bool {
+        self.adaptation.end_wait(clocked_since.filter(|_| acquired));
         if !acquired {
-            self.stats.bump(TIMEOUTS);
-        } else if let Some(since) = clocked_since {
-            let ns = since.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            self.max_wait.fetch_max(ns, Ordering::Relaxed);
+            self.adaptation.count(Counter::Timeouts);
         }
+        acquired
     }
 
     /// Release (and hand off) without feeding the monitor. Sampling is
-    /// the guard's job — its `adapt` flag, decided at acquire time,
+    /// the guard's job — its `sampled` count, decided at acquire time,
     /// says whether this unlock feeds the policy — and the unwind path
     /// uses this directly: a panicking holder must still wake its
     /// waiters, but it must not run the adaptation policy, so the
@@ -888,7 +738,7 @@ impl<T> AdaptiveMutex<T> {
             return;
         }
         self.engines.install(to);
-        self.stats.bump(SWITCHES);
+        self.adaptation.count(Counter::Switches);
     }
 
     #[cold]
@@ -967,7 +817,7 @@ impl<T> AdaptiveMutex<T> {
             let mut live_prev: *const WaitNode = std::ptr::null();
             while !cur.is_null() {
                 let next = (*cur).next.get();
-                if (*cur).is_abandoned() {
+                if (*cur).status.is_abandoned() {
                     if prev.is_null() {
                         // Unlink an abandoned head by swinging the state
                         // pointer; a failure means a fresh enqueue won —
@@ -1033,12 +883,12 @@ impl<T> AdaptiveMutex<T> {
                 .get()
                 .is_some_and(|h| h.before_unpark());
             let granted = if drop_unpark {
-                target.try_grant_quietly()
+                target.status.try_grant()
             } else {
                 target.try_grant()
             };
             if granted {
-                self.stats.bump(HANDOFFS);
+                self.adaptation.count(Counter::Handoffs);
                 return;
             }
             // The target abandoned between the walk and the grant:
@@ -1067,94 +917,24 @@ impl<T> AdaptiveMutex<T> {
         }
     }
 
-    /// The closely-coupled feedback loop, run inline by the unlocking
-    /// thread on sampled unlocks (and by failed `try_lock`s; see
-    /// [`AdaptiveMutex::try_lock`]). The gate decision was made at
-    /// acquire time by the acquisition fetch-add itself
-    /// ([`AdaptiveMutex::charge_acquisition`]), so an unsampled release
-    /// performs no counter RMW and reads nothing shared — the waiter
-    /// count is only loaded here, once the sample actually fires.
-    #[cold]
-    fn adapt(&self, acquisitions: u64) {
-        self.observe(self.waiters.load(Ordering::Relaxed) as u64, acquisitions);
-    }
-
-    /// Feed one sampled observation into the policy (the gate has
-    /// already fired) through the shared feedback kernel: never
-    /// contends (a sample that finds another thread inside is skipped),
-    /// and panic-safe — a policy callback that panics is caught,
-    /// counted, and answered with a quarantine.
-    fn observe(&self, waiting: u64, acquisitions: u64) {
-        // Fault injection: a stalled monitor feed drops the sample here,
-        // after the gate — the policy sees a gap, not a stale value.
-        if self.fault_hook.get().is_some_and(|h| h.stall_monitor_sample()) {
-            return;
-        }
-        let outcome = self.feedback.sample(
-            // Consume the window's worst contended wait: the next window
-            // starts empty, so a single historic stall cannot keep a
-            // fairness policy pinned to FIFO forever.
-            || NativeObservation {
-                waiting,
-                max_wait_nanos: self.max_wait.swap(0, Ordering::Relaxed),
-                acquisitions,
-            },
-            |decision| self.apply(decision),
-        );
-        match outcome {
-            Sampled::Reenabled => self.stats.bump(HEALS),
-            Sampled::Panicked => {
-                self.stats.bump(POLICY_PANICS);
-                self.snap_to_safe_endpoint();
-            }
-            Sampled::Skipped | Sampled::CoolingDown | Sampled::Decided => {}
-        }
-    }
-
     /// Degrade to the safe static endpoint: snap the attribute set to
-    /// pure blocking (the paper's always-correct configuration) and
-    /// disable adaptation for an exponentially backed-off number of
-    /// sampled observations, after which it is retried automatically.
-    /// Called internally when a policy callback panics, and externally
-    /// by a supervisor (the breaker hub) that has condemned the lock.
+    /// pure blocking and the engine to spin-park, and disable adaptation
+    /// for an exponentially backed-off number of samples (see
+    /// [`Adaptation::quarantine`]).
     pub fn quarantine(&self) {
-        self.feedback.quarantine();
-        self.snap_to_safe_endpoint();
-    }
-
-    /// The substrate half of a quarantine (the kernel has already
-    /// started the sentence).
-    fn snap_to_safe_endpoint(&self) {
-        self.stats.bump(QUARANTINES);
-        self.set_waiting_policy(NativeWaitingPolicy::pure_blocking());
-        // The spin-park engine is the safe static endpoint too: it is
-        // the only engine whose waiters park (and honour the snap to
-        // pure blocking above) instead of burning cores.
-        self.set_algorithm(LockAlgorithm::SpinPark);
+        self.adaptation.quarantine(self);
     }
 
     /// Whether adaptation is currently quarantined (disabled, waiting
     /// out its backoff).
     pub fn is_quarantined(&self) -> bool {
-        self.feedback.is_quarantined()
+        self.adaptation.is_quarantined()
     }
 
-    /// End a quarantine immediately (an operator- or breaker-driven
-    /// heal): re-enable adaptation now instead of waiting out the
-    /// backoff ticks. The lock keeps whatever waiting policy the
-    /// quarantine snapped it to until the policy decides otherwise, and
-    /// adaptation restarts *on probation* — the backoff level is only
-    /// forgiven after a fixed run of clean decisions, so a lock
-    /// healed by an optimistic operator still re-quarantines with a
-    /// longer sentence if the underlying fault persists.
-    ///
-    /// Returns whether a quarantine was actually in force.
+    /// End a quarantine immediately, on probation (see
+    /// [`Adaptation::heal`]). Returns whether one was in force.
     pub fn heal(&self) -> bool {
-        let healed = self.feedback.heal();
-        if healed {
-            self.stats.bump(HEALS);
-        }
-        healed
+        self.adaptation.heal()
     }
 
     /// Install a fault-injection hook (testing). At most one per mutex,
@@ -1169,73 +949,17 @@ impl<T> AdaptiveMutex<T> {
         }
     }
 
-    /// Install a reconfiguration decision; returns whether it changed
-    /// anything, and counts it if so.
-    ///
-    /// Every waiting-attribute decision resolves to a *complete*
-    /// `{spin, delay, timeout}` set before it is installed (`PureSpin`,
-    /// `PureBlocking`, and `SetSpins` go through the same
-    /// [`NativeWaitingPolicy`] constructors a caller would use). The
-    /// shorthand kinds used to write only the spin attribute, leaving a
-    /// previous `SetPolicy`'s delay and — worse — conditional-timeout
-    /// attributes live underneath: after a `PureSpin` decision, every
-    /// `lock_conditional` was still bounded by a timeout no current
-    /// policy had asked for. A decision on a group an operator owns is
-    /// refused: it changes nothing.
-    fn apply(&self, decision: NativeDecision) -> bool {
-        if self.attrs.operator_owns(decision.group()) {
-            return false;
-        }
-        let p = match decision {
-            NativeDecision::PureSpin => NativeWaitingPolicy::pure_spin(),
-            NativeDecision::PureBlocking => NativeWaitingPolicy::pure_blocking(),
-            NativeDecision::SetSpins(n) => NativeWaitingPolicy::combined(n),
-            NativeDecision::SetPolicy(p) => p,
-            NativeDecision::SetAlgorithm(algo) => {
-                // An engine migration; the waiting attributes are left
-                // alone (they steer the spin-park engine and the timed
-                // zoo waits, whichever engine is current).
-                let changed = self.engines.current() != algo;
-                if changed {
-                    self.set_algorithm(algo);
-                    self.stats.bump(RECONFIGURATIONS);
-                }
-                return changed;
-            }
-        };
-        // A decision that re-affirms the current attributes (the
-        // steady-state case for `simple-adapt`, which decides on every
-        // sample) stores nothing and counts nothing.
-        let changed = self.attrs.store(p);
-        if changed {
-            self.stats.bump(RECONFIGURATIONS);
-        }
-        changed
-    }
-
     /// Externally install a full `{spin, delay, timeout}` attribute set
     /// (the paper's charged `configure` operation, minus the simulated
     /// charge). This takes no ownership: while the policy owns the
     /// waiting group, its next decision may override the set.
     pub fn set_waiting_policy(&self, p: NativeWaitingPolicy) {
-        self.attrs.store(p);
-    }
-
-    /// Whether an operator owns attribute group `group`.
-    pub fn operator_owns(&self, group: AttrGroup) -> bool {
-        self.attrs.operator_owns(group)
-    }
-
-    /// Hand `group` to an operator (`true`), whose group the policy's
-    /// decisions cannot write, or back to the policy. Waits out a
-    /// decision in flight, so none that read the old owner lands later.
-    pub fn set_operator_owns(&self, group: AttrGroup, operator: bool) {
-        self.feedback.exclusive(|| self.attrs.set_operator_owns(group, operator));
+        self.adaptation.attrs().store(p);
     }
 
     /// Current `{spin, delay, timeout}` attribute set.
     pub fn waiting_policy(&self) -> NativeWaitingPolicy {
-        self.attrs.load()
+        self.adaptation.attrs().load()
     }
 
     /// The engine currently serving acquires and releases.
@@ -1270,33 +994,19 @@ impl<T> AdaptiveMutex<T> {
     ///
     /// A *failed* attempt is not invisible to the adaptation policy, the
     /// way a bypassed fast path would be: it is recorded in
-    /// [`MutexStats::try_failures`] and fed through the sampling gate as
-    /// an observation counting the caller as one would-be waiter on top
-    /// of the current waiter count. Try-lock-heavy workloads therefore
-    /// still drive the feedback loop, at the same sampling rate as
-    /// unlocks; the alternative (counting failures but never sampling
-    /// them) would let a 100%-try_lock workload pin the policy at its
-    /// initial configuration forever.
+    /// [`MutexStats::try_failures`], and every other failure is a monitor
+    /// sample counting the caller as one would-be waiter on top of the
+    /// current waiter count ([`Adaptation::try_failed`]). Try-lock-heavy
+    /// workloads therefore still drive the feedback loop; the
+    /// alternative (counting failures but never sampling them) would
+    /// let a 100%-try_lock workload pin the policy at its initial
+    /// configuration forever.
     pub fn try_lock(&self) -> Option<AdaptiveMutexGuard<'_, T>> {
         if self.try_acquire_raw() {
             return Some(self.guard());
         }
-        self.note_try_failure();
+        self.adaptation.try_failed(self, &self.state.clock);
         None
-    }
-
-    /// Count a failed `try_lock` and pace the failure stream's gate.
-    /// The count is a single global cell, *not* a stripe slot: with a
-    /// per-stripe count the `count`-th-failure gate fired once per
-    /// stripe reaching the period, so the effective sampling cadence
-    /// shrank by up to the stripe count as the failing threads spread
-    /// out — a period of 64 sampled every ~8th failure at 8 threads.
-    #[cold]
-    fn note_try_failure(&self) {
-        let n = self.try_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.try_gate.fires(n) {
-            self.observe(self.waiters.load(Ordering::Relaxed) as u64 + 1, self.try_gate.period());
-        }
     }
 
     /// Run `f` on the protected value as one critical section.
@@ -1349,7 +1059,7 @@ impl<T> AdaptiveMutex<T> {
         // otherwise a lock that migrates to combining goes dark to
         // contention-rate monitors (e.g. resharding triggers) at the
         // moment it becomes hottest.
-        self.stats.bump(CONTENDED);
+        self.adaptation.count(Counter::Contended);
         /// A `*mut T` the op closure may carry across threads; the
         /// executor holds the mutex when it dereferences.
         struct ValuePtr<T>(*mut T);
@@ -1439,9 +1149,9 @@ impl<T> AdaptiveMutex<T> {
     /// publishers re-raise — and executed ops are charged to
     /// [`MutexStats::combined_ops`] in one batch RMW.
     ///
-    /// Returns non-zero when the batch carried the count past the gate
-    /// (the acquisitions that sample stands for), so the caller can add
-    /// it to its guard's `sampled`. Shipped ops are charged to the
+    /// Returns non-zero when the batch carried the count past the clock's
+    /// sample point (the acquisitions that sample stands for), so the
+    /// caller can add it to its guard's `sampled`. Shipped ops are charged to the
     /// acquisition count too: an op the lock serviced is an op the lock
     /// serviced, whichever thread ran it — and if batches didn't
     /// advance the sample clock, a lock that migrates to combining
@@ -1454,36 +1164,24 @@ impl<T> AdaptiveMutex<T> {
         let report = unsafe { self.engines.combining.drain() };
         let mut sampled = 0;
         if report.executed > 0 {
-            self.stats.bump_by(COMBINED_OPS, u64::from(report.executed));
-            // Plain load + store: we hold the lock, same argument as
-            // `charge_acquisition`.
-            let n = self.state.acquisitions.load(Ordering::Relaxed) + u64::from(report.executed);
-            self.state.acquisitions.store(n, Ordering::Relaxed);
-            sampled = self.sample_due(n);
+            let executed = u64::from(report.executed);
+            self.adaptation.count_n(Counter::CombinedOps, executed);
+            sampled = self.state.clock.charge(executed, &self.adaptation);
         }
         if report.panicked > 0 {
-            self.poisoned.store(true, Ordering::Release);
-            self.stats.bump_by(POISON_EVENTS, u64::from(report.panicked));
+            self.adaptation.poison(u64::from(report.panicked));
         }
         sampled
     }
 
     /// Current value of the spin attribute.
     pub fn spin_limit(&self) -> u32 {
-        self.attrs.spin()
+        self.adaptation.attrs().spin()
     }
 
     /// Current waiter count (monitoring).
     pub fn waiting_now(&self) -> u32 {
-        self.waiters.load(Ordering::Relaxed)
-    }
-
-    /// Longest single contended wait (enter-to-acquired, ns) observed
-    /// since the last monitor sample — the fairness proxy fed to
-    /// policies as [`NativeObservation::max_wait_nanos`]. Peeks without
-    /// resetting; each sampled observation consumes the window.
-    pub fn max_recent_wait_nanos(&self) -> u64 {
-        self.max_wait.load(Ordering::Relaxed)
+        self.adaptation.waiting_now()
     }
 
     /// Whether the lock is currently held (monitoring; instantly stale).
@@ -1504,17 +1202,7 @@ impl<T> AdaptiveMutex<T> {
 
     /// Liveness frame for a supervisor (monitoring; instantly stale).
     pub fn health(&self) -> LockHealth {
-        LockHealth {
-            waiting: self.waiting_now(),
-            acquisitions: self.state.acquisitions.load(Ordering::Relaxed),
-            handoffs: self.stats.sum(HANDOFFS),
-            locked: self.is_locked(),
-            queued: self.has_queued_waiters(),
-            poisoned: self.is_poisoned(),
-            quarantined: self.is_quarantined(),
-            policy_panics: self.stats.sum(POLICY_PANICS),
-            sample_period: self.sample_period(),
-        }
+        self.adaptation.health(&self.state.clock, self.is_locked(), self.has_queued_waiters())
     }
 
     /// Try to un-wedge the lock without perturbing its users: if it is
@@ -1525,28 +1213,10 @@ impl<T> AdaptiveMutex<T> {
         self.try_lock().map(drop).is_some()
     }
 
-    /// Counter snapshot, aggregated lazily across the counter stripes —
-    /// `O(stripes)` relaxed loads per field, paid by the monitor, never
-    /// by the acquire/release hot path. Exact once writers are
-    /// quiescent (e.g. after joining workers); the acquisition count is
-    /// exact at all times (it is serialized by the lock itself).
+    /// Counter snapshot, aggregated lazily across the counter stripes
+    /// (see [`Adaptation::stats`]).
     pub fn stats(&self) -> MutexStats {
-        MutexStats {
-            acquisitions: self.state.acquisitions.load(Ordering::Relaxed),
-            contended: self.stats.sum(CONTENDED),
-            parked: self.stats.sum(PARKED),
-            handoffs: self.stats.sum(HANDOFFS),
-            reconfigurations: self.stats.sum(RECONFIGURATIONS),
-            try_failures: self.try_failures.load(Ordering::Relaxed),
-            timeouts: self.stats.sum(TIMEOUTS),
-            poison_events: self.stats.sum(POISON_EVENTS),
-            poison_clears: self.stats.sum(POISON_CLEARS),
-            policy_panics: self.stats.sum(POLICY_PANICS),
-            quarantines: self.stats.sum(QUARANTINES),
-            heals: self.stats.sum(HEALS),
-            algorithm_switches: self.stats.sum(SWITCHES),
-            combined_ops: self.stats.sum(COMBINED_OPS),
-        }
+        self.adaptation.stats(&self.state.clock)
     }
 
     /// Consume the mutex and return the protected value.
@@ -1557,6 +1227,32 @@ impl<T> AdaptiveMutex<T> {
     /// Exclusive access without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.value.get_mut()
+    }
+}
+
+/// Threads back off up to a `delay` of 64 between spin probes, own a
+/// zoo of engines, and a fault hook may stall their monitor feed.
+impl<T> Substrate for AdaptiveMutex<T> {
+    const SHORTHAND_DELAY: u32 = 64;
+
+    fn switch_engine(&self, algo: LockAlgorithm) -> bool {
+        // The waiting attributes are left alone: they steer the
+        // spin-park engine and the timed zoo waits, whichever is current.
+        let changed = self.engines.current() != algo;
+        if changed {
+            self.set_algorithm(algo);
+        }
+        changed
+    }
+
+    fn snap_engine(&self) {
+        // The only engine whose waiters park (and honour the snap to
+        // pure blocking) instead of burning cores.
+        self.set_algorithm(LockAlgorithm::SpinPark);
+    }
+
+    fn feeds_monitor(&self) -> bool {
+        !self.fault_hook.get().is_some_and(|h| h.stall_monitor_sample())
     }
 }
 
@@ -1586,13 +1282,12 @@ impl<T> Drop for AdaptiveMutexGuard<'_, T> {
             // exactly as on the normal path — only the policy callback is
             // skipped, so the feedback state is bit-identical to a run in
             // which this acquisition's unlock was simply never sampled.
-            self.mutex.poisoned.store(true, Ordering::Release);
-            self.mutex.stats.bump(POISON_EVENTS);
+            self.mutex.adaptation.poison(1);
             self.mutex.unlock_raw();
         } else {
             self.mutex.unlock_raw();
             if self.sampled != 0 {
-                self.mutex.adapt(self.sampled);
+                self.mutex.adaptation.sample(self.mutex, self.sampled);
             }
         }
     }
@@ -1620,9 +1315,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for AdaptiveMutex<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::FixedPolicy;
-    use adaptive_core::QUARANTINE_BASE_TICKS;
+    use crate::policy::{FixedPolicy, NativeDecision, NativeObservation};
+    use adaptive_core::{AdaptationPolicy, QUARANTINE_BASE_TICKS, SAMPLE_PERIOD_FLOOR};
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -1684,11 +1380,7 @@ mod tests {
     fn long_holds_drive_spins_down() {
         // Saturate with long critical sections: waiters accumulate and
         // the policy must cut spinning (possibly to pure blocking).
-        let m = Arc::new(AdaptiveMutex::with_policy(
-            (),
-            Box::new(NativeSimpleAdapt::new(0, 16)),
-            1,
-        ));
+        let m = Arc::new(AdaptiveMutex::with_policy((), Box::new(NativeSimpleAdapt::new(0, 16))));
         let handles: Vec<_> = (0..6)
             .map(|_| {
                 let m = Arc::clone(&m);
@@ -1715,7 +1407,6 @@ mod tests {
         let m = Arc::new(AdaptiveMutex::with_policy(
             0u32,
             Box::new(FixedPolicy(NativeDecision::PureBlocking)),
-            1,
         ));
         // Force pure-blocking mode so the waiter definitely parks.
         m.set_waiting_policy(NativeWaitingPolicy::pure_blocking());
@@ -1738,12 +1429,12 @@ mod tests {
         // never observed by a thread already spinning under SPIN_FOREVER
         // — it burned a core until the lock happened to be released.
         // The spin loop must now observe the downgrade and park.
-        let m = Arc::new(AdaptiveMutex::with_policy(
+        let m = Arc::new(AdaptiveMutex::build(
             (),
-            // A policy that never decides, so only the external
-            // configuration below steers the attributes.
+            // A static lock, whose policy is never consulted, so only
+            // the external configuration below steers the attributes.
             Box::new(FixedPolicy(NativeDecision::SetSpins(0))),
-            u64::MAX,
+            false,
         ));
         m.set_waiting_policy(NativeWaitingPolicy {
             spin: SPIN_FOREVER,
@@ -1930,10 +1621,14 @@ mod tests {
 
     #[test]
     fn policy_panic_quarantines_then_heals_with_backoff() {
-        let m = AdaptiveMutex::with_policy(0u32, Box::new(PanicOnce { panicked: false }), 1);
+        let m = AdaptiveMutex::with_policy(0u32, Box::new(PanicOnce { panicked: false }));
+        // The kernel samples at its floor period through a quarantine
+        // and after a decision that changes something: every other
+        // acquisition.
+        let sample = || (0..SAMPLE_PERIOD_FLOOR).for_each(|_| drop(m.lock()));
         // First sampled unlock: the policy panics; the lock must survive,
         // snap to pure blocking, and disable adaptation.
-        drop(m.lock());
+        sample();
         let s = m.stats();
         assert_eq!(s.policy_panics, 1);
         assert_eq!(s.quarantines, 1);
@@ -1942,12 +1637,12 @@ mod tests {
         // Serve out the backoff: QUARANTINE_BASE_TICKS sampled
         // observations pass policy-free.
         for _ in 0..QUARANTINE_BASE_TICKS {
-            drop(m.lock());
+            sample();
         }
         assert!(!m.is_quarantined());
         assert_eq!(m.stats().heals, 1);
         // Next sample reaches the (now well-behaved) policy again.
-        drop(m.lock());
+        sample();
         assert_eq!(m.spin_limit(), SPIN_FOREVER, "healed policy runs again");
         assert_eq!(m.stats().policy_panics, 1, "no further panics");
     }
@@ -1996,12 +1691,15 @@ mod tests {
         let m = Arc::new(AdaptiveMutex::with_policy(
             (),
             Box::new(CountingPolicy(Arc::clone(&decides))),
-            1,
         ));
-        drop(m.lock());
-        drop(m.lock());
+        // A policy that decides nothing is sampled at acquisitions 2, 4,
+        // 8, 16, … (`tests/sample_cadence.rs`).
+        let lock_n = |n| (0..n).for_each(|_| drop(m.lock()));
+        lock_n(4);
         let before = decides.load(Ordering::Relaxed);
         assert_eq!(before, 2);
+        // Acquisition 8 is a sample point, and its holder dies.
+        lock_n(3);
         let m2 = Arc::clone(&m);
         let dead = std::thread::spawn(move || {
             let _g = m2.lock();
@@ -2013,7 +1711,7 @@ mod tests {
             before,
             "panicking unlock must skip the policy"
         );
-        drop(m.lock());
+        lock_n(8);
         assert_eq!(decides.load(Ordering::Relaxed), before + 1);
     }
 
@@ -2038,16 +1736,14 @@ mod tests {
     fn fault_hook_stalls_starve_the_policy() {
         use crate::faults::{FaultPlan, FaultSpec};
         let decides = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let m = AdaptiveMutex::with_policy(
-            (),
-            Box::new(CountingPolicy(Arc::clone(&decides))),
-            1,
-        );
-        // Stall every sample: the gate ticks but nothing reaches the
-        // policy — a dead monitor feed, not a crashed lock.
+        let m = AdaptiveMutex::with_policy((), Box::new(CountingPolicy(Arc::clone(&decides))));
+        // Stall every sample: the clock fires but nothing reaches the
+        // policy — a dead monitor feed, not a crashed lock. The kernel
+        // never hears of a stalled sample, so it stays at its floor
+        // period: ten samples are twenty acquisitions.
         let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(5).with_monitor_stalls(1)));
         m.set_fault_hook(Arc::clone(&plan) as Arc<dyn FaultHook>);
-        for _ in 0..10 {
+        for _ in 0..10 * SAMPLE_PERIOD_FLOOR {
             drop(m.lock());
         }
         assert_eq!(decides.load(Ordering::Relaxed), 0);
@@ -2169,13 +1865,16 @@ mod tests {
             ),
             NativeDecision::PureSpin,
         ];
-        let m = AdaptiveMutex::with_policy((), Box::new(ScriptedPolicy(script.into_iter())), 1);
-        drop(m.lock());
+        let m = AdaptiveMutex::with_policy((), Box::new(ScriptedPolicy(script.into_iter())));
+        // Each decision changes something, so the kernel samples every
+        // other acquisition.
+        let sample = || (0..SAMPLE_PERIOD_FLOOR).for_each(|_| drop(m.lock()));
+        sample();
         assert!(
             m.waiting_policy().timeout.is_some(),
             "SetPolicy must install its timeout"
         );
-        drop(m.lock());
+        sample();
         let p = m.waiting_policy();
         assert_eq!(p.spin, SPIN_FOREVER);
         assert_eq!(
@@ -2331,13 +2030,13 @@ mod tests {
         let m = Arc::new(AdaptiveMutex::with_policy(
             (),
             Box::new(CountingPolicy(Arc::clone(&decides))),
-            4,
         ));
         m.set_algorithm(LockAlgorithm::Combining);
         let base = m.stats().acquisitions;
         // Acquisition 1 holds the lock while four ops are published;
-        // acquisition 2 is the worker that becomes the combiner, and its
-        // drain takes the count from 2 to 6, over the gate at 4.
+        // acquisition 2 is the worker that becomes the combiner (the
+        // clock fires there and re-arms at 4), and its drain takes the
+        // count from 2 to 6, over the sample point at 4.
         let guard = m.lock();
         let workers: Vec<_> = (0..4)
             .map(|_| {
@@ -2354,9 +2053,9 @@ mod tests {
         }
         assert_eq!(m.stats().acquisitions, base + 6);
         assert_eq!(decides.load(Ordering::Relaxed), 1, "one batch, one sample");
-        // Re-armed from where the count landed: the next sample is four
-        // acquisitions on, at 10, not at the multiple of four it passed.
-        for expected in [1, 1, 1, 2] {
+        // Re-armed from where the count landed: the next sample is a
+        // period (2) on, at 8, not a period on from the 4 it passed.
+        for expected in [1, 2] {
             drop(m.lock());
             assert_eq!(decides.load(Ordering::Relaxed), expected);
         }

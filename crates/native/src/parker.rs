@@ -8,8 +8,9 @@
 //! park loop), `park` is only the efficient way to wait, and spurious
 //! wakeups are filtered by re-checking the status.
 //!
-//! The three states make timed waits race-free without any lock around
-//! the queue: a releaser *grants* with `WAITING -> GRANTED` and a timed-out
+//! The three states ([`GrantWord`], which the async mutex's waiter nodes
+//! carry too) make timed waits race-free without any lock around the
+//! queue: a releaser *grants* with `WAITING -> GRANTED` and a timed-out
 //! waiter *abandons* with `WAITING -> ABANDONED`; the two CASes race on the
 //! same word, so exactly one side wins. A waiter that loses the abandon
 //! race owns the lock (the handoff already happened); a releaser that
@@ -36,6 +37,37 @@ const WAITING: u32 = 0;
 const GRANTED: u32 = 1;
 const ABANDONED: u32 = 2;
 
+/// A waiter node's three-state handoff word (see the module doc). The
+/// grant's AcqRel CAS pairs with the waiter's Acquire loads, making
+/// everything the releaser did visible to the granted waiter.
+#[derive(Debug, Default)]
+pub struct GrantWord(AtomicU32);
+
+impl GrantWord {
+    /// Releaser side, `WAITING -> GRANTED`; `false` if the waiter
+    /// abandoned first.
+    pub fn try_grant(&self) -> bool {
+        self.0.compare_exchange(WAITING, GRANTED, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    /// Waiter side, `WAITING -> ABANDONED`; `false` if a grant won the
+    /// race, in which case the caller owns the lock.
+    pub fn try_abandon(&self) -> bool {
+        self.0.compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire).is_ok()
+    }
+
+    /// Whether the grant has landed.
+    pub fn is_granted(&self) -> bool {
+        self.0.load(Ordering::Acquire) == GRANTED
+    }
+
+    /// Whether the waiter abandoned the node (queue maintenance prunes
+    /// it).
+    pub fn is_abandoned(&self) -> bool {
+        self.0.load(Ordering::Acquire) == ABANDONED
+    }
+}
+
 /// One waiter's entry in the mutex's intrusive queue.
 ///
 /// The handoff word sits on its own [`CachePadded`] line: the parked
@@ -57,7 +89,7 @@ pub(crate) struct WaitNode {
     pub(crate) next: Cell<*const WaitNode>,
     thread: Thread,
     /// The three-state grant/abandon word (the parker state).
-    status: CachePadded<AtomicU32>,
+    pub(crate) status: CachePadded<GrantWord>,
 }
 
 // SAFETY: `next` is only written (a) by the owning thread before the node
@@ -77,76 +109,41 @@ impl WaitNode {
         WaitNode {
             next: Cell::new(std::ptr::null()),
             thread: std::thread::current(),
-            status: CachePadded::new(AtomicU32::new(WAITING)),
+            status: CachePadded::new(GrantWord::default()),
         }
     }
 
     /// Try to grant the handoff and wake the waiter; returns `false` if
-    /// the waiter abandoned (timed out) first. Called by the releasing
-    /// thread; the Release-flavoured CAS pairs with the Acquire loads in
-    /// [`WaitNode::wait`], making everything the releaser did visible to
-    /// the granted thread.
+    /// the waiter abandoned (timed out) first. A grant without the
+    /// unpark (`status.try_grant()`) leaves the waiter to notice at its
+    /// next rescue poll: fault injection's lost wakeup.
     pub(crate) fn try_grant(&self) -> bool {
-        if self
-            .status
-            .compare_exchange(WAITING, GRANTED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
+        let granted = self.status.try_grant();
+        if granted {
             self.thread.unpark();
-            true
-        } else {
-            false
         }
-    }
-
-    /// [`WaitNode::try_grant`] without the unpark: the status word is
-    /// still transferred, but the waiter is left to notice at its next
-    /// rescue poll. Used by fault injection to simulate a lost wakeup;
-    /// the waiter's recovery is what makes that fault survivable.
-    pub(crate) fn try_grant_quietly(&self) -> bool {
-        self.status
-            .compare_exchange(WAITING, GRANTED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Try to abandon the wait (timeout path); returns `false` if a grant
-    /// won the race, in which case the caller owns the lock.
-    pub(crate) fn try_abandon(&self) -> bool {
-        self.status
-            .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Whether the grant has landed (Acquire).
-    pub(crate) fn is_granted(&self) -> bool {
-        self.status.load(Ordering::Acquire) == GRANTED
-    }
-
-    /// Whether the node was abandoned by its waiter (Acquire). Used by
-    /// queue maintenance to prune dead entries.
-    pub(crate) fn is_abandoned(&self) -> bool {
-        self.status.load(Ordering::Acquire) == ABANDONED
+        granted
     }
 
     /// Block the calling thread until granted, self-healing against
     /// lost wakeups: the park is bounded by [`RESCUE_POLL`], so a grant
     /// whose unpark never arrives is still observed at the next poll.
     pub(crate) fn wait(&self) {
-        while !self.is_granted() {
+        while !self.status.is_granted() {
             std::thread::park_timeout(RESCUE_POLL);
         }
     }
 
     /// Block until granted or `deadline` passes; returns whether the
     /// grant landed. A `false` return does *not* abandon the node — the
-    /// caller must race [`WaitNode::try_abandon`] against a late grant.
+    /// caller must race [`GrantWord::try_abandon`] against a late grant.
     pub(crate) fn wait_deadline(&self, deadline: Instant) -> bool {
         loop {
-            if self.is_granted() {
+            if self.status.is_granted() {
                 return true;
             }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return self.is_granted();
+                return self.status.is_granted();
             };
             std::thread::park_timeout(remaining);
         }
@@ -164,7 +161,7 @@ mod tests {
         let w = WaitNode::new();
         assert!(w.try_grant());
         w.wait(); // must not hang
-        assert!(w.is_granted());
+        assert!(w.status.is_granted());
     }
 
     #[test]
@@ -177,7 +174,7 @@ mod tests {
         });
         let t0 = std::time::Instant::now();
         w.wait();
-        assert!(w.is_granted());
+        assert!(w.status.is_granted());
         assert!(t0.elapsed() >= Duration::from_millis(20), "returned before grant");
         granter.join().unwrap();
     }
@@ -195,21 +192,21 @@ mod tests {
             assert!(w2.try_grant());
         });
         w.wait();
-        assert!(w.is_granted());
+        assert!(w.status.is_granted());
         t.join().unwrap();
     }
 
     #[test]
     fn grant_and_abandon_race_has_one_winner() {
         let w = WaitNode::new();
-        assert!(w.try_abandon());
+        assert!(w.status.try_abandon());
         assert!(!w.try_grant(), "grant must lose to an earlier abandon");
-        assert!(w.is_abandoned());
+        assert!(w.status.is_abandoned());
 
         let w = WaitNode::new();
         assert!(w.try_grant());
-        assert!(!w.try_abandon(), "abandon must lose to an earlier grant");
-        assert!(w.is_granted());
+        assert!(!w.status.try_abandon(), "abandon must lose to an earlier grant");
+        assert!(w.status.is_granted());
     }
 
     #[test]
@@ -220,11 +217,11 @@ mod tests {
         let w2 = Arc::clone(&w);
         let granter = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
-            assert!(w2.try_grant_quietly());
+            assert!(w2.status.try_grant());
         });
         let t0 = std::time::Instant::now();
         w.wait();
-        assert!(w.is_granted());
+        assert!(w.status.is_granted());
         assert!(
             t0.elapsed() < RESCUE_POLL * 4,
             "rescue poll took too long: {:?}",
@@ -238,7 +235,7 @@ mod tests {
         let w = WaitNode::new();
         let granted = w.wait_deadline(Instant::now() + Duration::from_millis(10));
         assert!(!granted);
-        assert!(w.try_abandon());
+        assert!(w.status.try_abandon());
     }
 
     #[test]

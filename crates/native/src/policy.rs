@@ -284,45 +284,35 @@ impl PolicyChoice {
     }
 
     /// Build an [`AdaptiveMutex`](crate::AdaptiveMutex) configured for
-    /// this choice: static choices install a fixed waiting policy and a
-    /// no-op feedback loop; the adaptive ones install their policy on a
-    /// self-paced mutex ([`AdaptiveMutex::self_paced`](crate::AdaptiveMutex::self_paced)).
+    /// this choice: a static choice installs its fixed configuration on
+    /// a lock whose monitor never samples; the adaptive ones install
+    /// their policy ([`AdaptiveMutex::with_policy`](crate::AdaptiveMutex::with_policy)).
     pub fn build_mutex<T>(&self, value: T) -> crate::AdaptiveMutex<T> {
         use crate::AdaptiveMutex;
+        let fixed =
+            |value, decision| AdaptiveMutex::build(value, Box::new(FixedPolicy(decision)), false);
         match *self {
             PolicyChoice::FixedSpin(k) => {
-                let m = AdaptiveMutex::with_policy(
-                    value,
-                    Box::new(FixedPolicy(NativeDecision::SetSpins(k))),
-                    u64::MAX,
-                );
+                let m = fixed(value, NativeDecision::SetSpins(k));
                 m.set_waiting_policy(NativeWaitingPolicy::combined(k));
                 m
             }
             PolicyChoice::PureBlocking => {
-                let m = AdaptiveMutex::with_policy(
-                    value,
-                    Box::new(FixedPolicy(NativeDecision::PureBlocking)),
-                    u64::MAX,
-                );
+                let m = fixed(value, NativeDecision::PureBlocking);
                 m.set_waiting_policy(NativeWaitingPolicy::pure_blocking());
                 m
             }
             PolicyChoice::Adaptive { threshold, n } => {
-                AdaptiveMutex::self_paced(value, Box::new(NativeSimpleAdapt::new(threshold, n)))
+                AdaptiveMutex::with_policy(value, Box::new(NativeSimpleAdapt::new(threshold, n)))
             }
             PolicyChoice::Algorithm(algo) => {
-                let m = AdaptiveMutex::with_policy(
-                    value,
-                    Box::new(FixedPolicy(NativeDecision::SetAlgorithm(algo))),
-                    u64::MAX,
-                );
+                let m = fixed(value, NativeDecision::SetAlgorithm(algo));
                 // The lock is unshared, so the switch installs
                 // immediately rather than waiting for a release.
                 m.set_algorithm(algo);
                 m
             }
-            PolicyChoice::FairAdaptive { unfair_wait_nanos, patience } => AdaptiveMutex::self_paced(
+            PolicyChoice::FairAdaptive { unfair_wait_nanos, patience } => AdaptiveMutex::with_policy(
                 value,
                 Box::new(NativeFairnessAdapt::new(unfair_wait_nanos, patience)),
             ),

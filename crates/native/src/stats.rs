@@ -11,16 +11,18 @@
 //! somebody asks ([`StatSlabs::sum`], an `O(stripes)` relaxed walk) —
 //! monitoring pays, the hot path does not.
 //!
-//! One counter is *not* here: the acquisition count lives on the
-//! mutex's state line and is bumped with a plain load + store while the
+//! One counter is *not* here: the acquisition count lives in the
+//! mutex's [`SampleClock`](crate::SampleClock), on the line its acquire
+//! already writes, and is bumped with a plain load + store while the
 //! lock is held (ownership serializes the writers), so the hottest
-//! counter costs no RMW and no extra line at all — and the sampling
-//! gate derives its decision from that same count at acquire time, so
-//! a release performs no counter work whatsoever (the decision rides
+//! counter costs no RMW and no extra line at all — and the clock
+//! derives its sampling decision from that same count at acquire time,
+//! so a release performs no counter work whatsoever (the decision rides
 //! in the guard). The try-lock failure counter is not here either: it
-//! paces a sampling gate, and a per-stripe count would make the cadence
-//! depend on how many stripes the failing threads spread across, so it
-//! lives as one dedicated padded global on the mutex instead.
+//! paces the failure stream's samples, and a per-stripe count would
+//! make the cadence depend on how many stripes the failing threads
+//! spread across, so it lives as one dedicated padded global beside the
+//! slabs instead.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -32,25 +34,47 @@ use crate::pad::CachePadded;
 /// while keeping a slab at 1 KiB.
 pub(crate) const STRIPE_COUNT: usize = 8;
 
-/// Counter slots within a stripe (acquisitions are counted on the
-/// mutex's state line and try failures on a dedicated global — see the
-/// module doc). One slab line holds them all (12 × 8 B = 96 B ≤ 128 B),
-/// so a thread's whole off-state-line statistical life touches exactly
-/// one line.
-pub(crate) const CONTENDED: usize = 0;
-pub(crate) const PARKED: usize = 1;
-pub(crate) const HANDOFFS: usize = 2;
-pub(crate) const RECONFIGURATIONS: usize = 3;
-pub(crate) const TIMEOUTS: usize = 4;
-pub(crate) const POISON_EVENTS: usize = 5;
-pub(crate) const POISON_CLEARS: usize = 6;
-pub(crate) const POLICY_PANICS: usize = 7;
-pub(crate) const QUARANTINES: usize = 8;
-pub(crate) const HEALS: usize = 9;
-pub(crate) const SWITCHES: usize = 10;
-pub(crate) const COMBINED_OPS: usize = 11;
+/// One counter slot within a stripe (acquisitions are counted on the
+/// mutex's sample clock and try failures on a dedicated global — see
+/// the module doc). One slab line holds them all (15 × 8 B = 120 B ≤
+/// 128 B), so a thread's whole off-state-line statistical life touches
+/// exactly one line. The last three only the async mutex counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Acquisitions that had to wait.
+    Contended,
+    /// Waits that parked.
+    Parked,
+    /// Releases that granted the lock to a parked waiter.
+    Handoffs,
+    /// Policy decisions that changed an attribute or the engine.
+    Reconfigurations,
+    /// Bounded waits that gave up.
+    Timeouts,
+    /// Holders that panicked with the lock held.
+    PoisonEvents,
+    /// Poison flags cleared.
+    PoisonClears,
+    /// Policy callbacks that panicked.
+    PolicyPanics,
+    /// Quarantines entered.
+    Quarantines,
+    /// Quarantines that ended.
+    Heals,
+    /// Engine migrations installed.
+    Switches,
+    /// Critical sections a flat-combining drain ran.
+    CombinedOps,
+    /// Re-polls of a waiting task (async).
+    Polls,
+    /// Lock futures dropped mid-wait (async).
+    Cancellations,
+    /// Cancellations that raced a grant and re-released (async).
+    CancelledGrants,
+}
+
 /// Slots per stripe.
-pub(crate) const COUNTER_COUNT: usize = 12;
+const COUNTER_COUNT: usize = Counter::CancelledGrants as usize + 1;
 
 /// The calling thread's stripe. Assigned round-robin on first use and
 /// cached in a thread-local, so the steady-state cost is one TLS read —
@@ -90,25 +114,25 @@ impl StatSlabs {
     /// Count one event on the calling thread's stripe (relaxed; the
     /// stripe line is exclusive to this core in steady state).
     #[inline]
-    pub(crate) fn bump(&self, counter: usize) {
-        self.stripes[stripe_index()][counter].fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn bump(&self, counter: Counter) {
+        self.stripes[stripe_index()][counter as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count `n` events at once on the calling thread's stripe — used by
     /// the flat-combining drain, which executes a batch of critical
     /// sections under one hold and charges them with one RMW.
     #[inline]
-    pub(crate) fn bump_by(&self, counter: usize, n: u64) {
-        self.stripes[stripe_index()][counter].fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn bump_by(&self, counter: Counter, n: u64) {
+        self.stripes[stripe_index()][counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Lazy total across stripes (`O(STRIPE_COUNT)` relaxed loads).
     /// Exact once writers are quiescent; a monitoring-grade snapshot
     /// while they run, same as the single-cell counters were.
-    pub(crate) fn sum(&self, counter: usize) -> u64 {
+    pub(crate) fn sum(&self, counter: Counter) -> u64 {
         self.stripes
             .iter()
-            .map(|s| s[counter].load(Ordering::Relaxed))
+            .map(|s| s[counter as usize].load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -144,15 +168,15 @@ mod tests {
                 let slabs = Arc::clone(&slabs);
                 s.spawn(move || {
                     for _ in 0..iters {
-                        slabs.bump(CONTENDED);
-                        slabs.bump_by(SWITCHES, 2);
+                        slabs.bump(Counter::Contended);
+                        slabs.bump_by(Counter::Switches, 2);
                     }
                 });
             }
         });
-        assert_eq!(slabs.sum(CONTENDED), threads * iters);
-        assert_eq!(slabs.sum(SWITCHES), 2 * threads * iters);
-        assert_eq!(slabs.sum(HEALS), 0);
+        assert_eq!(slabs.sum(Counter::Contended), threads * iters);
+        assert_eq!(slabs.sum(Counter::Switches), 2 * threads * iters);
+        assert_eq!(slabs.sum(Counter::Heals), 0);
     }
 
     #[test]

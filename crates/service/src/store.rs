@@ -135,7 +135,7 @@ impl ServicePolicy {
     fn build(&self, writer: Writer) -> AdaptiveMutex<Writer> {
         match *self {
             ServicePolicy::Static(p) => p.build_mutex(writer),
-            ServicePolicy::HotShard { high_water, patience } => AdaptiveMutex::self_paced(
+            ServicePolicy::HotShard { high_water, patience } => AdaptiveMutex::with_policy(
                 writer,
                 Box::new(HotShardPolicy::new(high_water, patience)),
             ),
@@ -151,7 +151,7 @@ impl ServicePolicy {
         match *self {
             ServicePolicy::Static(_) => self.build(writer),
             ServicePolicy::HotShard { high_water, patience } => {
-                let m = AdaptiveMutex::self_paced(
+                let m = AdaptiveMutex::with_policy(
                     writer,
                     Box::new(HotShardPolicy::starting(high_water, patience, parent)),
                 );

@@ -395,7 +395,7 @@ fn async_mutex_for(policy: PolicyChoice, value: u64) -> asyncx::AsyncAdaptiveMut
         PolicyChoice::FixedSpin(k) => AsyncAdaptiveMutex::with_poll_budget(value, k),
         PolicyChoice::PureBlocking => AsyncAdaptiveMutex::with_poll_budget(value, 0),
         PolicyChoice::Adaptive { threshold, n } => {
-            AsyncAdaptiveMutex::with_policy(value, Box::new(AsyncPollAdapt::new(threshold, n)), 2)
+            AsyncAdaptiveMutex::with_policy(value, Box::new(AsyncPollAdapt::new(threshold, n)))
         }
         PolicyChoice::Algorithm(_) | PolicyChoice::FairAdaptive { .. } => {
             AsyncAdaptiveMutex::new(value)

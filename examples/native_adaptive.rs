@@ -23,11 +23,9 @@ fn spin_label(limit: u32) -> String {
 }
 
 fn main() {
-    let m = Arc::new(AdaptiveMutex::with_policy(
-        0u64,
-        Box::new(NativeSimpleAdapt::new(0, 16)),
-        1, // sample every unlock so the demo converges quickly
-    ));
+    // Sampled every other unlock while the policy keeps changing the
+    // spin count, and less often once it settles.
+    let m = Arc::new(AdaptiveMutex::with_policy(0u64, Box::new(NativeSimpleAdapt::new(0, 16))));
 
     // Phase 1: single-threaded.
     for _ in 0..64 {

@@ -34,7 +34,7 @@ use std::time::Duration;
 use adaptive_objects::locks::LockOracle;
 use adaptive_objects::native::{
     AdaptiveMutex, FaultKind, FaultPlan, FaultSpec, FixedPolicy, LockAlgorithm, NativeDecision,
-    NativeSimpleAdapt, NativeWaitingPolicy, SPIN_FOREVER,
+    NativeSimpleAdapt, NativeWaitingPolicy, PolicyChoice, SPIN_FOREVER,
 };
 use adaptive_objects::sim::ThreadId;
 use adaptive_objects::tsp::{
@@ -112,12 +112,9 @@ fn stress(
 fn oracle_invariants_hold_under_external_reconfiguration() {
     // 8 threads hammer the lock while thread 0 cycles the full waiting
     // policy attribute set: pure spin -> combined -> pure blocking.
-    let mutex = Arc::new(AdaptiveMutex::with_policy(
-        Oracle::default(),
-        // A policy that never fires, so only the external flips steer.
-        Box::new(NativeSimpleAdapt::new(u64::MAX, 0)),
-        u64::MAX,
-    ));
+    // A static lock (the default `combined(64)`, never sampled), so
+    // only the external flips steer.
+    let mutex = Arc::new(PolicyChoice::FixedSpin(64).build_mutex(Oracle::default()));
     stress(Arc::clone(&mutex), 8, 400, |i, m| {
         match i % 3 {
             0 => m.set_waiting_policy(NativeWaitingPolicy {
@@ -137,13 +134,12 @@ fn oracle_invariants_hold_under_external_reconfiguration() {
 
 #[test]
 fn oracle_invariants_hold_under_adaptive_feedback() {
-    // The simple-adapt loop reconfigures on its own every other unlock;
-    // thread 0 additionally jolts the attributes to force transitions
-    // the feedback loop then has to recover from.
+    // The simple-adapt loop reconfigures on its own at the kernel's
+    // period; thread 0 additionally jolts the attributes to force
+    // transitions the feedback loop then has to recover from.
     let mutex = Arc::new(AdaptiveMutex::with_policy(
         Oracle::default(),
         Box::new(NativeSimpleAdapt::new(2, 32)),
-        2,
     ));
     stress(Arc::clone(&mutex), 10, 300, |i, m| {
         if i % 64 == 0 {
@@ -318,7 +314,8 @@ fn cs_panics_poison_but_never_break_the_oracle() {
 fn unpark_faults_and_abandon_storms_never_strand_waiters() {
     // A fixed pure-blocking policy keeps every contended acquire parked,
     // maximizing exposure to dropped/delayed unparks; sampling still
-    // runs (period 2) so the monitor-stall stream is exercised too.
+    // runs (at the kernel's period) so the monitor-stall stream is
+    // exercised too.
     // Dropped unparks are survivable only because of the parker's
     // rescue poll — each one costs up to one poll interval, so the drop
     // rate is kept low.
@@ -332,7 +329,6 @@ fn unpark_faults_and_abandon_storms_never_strand_waiters() {
     let mutex = Arc::new(AdaptiveMutex::with_policy(
         Oracle::default(),
         Box::new(FixedPolicy(NativeDecision::PureBlocking)),
-        2,
     ));
     mutex.set_waiting_policy(NativeWaitingPolicy::pure_blocking());
     mutex.set_fault_hook(Arc::clone(&plan) as Arc<_>);

@@ -177,10 +177,14 @@ impl AdaptationPolicy<NativeObservation> for Recording {
 
 /// Regression: a panic/recover cycle leaves the `simple-adapt`
 /// statistics bit-identical to a run without it. The panicking release
-/// goes through `unlock_raw`, which neither ticks the sampling gate nor
-/// feeds the monitor — so the policy sees the exact same observation
-/// sequence either way (with sampling period 1, even one stray sampled
-/// unlock would show up as an extra log entry).
+/// goes through `unlock_raw`, which never feeds the monitor — so the
+/// policy sees the exact same observation sequence either way. The
+/// dying holder is the 17th acquisition, between the samples at 10 and
+/// 18 (the kernel's cadence for a policy that re-affirms pure spin), so
+/// both runs sample at the same points and a dying holder's unlock that
+/// reached the policy would show up as an extra log entry. The mutex's
+/// unit test `panicking_unlock_never_reaches_the_policy` puts the dying
+/// holder on a sample point.
 #[test]
 fn panic_recover_cycle_is_invisible_to_the_feedback_loop() {
     let run = |inject: bool| {
@@ -191,7 +195,6 @@ fn panic_recover_cycle_is_invisible_to_the_feedback_loop() {
                 inner: NativeSimpleAdapt::new(2, 32),
                 log: Arc::clone(&log),
             }),
-            1,
         );
         for i in 0..32u64 {
             if inject && i == 16 {

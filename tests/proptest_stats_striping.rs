@@ -8,15 +8,15 @@
 //! behaviors that refactor must not change: (1) the counts are
 //! *exact* — no lost or double counts under arbitrary cross-thread
 //! interleavings, including the poison/panic paths — and (2) the
-//! sampling gate still observes every other unlock (the paper's
-//! monitor cadence), now decided at acquire time from the serialized
-//! acquisition count.
+//! sample clock still observes every other unlock at the kernel's floor
+//! period (the paper's monitor cadence), decided at acquire time from
+//! the serialized acquisition count.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use adaptive_core::AdaptationPolicy;
+use adaptive_core::{AdaptationPolicy, SAMPLE_PERIOD_FLOOR};
 use adaptive_objects::native::{AdaptiveMutex, NativeDecision, NativeObservation};
 use proptest::prelude::*;
 
@@ -130,18 +130,33 @@ impl AdaptationPolicy<NativeObservation> for CountingPolicy {
     }
 }
 
-/// Regression: under the new layout the gate must still observe every
-/// other unlock. The acquisition count is serialized by the lock
-/// itself, so it ticks exactly like the old shared gate: `N` unlocks
-/// at sample period 2 produce exactly `N / 2` observations.
+/// A policy that counts its observations and changes the spin count on
+/// every one, which keeps the feedback kernel at its floor period.
+struct ChangingPolicy {
+    decides: Arc<AtomicU64>,
+}
+
+impl AdaptationPolicy<NativeObservation> for ChangingPolicy {
+    type Decision = NativeDecision;
+
+    fn decide(&mut self, _obs: NativeObservation) -> Option<NativeDecision> {
+        let n = self.decides.fetch_add(1, Ordering::Relaxed);
+        Some(NativeDecision::SetSpins(if n.is_multiple_of(2) { 5 } else { 9 }))
+    }
+}
+
+/// Regression: under the new layout the clock must still observe every
+/// other unlock while the policy keeps changing something. The
+/// acquisition count is serialized by the lock itself, so it ticks
+/// exactly like the old shared gate: `N` unlocks at the floor period
+/// produce exactly `N / 2` observations.
 #[test]
 fn sampling_gate_still_observes_every_other_unlock() {
     for n in [1u64, 2, 3, 10, 101, 256] {
         let decides = Arc::new(AtomicU64::new(0));
         let m = AdaptiveMutex::with_policy(
             0u64,
-            Box::new(CountingPolicy { decides: Arc::clone(&decides) }),
-            2,
+            Box::new(ChangingPolicy { decides: Arc::clone(&decides) }),
         );
         for _ in 0..n {
             *m.lock() += 1;
@@ -154,37 +169,18 @@ fn sampling_gate_still_observes_every_other_unlock() {
     }
 }
 
-/// The cadence generalizes: at sample period `p` the gate fires on
-/// every `p`-th acquisition, so a run of `N` unlocks observes exactly
-/// `N / p` times.
-#[test]
-fn sampling_gate_cadence_matches_any_period()  {
-    for p in [1u64, 3, 7] {
-        let decides = Arc::new(AtomicU64::new(0));
-        let m = AdaptiveMutex::with_policy(
-            0u64,
-            Box::new(CountingPolicy { decides: Arc::clone(&decides) }),
-            p,
-        );
-        for _ in 0..100 {
-            *m.lock() += 1;
-        }
-        assert_eq!(decides.load(Ordering::Relaxed), 100 / p, "period {p}");
-    }
-}
-
 /// Regression: the *failure* stream's cadence must not depend on how
 /// many threads generate the failures. The try-failure count used to
 /// live in the striped slab and each stripe paced its own gate, so the
 /// same total number of failed `try_lock`s produced up to `stripes`×
 /// fewer policy observations once the failing threads spread across
 /// stripes — the monitor effectively went deaf on bigger machines.
-/// The count is now a single global cell: `N` failures at period `p`
-/// reach the policy exactly `N / p` times whether one thread or eight
-/// produced them.
+/// The count is now a single global cell: `N` failures reach the policy
+/// exactly `N / 2` times (every other failure, the kernel's floor)
+/// whether one thread or eight produced them.
 #[test]
 fn try_failure_cadence_is_independent_of_thread_count() {
-    const PERIOD: u64 = 4;
+    const PERIOD: u64 = SAMPLE_PERIOD_FLOOR;
     const TOTAL: u64 = 64;
     let mut decides_per_threadcount = Vec::new();
     for threads in [1u64, 2, 8] {
@@ -192,7 +188,6 @@ fn try_failure_cadence_is_independent_of_thread_count() {
         let m = Arc::new(AdaptiveMutex::with_policy(
             0u64,
             Box::new(CountingPolicy { decides: Arc::clone(&decides) }),
-            PERIOD,
         ));
         // Hold the lock so every try_lock below fails deterministically.
         let guard = m.lock();

@@ -1,14 +1,17 @@
-//! The sampling period is an attribute the feedback kernel owns: on a
-//! self-paced `AdaptiveMutex` the monitor runs on one fixed sequence of
+//! The sampling period is an attribute the feedback kernel owns: on
+//! every adaptive lock — an `AdaptiveMutex` and, with the same clock,
+//! an `AsyncAdaptiveMutex` — the monitor runs on one fixed sequence of
 //! acquisitions whose gaps double from 2 to 64 while the policy's
 //! decisions change nothing, and fall back to 2 on a change of regime.
-//! The gate word is a plain store made under the lock, so the sequence
-//! is exact — in debug and in release builds, which is where a store
-//! placed outside the lock would show.
+//! The clock's words are plain stores made under the lock, so the
+//! sequence is exact — in debug and in release builds, which is where a
+//! store placed outside the lock would show.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+#[cfg(feature = "async")]
+use adaptive_objects::asyncx::{AsyncAdaptiveMutex, Runtime};
 use adaptive_objects::model::{
     AdaptationPolicy, QUARANTINE_BASE_TICKS, SAMPLE_PERIOD_CEILING, SAMPLE_PERIOD_FLOOR,
 };
@@ -36,29 +39,57 @@ impl AdaptationPolicy<NativeObservation> for Scripted {
     }
 }
 
-/// Lock and unlock a self-paced mutex `acquisitions` times from one
-/// thread; returns the acquisition counts whose unlock reached the
-/// policy, and the `acquisitions` field of each observation.
-fn sampled_acquisitions(script: Script, acquisitions: u64) -> (Vec<u64>, Vec<u64>) {
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let m = AdaptiveMutex::self_paced((), Box::new(Scripted { script, seen: Arc::clone(&seen) }));
+/// The acquisition counts whose unlock reached the policy, and the
+/// `acquisitions` field of each observation.
+type Sampled = (Vec<u64>, Vec<u64>);
+
+/// Lock and unlock `acquisitions` times from one thread through `lock`,
+/// whose policy logs into `seen`.
+fn lock_n(seen: &Mutex<Vec<NativeObservation>>, acquisitions: u64, lock: impl Fn()) -> Sampled {
     let mut sampled_at = Vec::new();
     for n in 1..=acquisitions {
         let before = seen.lock().expect("log").len();
-        drop(m.lock());
+        lock();
         if seen.lock().expect("log").len() > before {
             sampled_at.push(n);
         }
     }
-    assert_eq!(m.stats().acquisitions, acquisitions);
     let stood_for = seen.lock().expect("log").iter().map(|o| o.acquisitions).collect();
     (sampled_at, stood_for)
 }
 
-/// `combined(64)` is what a new mutex starts from: deciding it again
-/// changes nothing.
+/// [`lock_n`] on an `AdaptiveMutex` following `script`.
+fn sampled_acquisitions(script: Script, acquisitions: u64) -> Sampled {
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let m = AdaptiveMutex::with_policy((), Box::new(Scripted { script, seen: Arc::clone(&seen) }));
+    let sampled = lock_n(&seen, acquisitions, || drop(m.lock()));
+    assert_eq!(m.stats().acquisitions, acquisitions);
+    sampled
+}
+
+/// [`lock_n`] on an `AsyncAdaptiveMutex` following `script`, on both
+/// runtime flavors, each of which must sample where the native mutex
+/// does. The async mutex starts from the native starting set, so a
+/// decision (the scripts spell whole sets) changes something on one
+/// mutex exactly when it does on the other.
+#[cfg(feature = "async")]
+fn async_samples_like_native(script: Script, acquisitions: u64) {
+    let native = sampled_acquisitions(script, acquisitions);
+    for rt in [Runtime::current_thread(), Runtime::multi_thread(2)] {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let policy = Box::new(Scripted { script, seen: Arc::clone(&seen) });
+        let m = AsyncAdaptiveMutex::with_policy((), policy);
+        m.set_waiting_policy(NativeWaitingPolicy::default());
+        let sampled = lock_n(&seen, acquisitions, || rt.block_on(async { drop(m.lock().await) }));
+        assert_eq!(m.stats().acquisitions, acquisitions);
+        assert_eq!(sampled, native, "the async mutex samples off the native cadence");
+    }
+}
+
+/// `combined(64)` is what a new `AdaptiveMutex` starts from: deciding it
+/// again changes nothing.
 fn reaffirm(_: u64) -> Option<NativeDecision> {
-    Some(NativeDecision::SetSpins(64))
+    Some(NativeDecision::SetPolicy(NativeWaitingPolicy::combined(64)))
 }
 
 const BACKED_OFF: [u64; 10] = [2, 4, 8, 16, 32, 64, 128, 192, 256, 320];
@@ -73,6 +104,11 @@ fn a_reaffirming_policy_is_sampled_on_one_sequence_whose_gaps_double_to_64() {
     }
     // No decision at all changes nothing either.
     assert_eq!(sampled_acquisitions(|_| None, 320).0, BACKED_OFF);
+    #[cfg(feature = "async")]
+    {
+        async_samples_like_native(reaffirm, 320);
+        async_samples_like_native(|_| None, 320);
+    }
 }
 
 #[test]
@@ -80,14 +116,17 @@ fn one_decision_that_changes_an_attribute_brings_the_gaps_back_to_two() {
     // The eighth observation (acquisition 192) moves the spin count, and
     // the ones after it re-affirm the new value. The gap that was armed
     // before the change stands; the next one is 2, then they double.
-    let (sampled_at, _) = sampled_acquisitions(
-        |k| Some(NativeDecision::SetSpins(if k < 7 { 64 } else { 7 })),
-        520,
-    );
+    fn script(k: u64) -> Option<NativeDecision> {
+        let spins = if k < 7 { 64 } else { 7 };
+        Some(NativeDecision::SetPolicy(NativeWaitingPolicy::combined(spins)))
+    }
+    let (sampled_at, _) = sampled_acquisitions(script, 520);
     let gaps: Vec<u64> = sampled_at.windows(2).map(|w| w[1] - w[0]).collect();
     assert_eq!(sampled_at[7], 192);
     assert_eq!(gaps[..7], [2, 4, 8, 16, 32, 64, 64]);
     assert_eq!(gaps[7..], [64, 2, 4, 8, 16, 32, 64, 64, 64]);
+    #[cfg(feature = "async")]
+    async_samples_like_native(script, 520);
 }
 
 #[test]
@@ -98,7 +137,7 @@ fn a_quarantine_on_a_backed_off_lock_is_served_at_the_floor_cadence() {
         reaffirm(k)
     }
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let m = AdaptiveMutex::self_paced((), Box::new(Scripted { script, seen: Arc::clone(&seen) }));
+    let m = AdaptiveMutex::with_policy((), Box::new(Scripted { script, seen: Arc::clone(&seen) }));
     let mut panicked_at = None;
     let mut healed_at = None;
     for n in 1..=1_000u64 {
@@ -201,4 +240,27 @@ fn a_lock_backed_off_while_idle_still_reaches_parking_when_waiters_arrive() {
     assert!(s.reconfigurations > before.reconfigurations, "policy never fired");
     assert!(s.parked > 0, "nobody ever parked despite long holds");
     assert!(s.handoffs > 0, "parked waiters must be served by handoff");
+}
+
+#[cfg(feature = "async")]
+#[test]
+fn failed_try_locks_alone_feed_an_async_mutexs_policy() {
+    // Every other failed `try_lock` is a sample that counts the caller
+    // as a waiter, as on the native mutex: a task that only ever tries
+    // still drives the policy while another holds the lock.
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let policy = Box::new(Scripted { script: |_| None, seen: Arc::clone(&seen) });
+    let m = AsyncAdaptiveMutex::with_policy((), policy);
+    let rt = Runtime::current_thread();
+    rt.block_on(async {
+        let holder = m.lock().await;
+        for _ in 0..10 {
+            assert!(m.try_lock().is_none(), "the lock is held");
+        }
+        let seen = seen.lock().expect("log");
+        assert_eq!(seen.len(), 5, "every other failure is a sample");
+        assert!(seen.iter().all(|o| o.waiting >= 1), "the trying task is a waiter: {seen:?}");
+        drop(holder);
+    });
+    assert_eq!(m.stats().try_failures, 10);
 }
