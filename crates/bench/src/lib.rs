@@ -2,8 +2,8 @@
 //! paper-vs-measured reporting, and scale selection.
 //!
 //! Every bench target under `benches/` regenerates one table or figure
-//! of the paper. Run them all with `cargo bench`; results are printed in
-//! paper-style rows and persisted as JSON/CSV under
+//! of the paper. Run them all with `cargo bench -p bench`; results are
+//! printed in paper-style rows and persisted as JSON/CSV under
 //! `target/experiments/`.
 
 #![deny(unsafe_code)]

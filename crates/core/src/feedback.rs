@@ -56,16 +56,6 @@ impl<P> FeedbackLoop<P> {
     pub fn stats(&self) -> LoopStats {
         self.stats
     }
-
-    /// Access the wrapped policy.
-    pub fn policy(&self) -> &P {
-        &self.policy
-    }
-
-    /// Mutable access to the wrapped policy (e.g. to retune thresholds).
-    pub fn policy_mut(&mut self) -> &mut P {
-        &mut self.policy
-    }
 }
 
 #[cfg(test)]
@@ -84,23 +74,5 @@ mod tests {
         let s = fb.stats();
         assert_eq!(s.observations, 2);
         assert_eq!(s.decisions, 1);
-    }
-
-    #[test]
-    fn policy_mut_allows_retuning() {
-        struct Thresh {
-            limit: u32,
-        }
-        impl AdaptationPolicy<u32> for Thresh {
-            type Decision = ();
-            fn decide(&mut self, obs: u32) -> Option<()> {
-                (obs > self.limit).then_some(())
-            }
-        }
-        let mut fb = FeedbackLoop::new(Thresh { limit: 10 });
-        assert!(!fb.step(5, |_| {}));
-        fb.policy_mut().limit = 1;
-        assert!(fb.step(5, |_| {}));
-        assert_eq!(fb.policy().limit, 1);
     }
 }

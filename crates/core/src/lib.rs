@@ -18,6 +18,10 @@
 //!   ([`FeedbackLoop`]): `M --v_i--> P --d_c--> Ψ` — hardened for real
 //!   threads and tasks as [`GuardedLoop`].
 //!
+//! The decision rules policies share are written once: the paper's
+//! `simple-adapt` spin ladder ([`SpinLadder`]) and a two-state switch
+//! with hysteresis ([`Hysteresis`]).
+//!
 //! Costs follow the paper's `t = n1 R n2 W` formalism ([`OpCost`]), and
 //! every reconfiguration can be audited through a [`TransitionLog`].
 //!
@@ -60,6 +64,7 @@ mod feedback;
 mod guarded;
 mod monitor;
 mod policy;
+mod rules;
 
 pub use attrs::{AttrError, AttrName, AttrSet, AttrValue, OwnerId};
 pub use config_space::{MethodSetId, Transition, TransitionLog};
@@ -71,3 +76,4 @@ pub use guarded::{
 };
 pub use monitor::SamplingGate;
 pub use policy::{AdaptationPolicy, FnPolicy};
+pub use rules::{Hysteresis, SpinLadder, SpinStep};

@@ -10,7 +10,10 @@
 
 use std::sync::Mutex;
 
-use adaptive_core::{AdaptationPolicy, FeedbackLoop, LoopStats, OwnerId, SamplingGate};
+use adaptive_core::{
+    AdaptationPolicy, FeedbackLoop, Hysteresis, LoopStats, OwnerId, SamplingGate, SpinLadder,
+    SpinStep,
+};
 use butterfly_sim::{ctx, NodeId, VirtualTime};
 
 use crate::api::{Lock, LockCosts, LockStats, PatternSample};
@@ -47,54 +50,26 @@ pub enum LockDecision {
 pub type BoxedLockPolicy =
     Box<dyn AdaptationPolicy<LockObservation, Decision = LockDecision> + Send>;
 
-/// The paper's `simple-adapt` policy:
-///
-/// ```text
-/// IF   waiting == 0                 -> configure pure spin
-/// ELIF waiting <= Waiting-Threshold -> no-of-spins += n
-/// ELSE                              -> no-of-spins -= 2n
-/// IF   no-of-spins <= 0             -> configure pure blocking
-/// ```
-///
-/// `Waiting-Threshold` and `n` are lock-specific constants that depend
-/// on the locking pattern and critical-section length; the paper leaves
-/// finding their exact relationship to future work, so they are plain
-/// public fields here.
-///
-/// Re-entry from pure blocking: once spins have decayed to zero, a light
-/// sample re-enters the combined configuration at the *default* spin
-/// count rather than creeping up from `n`. Growing from `n` would emit a
-/// barely-spinning combined policy and then a reconfiguration per sample
-/// while it climbs — exactly the configuration thrash Section 5 adapts
-/// to avoid. The paper's rules describe movement *within* the combined
-/// regime; leaving pure blocking is a regime change, so it restarts from
-/// the same spin count a fresh lock starts with.
+/// The paper's `simple-adapt` policy ([`SpinLadder`]) on the
+/// simulated lock: spin counts are memory probes, a fresh lock (and a
+/// light sample after pure blocking) starts at the default combined
+/// policy's spin count, and spins stop at 2¹⁴.
 #[derive(Debug, Clone)]
 pub struct SimpleAdapt {
-    /// The waiting-thread threshold above which spins are cut.
-    pub waiting_threshold: u64,
-    /// The spin increment `n`.
-    pub n: u32,
-    /// Upper clamp on the spin count.
-    pub max_spins: u32,
-    spins: i64,
+    ladder: SpinLadder,
 }
 
 impl SimpleAdapt {
     /// Policy with the given threshold and increment, starting from the
     /// default combined policy's spin count.
     pub fn new(waiting_threshold: u64, n: u32) -> SimpleAdapt {
-        SimpleAdapt {
-            waiting_threshold,
-            n,
-            max_spins: 1 << 14,
-            spins: WaitingPolicy::default().spin as i64,
-        }
+        let start = WaitingPolicy::default().spin;
+        SimpleAdapt { ladder: SpinLadder::new(waiting_threshold, n, start, 1 << 14) }
     }
 
     /// Current nominal spin count (for inspection in tests/reports).
     pub fn spins(&self) -> i64 {
-        self.spins
+        self.ladder.spins()
     }
 }
 
@@ -108,28 +83,11 @@ impl AdaptationPolicy<LockObservation> for SimpleAdapt {
     type Decision = LockDecision;
 
     fn decide(&mut self, obs: LockObservation) -> Option<LockDecision> {
-        if obs.waiting == 0 {
-            // No contention: lowest-latency configuration.
-            return Some(LockDecision::PureSpin);
-        }
-        if obs.waiting <= self.waiting_threshold {
-            self.spins = if self.spins == 0 {
-                // Regime change out of pure blocking: restart from the
-                // default combined spin count instead of creeping up from
-                // `n` (which thrashes, see the type-level docs).
-                i64::from(WaitingPolicy::default().spin.min(self.max_spins))
-            } else {
-                (self.spins + i64::from(self.n)).min(i64::from(self.max_spins))
-            };
-        } else {
-            self.spins -= 2 * i64::from(self.n);
-        }
-        if self.spins <= 0 {
-            self.spins = 0;
-            Some(LockDecision::PureBlocking)
-        } else {
-            Some(LockDecision::SetSpins(self.spins as u32))
-        }
+        Some(match self.ladder.step(obs.waiting) {
+            SpinStep::Forever => LockDecision::PureSpin,
+            SpinStep::Block => LockDecision::PureBlocking,
+            SpinStep::Spins(k) => LockDecision::SetSpins(k),
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -140,19 +98,14 @@ impl AdaptationPolicy<LockObservation> for SimpleAdapt {
 /// Extension policy realizing the paper's future-work direction of
 /// "applying closely-coupled adaptation to alter lock *schedulers* in
 /// different phases of a computation": when the waiting queue stays deep
-/// for several consecutive samples, grant order starts to matter and the
-/// policy installs the priority scheduler; when the queue stays shallow,
-/// it reverts to FCFS (whose registration/release paths are cheapest).
+/// (at least `depth_threshold` waiters) for `consecutive` samples in a
+/// row, grant order starts to matter and the policy installs the
+/// priority scheduler; when the queue stays shallow as long, it reverts
+/// to FCFS (whose registration/release paths are cheapest).
 #[derive(Debug, Clone)]
 pub struct SchedulerAdapt {
-    /// Queue depth at or above which a sample counts as "deep".
-    pub depth_threshold: u64,
-    /// Consecutive deep (shallow) samples required to switch to
-    /// Priority (back to FCFS).
-    pub consecutive: u32,
-    deep_run: u32,
-    shallow_run: u32,
-    current: SchedKind,
+    depth_threshold: u64,
+    switch: Hysteresis<SchedKind>,
 }
 
 impl SchedulerAdapt {
@@ -160,18 +113,13 @@ impl SchedulerAdapt {
     /// `depth_threshold` or more.
     pub fn new(depth_threshold: u64, consecutive: u32) -> SchedulerAdapt {
         assert!(consecutive > 0, "need at least one sample to decide");
-        SchedulerAdapt {
-            depth_threshold,
-            consecutive,
-            deep_run: 0,
-            shallow_run: 0,
-            current: SchedKind::Fcfs,
-        }
+        let (fcfs, priority) = (SchedKind::Fcfs, SchedKind::Priority);
+        SchedulerAdapt { depth_threshold, switch: Hysteresis::new(fcfs, priority, fcfs, consecutive) }
     }
 
     /// Scheduler the policy believes is installed.
     pub fn current(&self) -> SchedKind {
-        self.current
+        self.switch.current()
     }
 }
 
@@ -179,22 +127,8 @@ impl AdaptationPolicy<LockObservation> for SchedulerAdapt {
     type Decision = LockDecision;
 
     fn decide(&mut self, obs: LockObservation) -> Option<LockDecision> {
-        if obs.waiting >= self.depth_threshold {
-            self.deep_run += 1;
-            self.shallow_run = 0;
-        } else {
-            self.shallow_run += 1;
-            self.deep_run = 0;
-        }
-        if self.deep_run >= self.consecutive && self.current != SchedKind::Priority {
-            self.current = SchedKind::Priority;
-            return Some(LockDecision::SetScheduler(SchedKind::Priority));
-        }
-        if self.shallow_run >= self.consecutive && self.current != SchedKind::Fcfs {
-            self.current = SchedKind::Fcfs;
-            return Some(LockDecision::SetScheduler(SchedKind::Fcfs));
-        }
-        None
+        let deep = obs.waiting >= self.depth_threshold;
+        self.switch.step(deep, !deep).map(LockDecision::SetScheduler)
     }
 
     fn name(&self) -> &'static str {

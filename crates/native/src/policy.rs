@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
-use adaptive_core::AdaptationPolicy;
+use adaptive_core::{AdaptationPolicy, Hysteresis, SpinLadder, SpinStep};
 
 use crate::mutex::SPIN_FOREVER;
 use crate::raw::LockAlgorithm;
@@ -378,28 +378,20 @@ impl NativeDecision {
     }
 }
 
-/// The paper's `simple-adapt`, scaled for spin-loop iterations instead
-/// of memory probes.
+/// The paper's `simple-adapt` ([`SpinLadder`]), scaled for spin-loop
+/// iterations instead of memory probes: a fresh lock (and a light
+/// sample after pure blocking) starts at 64 spins, the default
+/// policy's count, and spins stop at 2¹⁶.
 #[derive(Debug, Clone)]
 pub struct NativeSimpleAdapt {
-    /// `Waiting-Threshold`.
-    pub waiting_threshold: u64,
-    /// Spin increment `n`.
-    pub n: u32,
-    /// Upper clamp.
-    pub max_spins: u32,
-    spins: i64,
+    ladder: SpinLadder,
 }
 
 impl NativeSimpleAdapt {
     /// Policy with the given threshold and increment.
     pub fn new(waiting_threshold: u64, n: u32) -> NativeSimpleAdapt {
-        NativeSimpleAdapt {
-            waiting_threshold,
-            n,
-            max_spins: 1 << 16,
-            spins: 64,
-        }
+        let start = NativeWaitingPolicy::default().spin;
+        NativeSimpleAdapt { ladder: SpinLadder::new(waiting_threshold, n, start, 1 << 16) }
     }
 }
 
@@ -407,20 +399,11 @@ impl AdaptationPolicy<NativeObservation> for NativeSimpleAdapt {
     type Decision = NativeDecision;
 
     fn decide(&mut self, obs: NativeObservation) -> Option<NativeDecision> {
-        if obs.waiting == 0 {
-            return Some(NativeDecision::PureSpin);
-        }
-        if obs.waiting <= self.waiting_threshold {
-            self.spins = (self.spins + i64::from(self.n)).min(i64::from(self.max_spins));
-        } else {
-            self.spins -= 2 * i64::from(self.n);
-        }
-        if self.spins <= 0 {
-            self.spins = 0;
-            Some(NativeDecision::PureBlocking)
-        } else {
-            Some(NativeDecision::SetSpins(self.spins as u32))
-        }
+        Some(match self.ladder.step(obs.waiting) {
+            SpinStep::Forever => NativeDecision::PureSpin,
+            SpinStep::Block => NativeDecision::PureBlocking,
+            SpinStep::Spins(k) => NativeDecision::SetSpins(k),
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -439,35 +422,29 @@ impl AdaptationPolicy<NativeObservation> for NativeSimpleAdapt {
 /// one victim's wait stretches far beyond it (the per-thread spread
 /// collapse `BENCH_native_fairness.json` measures offline, here read
 /// from one atomic `fetch_max`). `patience` consecutive unfair samples
-/// migrate the lock to the strict-FIFO ticket engine; `patience`
-/// consecutive calm samples (worst wait under half the threshold, at
-/// most one waiter) migrate it back to attribute-tuned spin-park, which
-/// is cheaper when fairness is not at risk. While on spin-park, the
-/// inner [`NativeSimpleAdapt`] keeps tuning the spin attribute.
+/// (a worst wait of at least `unfair_wait_nanos`) migrate the lock to
+/// the strict-FIFO ticket engine; `patience` consecutive calm samples
+/// (worst wait under half the threshold, at most one waiter) migrate it
+/// back to attribute-tuned spin-park, which is cheaper when fairness is
+/// not at risk ([`Hysteresis`]). While on spin-park, the inner
+/// [`NativeSimpleAdapt`] keeps tuning the spin attribute.
 #[derive(Debug, Clone)]
 pub struct NativeFairnessAdapt {
     /// Attribute tuning used while on the spin-park engine.
     attrs: NativeSimpleAdapt,
-    /// A single contended wait this long (ns) counts as unfair.
-    pub unfair_wait_nanos: u64,
-    /// Consecutive unfair (or calm) samples before switching.
-    pub patience: u32,
-    unfair_streak: u32,
-    calm_streak: u32,
-    algo: LockAlgorithm,
+    unfair_wait_nanos: u64,
+    engine: Hysteresis<LockAlgorithm>,
 }
 
 impl NativeFairnessAdapt {
     /// Policy that tolerates worst waits up to `unfair_wait_nanos`
     /// before trading barging throughput for FIFO fairness.
     pub fn new(unfair_wait_nanos: u64, patience: u32) -> NativeFairnessAdapt {
+        let (spin_park, ticket) = (LockAlgorithm::SpinPark, LockAlgorithm::Ticket);
         NativeFairnessAdapt {
             attrs: NativeSimpleAdapt::new(2, 32),
             unfair_wait_nanos: unfair_wait_nanos.max(1),
-            patience: patience.max(1),
-            unfair_streak: 0,
-            calm_streak: 0,
-            algo: LockAlgorithm::SpinPark,
+            engine: Hysteresis::new(spin_park, ticket, spin_park, patience),
         }
     }
 
@@ -475,7 +452,7 @@ impl NativeFairnessAdapt {
     /// own `SetAlgorithm` decisions; a re-request after an external
     /// switch is harmless — the mutex drops no-op switches).
     pub fn algorithm(&self) -> LockAlgorithm {
-        self.algo
+        self.engine.current()
     }
 }
 
@@ -488,26 +465,10 @@ impl AdaptationPolicy<NativeObservation> for NativeFairnessAdapt {
         // comfortably under the threshold *and* pressure must be light,
         // or the switch back would re-trigger immediately (hysteresis).
         let calm = obs.max_wait_nanos <= self.unfair_wait_nanos / 2 && obs.waiting <= 1;
-        match self.algo {
-            LockAlgorithm::SpinPark => {
-                self.unfair_streak = if unfair { self.unfair_streak + 1 } else { 0 };
-                if self.unfair_streak >= self.patience {
-                    self.algo = LockAlgorithm::Ticket;
-                    self.unfair_streak = 0;
-                    self.calm_streak = 0;
-                    return Some(NativeDecision::SetAlgorithm(LockAlgorithm::Ticket));
-                }
-                self.attrs.decide(obs)
-            }
-            _ => {
-                self.calm_streak = if calm { self.calm_streak + 1 } else { 0 };
-                if self.calm_streak >= self.patience {
-                    self.algo = LockAlgorithm::SpinPark;
-                    self.calm_streak = 0;
-                    return Some(NativeDecision::SetAlgorithm(LockAlgorithm::SpinPark));
-                }
-                None
-            }
+        match self.engine.step(unfair, calm) {
+            Some(algo) => Some(NativeDecision::SetAlgorithm(algo)),
+            None if self.algorithm() == LockAlgorithm::SpinPark => self.attrs.decide(obs),
+            None => None,
         }
     }
 
@@ -584,6 +545,14 @@ mod tests {
             last = p.decide(NativeObservation::of(5));
         }
         assert_eq!(last, Some(NativeDecision::PureBlocking));
+    }
+
+    #[test]
+    fn a_light_sample_after_blocking_reenters_at_the_default_spin_count() {
+        let mut p = NativeSimpleAdapt::new(2, 32);
+        while p.decide(NativeObservation::of(5)) != Some(NativeDecision::PureBlocking) {}
+        assert_eq!(p.decide(NativeObservation::of(1)), Some(NativeDecision::SetSpins(64)));
+        assert_eq!(p.decide(NativeObservation::of(1)), Some(NativeDecision::SetSpins(96)));
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use std::time::Instant;
 
-use adaptive_core::AdaptationPolicy;
+use adaptive_core::{AdaptationPolicy, Hysteresis};
 use adaptive_native::{
     LockAlgorithm, NativeDecision, NativeObservation, NativeSimpleAdapt,
 };
@@ -75,13 +75,9 @@ const GAP_CLAMP_NANOS: u64 = 1_000_000_000;
 #[derive(Debug, Clone)]
 pub struct HotShardPolicy {
     /// Waiting level that marks a shard hot.
-    pub high_water: u64,
-    /// Consecutive samples required before migrating (both directions).
-    pub patience: u32,
+    high_water: u64,
     tuner: NativeSimpleAdapt,
-    algo: LockAlgorithm,
-    hot_streak: u32,
-    calm_streak: u32,
+    engine: Hysteresis<LockAlgorithm>,
     last_sample: Option<Instant>,
     ewma_gap_nanos: u64,
 }
@@ -104,13 +100,11 @@ impl HotShardPolicy {
         } else {
             HOT_SAMPLE_GAP_NANOS
         };
+        let (spin_park, combining) = (LockAlgorithm::SpinPark, LockAlgorithm::Combining);
         HotShardPolicy {
             high_water: high_water.max(1),
-            patience: patience.max(1),
             tuner: NativeSimpleAdapt::new(2, 32),
-            algo,
-            hot_streak: 0,
-            calm_streak: 0,
+            engine: Hysteresis::new(spin_park, combining, algo, patience),
             last_sample: None,
             ewma_gap_nanos: ewma,
         }
@@ -118,7 +112,7 @@ impl HotShardPolicy {
 
     /// The engine this policy currently believes is installed.
     pub fn algorithm(&self) -> LockAlgorithm {
-        self.algo
+        self.engine.current()
     }
 
     /// Smoothed nanoseconds between feedback-loop samples.
@@ -145,35 +139,10 @@ impl HotShardPolicy {
         // the next on-rate sample resets it, while a genuinely quiet
         // shard stretches every gap and passes `patience` in a row.
         let calm = obs.waiting <= 1 && gap >= HOT_SAMPLE_GAP_NANOS * COLD_GAP_FACTOR;
-        match self.algo {
-            LockAlgorithm::SpinPark => {
-                self.calm_streak = 0;
-                if busy {
-                    self.hot_streak += 1;
-                    if self.hot_streak >= self.patience {
-                        self.algo = LockAlgorithm::Combining;
-                        self.hot_streak = 0;
-                        return Some(NativeDecision::SetAlgorithm(LockAlgorithm::Combining));
-                    }
-                } else {
-                    self.hot_streak = 0;
-                }
-                self.tuner.decide(obs)
-            }
-            _ => {
-                self.hot_streak = 0;
-                if calm {
-                    self.calm_streak += 1;
-                    if self.calm_streak >= self.patience {
-                        self.algo = LockAlgorithm::SpinPark;
-                        self.calm_streak = 0;
-                        return Some(NativeDecision::SetAlgorithm(LockAlgorithm::SpinPark));
-                    }
-                } else {
-                    self.calm_streak = 0;
-                }
-                None
-            }
+        match self.engine.step(busy, calm) {
+            Some(algo) => Some(NativeDecision::SetAlgorithm(algo)),
+            None if self.algorithm() == LockAlgorithm::SpinPark => self.tuner.decide(obs),
+            None => None,
         }
     }
 }
