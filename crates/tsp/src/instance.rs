@@ -18,8 +18,9 @@ pub struct TspInstance {
 }
 
 impl TspInstance {
-    /// Build from an explicit row-major distance matrix. Diagonal entries
-    /// are forced to [`INF`] (no self-loops).
+    /// Build from an explicit row-major distance matrix. An entry
+    /// `>= INF` is a forbidden edge; diagonal entries are forced to
+    /// [`INF`] (no self-loops).
     ///
     /// # Panics
     ///
@@ -111,49 +112,47 @@ impl TspInstance {
         cost + self.dist(tour[self.n - 1], tour[0])
     }
 
-    /// Exact minimum tour cost by Held–Karp dynamic programming
-    /// (`O(2^n * n^2)`; the correctness oracle for `n <= ~15`).
+    /// Exact minimum tour cost by Held–Karp dynamic programming, the
+    /// correctness oracle. Pull form: `dp[S][j]`, the shortest path from
+    /// city 0 through the set `S` that ends at `j ∈ S`, is the least
+    /// `dp[S ∖ j][k] + d(k, j)` over every `k`: a branch-free fold of one
+    /// contiguous row against a column of the matrix, transposed once.
+    /// `O(2^n * n^2)` time.
+    ///
+    /// An entry `>= INF` is a forbidden edge, as in LMSK. Entries are
+    /// clamped at [`INF`] and a row holds `INF` at non-members, so no sum
+    /// wraps and no term needs a skip; with no tour left the answer is `INF`.
     ///
     /// # Panics
     ///
-    /// Panics for `n > 20` (table would not fit in memory).
+    /// Panics for `n > 20`: the table takes `4 (n-1) 2^(n-1)` bytes, 40 MB at 20.
     pub fn held_karp(&self) -> u32 {
         let n = self.n;
         assert!(n <= 20, "Held-Karp oracle limited to 20 cities");
-        let full = 1usize << (n - 1); // sets over cities 1..n
-        let mut dp = vec![INF; full * (n - 1)];
-        // dp[mask][j]: shortest path 0 -> ... -> j+1 visiting mask.
-        for j in 0..(n - 1) {
-            dp[(1 << j) * (n - 1) + j] = self.dist(0, j + 1);
-        }
-        for mask in 1..full {
-            for j in 0..(n - 1) {
-                if mask & (1 << j) == 0 {
-                    continue;
-                }
-                let cur = dp[mask * (n - 1) + j];
-                if cur >= INF {
-                    continue;
-                }
-                for k in 0..(n - 1) {
-                    if mask & (1 << k) != 0 {
-                        continue;
-                    }
-                    let next = mask | (1 << k);
-                    let cand = cur + self.dist(j + 1, k + 1);
-                    let slot = &mut dp[next * (n - 1) + k];
-                    if cand < *slot {
-                        *slot = cand;
-                    }
-                }
+        let m = n - 1; // bit and column j stand for city j + 1
+        let d = |i: usize, j: usize| self.dist(i, j).min(INF);
+        // into[j * m + k] = d(k + 1, j + 1): column j, read as a row.
+        let into: Vec<u32> = (0..m * m).map(|x| d(x % m + 1, x / m + 1)).collect();
+        let mut dp = vec![INF; m << m];
+        for mask in 1..1usize << m {
+            let (done, row) = dp.split_at_mut(mask * m);
+            let mut bits = mask;
+            while bits != 0 {
+                let j = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let prev = mask ^ (1 << j);
+                row[j] = if prev == 0 {
+                    d(0, j + 1)
+                } else {
+                    let from = &done[prev * m..][..m];
+                    from.iter()
+                        .zip(&into[j * m..][..m])
+                        .fold(INF, |b, (&p, &c)| b.min(p + c))
+                };
             }
         }
-        let mut best = INF;
-        for j in 0..(n - 1) {
-            let c = dp[(full - 1) * (n - 1) + j] + self.dist(j + 1, 0);
-            best = best.min(c);
-        }
-        best
+        let last = &dp[((1 << m) - 1) * m..];
+        (0..m).fold(INF, |b, j| b.min(last[j] + d(j + 1, 0)))
     }
 }
 
@@ -202,32 +201,113 @@ mod tests {
         let _ = inst.tour_cost(&[0, 1, 1, 2]);
     }
 
+    /// Least tour cost over every order of cities `1..n` after city 0;
+    /// a tour through an entry `>= INF` costs `INF`.
+    fn brute_force(inst: &TspInstance) -> u32 {
+        fn extend(inst: &TspInstance, at: usize, left: &mut Vec<usize>, cost: u32) -> u32 {
+            let step = |to: usize| cost.saturating_add(inst.dist(at, to)).min(INF);
+            if left.is_empty() {
+                return step(0);
+            }
+            (0..left.len()).fold(INF, |best, i| {
+                let next = left.swap_remove(i);
+                let tour = extend(inst, next, left, step(next));
+                left.push(next);
+                let last = left.len() - 1;
+                left.swap(i, last);
+                best.min(tour)
+            })
+        }
+        extend(inst, 0, &mut (1..inst.n()).collect(), 0)
+    }
+
+    /// A seeded `n`-city matrix with entries in `1..=100`: symmetric or
+    /// not, and with about one entry in four forbidden (`INF` or
+    /// `u32::MAX`) if `forbid`.
+    fn drawn(n: usize, symmetric: bool, forbid: bool, seed: u64) -> TspInstance {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut dist = vec![0u32; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                let d = match rng.gen_range(0..8) {
+                    0 if forbid => INF,
+                    1 if forbid => u32::MAX,
+                    _ => rng.gen_range(1..=100),
+                };
+                dist[i * n + j] = if symmetric && j < i {
+                    dist[j * n + i]
+                } else {
+                    d
+                };
+            }
+        }
+        TspInstance::from_matrix(n, dist)
+    }
+
     #[test]
     fn held_karp_matches_brute_force() {
-        // Brute force over all permutations for n=7.
-        let inst = TspInstance::random_symmetric(7, 100, 13);
-        let n = inst.n();
-        let mut cities: Vec<usize> = (1..n).collect();
-        let mut best = u32::MAX;
-        // Heap's algorithm over the tail, city 0 fixed.
-        fn permute(inst: &TspInstance, cities: &mut Vec<usize>, k: usize, best: &mut u32) {
-            if k == 1 {
-                let mut tour = vec![0];
-                tour.extend_from_slice(cities);
-                *best = (*best).min(inst.tour_cost(&tour));
-                return;
-            }
-            for i in 0..k {
-                permute(inst, cities, k - 1, best);
-                if k.is_multiple_of(2) {
-                    cities.swap(i, k - 1);
-                } else {
-                    cities.swap(0, k - 1);
+        let shapes = [(true, false), (false, false), (true, true), (false, true)];
+        let mut toured = 0;
+        for n in 3..=8 {
+            for seed in 0..8 {
+                for (symmetric, forbid) in shapes {
+                    let inst = drawn(n, symmetric, forbid, seed);
+                    let best = brute_force(&inst);
+                    assert_eq!(
+                        inst.held_karp(),
+                        best,
+                        "n {n} seed {seed} symmetric {symmetric} forbid {forbid}"
+                    );
+                    toured += usize::from(forbid && best < INF);
                 }
             }
         }
-        permute(&inst, &mut cities, n - 1, &mut best);
-        assert_eq!(inst.held_karp(), best);
+        // With forbidden entries some draws keep a tour, some lose all.
+        assert!(
+            toured > 0 && toured < 6 * 8 * 2,
+            "{toured} draws kept a tour"
+        );
+    }
+
+    #[test]
+    fn held_karp_treats_a_max_entry_as_forbidden() {
+        // Every i -> i+1 edge is u32::MAX: added to a path's cost it
+        // wraps, so the oracle must skip it as LMSK does.
+        let base = TspInstance::random_symmetric(6, 50, 3);
+        let mut dist = base.matrix().to_vec();
+        for i in 0..6 {
+            dist[i * 6 + (i + 1) % 6] = u32::MAX;
+        }
+        let inst = TspInstance::from_matrix(6, dist);
+        let (lmsk, _) = crate::solve_sequential(&inst);
+        assert_eq!(inst.held_karp(), lmsk);
+        assert_eq!(lmsk, brute_force(&inst));
+        assert!(lmsk < INF);
+    }
+
+    #[test]
+    fn no_tour_is_inf_for_held_karp_and_lmsk() {
+        // In the first, city 0 can leave for nowhere. In the second,
+        // every row and column has a finite entry, but the only cycles
+        // are 0-1 and 2-3.
+        let leave_none = {
+            let mut dist = TspInstance::random_symmetric(5, 50, 1).matrix().to_vec();
+            dist[..5].fill(INF);
+            TspInstance::from_matrix(5, dist)
+        };
+        let two_pairs = {
+            let mut dist = vec![INF; 16];
+            for (at, d) in [(1, 7), (4, 7), (11, 5), (14, 5)] {
+                dist[at] = d;
+            }
+            (dist[3], dist[8]) = (u32::MAX, u32::MAX);
+            TspInstance::from_matrix(4, dist)
+        };
+        for inst in [leave_none, two_pairs] {
+            assert_eq!(inst.held_karp(), INF);
+            assert_eq!(crate::solve_sequential(&inst).0, INF);
+            assert_eq!(brute_force(&inst), INF);
+        }
     }
 
     #[test]

@@ -14,6 +14,27 @@ fn any_variant() -> impl Strategy<Value = Variant> {
     ]
 }
 
+/// A seeded asymmetric `n`-city matrix with entries in `1..=250`; with
+/// `forbid`, about one entry in eight is forbidden (`INF` or
+/// `u32::MAX`), so some draws have no tour at all.
+fn asymmetric(n: usize, seed: u64, forbid: bool) -> TspInstance {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let dist = (0..n * n)
+        .map(|_| match next() % 16 {
+            0 if forbid => tsp_app::INF,
+            1 if forbid => u32::MAX,
+            _ => (next() % 250) as u32 + 1,
+        })
+        .collect();
+    TspInstance::from_matrix(n, dist)
+}
+
 fn any_lock_impl() -> impl Strategy<Value = LockImpl> {
     prop_oneof![
         Just(LockImpl::Blocking),
@@ -63,15 +84,21 @@ proptest! {
 
     #[test]
     fn sequential_solvers_agree(
-        n in 5usize..11,
+        n in 5usize..14,
         seed in any::<u64>(),
+        shape in 0u8..3,
     ) {
-        let inst = TspInstance::random_symmetric(n, 250, seed);
+        // Symmetric, asymmetric, and asymmetric with forbidden entries.
+        let inst = match shape {
+            0 => TspInstance::random_symmetric(n, 250, seed),
+            _ => asymmetric(n, seed, shape == 2),
+        };
         let (lmsk, stats) = tsp_app::solve_sequential(&inst);
         prop_assert_eq!(lmsk, inst.held_karp());
-        // Accounting invariants of the search itself.
+        // Accounting invariants of the search itself: a tour is found
+        // exactly when one exists.
         prop_assert!(stats.generated <= 2 * stats.expanded);
-        prop_assert!(stats.tours >= 1);
+        prop_assert_eq!(stats.tours >= 1, lmsk < tsp_app::INF);
     }
 
     #[test]
