@@ -19,6 +19,21 @@ use crate::instance::{TspInstance, INF};
 /// lack an out-edge (rows) and the `k` that still lack an in-edge
 /// (columns) — the cells of committed rows and columns are never read
 /// again, so a node does not carry them.
+///
+/// All of it is one buffer of words, one allocation beside the node's
+/// box: `[cells | rows | cols | row_start | col_end | edges]`.
+///
+/// * `cells`: the reduced costs of the live cells, row-major `k × k`;
+///   forbidden cells are `INF` or above. Always fully reduced: every
+///   row and every column holds a zero.
+/// * `rows[r]` / `cols[c]`: the city a matrix row / column stands for,
+///   both ascending, so scanning the dense matrix visits cities in the
+///   order a scan of the full matrix would and every tie breaks the
+///   same way.
+/// * `row_start[r]`: a live row's city ends a path fragment, and this
+///   is the city that fragment starts at; `col_end[c]`: a live
+///   column's city starts one, and this is where it ends.
+/// * `edges`: the `L` committed edges as `from, to` pairs.
 #[derive(Debug, Clone)]
 pub struct SubProblem {
     /// Lower bound on any tour refining this subproblem.
@@ -29,19 +44,8 @@ pub struct SubProblem {
     /// How many panics have caught this node in a searcher's hands since
     /// a queue step last queued it; fresh children carry their parent's.
     pub(crate) attempts: u32,
-    /// Reduced costs of the live cells, row-major `k × k`; forbidden
-    /// cells are `INF`. Always fully reduced: every row and every
-    /// column holds a zero.
-    cells: Vec<u32>,
-    /// `[rows | cols | row_start | col_end | edges]`: four `k`-long
-    /// tables and the `L` committed edges as `from, to` pairs.
-    /// `rows[r]` / `cols[c]` name the city a matrix row / column stands
-    /// for, both ascending, so scanning the dense matrix visits cities
-    /// in the order a scan of the full matrix would and every tie
-    /// breaks the same way. A live row's city ends a path fragment and
-    /// `row_start[r]` is the city that fragment starts at; a live
-    /// column's city starts one and `col_end[c]` is where it ends.
-    ids: Vec<u16>,
+    /// `k² + 4k + 2L` words, laid out as above.
+    data: Vec<u32>,
 }
 
 /// Result of expanding a subproblem.
@@ -141,23 +145,35 @@ fn reduce(cells: &mut [u32], k: usize, bound: u32, col_min: &mut [u32]) -> u32 {
 }
 
 /// `table` without its entry at `skip`.
-fn without(table: &[u16], skip: usize) -> impl Iterator<Item = u16> + '_ {
+fn without(table: &[u32], skip: usize) -> impl Iterator<Item = u32> + '_ {
     table[..skip].iter().chain(&table[skip + 1..]).copied()
+}
+
+/// What a line with `zeros` zeros, whose least entry above zero is
+/// `above + 1`, gives up without one of its zeros: nothing if it has
+/// another, that entry (at most `INF`) if not.
+fn line_penalty(zeros: u32, above: u32) -> u32 {
+    if zeros > 1 {
+        0
+    } else {
+        above.saturating_add(1).min(INF)
+    }
 }
 
 impl SubProblem {
     /// The root subproblem: the full instance, reduced.
     pub fn root(inst: &TspInstance) -> SubProblem {
         let n = inst.n();
-        let mut cells = inst.matrix().to_vec();
-        let bound = reduce(&mut cells, n, 0, &mut vec![0; n]);
+        let mut data = Vec::with_capacity(n * n + 4 * n);
+        data.extend_from_slice(inst.matrix());
+        let bound = reduce(&mut data, n, 0, &mut vec![0; n]);
+        data.extend((0..4).flat_map(|_| 0..n as u32));
         SubProblem {
             bound,
             level: 0,
             n: n as u16,
             attempts: 0,
-            cells,
-            ids: (0..4).flat_map(|_| 0..n as u16).collect(),
+            data,
         }
     }
 
@@ -167,80 +183,106 @@ impl SubProblem {
         (self.n - self.level) as usize
     }
 
-    /// The `t`-th `k`-long table of `ids`.
+    /// The reduced matrix, `k × k`.
     #[inline]
-    fn table(&self, t: usize) -> &[u16] {
+    fn cells(&self) -> &[u32] {
         let k = self.k();
-        &self.ids[t * k..(t + 1) * k]
+        &self.data[..k * k]
     }
 
-    fn rows(&self) -> &[u16] {
+    /// The `t`-th `k`-long city table after the cells.
+    #[inline]
+    fn table(&self, t: usize) -> &[u32] {
+        let k = self.k();
+        &self.data[k * k + t * k..k * k + (t + 1) * k]
+    }
+
+    fn rows(&self) -> &[u32] {
         self.table(0)
     }
 
-    fn cols(&self) -> &[u16] {
+    fn cols(&self) -> &[u32] {
         self.table(1)
     }
 
-    fn row_start(&self) -> &[u16] {
+    fn row_start(&self) -> &[u32] {
         self.table(2)
     }
 
-    fn col_end(&self) -> &[u16] {
+    fn col_end(&self) -> &[u32] {
         self.table(3)
+    }
+
+    /// Included edges, as the `2L` words they are stored in.
+    fn edge_words(&self) -> &[u32] {
+        let k = self.k();
+        &self.data[k * k + 4 * k..]
     }
 
     /// Included edges.
     fn edges(&self) -> impl Iterator<Item = (u16, u16)> + '_ {
-        self.ids[4 * self.k()..].chunks_exact(2).map(|e| (e[0], e[1]))
+        self.edge_words().chunks_exact(2).map(|e| (e[0] as u16, e[1] as u16))
     }
 
     /// Number of matrix cells still alive — the per-expansion work unit
     /// used for simulated cost charging.
     pub fn work_cells(&self) -> u64 {
-        self.cells.len() as u64
+        self.k().pow(2) as u64
     }
 
     /// The LMSK branching choice: the zero cell whose exclusion would
     /// raise the bound the most (max row-min + col-min penalty), the
     /// first such in row-major order.
     ///
-    /// Zero is the smallest value a cell can hold, so a zero cell's row
-    /// minimum *without it* is the row's second-smallest entry counted
-    /// with multiplicity, wherever the zero sits — one pass over the
-    /// matrix records that entry for every row and column, and each
-    /// zero's penalty is then a sum of two table reads.
+    /// A zero cell's penalty is what its row and its column hold
+    /// without it. The node is fully reduced, so every line holds a
+    /// zero, and a line gives up 0 if it holds two and its least entry
+    /// above zero if it holds one. The first pass counts each line's
+    /// zeros and finds that entry (as `v - 1`, which wraps a zero past
+    /// every other value); the second packs each zero's penalty and
+    /// position into one key, `(penalty + 1) << 32 | !position`, whose
+    /// maximum is the first zero of maximal penalty and which is 0 for
+    /// a cell that is not a zero. Neither loop branches on a cell.
     ///
-    /// `scratch` is `3k` words, all `INF`.
+    /// `scratch` is `3k` words.
     fn choose_branch_cell(&self, scratch: &mut [u32]) -> Option<BranchCell> {
         let k = self.k();
-        let (row_second, cols) = scratch.split_at_mut(k);
-        let (col_least, col_second) = cols.split_at_mut(k);
-        for (row, row_second) in self.cells.chunks_exact(k).zip(row_second.iter_mut()) {
-            let (mut least, mut second) = (INF, INF);
-            for ((&v, cl), cs) in row.iter().zip(col_least.iter_mut()).zip(col_second.iter_mut()) {
-                second = second.min(least.max(v));
-                least = least.min(v);
-                *cs = (*cs).min((*cl).max(v));
-                *cl = (*cl).min(v);
+        let (row_penalty, cols) = scratch.split_at_mut(k);
+        let (col_zeros, col_penalty) = cols.split_at_mut(k);
+        col_zeros.fill(0);
+        col_penalty.fill(u32::MAX);
+        for (row, penalty) in self.cells().chunks_exact(k).zip(row_penalty.iter_mut()) {
+            let (mut zeros, mut above) = (0, u32::MAX);
+            for ((&v, cz), ca) in row.iter().zip(col_zeros.iter_mut()).zip(col_penalty.iter_mut()) {
+                zeros += u32::from(v == 0);
+                above = above.min(v.wrapping_sub(1));
+                *cz += u32::from(v == 0);
+                *ca = (*ca).min(v.wrapping_sub(1));
             }
-            *row_second = second;
+            *penalty = line_penalty(zeros, above);
         }
-        let mut best: Option<BranchCell> = None;
-        for (r, row) in self.cells.chunks_exact(k).enumerate() {
-            for (c, _) in row.iter().enumerate().filter(|&(_, &v)| v == 0) {
-                let cell = BranchCell {
-                    row: r,
-                    col: c,
-                    row_penalty: row_second[r],
-                    col_penalty: col_second[c],
-                };
-                if best.as_ref().is_none_or(|b| cell.penalty() > b.penalty()) {
-                    best = Some(cell);
-                }
+        for (penalty, &zeros) in col_penalty.iter_mut().zip(col_zeros.iter()) {
+            *penalty = line_penalty(zeros, *penalty);
+        }
+        let mut best = 0u64;
+        for (r, (row, &rp)) in self.cells().chunks_exact(k).zip(row_penalty.iter()).enumerate() {
+            for (c, (&v, &cp)) in row.iter().zip(col_penalty.iter()).enumerate() {
+                // Both penalties are at most `INF`: neither sum wraps.
+                let penalty = (rp + cp).min(INF) + 1;
+                let key = (u64::from(penalty) << 32) | u64::from(!((r * k + c) as u32));
+                best = best.max(if v == 0 { key } else { 0 });
             }
         }
-        best
+        (best != 0).then(|| {
+            let position = !(best as u32) as usize;
+            let (row, col) = (position / k, position % k);
+            BranchCell {
+                row,
+                col,
+                row_penalty: row_penalty[row],
+                col_penalty: col_penalty[col],
+            }
+        })
     }
 
     /// Expand into children (or a finished tour): a clone of this node,
@@ -267,9 +309,11 @@ impl SubProblem {
         if k == 2 {
             return self.complete_tour();
         }
-        scratch.clear();
-        scratch.resize(3 * k, INF);
-        let Some(cell) = self.choose_branch_cell(scratch) else {
+        // Both users of the scratch write it before they read it.
+        if scratch.len() < 3 * k {
+            scratch.resize(3 * k, 0);
+        }
+        let Some(cell) = self.choose_branch_cell(&mut scratch[..3 * k]) else {
             return Expanded::Dead;
         };
         // The include child reads the node as its parent: make it first.
@@ -284,23 +328,24 @@ impl SubProblem {
     /// Include child: commit the edge `rows[cell.row] -> cols[cell.col]`.
     /// The child is this node minus that row and that column, reduced
     /// again (a dropped row or column may have held another's only
-    /// zero). `col_min` is `k - 1` words of scratch.
+    /// zero), written straight into its one buffer. `col_min` is
+    /// `k - 1` words of scratch.
     fn include_child(&self, cell: &BranchCell, col_min: &mut [u32]) -> Option<Node> {
         let (k, live) = (self.k(), self.k() - 1);
-        let mut cells = Vec::with_capacity(live * live);
-        for (r, row) in self.cells.chunks_exact(k).enumerate() {
+        let level = self.level + 1;
+        let mut data = Vec::with_capacity(live * live + 4 * live + 2 * usize::from(level));
+        for (r, row) in self.cells().chunks_exact(k).enumerate() {
             if r != cell.row {
-                cells.extend_from_slice(&row[..cell.col]);
-                cells.extend_from_slice(&row[cell.col + 1..]);
+                data.extend_from_slice(&row[..cell.col]);
+                data.extend_from_slice(&row[cell.col + 1..]);
             }
         }
-        let mut ids = Vec::with_capacity(self.ids.len() - 2);
-        ids.extend(without(self.rows(), cell.row));
-        ids.extend(without(self.cols(), cell.col));
-        ids.extend(without(self.row_start(), cell.row));
-        ids.extend(without(self.col_end(), cell.col));
-        ids.extend_from_slice(&self.ids[4 * k..]);
-        ids.extend([self.rows()[cell.row], self.cols()[cell.col]]);
+        data.extend(without(self.rows(), cell.row));
+        data.extend(without(self.cols(), cell.col));
+        data.extend(without(self.row_start(), cell.row));
+        data.extend(without(self.col_end(), cell.col));
+        data.extend_from_slice(self.edge_words());
+        data.extend([self.rows()[cell.row], self.cols()[cell.col]]);
 
         // Merge the two path fragments the edge joins and forbid the
         // edge that would close the merged fragment into a premature
@@ -308,6 +353,7 @@ impl SubProblem {
         // in-edge, so both are still live; `k >= 3` here, so the merged
         // fragment is never the whole tour.
         let (start, end) = (self.row_start()[cell.row], self.col_end()[cell.col]);
+        let (cells, ids) = data.split_at_mut(live * live);
         let end_row = ids[..live].binary_search(&end).expect("a fragment's end is a live row");
         let start_col = ids[live..2 * live]
             .binary_search(&start)
@@ -316,15 +362,14 @@ impl SubProblem {
         ids[3 * live + start_col] = end;
         cells[end_row * live + start_col] = INF;
 
-        let bound = reduce(&mut cells, live, self.bound, col_min);
+        let bound = reduce(cells, live, self.bound, col_min);
         (bound < INF).then(|| {
             Box::new(SubProblem {
                 bound,
-                level: self.level + 1,
+                level,
                 n: self.n,
                 attempts: self.attempts,
-                cells,
-                ids,
+                data,
             })
         })
     }
@@ -341,12 +386,13 @@ impl SubProblem {
         }
         let k = self.k();
         self.bound = bound;
-        self.cells[cell.row * k + cell.col] = INF;
-        let row = self.cells[cell.row * k..(cell.row + 1) * k].iter_mut();
+        let cells = &mut self.data[..k * k];
+        cells[cell.row * k + cell.col] = INF;
+        let row = cells[cell.row * k..(cell.row + 1) * k].iter_mut();
         for v in row.filter(|v| **v < INF) {
             *v -= cell.row_penalty;
         }
-        let col = self.cells[cell.col..].iter_mut().step_by(k);
+        let col = cells[cell.col..].iter_mut().step_by(k);
         for v in col.filter(|v| **v < INF) {
             *v -= cell.col_penalty;
         }
@@ -356,9 +402,10 @@ impl SubProblem {
     /// Finish the two remaining forced assignments.
     fn complete_tour(&self) -> Expanded {
         debug_assert_eq!(self.k(), 2);
-        let (rows, cols) = (self.rows(), self.cols());
-        let straight = self.cells[0].saturating_add(self.cells[3]);
-        let crossed = self.cells[1].saturating_add(self.cells[2]);
+        let (cells, rows, cols) = (self.cells(), self.rows(), self.cols());
+        let city = |id: u32| id as u16;
+        let straight = cells[0].saturating_add(cells[3]);
+        let crossed = cells[1].saturating_add(cells[2]);
         let (extra, pairs) = if straight <= crossed {
             (straight, [(rows[0], cols[0]), (rows[1], cols[1])])
         } else {
@@ -367,7 +414,8 @@ impl SubProblem {
         if extra >= INF {
             return Expanded::Dead;
         }
-        let edges: Vec<(u16, u16)> = self.edges().chain(pairs).collect();
+        let edges: Vec<(u16, u16)> =
+            self.edges().chain(pairs.map(|(from, to)| (city(from), city(to)))).collect();
         // Validate that the edges form a single Hamiltonian cycle; the
         // fragment bookkeeping guarantees it, so this is a debug check.
         debug_assert!(is_single_cycle(&edges, self.n as usize), "LMSK produced a non-tour");
@@ -473,12 +521,27 @@ impl BestFirst {
         &mut self.groups[position / 4].0[position % 4]
     }
 
+    /// `node`'s entry, under the next sequence number. The caller has
+    /// made sure one is left.
+    fn entry(&mut self, node: Node) -> Entry {
+        let key = (u64::from(node.bound) << 32) | u64::from(self.next_seq);
+        self.next_seq += 1;
+        Entry {
+            key,
+            node: Some(node),
+        }
+    }
+
     pub(crate) fn push(&mut self, node: Node) {
         if self.next_seq == u32::MAX {
             self.renumber();
         }
-        let key = (u64::from(node.bound) << 32) | u64::from(self.next_seq);
-        self.next_seq += 1;
+        let entry = self.entry(node);
+        self.sift_up(entry);
+    }
+
+    /// Put `entry` in a new last slot and let it rise to its place.
+    fn sift_up(&mut self, entry: Entry) {
         let mut hole = self.len + ROOT;
         self.len += 1;
         if hole / 4 == self.groups.len() {
@@ -486,28 +549,18 @@ impl BestFirst {
         }
         while hole > ROOT {
             let parent = hole / 4 + 2;
-            if self.slot(parent).key < key {
+            if self.slot(parent).key < entry.key {
                 break;
             }
             *self.slot(hole) = mem::take(self.slot(parent));
             hole = parent;
         }
-        *self.slot(hole) = Entry {
-            key,
-            node: Some(node),
-        };
+        *self.slot(hole) = entry;
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Node> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        // The last entry refills the root and sinks from there.
-        let sinking = mem::take(self.slot(self.len + ROOT));
-        if self.len == 0 {
-            return sinking.node;
-        }
+    /// Take the root's entry out and let `sinking` fill the root and
+    /// sink from there. The queue is not empty.
+    fn replace_root(&mut self, sinking: Entry) -> Entry {
         let top = mem::take(self.slot(ROOT));
         let mut hole = ROOT;
         // Groups past the last entry are empty and end the walk as a
@@ -529,30 +582,88 @@ impl BestFirst {
             hole = below;
         }
         *self.slot(hole) = sinking;
-        top.node
+        top
+    }
+
+    /// The root's entry, or an empty one if nothing is queued.
+    fn pop_entry(&mut self) -> Entry {
+        if self.len == 0 {
+            return Entry::default();
+        }
+        self.len -= 1;
+        // The last entry refills the root and sinks from there.
+        let last = mem::take(self.slot(self.len + ROOT));
+        if self.len == 0 {
+            return last;
+        }
+        self.replace_root(last)
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<Node> {
+        self.pop_entry().node
     }
 
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// The best queued node if it can still beat `incumbent`; otherwise
-    /// the whole queue, taken out at once (empty if nothing was queued).
+    /// The queue step: queue `children` in the order given, then hand
+    /// back the best queued node if it can still beat `incumbent` —
+    /// otherwise the whole queue, taken out at once (empty if nothing
+    /// was queued). What comes out, and the order in which everything
+    /// left comes out later, is what pushing each child and then taking
+    /// the best would give, since no two keys are equal; the heap does
+    /// less. If the least child beats the root it is handed back and
+    /// never enters the heap. Otherwise it takes the root's place and
+    /// sinks from there, a short walk where a pop would sink the last
+    /// entry from the root to the bottom. Every other child is pushed.
     ///
-    /// The terminal clear is exact: the heap's minimum cannot beat the
-    /// incumbent, nothing behind the minimum has a smaller bound, and
-    /// the incumbent only ever falls — so every queued node would be
-    /// popped and pruned one by one. The caller counts them as pruned
-    /// and drops them, outside any lock it holds.
-    pub(crate) fn pop_below(&mut self, incumbent: u32) -> Result<Node, BestFirst> {
-        // An empty root's key reads as the largest bound there is.
-        let best = self.groups.first().map_or(u64::MAX, |g| g.0[ROOT].key);
-        if best >> 32 < u64::from(incumbent) {
-            if let Some(node) = self.pop() {
-                return Ok(node);
+    /// The children draw their sequence numbers together, after a
+    /// renumbering if too few are left, so that no child is left holding
+    /// a number from before one.
+    ///
+    /// The terminal clear is exact: the best node cannot beat the
+    /// incumbent, nothing behind it has a smaller bound, and the
+    /// incumbent only ever falls — so every queued node would be taken
+    /// and pruned one by one. The caller counts them as pruned and
+    /// drops them, outside any lock it holds.
+    pub(crate) fn exchange(
+        &mut self,
+        children: impl ExactSizeIterator<Item = Node>,
+        incumbent: u32,
+    ) -> Result<Node, BestFirst> {
+        if u64::from(self.next_seq) + children.len() as u64 > u64::from(u32::MAX) {
+            self.renumber();
+        }
+        // The least child so far; an empty entry loses to any child.
+        let mut least = Entry::default();
+        for node in children {
+            let mut entry = self.entry(node);
+            if entry.key < least.key {
+                mem::swap(&mut entry, &mut least);
+            }
+            if entry.node.is_some() {
+                self.sift_up(entry);
             }
         }
-        Err(mem::take(self))
+        // An empty root's key reads as the largest there is.
+        let root = self.groups.first().map_or(u64::MAX, |g| g.0[ROOT].key);
+        let best = if least.key < root {
+            least
+        } else if least.node.is_some() {
+            self.replace_root(least)
+        } else {
+            self.pop_entry()
+        };
+        match best.node {
+            Some(node) if best.key >> 32 < u64::from(incumbent) => Ok(node),
+            node => {
+                if node.is_some() {
+                    self.sift_up(Entry { key: best.key, node });
+                }
+                Err(mem::take(self))
+            }
+        }
     }
 
     /// Out of sequence numbers: give the queued entries the numbers
@@ -587,9 +698,11 @@ pub(crate) fn best_first_search(
     let mut best = INF;
     let mut queue = BestFirst::default();
     let mut scratch = Vec::new();
-    queue.push(Box::new(SubProblem::root(inst)));
+    // The children of the last node expanded, in push order.
+    let mut children: Vec<Node> = Vec::with_capacity(2);
+    children.push(Box::new(SubProblem::root(inst)));
     loop {
-        let mut node = match queue.pop_below(best) {
+        let mut node = match queue.exchange(children.drain(..), best) {
             Ok(node) => node,
             Err(dead) => {
                 stats.pruned += dead.len() as u64;
@@ -607,7 +720,7 @@ pub(crate) fn best_first_search(
                 for child in include.into_iter().chain(exclude.then_some(node)) {
                     if child.bound < best {
                         stats.generated += 1;
-                        queue.push(child);
+                        children.push(child);
                     } else {
                         stats.pruned += 1;
                     }
@@ -728,17 +841,17 @@ mod tests {
     /// What must hold of every node `expand` hands out.
     fn assert_well_formed(sp: &SubProblem) {
         let k = sp.k();
-        assert_eq!(sp.cells.len(), k * k);
-        assert_eq!(sp.ids.len(), 4 * k + 2 * sp.level as usize);
+        assert_eq!(sp.data.len(), k * k + 4 * k + 2 * sp.level as usize);
         // Re-reducing from scratch finds nothing left to subtract.
-        let mut cells = sp.cells.clone();
+        let mut cells = sp.cells().to_vec();
         assert_eq!(reduce(&mut cells, k, sp.bound, &mut vec![0; k]), sp.bound);
-        assert_eq!(cells, sp.cells, "a child was left partly reduced");
+        assert_eq!(cells, sp.cells(), "a child was left partly reduced");
         // Ascending city ids: the dense scan order is the city order.
         assert!(sp.rows().windows(2).all(|w| w[0] < w[1]));
         assert!(sp.cols().windows(2).all(|w| w[0] < w[1]));
         // A committed edge's row and column are gone.
         for (from, to) in sp.edges() {
+            let (from, to) = (u32::from(from), u32::from(to));
             assert!(!sp.rows().contains(&from), "row of committed edge {from}->{to} still live");
             assert!(!sp.cols().contains(&to), "column of committed edge {from}->{to} still live");
         }
@@ -752,6 +865,10 @@ mod tests {
             ..ProptestConfig::default()
         })]
 
+        /// Include children and exclude children alike: the branch
+        /// choice reads every line's zeros as the proof of its
+        /// reduction, and an exclude child is reduced by two line
+        /// subtractions alone.
         #[test]
         fn every_expanded_node_hands_out_well_formed_children(
             n in 3usize..13,
@@ -767,12 +884,12 @@ mod tests {
             let root = SubProblem::root(&inst);
             assert_well_formed(&root);
             let mut queue = BestFirst::default();
-            queue.push(Box::new(root));
-            let mut best = INF;
+            let mut queued = vec![Box::new(root)];
+            let (mut best, mut excludes) = (INF, 0);
             // Best-first, as the solvers search; capped so a hard case
             // stays quick.
             for _ in 0..2_000 {
-                let Ok(node) = queue.pop_below(best) else { break };
+                let Ok(node) = queue.exchange(queued.drain(..), best) else { break };
                 match node.expand() {
                     Expansion::Tour { cost, .. } => best = best.min(cost),
                     Expansion::Children(children) => {
@@ -780,10 +897,85 @@ mod tests {
                             assert_well_formed(&c);
                             prop_assert_eq!(c.n, node.n);
                             prop_assert!(c.bound >= node.bound);
-                            queue.push(Box::new(c));
+                            excludes += usize::from(c.level == node.level);
+                            queued.push(Box::new(c));
                         }
                     }
                     Expansion::Dead => {}
+                }
+            }
+            prop_assert!(excludes > 0, "no exclude child was checked");
+        }
+    }
+
+    /// The branch choice as it was made before it leaned on every line
+    /// holding a zero: each line's second-smallest entry with
+    /// multiplicity (at most `INF`), then the first zero of maximal
+    /// penalty in row-major order. `(row, col, row_penalty,
+    /// col_penalty)`.
+    fn two_pass_branch_cell(cells: &[u32], k: usize) -> Option<(usize, usize, u32, u32)> {
+        let (mut row_second, mut col_least, mut col_second) = (vec![INF; k], vec![INF; k], vec![INF; k]);
+        for (r, row) in cells.chunks_exact(k).enumerate() {
+            let (mut least, mut second) = (INF, INF);
+            for (c, &v) in row.iter().enumerate() {
+                second = second.min(least.max(v));
+                least = least.min(v);
+                col_second[c] = col_second[c].min(col_least[c].max(v));
+                col_least[c] = col_least[c].min(v);
+            }
+            row_second[r] = second;
+        }
+        let mut best: Option<(usize, usize, u32, u32)> = None;
+        let penalty = |&(_, _, rp, cp): &(usize, usize, u32, u32)| rp.saturating_add(cp).min(INF);
+        for (r, row) in cells.chunks_exact(k).enumerate() {
+            for (c, _) in row.iter().enumerate().filter(|&(_, &v)| v == 0) {
+                let cell = (r, c, row_second[r], col_second[c]);
+                if best.as_ref().is_none_or(|b| penalty(&cell) > penalty(b)) {
+                    best = Some(cell);
+                }
+            }
+        }
+        best
+    }
+
+    /// Few values, so that penalties tie and lines hold several zeros,
+    /// and both spellings of a forbidden edge.
+    fn entry() -> impl Strategy<Value = u32> {
+        (0u32..7).prop_map(|e| match e {
+            0..=3 => e,
+            4 => 9,
+            5 => INF,
+            _ => u32::MAX,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 256,
+            ..ProptestConfig::default()
+        })]
+
+        /// Fully reduced matrices: roots over small-valued matrices, and
+        /// the children of a few expansions below them.
+        #[test]
+        fn branch_choice_picks_the_cell_the_two_pass_scan_picks(
+            k in 3usize..9,
+            entries in proptest::collection::vec(entry(), 64..65),
+        ) {
+            let root = SubProblem::root(&TspInstance::from_matrix(k, entries[..k * k].to_vec()));
+            let (mut nodes, mut checked) = (vec![root], 0);
+            while let Some(node) = nodes.pop().filter(|_| checked < 12) {
+                if node.bound >= INF || node.k() < 3 {
+                    continue;
+                }
+                checked += 1;
+                let k = node.k();
+                let got = node
+                    .choose_branch_cell(&mut vec![7; 3 * k])
+                    .map(|c| (c.row, c.col, c.row_penalty, c.col_penalty));
+                assert_eq!(got, two_pass_branch_cell(node.cells(), k), "{:?}", node.cells());
+                if let Expansion::Children(children) = node.expand() {
+                    nodes.extend(children);
                 }
             }
         }
@@ -796,8 +988,7 @@ mod tests {
             level: id,
             n: 0,
             attempts: u32::from(id % 3),
-            cells: Vec::new(),
-            ids: Vec::new(),
+            data: Vec::new(),
         })
     }
 
@@ -814,17 +1005,24 @@ mod tests {
     enum Op {
         Push(u32),
         Pop,
-        PopBelow(u32),
+        /// A queue step: these children's bounds, then the incumbent.
+        Exchange(Vec<u32>, u32),
         /// A steal: up to this many pops in a row.
         Batch(usize),
     }
 
     impl Model {
-        fn push(&mut self, bound: u32) {
+        /// A fresh node of this bound, named in the reference too.
+        fn node(&mut self, bound: u32) -> Node {
             let id = self.pushed;
             self.pushed += 1;
-            self.queue.push(stub(bound, id));
             self.reference.push(Reverse((bound, u64::from(id), id)));
+            stub(bound, id)
+        }
+
+        fn push(&mut self, bound: u32) {
+            let node = self.node(bound);
+            self.queue.push(node);
         }
 
         /// Both queues give up the same node, or neither gives one.
@@ -835,42 +1033,52 @@ mod tests {
             got.is_some()
         }
 
+        /// The reference pushes the children, then takes its best if it
+        /// beats `incumbent` and everything if not.
+        fn exchange(&mut self, children: &[u32], incumbent: u32) {
+            let children: Vec<Node> = children.iter().map(|&bound| self.node(bound)).collect();
+            match self.queue.exchange(children.into_iter(), incumbent) {
+                Ok(node) => {
+                    let Some(Reverse((bound, _, id))) = self.reference.pop() else {
+                        panic!("node {} out of a queue the reference has empty", node.level);
+                    };
+                    assert!(bound < incumbent);
+                    assert_eq!((node.bound, node.level, node.attempts), (bound, id, u32::from(id % 3)));
+                }
+                Err(dead) => {
+                    assert!(self.reference.peek().is_none_or(|Reverse(best)| best.0 >= incumbent));
+                    assert_eq!(dead.len(), self.reference.len(), "dead count");
+                    self.reference.clear();
+                }
+            }
+        }
+
         fn apply(&mut self, op: &Op) {
-            match *op {
-                Op::Push(bound) => self.push(bound),
+            match op {
+                Op::Push(bound) => self.push(*bound),
                 Op::Pop => {
                     self.pop();
                 }
                 Op::Batch(most) => {
-                    let _ = (0..most).try_for_each(|_| self.pop().then_some(()));
+                    let _ = (0..*most).try_for_each(|_| self.pop().then_some(()));
                 }
-                Op::PopBelow(incumbent) => match self.queue.pop_below(incumbent) {
-                    Ok(node) => {
-                        let Some(Reverse((bound, _, id))) = self.reference.pop() else {
-                            panic!("node {} out of a queue the reference has empty", node.level);
-                        };
-                        assert!(bound < incumbent);
-                        assert_eq!((node.bound, node.level), (bound, id));
-                    }
-                    Err(dead) => {
-                        assert!(self.reference.peek().is_none_or(|Reverse(best)| best.0 >= incumbent));
-                        assert_eq!(dead.len(), self.reference.len(), "dead count");
-                        self.reference.clear();
-                    }
-                },
+                Op::Exchange(children, incumbent) => self.exchange(children, *incumbent),
             }
             assert_eq!(self.queue.len(), self.reference.len());
         }
     }
 
-    /// Half pushes, so a queue grows as often as it shrinks.
+    /// Pushes and queue steps with two children outnumber the pops, so
+    /// a queue grows as often as it shrinks.
     fn any_op() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u32..5).prop_map(|(kind, x)| match kind {
-            0..=4 => Op::Push(x),
-            5 | 6 => Op::Pop,
-            7 | 8 => Op::PopBelow(x + 1),
-            _ => Op::Batch(x as usize + 1),
-        })
+        (0u8..10, 0u32..5, proptest::collection::vec(0u32..5, 0..3)).prop_map(
+            |(kind, x, children)| match kind {
+                0..=3 => Op::Push(x),
+                4 | 5 => Op::Pop,
+                6..=8 => Op::Exchange(children, x + 1),
+                _ => Op::Batch(x as usize + 1),
+            },
+        )
     }
 
     proptest! {
@@ -895,8 +1103,9 @@ mod tests {
             for op in &before {
                 model.apply(op);
             }
-            // A take-everything in the middle, then life goes on.
-            model.apply(&Op::PopBelow(0));
+            // A take-everything in the middle, fresh children and all,
+            // then life goes on.
+            model.apply(&Op::Exchange(vec![0, 1], 0));
             prop_assert_eq!(model.queue.len(), 0);
             for &bound in &fill {
                 model.push(bound);
@@ -923,5 +1132,21 @@ mod tests {
         }
         assert!(model.queue.next_seq < 200, "renumbered from {}", model.queue.next_seq);
         while model.pop() {}
+
+        // Queue steps of two children over three bounds, from both
+        // parities of the distance to the limit: from the odd one a
+        // step's two numbers would fall on either side of it. Drawn one
+        // at a time, the renumbering would come between them and leave
+        // the first child a number from before it, to be taken after
+        // every later node of its bound.
+        for start in [u32::MAX - 41, u32::MAX - 40] {
+            let mut model = Model::default();
+            model.queue.next_seq = start;
+            for i in 0..60u32 {
+                model.exchange(&[i % 3, (i + 1) % 3], INF);
+            }
+            assert!(model.queue.next_seq < 200, "renumbered from {}", model.queue.next_seq);
+            while model.pop() {}
+        }
     }
 }

@@ -34,12 +34,15 @@
 //! same critical section takes the whole queue out, to be counted as
 //! pruned and dropped after the lock is released. A node is expanded
 //! where it lies: the include child is built from it, then it is turned
-//! into its own exclude child, so a step allocates one node and the
-//! queue step frees none. A queue entry is 16 bytes — `(bound << 32) |
-//! seq` beside the node's pointer — in a 4-ary heap whose sibling
-//! groups are one cache line each, so a level of a sift is one line;
-//! the FIFO sequence number is a counter beside the heap, under the
-//! same lock. The thread that calls [`solve_native`] is searcher 0.
+//! into its own exclude child, so a step allocates one node (its box and
+//! its one buffer) and the queue step frees none. A queue entry is 16
+//! bytes — `(bound << 32) | seq` beside the node's pointer — in a 4-ary
+//! heap whose sibling groups are one cache line each, so a level of a
+//! sift is one line. The least child of a step is the next node or
+//! takes the root's place and sinks from there; only the other child is
+//! pushed, and no pop sinks the last entry the whole way down. The FIFO
+//! sequence number is a counter beside the heap, under the same lock.
+//! The thread that calls [`solve_native`] is searcher 0.
 //!
 //! Termination mirrors the simulated solver's protocol, generalized to
 //! many queues: an idle searcher retires from the active count and
@@ -483,15 +486,14 @@ impl Shared {
     }
 
     /// The queue step, in **one** `qlock` critical section of queue
-    /// `q`: push what the stash holds — the fresh children of the node
-    /// the last step handed over, in push order — and take the best
-    /// queued node into the stash in their place. Returns whether a node
-    /// was taken.
+    /// `q` and one [`BestFirst::exchange`]: queue what the stash holds —
+    /// the fresh children of the node the last step handed over, in
+    /// push order — and take the best queued node into the stash in
+    /// their place. Returns whether a node was taken.
     ///
     /// If the best queued node cannot beat `worker`'s incumbent,
-    /// nothing queued can: the whole queue comes out at once
-    /// ([`BestFirst::pop_below`]), is counted as pruned, and is dropped
-    /// after the lock is released.
+    /// nothing queued can: the whole queue comes out at once, is
+    /// counted as pruned, and is dropped after the lock is released.
     ///
     /// The injection point (`inject`; off for the residual drain) sits
     /// before any queue edit: a holder that dies there has pushed no
@@ -514,11 +516,11 @@ impl Shared {
             self.maybe_die_in_cs();
         }
         // Queued whole, the children start with a fresh retry budget.
-        for mut sp in in_flight.drain(..) {
+        let children = in_flight.drain(..).map(|mut sp| {
             sp.attempts = 0;
-            queue.push(sp);
-        }
-        let next = queue.pop_below(self.read_best(worker));
+            sp
+        });
+        let next = queue.exchange(children, self.read_best(worker));
         slot.len.store(queue.len(), Ordering::Release);
         drop(queue);
         match next {
