@@ -687,10 +687,6 @@ impl AdaptationPolicy<NativeObservation> for AsyncPollAdapt {
         }
         (self.budget != before).then_some(NativeDecision::SetSpins(self.budget))
     }
-
-    fn name(&self) -> &'static str {
-        "async-poll-adapt"
-    }
 }
 
 /// The control plane sees the shared half and, the async mutex having

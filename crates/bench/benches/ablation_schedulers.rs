@@ -184,7 +184,7 @@ fn scheduler_adaptation_run() -> (f64, f64, bool) {
                     WaitingPolicy::pure_blocking(),
                     SchedKind::Fcfs,
                     adaptive_locks::LockCosts::default(),
-                    Box::new(adaptive_core::FnPolicy::new("static", |_| {
+                    Box::new(adaptive_core::FnPolicy::new(|_| {
                         None::<adaptive_locks::LockDecision>
                     })),
                     1,

@@ -3,9 +3,9 @@
 //! A configuration pairs a *method-set implementation* `Γ_i` (e.g. which
 //! lock scheduler is installed, named by a [`MethodSetId`]) with an
 //! *attribute instance* `Φ_i` (the current values of the mutable
-//! attributes, an [`AttrSet`](crate::AttrSet)). Reconfiguration (Ψ)
-//! moves the object between configurations; [`TransitionLog`] records
-//! each move, as a pair of descriptors, with its cost so experiments can
+//! attributes, e.g. a lock's waiting policy). Reconfiguration (Ψ) moves
+//! the object between configurations; [`TransitionLog`] records each
+//! move, as a pair of descriptors, with its cost so experiments can
 //! audit the adaptation trajectory.
 
 use serde::{Deserialize, Serialize};

@@ -1,13 +1,15 @@
-//! The hardened feedback kernel: one [`FeedbackLoop`] that many threads
-//! may sample at once and that survives its own policy.
+//! The feedback kernel `M --v_i--> P --d_c--> Ψ`: one closely-coupled
+//! loop (monitor, policy and reconfiguration run inline in the object's
+//! own methods) that many threads may sample at once and that survives
+//! its own policy. Every adaptive lock runs it: the simulator's, the
+//! real-thread and the async mutex. The loosely-coupled form is the
+//! simulated local monitor in `thread-monitor`.
 //!
-//! A closely-coupled loop runs inline in the adaptive object's methods,
-//! so on a real multiprocessor several releasing threads reach it
-//! together, and a user policy that panics would unwind through a lock
-//! release. [`GuardedLoop`] is the substrate-independent answer shared
-//! by the real-thread and the async adaptive mutex: a busy flag admits
-//! one sampler and the rest *skip* (the loop never adds contention to
-//! the object it tunes); observe, decide and apply run under
+//! A closely-coupled loop runs inline, so on a real multiprocessor
+//! several releasing threads reach it together, and a user policy that
+//! panics would unwind through a lock release. A busy flag admits one
+//! sampler and the rest *skip* (the loop never adds contention to the
+//! object it tunes); observe, decide and apply run under
 //! `catch_unwind`; a panic starts a quarantine of
 //! [`QUARANTINE_BASE_TICKS`]` << level` swallowed samples, after which
 //! adaptation resumes *on probation* and the level is forgiven only
@@ -25,7 +27,9 @@
 //! [`Sampled::Panicked`] / [`Sampled::CoolingDown`] /
 //! [`Sampled::Reenabled`] outcome, so a quarantine sentence runs down at
 //! the floor cadence. A [`Sampled::Skipped`] sample leaves it alone. The
-//! object reads the period when its sample clock fires.
+//! object reads the period when its sample clock fires; an object that
+//! samples at a fixed rate (the simulator's lock, at the paper's
+//! cadence) never reads it.
 
 #![allow(unsafe_code)] // the policy slot behind the busy flag
 
@@ -33,7 +37,6 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use crate::feedback::FeedbackLoop;
 use crate::policy::AdaptationPolicy;
 
 /// Samples swallowed by the first quarantine; each further one doubles
@@ -66,10 +69,10 @@ pub enum Sampled {
     Panicked,
 }
 
-/// A [`FeedbackLoop`] behind a non-blocking single-observer guard, with
-/// panic containment and the quarantine/probation ladder.
+/// An adaptation policy behind a non-blocking single-observer guard,
+/// with panic containment and the quarantine/probation ladder.
 pub struct GuardedLoop<P> {
-    /// Guards `inner`: samplers skip rather than contend.
+    /// Guards `policy`: samplers skip rather than contend.
     busy: AtomicBool,
     /// Samples still to swallow (`0` = enabled). Counted down under
     /// `busy`; `quarantine` and `heal` write it from any thread.
@@ -81,13 +84,13 @@ pub struct GuardedLoop<P> {
     /// Gate events between samples (see the module doc). Written under
     /// `busy`, read by whoever re-arms the object's gate.
     period: AtomicU64,
-    inner: UnsafeCell<FeedbackLoop<P>>,
+    policy: UnsafeCell<P>,
 }
 
-// SAFETY: every field but `inner` is an atomic, and `inner` is only
+// SAFETY: every field but `policy` is an atomic, and `policy` is only
 // dereferenced by the one thread that swapped `busy` from false to true
 // (see `sample`), so `&GuardedLoop` never yields two live `&mut` to the
-// loop. That thread mutates the policy, hence `P: Send`.
+// policy. That thread mutates the policy, hence `P: Send`.
 unsafe impl<P: Send> Sync for GuardedLoop<P> {}
 
 impl<P> GuardedLoop<P> {
@@ -99,7 +102,7 @@ impl<P> GuardedLoop<P> {
             level: AtomicU32::new(0),
             probation: AtomicU64::new(0),
             period: AtomicU64::new(SAMPLE_PERIOD_FLOOR),
-            inner: UnsafeCell::new(FeedbackLoop::new(policy)),
+            policy: UnsafeCell::new(policy),
         }
     }
 
@@ -139,11 +142,11 @@ impl<P> GuardedLoop<P> {
         } else {
             // SAFETY: the `busy` swap above returned false, so this
             // thread is the only one between that `Acquire` and the
-            // `Release` store below, and `inner` is touched nowhere
+            // `Release` store below, and `policy` is touched nowhere
             // else; `tests::sample_is_never_reentered` hammers this
             // from four threads with a policy that asserts it is alone.
-            let feedback = unsafe { &mut *self.inner.get() };
-            let step = || feedback.step(observe(), |decision| changed = apply(decision));
+            let policy = unsafe { &mut *self.policy.get() };
+            let step = || policy.decide(observe()).map(|decision| changed = apply(decision));
             match catch_unwind(AssertUnwindSafe(step)) {
                 Ok(_) => {
                     self.note_clean_decide();
@@ -232,7 +235,7 @@ mod tests {
 
     /// A loop whose policy panics whenever `*bomb` is set.
     fn bombable(bomb: Arc<AtomicBool>) -> GuardedLoop<impl AdaptationPolicy<(), Decision = ()>> {
-        GuardedLoop::new(FnPolicy::new("bomb", move |()| -> Option<()> {
+        GuardedLoop::new(FnPolicy::new(move |()| -> Option<()> {
             assert!(!bomb.load(Ordering::Relaxed), "policy dies");
             None
         }))
@@ -248,7 +251,7 @@ mod tests {
         let decides = Arc::new(AtomicU64::new(0));
         let policy = {
             let (inside, decides) = (Arc::clone(&inside), Arc::clone(&decides));
-            FnPolicy::new("alone", move |()| {
+            FnPolicy::new(move |()| {
                 assert!(!inside.swap(true, Ordering::SeqCst), "two threads inside the policy");
                 decides.fetch_add(1, Ordering::Relaxed);
                 std::thread::yield_now(); // widen the window
@@ -357,7 +360,7 @@ mod tests {
 
     #[test]
     fn quarantined_samples_do_not_observe() {
-        let fb = GuardedLoop::new(FnPolicy::new("none", |_: u64| -> Option<()> { None }));
+        let fb = GuardedLoop::new(FnPolicy::new(|_: u64| -> Option<()> { None }));
         let observed = AtomicU64::new(0);
         let sample = || fb.sample(|| observed.fetch_add(1, Ordering::Relaxed), |()| false);
         assert_eq!(sample(), Sampled::Decided);
@@ -387,17 +390,17 @@ mod tests {
 
     #[test]
     fn period_doubles_to_the_ceiling_while_decisions_change_nothing() {
-        let reaffirms = GuardedLoop::new(FnPolicy::new("same", |()| Some(())));
+        let reaffirms = GuardedLoop::new(FnPolicy::new(|()| Some(())));
         assert_eq!(reaffirms.period(), SAMPLE_PERIOD_FLOOR);
         assert_eq!(periods(&reaffirms, 8, false), [4, 8, 16, 32, 64, 64, 64, 64]);
         // A policy with no decision changed nothing either.
-        let silent = GuardedLoop::new(FnPolicy::new("none", |()| -> Option<()> { None }));
+        let silent = GuardedLoop::new(FnPolicy::new(|()| -> Option<()> { None }));
         assert_eq!(periods(&silent, 6, true), [4, 8, 16, 32, 64, 64]);
     }
 
     #[test]
     fn a_decision_that_changes_something_snaps_the_period_to_the_floor() {
-        let fb = GuardedLoop::new(FnPolicy::new("some", |()| Some(())));
+        let fb = GuardedLoop::new(FnPolicy::new(|()| Some(())));
         assert_eq!(periods(&fb, 5, false).last(), Some(&SAMPLE_PERIOD_CEILING));
         assert_eq!(periods(&fb, 2, true), [SAMPLE_PERIOD_FLOOR; 2]);
         assert_eq!(periods(&fb, 2, false), [4, 8], "and backs off again from there");
@@ -431,7 +434,7 @@ mod tests {
         let (inside_tx, inside_rx) = channel();
         let (go_tx, go_rx) = channel::<()>();
         let mut first = true;
-        let fb = GuardedLoop::new(FnPolicy::new("slow", move |()| -> Option<()> {
+        let fb = GuardedLoop::new(FnPolicy::new(move |()| -> Option<()> {
             // Only the first decision waits, with the loop marked busy.
             if std::mem::take(&mut first) {
                 inside_tx.send(()).expect("test is listening");

@@ -9,14 +9,15 @@
 //! * **non-configurable** — plain encapsulated state and methods;
 //! * **reconfigurable** — the implementation of methods can be swapped at
 //!   run time behind an immutable interface, steered by *mutable
-//!   attributes* ([`AttrSet`]) with explicit mutability and ownership
-//!   rules;
+//!   attributes* whose ownership is held per usage group: whoever holds
+//!   a group (the object's own policy, or an external agent that
+//!   acquired it) is the only one that may change it;
 //! * **adaptive** — a reconfigurable object plus a built-in *monitor*
-//!   (a sensor read inline, at a rate set by a [`SamplingGate`]) and a
-//!   user-provided *adaptation policy* ([`AdaptationPolicy`]), wired into
-//!   a closely-coupled feedback loop
-//!   ([`FeedbackLoop`]): `M --v_i--> P --d_c--> Ψ` — hardened for real
-//!   threads and tasks as [`GuardedLoop`].
+//!   (a sensor read inline, at a rate set by a [`SamplingGate`] or by
+//!   the loop's own period) and a user-provided *adaptation policy*
+//!   ([`AdaptationPolicy`]), wired into a closely-coupled feedback loop
+//!   `M --v_i--> P --d_c--> Ψ` — [`GuardedLoop`], one kernel for the
+//!   simulated lock, real threads and tasks alike.
 //!
 //! The decision rules policies share are written once: the paper's
 //! `simple-adapt` spin ladder ([`SpinLadder`]) and a two-state switch
@@ -30,7 +31,7 @@
 //! simulator, and `adaptive-native` instantiates it for real threads.
 //!
 //! ```
-//! use adaptive_core::{AdaptationPolicy, FeedbackLoop, SamplingGate};
+//! use adaptive_core::{AdaptationPolicy, GuardedLoop, Sampled, SamplingGate};
 //!
 //! // The paper's simple-adapt policy shape: observe waiting threads,
 //! // decide a new spin count.
@@ -44,32 +45,32 @@
 //! }
 //!
 //! let gate = SamplingGate::every(2); // sample every other unlock
-//! let mut feedback = FeedbackLoop::new(SimpleAdapt { spins: 50 });
+//! let feedback = GuardedLoop::new(SimpleAdapt { spins: 50 });
 //! let mut spin_attr = 50i64;
 //! for unlock in 0..4u32 {
 //!     if gate.tick() {
-//!         feedback.step(unlock % 2, |new_spins| spin_attr = new_spins);
+//!         let outcome = feedback.sample(
+//!             || unlock % 2,
+//!             |new_spins| std::mem::replace(&mut spin_attr, new_spins) != new_spins,
+//!         );
+//!         assert_eq!(outcome, Sampled::Decided);
 //!     }
 //! }
-//! assert_eq!(feedback.stats().observations, 2);
+//! assert_eq!((gate.samples(), spin_attr), (2, 100));
 //! ```
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-mod attrs;
 mod config_space;
 mod cost;
-mod feedback;
 mod guarded;
 mod monitor;
 mod policy;
 mod rules;
 
-pub use attrs::{AttrError, AttrName, AttrSet, AttrValue, OwnerId};
 pub use config_space::{MethodSetId, Transition, TransitionLog};
 pub use cost::{OpCost, OpKind};
-pub use feedback::{FeedbackLoop, LoopStats};
 pub use guarded::{
     GuardedLoop, Sampled, PROBATION_DECIDES, QUARANTINE_BASE_TICKS, QUARANTINE_MAX_SHIFT,
     SAMPLE_PERIOD_CEILING, SAMPLE_PERIOD_FLOOR,

@@ -13,11 +13,6 @@ pub trait AdaptationPolicy<Obs>: Send {
 
     /// Consume one observation; `None` means "no change".
     fn decide(&mut self, obs: Obs) -> Option<Self::Decision>;
-
-    /// Policy name for traces and reports.
-    fn name(&self) -> &'static str {
-        "policy"
-    }
 }
 
 impl<Obs, P> AdaptationPolicy<Obs> for Box<P>
@@ -29,22 +24,17 @@ where
     fn decide(&mut self, obs: Obs) -> Option<Self::Decision> {
         (**self).decide(obs)
     }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
 }
 
 /// Adapt via a plain function (for tests and one-off experiments).
 pub struct FnPolicy<F> {
-    name: &'static str,
     f: F,
 }
 
 impl<F> FnPolicy<F> {
-    /// Wrap `f` as a named policy.
-    pub fn new(name: &'static str, f: F) -> FnPolicy<F> {
-        FnPolicy { name, f }
+    /// Wrap `f` as a policy.
+    pub fn new(f: F) -> FnPolicy<F> {
+        FnPolicy { f }
     }
 }
 
@@ -57,10 +47,6 @@ where
     fn decide(&mut self, obs: Obs) -> Option<D> {
         (self.f)(obs)
     }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
 }
 
 #[cfg(test)]
@@ -70,7 +56,7 @@ mod tests {
     #[test]
     fn fn_policy_threads_state() {
         let mut seen = 0u32;
-        let mut p = FnPolicy::new("thresh", move |obs: u32| {
+        let mut p = FnPolicy::new(move |obs: u32| {
             seen += obs;
             if seen > 5 {
                 Some("block")
@@ -81,6 +67,5 @@ mod tests {
         assert_eq!(p.decide(2), None);
         assert_eq!(p.decide(2), None);
         assert_eq!(p.decide(2), Some("block"));
-        assert_eq!(p.name(), "thresh");
     }
 }

@@ -7,18 +7,18 @@
 //! a dedicated monitor thread "too loosely coupled to be used in adaptive
 //! lock objects". The default sensor samples `no-of-waiting-threads`
 //! once during every other unlock operation.
-
-use std::sync::Mutex;
+//! The loop is [`GuardedLoop`], at the paper's fixed cadence: a policy
+//! that panics is quarantined, and the lock keeps the configuration its
+//! last clean decision installed.
 
 use adaptive_core::{
-    AdaptationPolicy, FeedbackLoop, Hysteresis, LoopStats, OwnerId, SamplingGate, SpinLadder,
-    SpinStep,
+    AdaptationPolicy, GuardedLoop, Hysteresis, Sampled, SamplingGate, SpinLadder, SpinStep,
 };
 use butterfly_sim::{ctx, NodeId, VirtualTime};
 
 use crate::api::{Lock, LockCosts, LockStats, PatternSample};
 use crate::policy::WaitingPolicy;
-use crate::reconfigurable::ReconfigurableLock;
+use crate::reconfigurable::{OwnerId, ReconfigurableLock};
 use crate::scheduler::SchedKind;
 
 /// What the lock monitor reports to the adaptation policy.
@@ -40,8 +40,6 @@ pub enum LockDecision {
     PureBlocking,
     /// Install a combined policy with this many initial spins.
     SetSpins(u32),
-    /// Install an arbitrary waiting policy.
-    SetPolicy(WaitingPolicy),
     /// Install a different lock scheduler.
     SetScheduler(SchedKind),
 }
@@ -89,10 +87,6 @@ impl AdaptationPolicy<LockObservation> for SimpleAdapt {
             SpinStep::Spins(k) => LockDecision::SetSpins(k),
         })
     }
-
-    fn name(&self) -> &'static str {
-        "simple-adapt"
-    }
 }
 
 /// Extension policy realizing the paper's future-work direction of
@@ -130,20 +124,17 @@ impl AdaptationPolicy<LockObservation> for SchedulerAdapt {
         let deep = obs.waiting >= self.depth_threshold;
         self.switch.step(deep, !deep).map(LockDecision::SetScheduler)
     }
-
-    fn name(&self) -> &'static str {
-        "scheduler-adapt"
-    }
 }
+
+/// Agent id the feedback loop reconfigures as (the lock object itself;
+/// implicit ownership through the unlock method).
+const SELF_AGENT: OwnerId = OwnerId(u64::MAX);
 
 /// The adaptive lock object.
 pub struct AdaptiveLock {
     inner: ReconfigurableLock,
     gate: SamplingGate,
-    feedback: Mutex<FeedbackLoop<BoxedLockPolicy>>,
-    /// Agent id the feedback loop reconfigures as (the lock object
-    /// itself; implicit ownership through the unlock method).
-    self_agent: OwnerId,
+    feedback: GuardedLoop<BoxedLockPolicy>,
 }
 
 impl AdaptiveLock {
@@ -183,8 +174,7 @@ impl AdaptiveLock {
         AdaptiveLock {
             inner: ReconfigurableLock::with_parts("adaptive", node, initial, sched, costs),
             gate: SamplingGate::every(sample_every),
-            feedback: Mutex::new(FeedbackLoop::new(policy)),
-            self_agent: OwnerId(u64::MAX), // the object itself
+            feedback: GuardedLoop::new(policy),
         }
     }
 
@@ -200,32 +190,22 @@ impl AdaptiveLock {
         self.inner.attach_oracle(oracle);
     }
 
-    /// Feedback-loop statistics (samples seen, decisions applied).
-    pub fn loop_stats(&self) -> LoopStats {
-        self.feedback.lock().unwrap().stats()
+    /// Unlocks the monitor has sampled so far, one observation each.
+    pub fn samples(&self) -> u64 {
+        self.gate.samples()
     }
 
     fn apply(&self, d: LockDecision) {
-        let r = match d {
-            LockDecision::PureSpin => self
-                .inner
-                .configure_policy(self.self_agent, WaitingPolicy::pure_spin()),
-            LockDecision::PureBlocking => self
-                .inner
-                .configure_policy(self.self_agent, WaitingPolicy::pure_blocking()),
-            LockDecision::SetSpins(n) => self
-                .inner
-                .configure_policy(self.self_agent, WaitingPolicy::combined(n)),
-            LockDecision::SetPolicy(p) => self.inner.configure_policy(self.self_agent, p),
-            LockDecision::SetScheduler(k) => {
-                self.inner.configure_scheduler(k);
-                Ok(())
-            }
+        let policy = match d {
+            LockDecision::PureSpin => WaitingPolicy::pure_spin(),
+            LockDecision::PureBlocking => WaitingPolicy::pure_blocking(),
+            LockDecision::SetSpins(n) => WaitingPolicy::combined(n),
+            LockDecision::SetScheduler(k) => return self.inner.configure_scheduler(k),
         };
-        // Attribute ownership may have been acquired by an external
-        // agent; the built-in loop then skips the reconfiguration (it
-        // does not own the attributes).
-        let _ = r;
+        // An external agent may have acquired the waiting group; the
+        // built-in loop then skips the reconfiguration (it does not own
+        // the attributes).
+        let _ = self.inner.configure_policy(SELF_AGENT, policy);
     }
 }
 
@@ -239,20 +219,23 @@ impl Lock for AdaptiveLock {
         // Closely-coupled feedback loop, driven by the unlocking thread:
         // monitor -> policy -> reconfigure, inline.
         if self.gate.tick() {
+            // Sense before the sample and apply after it: both are
+            // charged simulator calls (yield points), and none may run
+            // while the loop is busy, or another unlocker would skip.
             let obs = LockObservation {
                 waiting: self.inner.sense_waiting(),
                 at: ctx::now(),
             };
-            // Collect decisions under the loop mutex, apply after
-            // dropping it: `configure_*` makes charged simulator calls
-            // (yield points), and holding a host mutex across a yield
-            // deadlocks any other unlocker that samples concurrently.
-            let mut decisions = Vec::new();
-            {
-                let mut fb = self.feedback.lock().unwrap();
-                fb.step(obs, |d| decisions.push(d));
-            }
-            for d in decisions {
+            let mut decided = None;
+            let outcome = self.feedback.sample(
+                || obs,
+                |d| {
+                    decided = Some(d);
+                    false // the period is never read: the cadence is fixed
+                },
+            );
+            debug_assert_ne!(outcome, Sampled::Skipped, "a simulated sample yielded while busy");
+            if let Some(d) = decided {
                 self.apply(d);
             }
         }
@@ -288,6 +271,7 @@ mod tests {
     use super::*;
     use crate::api::with_lock;
     use crate::policy::LockKind;
+    use adaptive_core::{FnPolicy, OpKind};
     use butterfly_sim::{self as sim, Duration, ProcId, SimCell, SimConfig};
     use cthreads::fork_join_all;
     use std::sync::Arc;
@@ -401,7 +385,7 @@ mod tests {
 
     #[test]
     fn sampling_period_is_respected() {
-        let (stats, _) = sim::run(cfg(1), || {
+        let (samples, _) = sim::run(cfg(1), || {
             let lock = AdaptiveLock::with_policy(
                 ctx::current_node(),
                 Box::new(SimpleAdapt::default()),
@@ -410,34 +394,58 @@ mod tests {
             for _ in 0..10 {
                 with_lock(&lock, || {});
             }
-            lock.loop_stats()
+            lock.samples()
         })
         .unwrap();
-        assert_eq!(stats.observations, 5, "every other unlock must be sampled");
+        assert_eq!(samples, 5, "every other unlock must be sampled");
+    }
+
+    /// Four sim-threads each increment a shared counter 25 times under
+    /// `lock`, as a read and a later write; returns the final count.
+    fn hammer(lock: &Arc<AdaptiveLock>) -> u64 {
+        let counter = SimCell::new_local(0u64);
+        let procs: Vec<ProcId> = (0..4).map(ProcId).collect();
+        fork_join_all(&procs, "w", |_| {
+            let (l, c) = (lock.clone(), counter.clone());
+            move || {
+                for _ in 0..25 {
+                    with_lock(l.as_ref(), || {
+                        let v = c.read();
+                        ctx::advance(Duration::micros(3));
+                        c.write(v + 1);
+                    });
+                }
+            }
+        });
+        counter.read()
     }
 
     #[test]
     fn mutual_exclusion_under_adaptation() {
-        let (total, _) = sim::run(cfg(4), || {
-            let lock = Arc::new(AdaptiveLock::new_local());
-            let counter = SimCell::new_local(0u64);
-            let procs: Vec<ProcId> = (0..4).map(ProcId).collect();
-            fork_join_all(&procs, "w", |_| {
-                let (l, c) = (lock.clone(), counter.clone());
-                move || {
-                    for _ in 0..25 {
-                        with_lock(l.as_ref(), || {
-                            let v = c.read();
-                            ctx::advance(Duration::micros(3));
-                            c.write(v + 1);
-                        });
-                    }
-                }
-            });
-            counter.read()
-        })
-        .unwrap();
+        let (total, _) = sim::run(cfg(4), || hammer(&Arc::new(AdaptiveLock::new_local()))).unwrap();
         assert_eq!(total, 100, "adaptation must never break mutual exclusion");
+    }
+
+    #[test]
+    fn a_panicking_policy_is_quarantined_not_unwound_through_unlock() {
+        let ((total, samples, reconfigurations), _) = sim::run(cfg(4), || {
+            // `SimpleAdapt`, except that its first decision panics.
+            let (mut died, mut then) = (false, SimpleAdapt::default());
+            let policy = FnPolicy::new(move |obs| {
+                assert!(std::mem::replace(&mut died, true), "policy dies on its first decision");
+                then.decide(obs)
+            });
+            let lock = Arc::new(AdaptiveLock::with_policy(ctx::current_node(), Box::new(policy), 1));
+            let total = hammer(&lock);
+            let log = lock.inner().transition_log();
+            (total, lock.samples(), log.count_of(OpKind::Reconfiguration) as u64)
+        })
+        .expect("a policy panic must not tear the simulation down");
+        assert_eq!(total, 100, "a contained panic must never break mutual exclusion");
+        assert_eq!(samples, 100);
+        // The panicking sample and the sentence it earned decide
+        // nothing; every later sample reconfigures again.
+        assert_eq!(reconfigurations, samples - 1 - adaptive_core::QUARANTINE_BASE_TICKS);
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! current critical section is short (advise spin) or long (advise
 //! sleep).
 
-use adaptive_core::{AttrError, OwnerId};
 use butterfly_sim::{ctx, NodeId};
 
 use crate::api::{Lock, LockCosts, LockStats, PatternSample};
 use crate::policy::WaitingPolicy;
-use crate::reconfigurable::ReconfigurableLock;
+use crate::reconfigurable::{AttrError, OwnerId, ReconfigurableLock};
 use crate::scheduler::SchedKind;
 
 /// The owner's advice to waiters.
@@ -28,8 +27,10 @@ pub enum Advice {
 /// A lock whose waiting policy is steered explicitly by its owner.
 pub struct AdvisoryLock {
     inner: ReconfigurableLock,
-    owner_agent: OwnerId,
 }
+
+/// The agent the owner's advice reconfigures as.
+const ADVISOR: OwnerId = OwnerId(u64::MAX - 1);
 
 impl AdvisoryLock {
     /// Create on an explicit node (initial advice: spin).
@@ -42,7 +43,6 @@ impl AdvisoryLock {
                 SchedKind::Fcfs,
                 LockCosts::default(),
             ),
-            owner_agent: OwnerId(u64::MAX - 1),
         }
     }
 
@@ -60,7 +60,7 @@ impl AdvisoryLock {
             Advice::Spin => WaitingPolicy::pure_spin(),
             Advice::Sleep => WaitingPolicy::pure_blocking(),
         };
-        self.inner.configure_policy(self.owner_agent, policy)
+        self.inner.configure_policy(ADVISOR, policy)
     }
 
     /// Current advice.

@@ -68,7 +68,7 @@ pub use blocking::BlockingLock;
 pub use mcs::McsLock;
 pub use oracle::{LockOracle, OracleCounts};
 pub use policy::{LockKind, WaitingPolicy, SLEEP_FOREVER};
-pub use reconfigurable::{agent, ReconfigurableLock};
+pub use reconfigurable::{agent, AttrError, OwnerId, ReconfigurableLock};
 pub use rwlock::{AdaptiveRwLock, RwLock, RwPolicy, RwStats};
 pub use scheduler::{
     FcfsScheduler, HandoffScheduler, LockScheduler, PriorityScheduler, SchedKind, Waiter,

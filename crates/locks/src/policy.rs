@@ -5,7 +5,6 @@
 //! `spin` field is the paper's `no-of-spins`: how many probes a waiter
 //! makes before it considers sleeping.
 
-use adaptive_core::{AttrSet, AttrValue};
 use butterfly_sim::Duration;
 
 /// The four mutable attributes of a lock's waiting policy.
@@ -130,15 +129,6 @@ impl WaitingPolicy {
         self.sleep > Duration::ZERO
     }
 
-    /// The model-level attribute view (`Φ` instance) of this policy.
-    pub fn attr_set(&self) -> AttrSet {
-        AttrSet::new()
-            .with("spin-time", AttrValue::Int(self.spin as i64))
-            .with("delay-time", AttrValue::Int(self.delay.as_nanos() as i64))
-            .with("sleep-time", AttrValue::Int(self.sleep.as_nanos() as i64))
-            .with("timeout", AttrValue::Int(self.timeout.as_nanos() as i64))
-    }
-
     /// Compact descriptor for transition logs.
     pub fn descriptor(&self) -> String {
         match self.kind() {
@@ -189,16 +179,6 @@ mod tests {
         assert!(!WaitingPolicy::pure_spin().blocks());
         assert!(WaitingPolicy::pure_blocking().blocks());
         assert!(WaitingPolicy::combined(3).blocks());
-    }
-
-    #[test]
-    fn attr_set_mirrors_fields() {
-        let p = WaitingPolicy::combined(7);
-        let a = p.attr_set();
-        assert_eq!(a.get_int("spin-time").unwrap(), 7);
-        assert_eq!(a.get_int("sleep-time").unwrap(), SLEEP_FOREVER.as_nanos() as i64);
-        assert_eq!(a.get_int("delay-time").unwrap(), 4_000);
-        assert_eq!(a.len(), 4);
     }
 
     #[test]

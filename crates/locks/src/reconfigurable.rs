@@ -7,7 +7,8 @@
 //! * **internal state** — lock word, guard, waiting-thread count,
 //!   current owner, registration queue;
 //! * **mutable attributes** — the [`WaitingPolicy`]
-//!   `{spin-time, delay-time, sleep-time, timeout}`;
+//!   `{spin-time, delay-time, sleep-time, timeout}`, one group with one
+//!   owner: an agent that acquires any of the four holds all four;
 //! * **configurable methods** — `Lock`/`Unlock`, decomposed into
 //!   registration / acquisition / release scheduling components with
 //!   pluggable [`LockScheduler`]s;
@@ -23,7 +24,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use adaptive_core::{AttrError, AttrSet, AttrValue, OpCost, OpKind, OwnerId, TransitionLog};
+use adaptive_core::{OpCost, OpKind, TransitionLog};
 use butterfly_sim::{ctx, Duration, NodeId, SimCell, SimWord, ThreadId};
 
 use crate::api::{charge_overhead, priority, Lock, LockCosts, LockStats, PatternSample};
@@ -35,10 +36,37 @@ const FREE: u64 = 0;
 const HELD: u64 = 1;
 const HELD_WAITERS: u64 = 2;
 
+/// The names of the waiting group's attributes.
+const WAITING_ATTRS: [&str; 4] = ["spin-time", "delay-time", "sleep-time", "timeout"];
+
+/// An agent (simulated thread or external monitor) that can own attributes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct OwnerId(pub u64);
+
 /// The paper's agent id for the calling simulated thread.
 pub fn agent() -> OwnerId {
     OwnerId(ctx::current().0 as u64)
 }
+
+/// Errors from attribute ownership and configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AttrError {
+    /// No attribute with that name exists on the lock.
+    Unknown(&'static str),
+    /// The waiting attributes are owned by a different agent.
+    Owned(OwnerId),
+}
+
+impl std::fmt::Display for AttrError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AttrError::Unknown(a) => write!(f, "unknown attribute `{a}`"),
+            AttrError::Owned(owner) => write!(f, "waiting attributes owned by agent {}", owner.0),
+        }
+    }
+}
+
+impl std::error::Error for AttrError {}
 
 /// A lock with run-time configurable waiting policy and scheduler.
 pub struct ReconfigurableLock {
@@ -53,8 +81,9 @@ pub struct ReconfigurableLock {
     sched: Mutex<Box<dyn LockScheduler>>,
     reg_seq: AtomicU64,
     holder: Mutex<Option<ThreadId>>,
-    /// Model-level attribute view enforcing mutability and ownership.
-    attrs: Mutex<AttrSet>,
+    /// Who holds the waiting group, if an agent acquired it. Host
+    /// memory: taking and giving it up are charged by the callers.
+    owner: Mutex<Option<OwnerId>>,
     tlog: Mutex<TransitionLog>,
     costs: LockCosts,
     stats: Mutex<LockStats>,
@@ -108,7 +137,7 @@ impl ReconfigurableLock {
             sched: Mutex::new(sched.build()),
             reg_seq: AtomicU64::new(0),
             holder: Mutex::new(None),
-            attrs: Mutex::new(policy.attr_set()),
+            owner: Mutex::new(None),
             tlog: Mutex::new(tlog),
             costs,
             stats: Mutex::new(LockStats::default()),
@@ -352,29 +381,14 @@ impl ReconfigurableLock {
         acquired
     }
 
-    /// Reconfigure the waiting policy (Ψ). Enforces attribute mutability
-    /// and ownership on behalf of `by`; charged `1R 1W` against the
-    /// lock's node.
+    /// Reconfigure the waiting policy (Ψ), all four attributes or none:
+    /// refused unless the waiting group is unowned or owned by `by`.
+    /// Charged `1R 1W` against the lock's node.
     pub fn configure_policy(&self, by: OwnerId, new: WaitingPolicy) -> Result<(), AttrError> {
         charge_overhead(self.costs.unlock_overhead); // configure-call overhead
         let from = self.descriptor();
-        {
-            let mut attrs = self.attrs.lock().unwrap();
-            // All-or-nothing: validate every attribute first.
-            for name in ["spin-time", "delay-time", "sleep-time", "timeout"] {
-                if !attrs.is_mutable(name)? {
-                    return Err(AttrError::Immutable(name));
-                }
-                if let Some(owner) = attrs.owner(name)? {
-                    if owner != by {
-                        return Err(AttrError::Owned { attr: name, owner });
-                    }
-                }
-            }
-            attrs.set(by, "spin-time", AttrValue::Int(new.spin as i64))?;
-            attrs.set(by, "delay-time", AttrValue::Int(new.delay.as_nanos() as i64))?;
-            attrs.set(by, "sleep-time", AttrValue::Int(new.sleep.as_nanos() as i64))?;
-            attrs.set(by, "timeout", AttrValue::Int(new.timeout.as_nanos() as i64))?;
+        if let Some(owner) = self.owner.lock().unwrap().filter(|&o| o != by) {
+            return Err(AttrError::Owned(owner));
         }
         // The hot-path policy word: one read + one write.
         self.policy_cell.update(|p| *p = new);
@@ -384,7 +398,7 @@ impl ReconfigurableLock {
             OpKind::Reconfiguration,
             from,
             to,
-            AttrSet::set_cost(),
+            OpCost::new(1, 1),
         );
         self.stats.lock().unwrap().reconfigurations += 1;
         Ok(())
@@ -422,19 +436,42 @@ impl ReconfigurableLock {
         self.stats.lock().unwrap().reconfigurations += 1;
     }
 
-    /// Explicitly acquire ownership of an attribute (external agent
-    /// protocol; cost comparable to a test-and-set).
+    /// Explicitly acquire ownership of the waiting group by naming any
+    /// of its attributes (external agent protocol; cost comparable to a
+    /// test-and-set). Re-acquiring a group `by` already holds succeeds.
     pub fn acquire_attr(&self, by: OwnerId, name: &'static str) -> Result<(), AttrError> {
         // Comparable to a lock acquisition: call overhead plus one RMW.
         charge_overhead(self.costs.lock_overhead);
         ctx::charge_mem(ctx::MemOp::Rmw, self.node);
-        self.attrs.lock().unwrap().acquire(by, name)
+        self.hand_over(by, name, Some(by))
     }
 
-    /// Release previously acquired attribute ownership.
+    /// Give up the waiting group, named by any of its attributes.
+    /// Refused if another agent holds it; a no-op if no one does.
     pub fn release_attr(&self, by: OwnerId, name: &'static str) -> Result<(), AttrError> {
         ctx::charge_mem(ctx::MemOp::Write, self.node);
-        self.attrs.lock().unwrap().release(by, name)
+        self.hand_over(by, name, None)
+    }
+
+    /// Make `to` the waiting group's owner on behalf of `by`, unless
+    /// another agent holds it. `name` must be one of the group's.
+    fn hand_over(
+        &self,
+        by: OwnerId,
+        name: &'static str,
+        to: Option<OwnerId>,
+    ) -> Result<(), AttrError> {
+        if !WAITING_ATTRS.contains(&name) {
+            return Err(AttrError::Unknown(name));
+        }
+        let mut owner = self.owner.lock().unwrap();
+        match *owner {
+            Some(o) if o != by => Err(AttrError::Owned(o)),
+            _ => {
+                *owner = to;
+                Ok(())
+            }
+        }
     }
 
     /// Handoff hint: the owner designates which thread should get the
@@ -783,6 +820,45 @@ mod tests {
         assert!(matches!(res.0, Err(AttrError::Owned { .. })));
         assert!(res.1.is_ok());
         assert!(res.2.is_ok());
+    }
+
+    #[test]
+    fn an_unknown_attribute_name_is_refused() {
+        let (res, _) = sim::run(cfg(1), || {
+            let lock = ReconfigurableLock::new_local();
+            [lock.acquire_attr(agent(), "no-such"), lock.release_attr(agent(), "no-such")]
+        })
+        .unwrap();
+        assert_eq!(res, [Err(AttrError::Unknown("no-such")), Err(AttrError::Unknown("no-such"))]);
+    }
+
+    #[test]
+    fn a_second_agent_cannot_take_an_owned_group() {
+        let (res, _) = sim::run(cfg(1), || {
+            let lock = ReconfigurableLock::new_local();
+            lock.acquire_attr(OwnerId(7), "spin-time").unwrap();
+            // Any name of the group answers for all four; the holder may
+            // take it again, and once released it is free.
+            let taken = lock.acquire_attr(OwnerId(8), "timeout");
+            let again = lock.acquire_attr(OwnerId(7), "delay-time");
+            lock.release_attr(OwnerId(7), "sleep-time").unwrap();
+            [taken, again, lock.acquire_attr(OwnerId(8), "timeout")]
+        })
+        .unwrap();
+        assert_eq!(res, [Err(AttrError::Owned(OwnerId(7))), Ok(()), Ok(())]);
+    }
+
+    #[test]
+    fn a_non_owner_cannot_release_the_group() {
+        let (res, _) = sim::run(cfg(1), || {
+            let lock = ReconfigurableLock::new_local();
+            lock.acquire_attr(OwnerId(7), "spin-time").unwrap();
+            let released = lock.release_attr(OwnerId(8), "delay-time");
+            // Still the holder's: the other agent cannot configure.
+            [released, lock.configure_policy(OwnerId(8), WaitingPolicy::pure_spin())]
+        })
+        .unwrap();
+        assert_eq!(res, [Err(AttrError::Owned(OwnerId(7))), Err(AttrError::Owned(OwnerId(7)))]);
     }
 
     #[test]

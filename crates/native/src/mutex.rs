@@ -1613,10 +1613,6 @@ mod tests {
             }
             Some(NativeDecision::PureSpin)
         }
-
-        fn name(&self) -> &'static str {
-            "panic-once"
-        }
     }
 
     #[test]
@@ -1675,10 +1671,6 @@ mod tests {
         fn decide(&mut self, _obs: NativeObservation) -> Option<NativeDecision> {
             self.0.fetch_add(1, Ordering::Relaxed);
             None
-        }
-
-        fn name(&self) -> &'static str {
-            "counting"
         }
     }
 
@@ -1847,10 +1839,6 @@ mod tests {
 
         fn decide(&mut self, _obs: NativeObservation) -> Option<NativeDecision> {
             self.0.next()
-        }
-
-        fn name(&self) -> &'static str {
-            "scripted"
         }
     }
 

@@ -405,10 +405,6 @@ impl AdaptationPolicy<NativeObservation> for NativeSimpleAdapt {
             SpinStep::Spins(k) => NativeDecision::SetSpins(k),
         })
     }
-
-    fn name(&self) -> &'static str {
-        "native-simple-adapt"
-    }
 }
 
 /// Fairness-aware adaptation: barging for throughput until the fairness
@@ -471,10 +467,6 @@ impl AdaptationPolicy<NativeObservation> for NativeFairnessAdapt {
             None => None,
         }
     }
-
-    fn name(&self) -> &'static str {
-        "native-fairness-adapt"
-    }
 }
 
 /// A fixed (non-adaptive) policy, for using `AdaptiveMutex` as a plain
@@ -490,10 +482,6 @@ impl AdaptationPolicy<NativeObservation> for FixedPolicy {
 
     fn decide(&mut self, _obs: NativeObservation) -> Option<NativeDecision> {
         Some(self.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed"
     }
 }
 

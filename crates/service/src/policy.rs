@@ -162,10 +162,6 @@ impl AdaptationPolicy<NativeObservation> for HotShardPolicy {
         // spans proportionally more time at the same write rate.
         self.decide_with_gap(obs, gap.saturating_mul(2) / obs.acquisitions.max(1))
     }
-
-    fn name(&self) -> &'static str {
-        "hot-shard"
-    }
 }
 
 #[cfg(test)]

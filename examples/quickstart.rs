@@ -41,21 +41,21 @@ fn main() {
         }
 
         let log = lock.inner().transition_log();
-        let stats = lock.stats();
-        let loop_stats = lock.loop_stats();
-        (phase1, log, stats, loop_stats)
+        (phase1, log, lock.stats(), lock.samples())
     })
     .expect("simulation failed");
 
-    let (phase1, log, stats, loop_stats) = summary;
+    let (phase1, log, stats, samples) = summary;
     println!("after the uncontended phase the lock is: {phase1:?}");
     println!(
         "lock statistics: {} acquisitions, {} contended, max {} waiting, {} reconfigurations",
         stats.acquisitions, stats.contended, stats.max_waiting, stats.reconfigurations
     );
+    // simple-adapt decides on every sample, and each decision is one
+    // reconfiguration.
     println!(
         "feedback loop: {} observations -> {} decisions",
-        loop_stats.observations, loop_stats.decisions
+        samples, stats.reconfigurations
     );
     println!("\nconfiguration trajectory (paper: M --v_i--> P --d_c--> Ψ):");
     for t in log.transitions().iter().take(12) {

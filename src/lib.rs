@@ -69,7 +69,7 @@ pub use workloads;
 
 /// The most common imports for working with the simulated lock family.
 pub mod prelude {
-    pub use adaptive_core::{AdaptationPolicy, FeedbackLoop, OpCost, SamplingGate};
+    pub use adaptive_core::{AdaptationPolicy, OpCost, SamplingGate};
     pub use adaptive_locks::{
         with_lock, AdaptiveLock, BlockingLock, Lock, LockKind, ReconfigurableLock, SchedKind,
         SimpleAdapt, SpinLock, WaitingPolicy,
