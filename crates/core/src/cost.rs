@@ -30,19 +30,9 @@ impl OpCost {
         OpCost { reads, writes }
     }
 
-    /// A pure-read cost.
-    pub const fn reads(n: u64) -> OpCost {
-        OpCost { reads: n, writes: 0 }
-    }
-
     /// A pure-write cost.
     pub const fn writes(n: u64) -> OpCost {
         OpCost { reads: 0, writes: n }
-    }
-
-    /// Total memory operations.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes
     }
 }
 
@@ -99,9 +89,8 @@ mod tests {
     #[test]
     fn cost_algebra() {
         let a = OpCost::new(1, 2);
-        let b = OpCost::reads(3) + OpCost::writes(1);
+        let b = OpCost::new(3, 0) + OpCost::writes(1);
         assert_eq!(a + b, OpCost::new(4, 3));
-        assert_eq!((a + b).total(), 7);
         assert_eq!(format!("{}", a), "1R 2W");
     }
 

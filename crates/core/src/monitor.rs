@@ -44,11 +44,6 @@ impl SamplingGate {
         self.counter.fetch_add(1, Ordering::Relaxed).is_multiple_of(self.period)
     }
 
-    /// Configured period.
-    pub fn period(&self) -> u64 {
-        self.period
-    }
-
     /// Events seen so far.
     pub fn events(&self) -> u64 {
         self.counter.load(Ordering::Relaxed)
@@ -71,7 +66,6 @@ mod tests {
         assert_eq!(fired, vec![true, false, true, false, true, false]);
         assert_eq!(g.events(), 6);
         assert_eq!(g.samples(), 3);
-        assert_eq!(g.period(), 2);
     }
 
     #[test]

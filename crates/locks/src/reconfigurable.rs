@@ -162,11 +162,6 @@ impl ReconfigurableLock {
         self.policy_cell.peek()
     }
 
-    /// Currently installed scheduler kind.
-    pub fn sched_kind(&self) -> SchedKind {
-        self.sched.lock().unwrap().kind()
-    }
-
     /// Current holder, if any (monitor peek).
     pub fn holder(&self) -> Option<ThreadId> {
         *self.holder.lock().unwrap()
@@ -793,7 +788,6 @@ mod tests {
             ctx::advance(Duration::millis(1));
             // Swap FCFS -> Priority while three threads wait.
             lock.configure_scheduler(SchedKind::Priority);
-            assert_eq!(lock.sched_kind(), SchedKind::Priority);
             lock.unlock();
             for h in handles {
                 h.join();

@@ -654,37 +654,48 @@ impl BestFirst {
         self.len
     }
 
-    /// The queue step: queue `children` in the order given, then hand
-    /// back the best queued node if it can still beat `incumbent` —
-    /// otherwise the whole queue, taken out at once (empty if nothing
-    /// was queued). What comes out, and the order in which everything
-    /// left comes out later, is what pushing each child and then taking
-    /// the best would give, since no two keys are equal; the heap does
-    /// less. If the least child beats the root it is handed back and
-    /// never enters the heap. Otherwise it takes the root's place and
-    /// sinks from there, a short walk where a pop would sink the last
-    /// entry from the root to the bottom. Every other child is pushed.
+    /// The key at the root, or the largest there is if nothing is queued.
+    fn root_key(&self) -> u64 {
+        self.groups.first().map_or(u64::MAX, |g| g.0[ROOT].key)
+    }
+
+    /// The queue step: queue the nodes in `hand` in the order given,
+    /// then hand back in `hand`, best first, the best queued node and up
+    /// to `most - 1` more, as long as each can still beat `incumbent` —
+    /// or, if not even the best can, the whole queue, taken out at once
+    /// (empty if nothing was queued), with `hand` left empty. What comes
+    /// out, and the order in which everything left comes out later, is
+    /// what pushing each node and then popping would give, since no two
+    /// keys are equal; the heap does less. If the least node handed in
+    /// beats the root it is handed back and never enters the heap.
+    /// Otherwise it takes the root's place and sinks from there, a short
+    /// walk where a pop would sink the last entry from the root to the
+    /// bottom. Every other node handed in is pushed, and the rest of the
+    /// batch is popped.
     ///
-    /// The children draw their sequence numbers together, after a
-    /// renumbering if too few are left, so that no child is left holding
+    /// The nodes handed in draw their sequence numbers together, after
+    /// a renumbering if too few are left, so that none is left holding
     /// a number from before one.
     ///
     /// The terminal clear is exact: the best node cannot beat the
     /// incumbent, nothing behind it has a smaller bound, and the
     /// incumbent only ever falls — so every queued node would be taken
     /// and pruned one by one. The caller counts them as pruned and
-    /// drops them, outside any lock it holds.
+    /// drops them, outside any lock it holds. A batch stops short of
+    /// `most` at the first node that cannot beat the incumbent, and
+    /// leaves it queued for the step that clears.
     pub(crate) fn exchange(
         &mut self,
-        children: impl ExactSizeIterator<Item = Node>,
+        hand: &mut Vec<Node>,
         incumbent: u32,
-    ) -> Result<Node, BestFirst> {
-        if u64::from(self.next_seq) + children.len() as u64 > u64::from(u32::MAX) {
+        most: usize,
+    ) -> Result<(), BestFirst> {
+        if u64::from(self.next_seq) + hand.len() as u64 > u64::from(u32::MAX) {
             self.renumber();
         }
-        // The least child so far; an empty entry loses to any child.
+        // The least node so far; an empty entry loses to any node.
         let mut least = Entry::default();
-        for node in children {
+        for node in hand.drain(..) {
             let mut entry = self.entry(node);
             if entry.key < least.key {
                 mem::swap(&mut entry, &mut least);
@@ -693,17 +704,22 @@ impl BestFirst {
                 self.sift_up(entry);
             }
         }
-        // An empty root's key reads as the largest there is.
-        let root = self.groups.first().map_or(u64::MAX, |g| g.0[ROOT].key);
-        let best = if least.key < root {
+        let best = if least.key < self.root_key() {
             least
         } else if least.node.is_some() {
             self.replace_root(least)
         } else {
             self.pop_entry()
         };
+        let beats = |key: u64| key >> 32 < u64::from(incumbent);
         match best.node {
-            Some(node) if best.key >> 32 < u64::from(incumbent) => Ok(node),
+            Some(node) if beats(best.key) => {
+                hand.push(node);
+                while hand.len() < most && beats(self.root_key()) {
+                    hand.extend(self.pop_entry().node);
+                }
+                Ok(())
+            }
             node => {
                 if node.is_some() {
                     self.sift_up(Entry { key: best.key, node });
@@ -745,17 +761,16 @@ pub(crate) fn best_first_search(
     let mut best = INF;
     let mut queue = BestFirst::default();
     let mut scratch = Vec::new();
-    // The children of the last node expanded, in push order.
-    let mut children: Vec<Node> = Vec::with_capacity(2);
-    children.push(Box::new(SubProblem::root(inst)));
+    // The children of the last node expanded, in push order, and then
+    // the node the next step hands over.
+    let mut hand: Vec<Node> = Vec::with_capacity(2);
+    hand.push(Box::new(SubProblem::root(inst)));
     loop {
-        let mut node = match queue.exchange(children.drain(..), best) {
-            Ok(node) => node,
-            Err(dead) => {
-                stats.pruned += dead.len() as u64;
-                return (best, stats);
-            }
-        };
+        if let Err(dead) = queue.exchange(&mut hand, best, 1) {
+            stats.pruned += dead.len() as u64;
+            return (best, stats);
+        }
+        let mut node = hand.pop().expect("a step that goes through hands over a node");
         before_expand(&node);
         stats.expanded += 1;
         match node.expand_in_place(&mut scratch) {
@@ -767,7 +782,7 @@ pub(crate) fn best_first_search(
                 for child in include.into_iter().chain(exclude.then_some(node)) {
                     if child.bound < best {
                         stats.generated += 1;
-                        children.push(child);
+                        hand.push(child);
                     } else {
                         stats.pruned += 1;
                     }
@@ -936,7 +951,7 @@ mod tests {
             // Best-first, as the solvers search; capped so a hard case
             // stays quick.
             for _ in 0..2_000 {
-                let Ok(node) = queue.exchange(queued.drain(..), best) else { break };
+                let Some(node) = queue.exchange(&mut queued, best, 1).ok().and_then(|()| queued.pop()) else { break };
                 match node.expand() {
                     Expansion::Tour { cost, .. } => best = best.min(cost),
                     Expansion::Children(children) => {
@@ -1128,7 +1143,7 @@ mod tests {
             let mut queued = vec![Box::new(SubProblem::root(&TspInstance::from_matrix(n, matrix)))];
             let (mut best, mut scratch) = (INF, Vec::new());
             for _ in 0..40 {
-                let Ok(mut node) = queue.exchange(queued.drain(..), best) else { break };
+                let Some(mut node) = queue.exchange(&mut queued, best, 1).ok().and_then(|()| queued.pop()) else { break };
                 if node.bound < INF && node.k() > 2 {
                     assert_include_child_is_the_fully_reduced_one(&node);
                 }
@@ -1227,8 +1242,9 @@ mod tests {
     enum Op {
         Push(u32),
         Pop,
-        /// A queue step: these children's bounds, then the incumbent.
-        Exchange(Vec<u32>, u32),
+        /// A queue step: these children's bounds, the incumbent, and
+        /// how many nodes the step may take.
+        Exchange(Vec<u32>, u32, usize),
         /// A steal: up to this many pops in a row.
         Batch(usize),
     }
@@ -1255,20 +1271,31 @@ mod tests {
             got.is_some()
         }
 
-        /// The reference pushes the children, then takes its best if it
-        /// beats `incumbent` and everything if not.
-        fn exchange(&mut self, children: &[u32], incumbent: u32) {
-            let children: Vec<Node> = children.iter().map(|&bound| self.node(bound)).collect();
-            match self.queue.exchange(children.into_iter(), incumbent) {
-                Ok(node) => {
-                    let Some(Reverse((bound, _, id))) = self.reference.pop() else {
-                        panic!("node {} out of a queue the reference has empty", node.level);
-                    };
-                    assert!(bound < incumbent);
-                    assert_eq!((node.bound, node.level, node.attempts), (bound, id, u32::from(id % 3)));
+        /// The reference pushes the children, then pops while its best
+        /// beats `incumbent`, up to `take` times, and takes everything
+        /// if not even the first beats it.
+        fn exchange(&mut self, children: &[u32], incumbent: u32, take: usize) {
+            let mut hand: Vec<Node> = children.iter().map(|&bound| self.node(bound)).collect();
+            let beaten = |reference: &BinaryHeap<Reverse<(u32, u64, u16)>>| {
+                reference.peek().is_none_or(|Reverse(best)| best.0 >= incumbent)
+            };
+            match self.queue.exchange(&mut hand, incumbent, take) {
+                Ok(()) => {
+                    assert!((1..=take).contains(&hand.len()), "{} nodes for a take of {take}", hand.len());
+                    for node in &hand {
+                        let Some(Reverse((bound, _, id))) = self.reference.pop() else {
+                            panic!("node {} out of a queue the reference has empty", node.level);
+                        };
+                        assert!(bound < incumbent);
+                        assert_eq!((node.bound, node.level, node.attempts), (bound, id, u32::from(id % 3)));
+                    }
+                    // A batch stops short only at a node that cannot
+                    // beat the incumbent, or at the end of the queue.
+                    assert!(hand.len() == take || beaten(&self.reference));
                 }
                 Err(dead) => {
-                    assert!(self.reference.peek().is_none_or(|Reverse(best)| best.0 >= incumbent));
+                    assert!(hand.is_empty());
+                    assert!(beaten(&self.reference));
                     assert_eq!(dead.len(), self.reference.len(), "dead count");
                     self.reference.clear();
                 }
@@ -1284,20 +1311,21 @@ mod tests {
                 Op::Batch(most) => {
                     let _ = (0..*most).try_for_each(|_| self.pop().then_some(()));
                 }
-                Op::Exchange(children, incumbent) => self.exchange(children, *incumbent),
+                Op::Exchange(children, incumbent, take) => self.exchange(children, *incumbent, *take),
             }
             assert_eq!(self.queue.len(), self.reference.len());
         }
     }
 
-    /// Pushes and queue steps with two children outnumber the pops, so
-    /// a queue grows as often as it shrinks.
+    /// Pushes and queue steps with up to eight children outnumber the
+    /// pops, so a queue grows as often as it shrinks; a step takes one
+    /// node, as the sequential search's does, or a batch of up to four.
     fn any_op() -> impl Strategy<Value = Op> {
-        (0u8..10, 0u32..5, proptest::collection::vec(0u32..5, 0..3)).prop_map(
-            |(kind, x, children)| match kind {
+        (0u8..10, 0u32..5, proptest::collection::vec(0u32..5, 0..9), 1usize..5).prop_map(
+            |(kind, x, children, take)| match kind {
                 0..=3 => Op::Push(x),
                 4 | 5 => Op::Pop,
-                6..=8 => Op::Exchange(children, x + 1),
+                6..=8 => Op::Exchange(children, x + 1, take),
                 _ => Op::Batch(x as usize + 1),
             },
         )
@@ -1327,7 +1355,7 @@ mod tests {
             }
             // A take-everything in the middle, fresh children and all,
             // then life goes on.
-            model.apply(&Op::Exchange(vec![0, 1], 0));
+            model.apply(&Op::Exchange(vec![0, 1], 0, 4));
             prop_assert_eq!(model.queue.len(), 0);
             for &bound in &fill {
                 model.push(bound);
@@ -1365,7 +1393,7 @@ mod tests {
             let mut model = Model::default();
             model.queue.next_seq = start;
             for i in 0..60u32 {
-                model.exchange(&[i % 3, (i + 1) % 3], INF);
+                model.exchange(&[i % 3, (i + 1) % 3], INF, 1);
             }
             assert!(model.queue.next_seq < 200, "renumbered from {}", model.queue.next_seq);
             while model.pop() {}

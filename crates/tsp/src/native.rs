@@ -8,9 +8,10 @@
 //! * **Centralized** — one global best-first work queue and one global
 //!   best tour; every queue operation serializes on the single `qlock`.
 //! * **Distributed** — one work queue per searcher connected in a ring:
-//!   a searcher pops from its own queue and, when that is empty, scans
-//!   the ring and *steals* a batch (the [`NativeTspConfig::transfer_refs`]
-//!   knob) from the first non-empty remote queue. Each searcher keeps a
+//!   a searcher takes its work from its own queue and, when that is
+//!   empty, scans the ring and *steals* a batch (the
+//!   [`NativeTspConfig::transfer_refs`] knob) from the first non-empty
+//!   remote queue. Each searcher keeps a
 //!   local best-tour copy; improvements propagate around the ring under
 //!   each copy's `glob-low-lock`.
 //! * **Balanced** — distributed plus the load-balancing rule: when a
@@ -27,12 +28,18 @@
 //!
 //! ## The queue step
 //!
-//! A searcher visits its home `qlock` once per node: the critical
-//! section that queues the children of the node it has just expanded
-//! also hands it the next node (`Shared::exchange`). If the best queued
-//! node cannot beat the incumbent, nothing behind it can either, so the
-//! same critical section takes the whole queue out, to be counted as
-//! pruned and dropped after the lock is released. A node is expanded
+//! A searcher visits its home `qlock` once per batch: the critical
+//! section that queues the children of the nodes it has just expanded
+//! also hands it the next batch (`Shared::exchange`) — the best queued
+//! node and, with more than one searcher, up to `transfer_refs − 1`
+//! more ([`NativeTspConfig::transfer_refs`]), as long as each can still
+//! beat the incumbent. A lone searcher takes one node per step:
+//! it has no neighbour to amortise the lock against, and it searches
+//! the sequential solver's tree. The searcher expands its batch best
+//! first and queues all the children at its next step. If the best
+//! queued node cannot beat the incumbent, nothing behind it can either,
+//! so the same critical section takes the whole queue out, to be counted
+//! as pruned and dropped after the lock is released. A node is expanded
 //! where it lies: the include child is built from it, then it is turned
 //! into its own exclude child, so a step allocates one node (its box and
 //! its one buffer) and the queue step frees none. A queue entry is 16
@@ -60,21 +67,21 @@
 //! in hand; the supervisor clears the poison, resynchronizes the
 //! queue-length mirrors, and requeues every in-flight subproblem under
 //! a bounded retry budget. What is in hand is what the in-flight stash
-//! holds: from a queue step to the end of the expansion, the node the
-//! step handed over (a death in the best-tour update requeues it, and
-//! it completes into the same tour again); from the expansion to the
-//! next queue step, that node's children in push order, carrying its
-//! retry count (a death at the step's injection point, before any
-//! queue edit, requeues the children themselves: nothing is lost,
-//! nothing is queued twice and nothing is expanded twice); in the middle
-//! of a steal, the stolen batch. A step that goes through queues its
+//! holds: from a queue step or a steal to the next step, the batch it
+//! handed over that is not yet expanded (a death in the best-tour update
+//! requeues the node under expansion with the rest, and it completes
+//! into the same tour again) and the children of the batch's expanded
+//! nodes in push order, each carrying its parent's retry count (a death
+//! at the step's injection point, before any queue edit, requeues the
+//! children themselves: nothing is lost, nothing is queued twice and
+//! nothing is expanded twice). A step that goes through queues its
 //! children with a fresh budget. A panic carrying the
 //! [`WorkerKilled`] marker retires the worker permanently. It strikes
 //! between the queue step and the expansion, so the worker dies with
-//! the node the step handed it in its stash; that node is requeued
-//! without spending its retry budget (the worker's doom, not the node,
-//! caused the panic), so kills alone never drop a node, whatever the
-//! budget. A doomed worker that sits idle past its kill step dies when
+//! the batch the step handed it in its stash; those nodes are requeued
+//! without spending their retry budget (the worker's doom, not the
+//! nodes, caused the panic), so kills alone never drop a node, whatever
+//! the budget. A doomed worker that sits idle past its kill step dies when
 //! it is next handed a node, or at termination. Its local ring queue is
 //! *not* orphaned — the length mirrors keep its work visible, idle peers
 //! reactivate and steal it through the ordinary ring scan (counted in
@@ -165,10 +172,14 @@ pub struct NativeTspConfig {
     /// Configuration of the shared locks (work queues, best-tour
     /// copies) — the independent variable of the TSP perf sweep.
     pub policy: PolicyChoice,
-    /// Subproblems moved per steal or balance transfer — the native
-    /// analogue of the simulator's `transfer_refs` batching knob: a
-    /// thief takes up to this many items from the victim's queue in one
-    /// `qlock` critical section and keeps the surplus locally.
+    /// Subproblems moved per `qlock` critical section — the native
+    /// analogue of the simulator's `transfer_refs` batching knob. With
+    /// more than one searcher, a queue step hands over up to this many
+    /// of the best queued nodes that can still beat the incumbent, a
+    /// thief takes up to this many from the victim's queue, and a
+    /// balance transfer diverts up to this many children; a searcher
+    /// expands the batch it was handed best first. A lone searcher takes
+    /// one node per step whatever this says.
     pub transfer_refs: usize,
     /// Balanced only: a push that would grow the local queue beyond
     /// this length diverts part of the batch to the shorter ring
@@ -192,7 +203,7 @@ impl Default for NativeTspConfig {
             searchers: 4,
             variant: NativeVariant::Centralized,
             policy: PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            transfer_refs: 2,
+            transfer_refs: 4,
             balance_threshold: 8,
             faults: None,
             max_retries: 3,
@@ -320,10 +331,12 @@ impl BestSlot {
 
 /// A searcher's in-flight stash: every node it has taken out of a queue
 /// or made and not yet queued, which is what its supervisor requeues if
-/// a panic strikes. After a queue step it holds the node the step
-/// handed over; after the expansion, that node's children in push order
-/// — `[include, exclude]`, less whatever the incumbent pruned; in the
-/// middle of a steal, the stolen batch.
+/// a panic strikes. After a queue step or a steal it holds the batch
+/// handed over, best first — one node for a lone searcher. Each
+/// expansion takes the batch's first node from the front and puts its
+/// children at the back — `[include, exclude]`, less whatever the
+/// incumbent pruned — so when the batch is done the stash holds every
+/// child in push order, for the next step to queue.
 type Stash = Vec<Node>;
 
 struct Shared {
@@ -334,7 +347,9 @@ struct Shared {
     /// Searchers currently holding or producing work.
     active: AtomicUsize,
     done: AtomicBool,
-    transfer_refs: usize,
+    /// Nodes moved per `qlock` critical section: `transfer_refs`, or 1
+    /// for a lone searcher.
+    batch: usize,
     balance_threshold: usize,
     faults: Option<Arc<FaultPlan>>,
     steals: AtomicU64,
@@ -366,7 +381,7 @@ impl Shared {
             stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
             active: AtomicUsize::new(searchers),
             done: AtomicBool::new(false),
-            transfer_refs: cfg.transfer_refs.max(1),
+            batch: if searchers > 1 { cfg.transfer_refs.max(1) } else { 1 },
             balance_threshold: cfg.balance_threshold,
             faults: cfg.faults.clone(),
             steals: AtomicU64::new(0),
@@ -468,7 +483,7 @@ impl Shared {
             prev
         };
         if self.queues[target].mirror_len() < local_len {
-            let n = self.transfer_refs.clamp(1, batch.len());
+            let n = self.batch.min(batch.len());
             self.balance_pushes.fetch_add(1, Ordering::Relaxed);
             self.transfers.fetch_add(n as u64, Ordering::Relaxed);
             // `batch` is the caller's in-flight stash, drained after the
@@ -487,13 +502,15 @@ impl Shared {
 
     /// The queue step, in **one** `qlock` critical section of queue
     /// `q` and one [`BestFirst::exchange`]: queue what the stash holds —
-    /// the fresh children of the node the last step handed over, in
-    /// push order — and take the best queued node into the stash in
-    /// their place. Returns whether a node was taken.
+    /// the fresh children of the batch the last step handed over, in
+    /// push order — and take the next batch into the stash in their
+    /// place: the best queued node and up to `batch - 1` more, best
+    /// first, as long as each can beat `worker`'s incumbent. Returns
+    /// whether a node was taken.
     ///
-    /// If the best queued node cannot beat `worker`'s incumbent,
-    /// nothing queued can: the whole queue comes out at once, is
-    /// counted as pruned, and is dropped after the lock is released.
+    /// If the best queued node cannot beat the incumbent, nothing
+    /// queued can: the whole queue comes out at once, is counted as
+    /// pruned, and is dropped after the lock is released.
     ///
     /// The injection point (`inject`; off for the residual drain) sits
     /// before any queue edit: a holder that dies there has pushed no
@@ -509,25 +526,21 @@ impl Shared {
         local: &mut SearchStats,
         inject: bool,
     ) -> bool {
-        debug_assert!(in_flight.len() <= 2, "the stash holds one node's children, no more");
+        debug_assert!(in_flight.len() <= 2 * self.batch, "the stash holds one batch's children, no more");
         let slot = &self.queues[q];
         let mut queue = slot.lock.lock();
         if inject {
             self.maybe_die_in_cs();
         }
         // Queued whole, the children start with a fresh retry budget.
-        let children = in_flight.drain(..).map(|mut sp| {
+        for sp in in_flight.iter_mut() {
             sp.attempts = 0;
-            sp
-        });
-        let next = queue.exchange(children, self.read_best(worker));
+        }
+        let next = queue.exchange(in_flight, self.read_best(worker), self.batch);
         slot.len.store(queue.len(), Ordering::Release);
         drop(queue);
         match next {
-            Ok(node) => {
-                in_flight.push(node);
-                true
-            }
+            Ok(()) => true,
             Err(dead) => {
                 local.pruned += dead.len() as u64;
                 false
@@ -535,15 +548,16 @@ impl Shared {
         }
     }
 
-    /// Steal up to `transfer_refs` subproblems from `victim` into the
-    /// caller's in-flight stash (so a panic cannot lose them — they are
-    /// stashed *inside* the critical section, before the injection
-    /// point). Returns whether anything was taken.
+    /// Steal up to `batch` subproblems from `victim` into the caller's
+    /// in-flight stash, best first (so a panic cannot lose them — they
+    /// are stashed *inside* the critical section, before the injection
+    /// point). The stolen batch is expanded as a queue step's is.
+    /// Returns whether anything was taken.
     fn steal_from(&self, victim: usize, in_flight: &mut Stash) -> bool {
         let slot = &self.queues[victim];
         let mut queue = slot.lock.lock();
         let before = in_flight.len();
-        in_flight.extend((0..self.transfer_refs.max(1)).map_while(|_| queue.pop()));
+        in_flight.extend((0..self.batch).map_while(|_| queue.pop()));
         slot.len.store(queue.len(), Ordering::Release);
         let took = in_flight.len() - before;
         if took > 0 {
@@ -558,28 +572,10 @@ impl Shared {
         }
     }
 
-    /// Move everything past `in_flight[0]` into queue `home` in one
-    /// critical section. The injection point is *before* the stash is
-    /// drained, so a die-in-CS panic here still finds every item in the
-    /// stash and the supervisor requeues them all.
-    fn bank_surplus(&self, home: usize, in_flight: &mut Stash) {
-        if in_flight.len() <= 1 {
-            return;
-        }
-        let slot = &self.queues[home];
-        let mut queue = slot.lock.lock();
-        self.maybe_die_in_cs();
-        for node in in_flight.drain(1..) {
-            queue.push(node);
-        }
-        slot.len.store(queue.len(), Ordering::Release);
-    }
-
-    /// Queue the fresh children in the stash and acquire the next work
-    /// item for `worker`: on success the item is the stash's only one
-    /// (stash semantics — the supervisor requeues whatever is in the
-    /// stash if a panic strikes). Surplus stolen items are moved to the
-    /// worker's local queue before returning.
+    /// Queue the fresh children in the stash and acquire the next batch
+    /// for `worker`: on success the batch is all the stash holds (stash
+    /// semantics — the supervisor requeues whatever is in the stash if
+    /// a panic strikes).
     fn take_work(&self, worker: usize, in_flight: &mut Stash, local: &mut SearchStats) -> bool {
         let home = self.home(worker);
         self.divert_surplus(home, in_flight);
@@ -593,18 +589,9 @@ impl Shared {
         // queue. The mirror probe is free; the steal itself locks the
         // victim's qlock once for the whole batch.
         let s = self.queues.len();
-        for k in 1..s {
-            let victim = (home + k) % s;
-            if self.queues[victim].mirror_len() == 0 {
-                continue;
-            }
-            if self.steal_from(victim, in_flight) {
-                // Keep the best item in hand; bank the surplus locally.
-                self.bank_surplus(home, in_flight);
-                return true;
-            }
-        }
-        false
+        (1..s)
+            .map(|k| (home + k) % s)
+            .any(|victim| self.queues[victim].mirror_len() > 0 && self.steal_from(victim, in_flight))
     }
 
     /// Post-panic repair: clear poison left by the dead holder on any
@@ -628,12 +615,31 @@ impl Shared {
         }
     }
 
-    /// Prune the node the queue step left in the stash against
-    /// `worker`'s incumbent, or expand it where it lies, publishing a
-    /// finished tour. Leaves in the stash the children that can still
-    /// beat the incumbent, in push order. The node stays stashed until
-    /// its children stand in its place, so a panic on the way (the
-    /// best-tour update can die) still finds it there.
+    /// Expand the batch a step handed over, best first: each node in
+    /// turn leaves the front of the stash and its children join the
+    /// back, so that the stash ends up holding every child, in push
+    /// order, for the next step to queue. `completed` runs after each
+    /// node.
+    fn expand_batch(
+        &self,
+        worker: usize,
+        in_flight: &mut Stash,
+        local: &mut SearchStats,
+        scratch: &mut Vec<u32>,
+        mut completed: impl FnMut(),
+    ) {
+        for _ in 0..in_flight.len() {
+            self.expand_node(worker, in_flight, local, scratch);
+            completed();
+        }
+    }
+
+    /// Prune the stash's first node against `worker`'s incumbent, or
+    /// expand it where it lies, publishing a finished tour. Puts at the
+    /// back of the stash the children that can still beat the
+    /// incumbent, in push order. The node stays stashed until its
+    /// children stand in its place, so a panic on the way (the best-tour
+    /// update can die) still finds it there.
     fn expand_node(
         &self,
         worker: usize,
@@ -641,36 +647,36 @@ impl Shared {
         local: &mut SearchStats,
         scratch: &mut Vec<u32>,
     ) {
-        debug_assert_eq!(in_flight.len(), 1, "a queue step hands over one node");
         let node = &mut in_flight[0];
-        if node.bound >= self.read_best(worker) {
+        let branched = if node.bound >= self.read_best(worker) {
             local.pruned += 1;
-            in_flight.clear();
-            return;
-        }
-        local.expanded += 1;
-        match node.expand_in_place(scratch) {
-            Expanded::Tour { cost, .. } => {
-                local.tours += 1;
-                if cost < self.read_best(worker) {
-                    self.publish_best(worker, cost);
-                }
-                in_flight.clear();
-            }
-            Expanded::Branched { include, exclude } => {
-                let incumbent = self.read_best(worker);
-                // The node is now its own exclude child, if it has one.
-                let exclude = in_flight.pop().filter(|_| exclude);
-                for child in include.into_iter().chain(exclude) {
-                    if child.bound < incumbent {
-                        local.generated += 1;
-                        in_flight.push(child);
-                    } else {
-                        local.pruned += 1;
+            None
+        } else {
+            local.expanded += 1;
+            match node.expand_in_place(scratch) {
+                Expanded::Tour { cost, .. } => {
+                    local.tours += 1;
+                    if cost < self.read_best(worker) {
+                        self.publish_best(worker, cost);
                     }
+                    None
+                }
+                Expanded::Branched { include, exclude } => Some((include, exclude)),
+                Expanded::Dead => None,
+            }
+        };
+        let node = in_flight.remove(0);
+        if let Some((include, exclude)) = branched {
+            let incumbent = self.read_best(worker);
+            // The node is now its own exclude child, if it has one.
+            for child in include.into_iter().chain(exclude.then_some(node)) {
+                if child.bound < incumbent {
+                    local.generated += 1;
+                    in_flight.push(child);
+                } else {
+                    local.pruned += 1;
                 }
             }
-            Expanded::Dead => in_flight.clear(),
         }
     }
 
@@ -807,9 +813,9 @@ fn searcher_resilient(
 ) {
     let doom = sh.faults.as_ref().and_then(|p| p.worker_doom(worker, total));
     let mut steps = 0u64;
-    // Room for a node's two children or a stolen batch, so that the
-    // stash never grows inside a critical section.
-    let mut in_flight: Stash = Vec::with_capacity(sh.transfer_refs.max(2));
+    // Room for a batch's children, two a node, so that the stash never
+    // grows inside a critical section.
+    let mut in_flight: Stash = Vec::with_capacity(2 * sh.batch);
     let mut local = SearchStats::default();
     // Whether the worker currently counts itself in `sh.active`; a death
     // in the idle loop (already retired) must not decrement again.
@@ -833,11 +839,11 @@ fn searcher_resilient(
                 sh.worker_panics.fetch_add(1, Ordering::Relaxed);
                 sh.recover_after_panic();
                 // Requeue everything the panic caught in our hands: the
-                // node under expansion, its children on their way to
-                // the queue, or a stolen batch in transit.
+                // rest of a batch, the node under expansion, and the
+                // children on their way to the queue.
                 // A kill strikes between the queue step and the
-                // expansion, whatever node is in hand, so it does not
-                // count against that node's retry budget.
+                // expansion, whatever nodes are in hand, so it does not
+                // count against their retry budget.
                 let killed = payload.is::<WorkerKilled>();
                 let home = sh.home(worker);
                 for mut lost in in_flight.drain(..) {
@@ -923,25 +929,27 @@ fn searcher_loop(
                 std::thread::yield_now();
             }
         }
-        // From here until the next step queues its children the item,
-        // and then they, sit in the in-flight stash; a panic anywhere
-        // below requeues whichever it finds there.
+        // From here until the next step queues their children the
+        // batch's nodes, and then the children, sit in the in-flight
+        // stash; a panic anywhere below requeues whichever it finds
+        // there.
         //
-        // A doomed worker dies here, between work items: no locks held,
-        // and the node the queue step just handed it goes back to the
+        // A doomed worker dies here, between batches: no locks held,
+        // and the batch the queue step just handed it goes back to the
         // queue through the stash.
         if doom.is_some_and(|after| *steps >= after) {
             std::panic::panic_any(WorkerKilled { worker });
         }
-        sh.expand_node(worker, in_flight, local, &mut scratch);
-        *steps += 1;
-        // Here and nowhere else: a searcher that comes back from the
-        // idle loop, or resumes after a panic, has completed nothing.
-        if let Some(plan) = retune {
-            if plan.every_steps > 0 && (*steps).is_multiple_of(plan.every_steps) {
-                sh.apply_retune(plan);
+        sh.expand_batch(worker, in_flight, local, &mut scratch, || {
+            *steps += 1;
+            // Here and nowhere else: a searcher that comes back from the
+            // idle loop, or resumes after a panic, has completed nothing.
+            if let Some(plan) = retune {
+                if plan.every_steps > 0 && (*steps).is_multiple_of(plan.every_steps) {
+                    sh.apply_retune(plan);
+                }
             }
-        }
+        });
     }
 }
 
@@ -951,13 +959,12 @@ fn searcher_loop(
 fn drain_residual(sh: &Shared) -> u64 {
     let mut local = SearchStats::default();
     let mut processed = 0u64;
-    let mut in_flight = Vec::with_capacity(2);
+    let mut in_flight = Vec::with_capacity(2 * sh.batch);
     let mut scratch = Vec::new();
-    // Children go to queue 0; the next node comes from the first queue
-    // that still has one worth expanding.
+    // Children go to queue 0; the next batch comes from the first queue
+    // that still has a node worth expanding.
     while (0..sh.queues.len()).any(|q| sh.exchange(q, 0, &mut in_flight, &mut local, false)) {
-        processed += 1;
-        sh.expand_node(0, &mut in_flight, &mut local, &mut scratch);
+        sh.expand_batch(0, &mut in_flight, &mut local, &mut scratch, || processed += 1);
     }
     sh.done.store(true, Ordering::Release);
     sh.add_stats(local);
@@ -1070,8 +1077,10 @@ mod tests {
                 ..NativeTspConfig::default()
             },
         );
-        // Every expanded node left the queue under `qlock`.
-        assert!(res.queue_lock().acquisitions >= res.stats.expanded);
+        // Every expanded node left the queue under `qlock`, in batches
+        // of at most `transfer_refs`.
+        let batch = NativeTspConfig::default().transfer_refs as u64;
+        assert!(res.queue_lock().acquisitions * batch >= res.stats.expanded);
         assert!(res.best_lock().acquisitions > 0);
         assert_eq!(res.per_queue_locks.len(), 1);
         assert_eq!(
@@ -1080,9 +1089,10 @@ mod tests {
         );
 
         // ... and under little else: the children go in and the next
-        // node comes out in one critical section, and what is left when
+        // batch comes out in one critical section, and what is left when
         // the optimum is proven comes out in one more. Push-then-pop
-        // with a pop per pruned node is 3 per expansion.
+        // with a pop per pruned node is 3 per expansion, 3 / batch if
+        // the step came apart but still moved batches.
         let searchers = 2;
         let res = solve_native(
             &TspInstance::random_euclidean(14, 500, 3),
@@ -1092,10 +1102,10 @@ mod tests {
             },
         );
         let (acquisitions, expanded) = (res.queue_lock().acquisitions, res.stats.expanded);
-        assert!(acquisitions >= expanded);
+        assert!(acquisitions * batch >= expanded);
         assert!(
-            acquisitions as f64 <= 1.1 * expanded as f64 + searchers as f64,
-            "{acquisitions} qlock acquisitions for {expanded} expansions"
+            acquisitions as f64 <= 1.1 * expanded as f64 / batch as f64 + searchers as f64,
+            "{acquisitions} qlock acquisitions for {expanded} expansions in batches of {batch}"
         );
     }
 
@@ -1162,7 +1172,10 @@ mod tests {
 
     #[test]
     fn solver_survives_cs_panics_exactly() {
-        let inst = TspInstance::random_symmetric(9, 100, 7);
+        // A search of a few hundred nodes: four searchers moving them a
+        // batch per critical section still pass the plan's rate many
+        // times over.
+        let inst = TspInstance::random_euclidean(12, 500, 3);
         let oracle = inst.held_karp();
         let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(17).with_cs_panics(32)));
         let res = solve_native(
@@ -1262,37 +1275,47 @@ mod tests {
     fn worker_killed_holding_a_handed_over_node_requeues_it() {
         // The whole crew is doomed within its first few steps of a
         // search that needs hundreds: each searcher dies between the
-        // queue step and the expansion, with the node the step (or, on
+        // queue step and the expansion, with the batch the step (or, on
         // the ring, a steal) handed it in its stash. None of those nodes
-        // may be lost, and a kill must not spend the node's retry budget
-        // (there is none here): kills alone never cost exactness.
+        // may be lost, and a kill must not spend their retry budget
+        // (there is none here): kills alone never cost exactness. With
+        // batches of one, each worker dies holding exactly one node;
+        // with the default batch, holding one to a batch of them.
         let inst = TspInstance::random_euclidean(12, 500, 3);
         let oracle = inst.held_karp();
-        for (variant, searchers) in [
-            (NativeVariant::Centralized, 2),
-            (NativeVariant::Distributed, 3),
-            (NativeVariant::Balanced, 3),
-        ] {
-            let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(43).with_worker_kills(100, 2)));
-            let res = solve_native(
-                &inst,
-                NativeTspConfig {
-                    searchers,
-                    variant,
-                    faults: Some(Arc::clone(&plan)),
-                    max_retries: 0,
-                    ..NativeTspConfig::default()
-                },
-            );
-            let label = variant.label();
-            assert_eq!(res.best, oracle, "{label}: a killed worker's node must reach the drain");
-            assert_eq!(res.workers_died, searchers as u64, "{label}");
-            assert_eq!(
-                res.requeued, searchers as u64,
-                "{label}: each doomed worker dies with a node in hand"
-            );
-            assert_eq!(res.dropped, 0, "{label}");
-            assert!(res.residual_drained > 0, "{label}");
+        for transfer_refs in [1, NativeTspConfig::default().transfer_refs] {
+            for (variant, searchers) in [
+                (NativeVariant::Centralized, 2),
+                (NativeVariant::Distributed, 3),
+                (NativeVariant::Balanced, 3),
+            ] {
+                let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(43).with_worker_kills(100, 2)));
+                let res = solve_native(
+                    &inst,
+                    NativeTspConfig {
+                        searchers,
+                        variant,
+                        transfer_refs,
+                        faults: Some(Arc::clone(&plan)),
+                        max_retries: 0,
+                        ..NativeTspConfig::default()
+                    },
+                );
+                let label = format!("{} in batches of {transfer_refs}", variant.label());
+                assert_eq!(res.best, oracle, "{label}: a killed worker's nodes must reach the drain");
+                assert_eq!(res.workers_died, searchers as u64, "{label}");
+                let held = searchers as u64..=(searchers * transfer_refs) as u64;
+                assert!(
+                    held.contains(&res.requeued),
+                    "{label}: each doomed worker dies with a batch in hand, {} requeued",
+                    res.requeued
+                );
+                if transfer_refs == 1 {
+                    assert_eq!(res.requeued, searchers as u64, "{label}: one node in hand each");
+                }
+                assert_eq!(res.dropped, 0, "{label}");
+                assert!(res.residual_drained > 0, "{label}");
+            }
         }
     }
 
