@@ -31,12 +31,16 @@
 //! A searcher visits its home `qlock` once per batch: the critical
 //! section that queues the children of the nodes it has just expanded
 //! also hands it the next batch (`Shared::exchange`) — the best queued
-//! node and, with more than one searcher, up to `transfer_refs − 1`
-//! more ([`NativeTspConfig::transfer_refs`]), as long as each can still
-//! beat the incumbent. A lone searcher takes one node per step:
-//! it has no neighbour to amortise the lock against, and it searches
-//! the sequential solver's tree. The searcher expands its batch best
-//! first and queues all the children at its next step. If the best
+//! node and, on the centralized queue with more than one searcher, up
+//! to `transfer_refs − 1` more ([`NativeTspConfig::transfer_refs`]), as
+//! long as each can still beat the incumbent. Where the home `qlock` is
+//! the searcher's own — a lone searcher, or a ring queue — a step takes
+//! one node: there is no neighbour to amortise the lock against, a lone
+//! searcher searches the sequential solver's tree, and on the ring a
+//! batch in hand is work the thieves cannot see (measured in
+//! EXPERIMENTS.md, PR 42). A steal moves a batch on the ring. The
+//! searcher expands its batch best first and queues all the children
+//! at its next step. If the best
 //! queued node cannot beat the incumbent, nothing behind it can either,
 //! so the same critical section takes the whole queue out, to be counted
 //! as pruned and dropped after the lock is released. A node is expanded
@@ -70,7 +74,8 @@
 //! holds: from a queue step or a steal to the next step, the batch it
 //! handed over that is not yet expanded (a death in the best-tour update
 //! requeues the node under expansion with the rest, and it completes
-//! into the same tour again) and the children of the batch's expanded
+//! into the same tour again; only that node spends retry budget, not the
+//! untouched nodes behind it) and the children of the batch's expanded
 //! nodes in push order, each carrying its parent's retry count (a death
 //! at the step's injection point, before any queue edit, requeues the
 //! children themselves: nothing is lost, nothing is queued twice and
@@ -90,6 +95,7 @@
 //! sequentially, so `solve_native` still returns the optimal tour when
 //! k < N (or even k = N) workers die.
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -173,13 +179,14 @@ pub struct NativeTspConfig {
     /// copies) — the independent variable of the TSP perf sweep.
     pub policy: PolicyChoice,
     /// Subproblems moved per `qlock` critical section — the native
-    /// analogue of the simulator's `transfer_refs` batching knob. With
-    /// more than one searcher, a queue step hands over up to this many
-    /// of the best queued nodes that can still beat the incumbent, a
-    /// thief takes up to this many from the victim's queue, and a
-    /// balance transfer diverts up to this many children; a searcher
-    /// expands the batch it was handed best first. A lone searcher takes
-    /// one node per step whatever this says.
+    /// analogue of the simulator's `transfer_refs` batching knob. On the
+    /// centralized queue with more than one searcher, a queue step hands
+    /// over up to this many of the best queued nodes that can still beat
+    /// the incumbent; on the ring, a thief takes up to this many from the
+    /// victim's queue and a balance transfer diverts up to this many
+    /// children. A searcher expands the batch it was handed best first.
+    /// A step from a queue that is the searcher's own — a lone
+    /// searcher's, or a ring queue — takes one node whatever this says.
     pub transfer_refs: usize,
     /// Balanced only: a push that would grow the local queue beyond
     /// this length diverts part of the batch to the shorter ring
@@ -332,7 +339,7 @@ impl BestSlot {
 /// A searcher's in-flight stash: every node it has taken out of a queue
 /// or made and not yet queued, which is what its supervisor requeues if
 /// a panic strikes. After a queue step or a steal it holds the batch
-/// handed over, best first — one node for a lone searcher. Each
+/// handed over, best first — one node from a searcher's own queue. Each
 /// expansion takes the batch's first node from the front and puts its
 /// children at the back — `[include, exclude]`, less whatever the
 /// incumbent pruned — so when the batch is done the stash holds every
@@ -347,9 +354,12 @@ struct Shared {
     /// Searchers currently holding or producing work.
     active: AtomicUsize,
     done: AtomicBool,
-    /// Nodes moved per `qlock` critical section: `transfer_refs`, or 1
-    /// for a lone searcher.
-    batch: usize,
+    /// Nodes a home queue step hands over: `transfer_refs` where the
+    /// home `qlock` is shared (the centralized queue, more than one
+    /// searcher), 1 where it is a searcher's own.
+    take: usize,
+    /// Nodes moved per steal or balance diversion.
+    transfer_refs: usize,
     balance_threshold: usize,
     faults: Option<Arc<FaultPlan>>,
     steals: AtomicU64,
@@ -381,7 +391,12 @@ impl Shared {
             stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
             active: AtomicUsize::new(searchers),
             done: AtomicBool::new(false),
-            batch: if searchers > 1 { cfg.transfer_refs.max(1) } else { 1 },
+            take: if cfg.variant == NativeVariant::Centralized && searchers > 1 {
+                cfg.transfer_refs.max(1)
+            } else {
+                1
+            },
+            transfer_refs: cfg.transfer_refs.max(1),
             balance_threshold: cfg.balance_threshold,
             faults: cfg.faults.clone(),
             steals: AtomicU64::new(0),
@@ -453,6 +468,13 @@ impl Shared {
         }
     }
 
+    /// Room for the children of the largest batch a step or a steal
+    /// hands over, two a node, so that a stash never grows inside a
+    /// critical section.
+    fn stash_capacity(&self) -> usize {
+        2 * self.take.max(self.transfer_refs)
+    }
+
     /// Push one subproblem into queue `q`, refreshing the mirror.
     fn requeue(&self, q: usize, sp: Node) {
         let slot = &self.queues[q];
@@ -483,7 +505,7 @@ impl Shared {
             prev
         };
         if self.queues[target].mirror_len() < local_len {
-            let n = self.batch.min(batch.len());
+            let n = self.transfer_refs.min(batch.len());
             self.balance_pushes.fetch_add(1, Ordering::Relaxed);
             self.transfers.fetch_add(n as u64, Ordering::Relaxed);
             // `batch` is the caller's in-flight stash, drained after the
@@ -504,7 +526,7 @@ impl Shared {
     /// `q` and one [`BestFirst::exchange`]: queue what the stash holds —
     /// the fresh children of the batch the last step handed over, in
     /// push order — and take the next batch into the stash in their
-    /// place: the best queued node and up to `batch - 1` more, best
+    /// place: the best queued node and up to `most - 1` more, best
     /// first, as long as each can beat `worker`'s incumbent. Returns
     /// whether a node was taken.
     ///
@@ -524,9 +546,13 @@ impl Shared {
         worker: usize,
         in_flight: &mut Stash,
         local: &mut SearchStats,
+        most: usize,
         inject: bool,
     ) -> bool {
-        debug_assert!(in_flight.len() <= 2 * self.batch, "the stash holds one batch's children, no more");
+        debug_assert!(
+            in_flight.len() <= self.stash_capacity(),
+            "the stash holds one batch's children, no more"
+        );
         let slot = &self.queues[q];
         let mut queue = slot.lock.lock();
         if inject {
@@ -536,7 +562,7 @@ impl Shared {
         for sp in in_flight.iter_mut() {
             sp.attempts = 0;
         }
-        let next = queue.exchange(in_flight, self.read_best(worker), self.batch);
+        let next = queue.exchange(in_flight, self.read_best(worker), most);
         slot.len.store(queue.len(), Ordering::Release);
         drop(queue);
         match next {
@@ -548,16 +574,16 @@ impl Shared {
         }
     }
 
-    /// Steal up to `batch` subproblems from `victim` into the caller's
-    /// in-flight stash, best first (so a panic cannot lose them — they
-    /// are stashed *inside* the critical section, before the injection
-    /// point). The stolen batch is expanded as a queue step's is.
-    /// Returns whether anything was taken.
+    /// Steal up to `transfer_refs` subproblems from `victim` into the
+    /// caller's in-flight stash, best first (so a panic cannot lose them
+    /// — they are stashed *inside* the critical section, before the
+    /// injection point). The thief keeps the whole batch and expands it
+    /// as a queue step's. Returns whether anything was taken.
     fn steal_from(&self, victim: usize, in_flight: &mut Stash) -> bool {
         let slot = &self.queues[victim];
         let mut queue = slot.lock.lock();
         let before = in_flight.len();
-        in_flight.extend((0..self.batch).map_while(|_| queue.pop()));
+        in_flight.extend((0..self.transfer_refs).map_while(|_| queue.pop()));
         slot.len.store(queue.len(), Ordering::Release);
         let took = in_flight.len() - before;
         if took > 0 {
@@ -579,7 +605,7 @@ impl Shared {
     fn take_work(&self, worker: usize, in_flight: &mut Stash, local: &mut SearchStats) -> bool {
         let home = self.home(worker);
         self.divert_surplus(home, in_flight);
-        if self.exchange(home, worker, in_flight, local, true) {
+        if self.exchange(home, worker, in_flight, local, self.take, true) {
             return true;
         }
         if self.variant == NativeVariant::Centralized {
@@ -619,18 +645,53 @@ impl Shared {
     /// turn leaves the front of the stash and its children join the
     /// back, so that the stash ends up holding every child, in push
     /// order, for the next step to queue. `completed` runs after each
-    /// node.
+    /// node. While a node is under expansion, `untouched` counts the
+    /// nodes of the batch behind it, which its supervisor requeues
+    /// without charging them ([`Shared::requeue_in_hand`]); it is 0
+    /// everywhere else.
     fn expand_batch(
         &self,
         worker: usize,
         in_flight: &mut Stash,
+        untouched: &Cell<usize>,
         local: &mut SearchStats,
         scratch: &mut Vec<u32>,
         mut completed: impl FnMut(),
     ) {
-        for _ in 0..in_flight.len() {
+        for left in (0..in_flight.len()).rev() {
+            untouched.set(left);
             self.expand_node(worker, in_flight, local, scratch);
+            untouched.set(0);
             completed();
+        }
+    }
+
+    /// Requeue at `home`, under the retry budget, what a panic caught in
+    /// a searcher's hands. A node is charged an attempt only if it was
+    /// in the work that died: the node under expansion (the stash's
+    /// first) and the children made so far, or everything in hand when
+    /// a queue step, steal or diversion died in its critical section.
+    /// The `untouched` nodes of a batch behind the node under expansion
+    /// caused nothing, and go back free; so does everything a
+    /// [`WorkerKilled`] panic finds, since the worker's doom, not its
+    /// nodes, caused it. Neither ever drops a node.
+    fn requeue_in_hand(
+        &self,
+        home: usize,
+        in_flight: &mut Stash,
+        untouched: usize,
+        killed: bool,
+        max_retries: u32,
+    ) {
+        for (i, mut lost) in in_flight.drain(..).enumerate() {
+            let charged = !killed && !(1..=untouched).contains(&i);
+            if !charged || lost.attempts < max_retries {
+                lost.attempts += u32::from(charged);
+                self.requeue(home, lost);
+                self.requeued.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.dropped.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -813,13 +874,13 @@ fn searcher_resilient(
 ) {
     let doom = sh.faults.as_ref().and_then(|p| p.worker_doom(worker, total));
     let mut steps = 0u64;
-    // Room for a batch's children, two a node, so that the stash never
-    // grows inside a critical section.
-    let mut in_flight: Stash = Vec::with_capacity(2 * sh.batch);
+    let mut in_flight: Stash = Vec::with_capacity(sh.stash_capacity());
     let mut local = SearchStats::default();
     // Whether the worker currently counts itself in `sh.active`; a death
     // in the idle loop (already retired) must not decrement again.
-    let active = std::cell::Cell::new(true);
+    let active = Cell::new(true);
+    // The batch's nodes behind the one under expansion, if any.
+    let untouched = Cell::new(0);
     loop {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             searcher_loop(
@@ -828,6 +889,7 @@ fn searcher_resilient(
                 &mut local,
                 &mut steps,
                 &active,
+                &untouched,
                 doom,
                 worker,
                 retune,
@@ -841,20 +903,9 @@ fn searcher_resilient(
                 // Requeue everything the panic caught in our hands: the
                 // rest of a batch, the node under expansion, and the
                 // children on their way to the queue.
-                // A kill strikes between the queue step and the
-                // expansion, whatever nodes are in hand, so it does not
-                // count against their retry budget.
                 let killed = payload.is::<WorkerKilled>();
                 let home = sh.home(worker);
-                for mut lost in in_flight.drain(..) {
-                    if killed || lost.attempts < max_retries {
-                        lost.attempts += u32::from(!killed);
-                        sh.requeue(home, lost);
-                        sh.requeued.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        sh.dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                sh.requeue_in_hand(home, &mut in_flight, untouched.replace(0), killed, max_retries);
                 if killed {
                     sh.workers_died.fetch_add(1, Ordering::Relaxed);
                     // Whatever sits in our local ring queue is now
@@ -887,7 +938,8 @@ fn searcher_loop(
     in_flight: &mut Stash,
     local: &mut SearchStats,
     steps: &mut u64,
-    active: &std::cell::Cell<bool>,
+    active: &Cell<bool>,
+    untouched: &Cell<usize>,
     doom: Option<u64>,
     worker: usize,
     retune: Option<&RetunePlan>,
@@ -940,7 +992,7 @@ fn searcher_loop(
         if doom.is_some_and(|after| *steps >= after) {
             std::panic::panic_any(WorkerKilled { worker });
         }
-        sh.expand_batch(worker, in_flight, local, &mut scratch, || {
+        sh.expand_batch(worker, in_flight, untouched, local, &mut scratch, || {
             *steps += 1;
             // Here and nowhere else: a searcher that comes back from the
             // idle loop, or resumes after a panic, has completed nothing.
@@ -959,12 +1011,14 @@ fn searcher_loop(
 fn drain_residual(sh: &Shared) -> u64 {
     let mut local = SearchStats::default();
     let mut processed = 0u64;
-    let mut in_flight = Vec::with_capacity(2 * sh.batch);
+    let mut in_flight = Vec::with_capacity(2);
     let mut scratch = Vec::new();
-    // Children go to queue 0; the next batch comes from the first queue
-    // that still has a node worth expanding.
-    while (0..sh.queues.len()).any(|q| sh.exchange(q, 0, &mut in_flight, &mut local, false)) {
-        sh.expand_batch(0, &mut in_flight, &mut local, &mut scratch, || processed += 1);
+    // A lone searcher: one node a step, as the sequential search takes.
+    // Children go to queue 0; the next node comes from the first queue
+    // that still has one worth expanding.
+    while (0..sh.queues.len()).any(|q| sh.exchange(q, 0, &mut in_flight, &mut local, 1, false)) {
+        let untouched = Cell::new(0);
+        sh.expand_batch(0, &mut in_flight, &untouched, &mut local, &mut scratch, || processed += 1);
     }
     sh.done.store(true, Ordering::Release);
     sh.add_stats(local);
@@ -1107,6 +1161,53 @@ mod tests {
             acquisitions as f64 <= 1.1 * expanded as f64 / batch as f64 + searchers as f64,
             "{acquisitions} qlock acquisitions for {expanded} expansions in batches of {batch}"
         );
+
+        // On the ring a searcher's home `qlock` is its own: its step
+        // hands over one node, and only a steal moves a batch. Every
+        // expansion beyond one per acquisition came in a stolen batch.
+        let transfer_refs = 8;
+        for variant in [NativeVariant::Distributed, NativeVariant::Balanced] {
+            let res = solve_native(
+                &TspInstance::random_euclidean(14, 500, 3),
+                NativeTspConfig {
+                    searchers: 3,
+                    variant,
+                    transfer_refs,
+                    ..NativeTspConfig::default()
+                },
+            );
+            let (acquisitions, expanded) = (res.queue_lock().acquisitions, res.stats.expanded);
+            assert!(
+                expanded <= acquisitions + (transfer_refs as u64 - 1) * res.steals,
+                "{}: {expanded} expansions for {acquisitions} qlock acquisitions and {} steals",
+                variant.label(),
+                res.steals
+            );
+        }
+    }
+
+    #[test]
+    fn a_lone_searcher_takes_one_node_a_step_whatever_the_batch() {
+        // Nothing to amortise a step against: one searcher searches the
+        // sequential solver's tree, node for node, even where batches of
+        // eight would expand nodes it prunes.
+        for n in 9..=12 {
+            let inst = TspInstance::random_symmetric(n, 100, 7);
+            let (cost, stats) = crate::solve_sequential(&inst);
+            for variant in NativeVariant::ALL {
+                let res = solve_native(
+                    &inst,
+                    NativeTspConfig {
+                        searchers: 1,
+                        variant,
+                        transfer_refs: 8,
+                        ..NativeTspConfig::default()
+                    },
+                );
+                assert_eq!(res.best, cost, "{n} cities, {}", variant.label());
+                assert_eq!(res.stats, stats, "{n} cities, {}", variant.label());
+            }
+        }
     }
 
     #[test]
@@ -1172,12 +1273,12 @@ mod tests {
 
     #[test]
     fn solver_survives_cs_panics_exactly() {
-        // A search of a few hundred nodes: four searchers moving them a
-        // batch per critical section still pass the plan's rate many
-        // times over.
-        let inst = TspInstance::random_euclidean(12, 500, 3);
+        // Four searchers moving nodes a batch per critical section make
+        // a dozen or two of them on this search; seed 17's one-in-12
+        // stream fires at its third draw, and again at its sixth.
+        let inst = TspInstance::random_symmetric(9, 100, 7);
         let oracle = inst.held_karp();
-        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(17).with_cs_panics(32)));
+        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(17).with_cs_panics(12)));
         let res = solve_native(
             &inst,
             NativeTspConfig {
@@ -1249,7 +1350,7 @@ mod tests {
 
         for _ in 0..3 {
             let died = catch_unwind(AssertUnwindSafe(|| {
-                sh.exchange(0, 0, &mut stash, &mut local, true)
+                sh.exchange(0, 0, &mut stash, &mut local, 1, true)
             }));
             assert!(died.is_err(), "a one-in-one plan dies at every injection point");
             sh.recover_after_panic();
@@ -1260,7 +1361,7 @@ mod tests {
         assert_eq!(plan.report().cs_panics, 3);
 
         // The same step with no plan in the way queues each child once.
-        assert!(sh.exchange(0, 0, &mut stash, &mut local, false));
+        assert!(sh.exchange(0, 0, &mut stash, &mut local, 1, false));
         assert_eq!(sh.queues[0].mirror_len(), 2);
         let mut out: Vec<_> = stash.drain(..).map(|node| name(&node)).collect();
         let mut queue = sh.queues[0].lock.lock();
@@ -1269,6 +1370,56 @@ mod tests {
         each_once.sort_unstable();
         assert!(out.is_sorted(), "best first: {out:?}");
         assert_eq!(out, each_once);
+    }
+
+    #[test]
+    fn a_best_tour_panic_mid_batch_charges_only_the_node_under_expansion() {
+        // Two searchers in batches of four with no retry budget: the
+        // first node of a batch completes a tour and the best-tour
+        // update dies. That node is dropped; the three behind it caused
+        // nothing and go back to the queue.
+        let inst = TspInstance::random_euclidean(7, 500, 3);
+        let plan = Arc::new(FaultPlan::new(FaultSpec::seeded(1).with_cs_panics(1)));
+        let cfg = NativeTspConfig {
+            searchers: 2,
+            transfer_refs: 4,
+            faults: Some(Arc::clone(&plan)),
+            max_retries: 0,
+            ..NativeTspConfig::default()
+        };
+        let sh = Shared::new(&cfg, 2);
+        // Follow the include branch down to a node whose expansion
+        // completes a tour.
+        let mut scratch = Vec::new();
+        let mut node = Box::new(SubProblem::root(&inst));
+        loop {
+            let mut probe = node.clone();
+            match probe.expand_in_place(&mut scratch) {
+                Expanded::Tour { .. } => break,
+                Expanded::Branched { include, exclude } => {
+                    node = include.or(exclude.then_some(probe)).expect("a branch has a child");
+                }
+                Expanded::Dead => panic!("a complete graph always has a tour"),
+            }
+        }
+        let behind = Box::new(SubProblem::root(&inst));
+        let mut batch: Stash = vec![node, behind.clone(), behind.clone(), behind];
+        let untouched = Cell::new(0);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            let mut local = SearchStats::default();
+            sh.expand_batch(0, &mut batch, &untouched, &mut local, &mut scratch, || {})
+        }));
+        assert!(died.is_err(), "a one-in-one plan dies in the best-tour update");
+        assert_eq!((batch.len(), untouched.get()), (4, 3), "the tour's node and three behind it");
+        sh.recover_after_panic();
+        sh.requeue_in_hand(0, &mut batch, untouched.replace(0), false, cfg.max_retries);
+        assert_eq!(sh.dropped.load(Ordering::Relaxed), 1, "only the node under expansion");
+        assert_eq!(sh.requeued.load(Ordering::Relaxed), 3);
+        assert_eq!(sh.queues[0].mirror_len(), 3);
+        let mut queue = sh.queues[0].lock.lock();
+        let requeued: Vec<_> =
+            std::iter::from_fn(|| queue.pop()).map(|n| (n.level, n.attempts)).collect();
+        assert_eq!(requeued, [(0, 0); 3], "the three roots behind it, uncharged");
     }
 
     #[test]
