@@ -9,6 +9,7 @@
 //! charge simulated time for expansions explicitly, and the same code
 //! backs the sequential baseline and the native benchmarks.
 
+use std::cell::Cell;
 use std::mem;
 
 use crate::instance::{TspInstance, INF};
@@ -46,6 +47,9 @@ pub struct SubProblem {
     pub(crate) attempts: u32,
     /// `k² + 4k + 2L` words, laid out as above.
     data: Vec<u32>,
+    /// The next node of its file while the node is in a [`NodePool`];
+    /// `None` while it is in the search.
+    next: Option<Node>,
 }
 
 /// Result of expanding a subproblem.
@@ -64,7 +68,7 @@ pub enum Expansion {
     Dead,
 }
 
-/// What [`SubProblem::expand_in_place`] made of a node.
+/// What [`SubProblem::expand_pooled`] made of a node.
 pub(crate) enum Expanded {
     /// The node completed into a full tour, and is as it was.
     Tour {
@@ -181,18 +185,18 @@ fn reduce_line(cells: &mut [u32], step: usize, len: usize) -> Option<u32> {
 impl SubProblem {
     /// The root subproblem: the full instance, reduced.
     pub fn root(inst: &TspInstance) -> SubProblem {
+        *SubProblem::root_in(inst, &mut NodePool::default())
+    }
+
+    /// The root subproblem, in a node from `pool`.
+    pub(crate) fn root_in(inst: &TspInstance, pool: &mut NodePool) -> Node {
         let n = inst.n();
-        let mut data = Vec::with_capacity(n * n + 4 * n);
-        data.extend_from_slice(inst.matrix());
-        let bound = reduce(&mut data, n, 0, &mut vec![0; n]);
-        data.extend((0..4).flat_map(|_| 0..n as u32));
-        SubProblem {
-            bound,
-            level: 0,
-            n: n as u16,
-            attempts: 0,
-            data,
-        }
+        let mut root = pool.root(n * n + 4 * n);
+        root.data.extend_from_slice(inst.matrix());
+        root.bound = reduce(&mut root.data, n, 0, &mut vec![0; n]);
+        root.data.extend((0..4).flat_map(|_| 0..n as u32));
+        (root.level, root.n, root.attempts) = (0, n as u16, 0);
+        root
     }
 
     /// Live rows (= live columns), `k`.
@@ -312,7 +316,7 @@ impl SubProblem {
     /// expanded in place.
     pub fn expand(&self) -> Expansion {
         let mut node = self.clone();
-        match node.expand_in_place(&mut Vec::new()) {
+        match node.expand_pooled(&mut Vec::new(), &mut NodePool::default()) {
             Expanded::Tour { cost, edges } => Expansion::Tour { cost, edges },
             Expanded::Branched { include, exclude } => Expansion::Children(
                 include.map(|c| *c).into_iter().chain(exclude.then_some(node)).collect(),
@@ -321,10 +325,19 @@ impl SubProblem {
         }
     }
 
-    /// The one expansion: build the include child from this node, then
-    /// turn the node into its own exclude child. Only the include child
-    /// is allocated; `scratch` is the caller's to keep between calls.
+    /// [`SubProblem::expand_pooled`] with an empty pool: the include
+    /// child is a new node.
+    #[cfg(test)]
     pub(crate) fn expand_in_place(&mut self, scratch: &mut Vec<u32>) -> Expanded {
+        self.expand_pooled(scratch, &mut NodePool::default())
+    }
+
+    /// The one expansion, in place: build the include child from this
+    /// node, then turn the node into its own exclude child. The include
+    /// child is built in a node from `pool`, and is the only node made.
+    /// `scratch` and `pool` are the caller's to keep between calls; the
+    /// caller hands back to the pool every node it is done with.
+    pub(crate) fn expand_pooled(&mut self, scratch: &mut Vec<u32>, pool: &mut NodePool) -> Expanded {
         if self.bound >= INF {
             return Expanded::Dead;
         }
@@ -340,7 +353,7 @@ impl SubProblem {
             return Expanded::Dead;
         };
         // The include child reads the node as its parent: make it first.
-        let include = self.include_child(&cell);
+        let include = self.include_child(&cell, pool);
         let exclude = self.become_exclude_child(&cell);
         if include.is_none() && !exclude {
             return Expanded::Dead;
@@ -350,20 +363,21 @@ impl SubProblem {
 
     /// Include child: commit the edge `rows[cell.row] -> cols[cell.col]`.
     /// The child is this node minus that row and that column, written
-    /// straight into its one buffer, with the edge that would close a
-    /// premature subtour forbidden, and then reduced where it can need
-    /// it. This node is fully reduced, so a line of the child lacks a
-    /// zero only if it lost one: a row whose only zero sat in the
-    /// branch column, a column whose only zero sat in the branch row,
-    /// and the row and the column of the newly forbidden cell. A row's
-    /// reduction makes zeros and takes none away, so rows first, then
-    /// columns, as `reduce` does, gives the cells and the bound that
-    /// a full reduction would, and `None` exactly where it would find
-    /// a line with no feasible cell.
-    fn include_child(&self, cell: &BranchCell) -> Option<Node> {
+    /// straight into the one buffer of a node from `pool`, with the edge
+    /// that would close a premature subtour forbidden, and then reduced
+    /// where it can need it. This node is fully reduced, so a line of the
+    /// child lacks a zero only if it lost one: a row whose only zero sat
+    /// in the branch column, a column whose only zero sat in the branch
+    /// row, and the row and the column of the newly forbidden cell. A
+    /// row's reduction makes zeros and takes none away, so rows first,
+    /// then columns, as `reduce` does, gives the cells and the bound that
+    /// a full reduction would, and `None` exactly where it would find a
+    /// line with no feasible cell; the node goes back to the pool then.
+    fn include_child(&self, cell: &BranchCell, pool: &mut NodePool) -> Option<Node> {
         let (k, live) = (self.k(), self.k() - 1);
         let level = self.level + 1;
-        let mut data = Vec::with_capacity(live * live + 4 * live + 2 * usize::from(level));
+        let mut child = pool.node(level, live * live + 4 * live + 2 * usize::from(level));
+        let data = &mut child.data;
         // One pass over the parent's buffer: its cells, tables and edges
         // in order, less the branch row, the branch column's cells and
         // the branch row's and column's table entries. What lies between
@@ -399,26 +413,33 @@ impl SubProblem {
         // likewise for the branch row; the forbidden cell's lines lose
         // a zero only if it was one. A line listed twice is reduced
         // once and then found holding a zero.
-        let (parent, mut bound) = (self.cells(), self.bound);
-        let branch_col = parent[col..].iter().step_by(k).copied();
-        let lost_rows = (cell.col_penalty == 0).then(|| zeros_without(branch_col, row));
-        for r in lost_rows.into_iter().flatten().chain((forbidden == 0).then_some(end_row)) {
-            bound = bound.saturating_add(reduce_line(&mut cells[r * live..], 1, live)?);
+        let parent = self.cells();
+        let mut reduced = || {
+            let mut bound = self.bound;
+            let branch_col = parent[col..].iter().step_by(k).copied();
+            let lost_rows = (cell.col_penalty == 0).then(|| zeros_without(branch_col, row));
+            for r in lost_rows.into_iter().flatten().chain((forbidden == 0).then_some(end_row)) {
+                bound = bound.saturating_add(reduce_line(&mut cells[r * live..], 1, live)?);
+            }
+            let branch_row = parent[row * k..(row + 1) * k].iter().copied();
+            let lost_cols = (cell.row_penalty == 0).then(|| zeros_without(branch_row, col));
+            for c in lost_cols.into_iter().flatten().chain((forbidden == 0).then_some(start_col)) {
+                bound = bound.saturating_add(reduce_line(&mut cells[c..], live, live)?);
+            }
+            (bound < INF).then_some(bound)
+        };
+        let bound = reduced();
+        (child.level, child.n, child.attempts) = (level, self.n, self.attempts);
+        match bound {
+            Some(bound) => {
+                child.bound = bound;
+                Some(child)
+            }
+            None => {
+                pool.put(child);
+                None
+            }
         }
-        let branch_row = parent[row * k..(row + 1) * k].iter().copied();
-        let lost_cols = (cell.row_penalty == 0).then(|| zeros_without(branch_row, col));
-        for c in lost_cols.into_iter().flatten().chain((forbidden == 0).then_some(start_col)) {
-            bound = bound.saturating_add(reduce_line(&mut cells[c..], live, live)?);
-        }
-        (bound < INF).then(|| {
-            Box::new(SubProblem {
-                bound,
-                level,
-                n: self.n,
-                attempts: self.attempts,
-                data,
-            })
-        })
     }
 
     /// Exclude child: forbid the branch cell; the bound rises by the
@@ -519,8 +540,209 @@ pub struct SearchStats {
 }
 
 /// A queued node: boxed once, where it is made, and moved by pointer
-/// from then on — into a queue, out of it, through a searcher's hands.
+/// from then on — into a queue, out of it, through a searcher's hands,
+/// and, once the search is done with it, into a [`NodePool`].
 pub(crate) type Node = Box<SubProblem>;
+
+thread_local! {
+    /// The pool of the thread that calls [`solve_sequential`] or
+    /// [`solve_native`](crate::solve_native): taken when a solve starts
+    /// and put back when it ends, so that one solve's nodes serve the
+    /// next.
+    static POOL: Cell<NodePool> = const {
+        Cell::new(NodePool {
+            filed: Vec::new(),
+            unfiled: Vec::new(),
+            held: 0,
+        })
+    };
+}
+
+/// Nodes the search is done with, kept to be built into new ones: a
+/// finished node costs no `free`, and a child built in it no `malloc`.
+/// A node is made new only when the pool is empty, so a pool never
+/// holds more nodes than were out at once in the largest solve it
+/// served. A node keeps its buffer, and a buffer never shrinks: it is
+/// replaced, by one of exactly the size needed, only when it is too
+/// small for the node built in it.
+///
+/// Nodes are filed by the level they finished at, each level's file a
+/// list threaded through the nodes themselves, so filing allocates
+/// nothing. Within one instance size every node of a level is the same
+/// size, so a node from its own level's file has room, and a node from
+/// a shallower level's has more than enough. A terminal clear's dead
+/// queue comes in unread, and its nodes are read and filed only as
+/// nodes are wanted.
+#[derive(Default)]
+pub(crate) struct NodePool {
+    /// `filed[l]`: the first node of level `l`'s file.
+    filed: Vec<Option<Node>>,
+    /// Nodes handed back unread — a terminal clear's dead queue — and
+    /// filed only as a node is wanted.
+    unfiled: Vec<Node>,
+    /// Nodes held, filed or not.
+    held: usize,
+}
+
+impl NodePool {
+    /// This thread's pool, taken for one solve.
+    pub(crate) fn of_this_thread() -> NodePool {
+        POOL.take()
+    }
+
+    /// Put this pool back as this thread's, for its next solve.
+    pub(crate) fn keep(self) {
+        POOL.set(self);
+    }
+
+    /// How many nodes this thread's pool holds.
+    #[cfg(test)]
+    pub(crate) fn held_by_this_thread() -> usize {
+        let pool = NodePool::of_this_thread();
+        let held = pool.held;
+        pool.keep();
+        held
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.held == 0
+    }
+
+    /// Hand back a node the search is done with.
+    pub(crate) fn put(&mut self, node: Node) {
+        NodePool::file(&mut self.filed, node);
+        self.held += 1;
+    }
+
+    fn file(filed: &mut Vec<Option<Node>>, mut node: Node) {
+        let level = usize::from(node.level);
+        if level >= filed.len() {
+            filed.resize_with(level + 1, || None);
+        }
+        node.next = filed[level].take();
+        filed[level] = Some(node);
+    }
+
+    /// Hand back every node of a queue, moved by pointer: no node is
+    /// read.
+    pub(crate) fn put_queue(&mut self, queue: BestFirst) {
+        self.held += queue.len();
+        self.unfiled.reserve(queue.len());
+        self.unfiled.extend(queue.into_nodes());
+    }
+
+    /// Move every node of `other` here.
+    pub(crate) fn append(&mut self, other: &mut NodePool) {
+        self.unfiled.append(&mut other.unfiled);
+        for file in &mut other.filed {
+            while let Some(node) = NodePool::pop(file) {
+                NodePool::file(&mut self.filed, node);
+            }
+        }
+        self.held += mem::take(&mut other.held);
+    }
+
+    /// Move up to `most` nodes here from `other`: its unfiled ones
+    /// first, moved unread, then filed ones, those nearest `level` first.
+    pub(crate) fn borrow(&mut self, other: &mut NodePool, level: u16, most: usize) {
+        let from = other.unfiled.len().saturating_sub(most);
+        let unread = other.unfiled.len() - from;
+        self.unfiled.extend(other.unfiled.drain(from..));
+        (self.held, other.held) = (self.held + unread, other.held - unread);
+        for _ in unread..most {
+            let Some(node) = other.nearest(usize::from(level)) else { break };
+            other.held -= 1;
+            self.put(node);
+        }
+    }
+
+    /// The first node of `file`, unlinked.
+    fn pop(file: &mut Option<Node>) -> Option<Node> {
+        let mut node = file.take()?;
+        *file = node.next.take();
+        Some(node)
+    }
+
+    /// A node to build a child of `level` in: the first of `level`'s
+    /// file, with the unfiled nodes filed until one of `level` turns up;
+    /// else the nearest shallower level's, whose buffers are larger, or
+    /// else the nearest deeper level's.
+    fn take(&mut self, level: usize) -> Option<Node> {
+        let node = match self.filed.get_mut(level).and_then(NodePool::pop) {
+            Some(node) => node,
+            None => self.file_unfiled(level).or_else(|| self.nearest(level))?,
+        };
+        self.held -= 1;
+        Some(node)
+    }
+
+    /// Read and file the unfiled nodes until one of `level` turns up.
+    fn file_unfiled(&mut self, level: usize) -> Option<Node> {
+        while let Some(node) = self.unfiled.pop() {
+            if usize::from(node.level) == level {
+                return Some(node);
+            }
+            NodePool::file(&mut self.filed, node);
+        }
+        None
+    }
+
+    /// The first node of `level`'s file, else of the nearest shallower
+    /// level's, else of the nearest deeper level's.
+    fn nearest(&mut self, level: usize) -> Option<Node> {
+        let shallower = (0..self.filed.len().min(level + 1)).rev();
+        let deeper = level + 1..self.filed.len();
+        shallower.chain(deeper).find_map(|l| NodePool::pop(&mut self.filed[l]))
+    }
+
+    /// A node to build a child of `level` and `words` words in.
+    fn node(&mut self, level: u16, words: usize) -> Node {
+        let node = self.take(usize::from(level));
+        NodePool::fit(node, level, words)
+    }
+
+    /// A node to build a root of `words` words in: the shallowest filed
+    /// node, else the last unfiled one. Few nodes are of level 0, and a
+    /// search for one among the unfiled would read and file a whole dead
+    /// queue at once, so they are left to be read as they are wanted.
+    fn root(&mut self, words: usize) -> Node {
+        let node = self.nearest(0).or_else(|| self.unfiled.pop());
+        self.held -= usize::from(node.is_some());
+        NodePool::fit(node, 0, words)
+    }
+
+    /// `node`, its buffer emptied, or replaced by one of exactly `words`
+    /// if it holds fewer; if there is none, a new node of exactly
+    /// `words`. The caller sets every field.
+    fn fit(node: Option<Node>, level: u16, words: usize) -> Node {
+        let Some(mut node) = node else {
+            return Box::new(SubProblem {
+                bound: 0,
+                level,
+                n: 0,
+                attempts: 0,
+                data: Vec::with_capacity(words),
+                next: None,
+            });
+        };
+        if node.data.capacity() < words {
+            node.data = Vec::with_capacity(words);
+        } else {
+            node.data.clear();
+        }
+        node
+    }
+}
+
+impl Drop for NodePool {
+    /// One node at a time: dropped whole, a file would free its nodes
+    /// one nested call deep each.
+    fn drop(&mut self) {
+        for file in &mut self.filed {
+            while NodePool::pop(file).is_some() {}
+        }
+    }
+}
 
 /// Best-first queue entry, 16 bytes: the whole ordering in one word
 /// beside the node's pointer. An empty slot holds the largest key, so
@@ -654,6 +876,13 @@ impl BestFirst {
         self.len
     }
 
+    /// Every queued node, taken out of the entries without reading one:
+    /// the heap is complete, so the entries fill the positions from the
+    /// root's on.
+    fn into_nodes(mut self) -> impl Iterator<Item = Node> {
+        (ROOT..ROOT + self.len).filter_map(move |position| self.slot(position).node.take())
+    }
+
     /// The key at the root, or the largest there is if nothing is queued.
     fn root_key(&self) -> u64 {
         self.groups.first().map_or(u64::MAX, |g| g.0[ROOT].key)
@@ -680,8 +909,9 @@ impl BestFirst {
     /// The terminal clear is exact: the best node cannot beat the
     /// incumbent, nothing behind it has a smaller bound, and the
     /// incumbent only ever falls — so every queued node would be taken
-    /// and pruned one by one. The caller counts them as pruned and
-    /// drops them, outside any lock it holds. A batch stops short of
+    /// and pruned one by one. The caller counts them as pruned and hands
+    /// them back to a [`NodePool`] ([`NodePool::put_queue`]), outside any
+    /// lock it holds. A batch stops short of
     /// `most` at the first node that cannot beat the incumbent, and
     /// leaves it queued for the step that clears.
     pub(crate) fn exchange(
@@ -751,10 +981,12 @@ impl BestFirst {
 }
 
 /// Sequential best-first search from the root of `inst`, calling
-/// `before_expand` on each node about to be expanded. Returns the
-/// optimal tour cost and search statistics.
+/// `before_expand` on each node about to be expanded, with its nodes
+/// drawn from and handed back to `pool`. Returns the optimal tour cost
+/// and search statistics.
 pub(crate) fn best_first_search(
     inst: &TspInstance,
+    pool: &mut NodePool,
     mut before_expand: impl FnMut(&SubProblem),
 ) -> (u32, SearchStats) {
     let mut stats = SearchStats::default();
@@ -764,45 +996,59 @@ pub(crate) fn best_first_search(
     // The children of the last node expanded, in push order, and then
     // the node the next step hands over.
     let mut hand: Vec<Node> = Vec::with_capacity(2);
-    hand.push(Box::new(SubProblem::root(inst)));
+    hand.push(SubProblem::root_in(inst, pool));
     loop {
         if let Err(dead) = queue.exchange(&mut hand, best, 1) {
             stats.pruned += dead.len() as u64;
+            pool.put_queue(dead);
             return (best, stats);
         }
         let mut node = hand.pop().expect("a step that goes through hands over a node");
         before_expand(&node);
         stats.expanded += 1;
-        match node.expand_in_place(&mut scratch) {
+        match node.expand_pooled(&mut scratch, pool) {
             Expanded::Tour { cost, .. } => {
                 stats.tours += 1;
                 best = best.min(cost);
+                pool.put(node);
             }
             Expanded::Branched { include, exclude } => {
-                for child in include.into_iter().chain(exclude.then_some(node)) {
+                let exclude = if exclude {
+                    Some(node)
+                } else {
+                    pool.put(node);
+                    None
+                };
+                for child in include.into_iter().chain(exclude) {
                     if child.bound < best {
                         stats.generated += 1;
                         hand.push(child);
                     } else {
                         stats.pruned += 1;
+                        pool.put(child);
                     }
                 }
             }
-            Expanded::Dead => {}
+            Expanded::Dead => pool.put(node),
         }
     }
 }
 
 /// Sequential best-first LMSK solver (the paper's sequential baseline).
-/// Returns the optimal tour cost and search statistics.
+/// Returns the optimal tour cost and search statistics. Its nodes come
+/// from, and go back to, the calling thread's pool.
 pub fn solve_sequential(inst: &TspInstance) -> (u32, SearchStats) {
-    best_first_search(inst, |_| {})
+    let mut pool = NodePool::of_this_thread();
+    let solved = best_first_search(inst, &mut pool, |_| {});
+    pool.keep();
+    solved
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cmp::Reverse;
+    use std::iter;
     use std::collections::BinaryHeap;
 
     #[test]
@@ -1085,6 +1331,7 @@ mod tests {
                 n: node.n,
                 attempts: node.attempts,
                 data,
+                next: None,
             })
         })
     }
@@ -1102,7 +1349,7 @@ mod tests {
         let cell = cell?;
         let child = |c: Option<Node>| c.map(|c| (c.bound, c.data.clone()));
         assert_eq!(
-            child(node.include_child(&cell)),
+            child(node.include_child(&cell, &mut NodePool::default())),
             child(fully_reduced_include_child(node, &cell)),
             "branching on ({}, {}) of {:?}",
             cell.row,
@@ -1177,6 +1424,7 @@ mod tests {
             n: (k + 1) as u16,
             attempts: 0,
             data,
+            next: None,
         }
     }
 
@@ -1226,7 +1474,112 @@ mod tests {
             n: 0,
             attempts: u32::from(id % 3),
             data: Vec::new(),
+            next: None,
         })
+    }
+
+    /// A finished node of `level` whose buffer holds `words` words of
+    /// junk.
+    fn stale(level: u16, words: usize) -> Node {
+        let mut node = stub(7, level);
+        node.data = vec![9; words];
+        node
+    }
+
+    /// Whatever the pooled node held — a larger buffer or one too small,
+    /// of the child's level, a shallower one or a deeper one — the child
+    /// built in it is the child a new node holds, and an infeasible one
+    /// goes back to the pool.
+    #[test]
+    fn a_child_built_in_a_pooled_node_is_the_child_a_new_node_holds() {
+        let (mut scratch, mut built) = (Vec::new(), 0);
+        for seed in 0..4 {
+            let inst = TspInstance::random_euclidean(12, 500, seed);
+            let mut node = Box::new(SubProblem::root(&inst));
+            while node.k() > 2 {
+                let level = node.level + 1;
+                let Expanded::Branched { include: want, exclude } = node.clone().expand_in_place(&mut scratch) else {
+                    break;
+                };
+                for (at, words) in [(level, 400), (level, 1), (0, 400), (level + 3, 1)] {
+                    let mut pool = NodePool::default();
+                    pool.put(stale(at, words));
+                    let got = match node.clone().expand_pooled(&mut scratch, &mut pool) {
+                        Expanded::Branched { include, .. } => include,
+                        _ => panic!("the same node branches the same way"),
+                    };
+                    let child = |c: &Option<Node>| c.as_ref().map(|c| (c.bound, c.level, c.n, c.attempts, c.data.clone()));
+                    assert_eq!(child(&got), child(&want), "from a node of level {at} holding {words} words");
+                    assert_eq!(pool.held, usize::from(got.is_none()), "the child is built in the pooled node");
+                    built += usize::from(got.is_some());
+                }
+                match (want, exclude) {
+                    (Some(include), _) => node = include,
+                    // The node becomes its own exclude child.
+                    (None, true) => {
+                        node.expand_in_place(&mut scratch);
+                    }
+                    (None, false) => break,
+                }
+            }
+        }
+        assert!(built > 20, "{built} children built in pooled nodes");
+    }
+
+    #[test]
+    fn the_pool_takes_its_own_level_then_the_unfiled_then_shallower_then_deeper() {
+        let mut pool = NodePool::default();
+        for (level, words) in [(1, 100), (3, 60), (5, 20)] {
+            pool.put(stale(level, words));
+        }
+        let mut dead = BestFirst::default();
+        for (level, words) in [(4, 30), (2, 80)] {
+            dead.push(stale(level, words));
+        }
+        pool.put_queue(dead);
+        assert_eq!(pool.held, 5);
+        // Neither unfiled node is of level 3: both are filed on the way.
+        let taken: Vec<u16> = iter::from_fn(|| pool.take(3)).map(|node| node.level).collect();
+        assert_eq!(taken, [3, 2, 1, 4, 5]);
+        assert!(pool.is_empty());
+    }
+
+    #[test]
+    fn a_borrow_moves_unfiled_nodes_first_then_the_nearest_filed() {
+        let mut lender = NodePool::default();
+        for level in [1, 2, 6] {
+            lender.put(stale(level, 8));
+        }
+        let mut dead = BestFirst::default();
+        for level in [4, 4, 4] {
+            dead.push(stale(level, 8));
+        }
+        lender.put_queue(dead);
+        let mut pool = NodePool::default();
+        pool.borrow(&mut lender, 3, 2);
+        assert_eq!((pool.held, pool.unfiled.len(), lender.held), (2, 2, 4));
+        pool.borrow(&mut lender, 3, 3);
+        assert_eq!((pool.held, pool.unfiled.len(), lender.held), (5, 3, 1));
+        let left: Vec<u16> = iter::from_fn(|| lender.take(0)).map(|node| node.level).collect();
+        assert_eq!(left, [6], "levels 2 and 1, nearest level 3 from above, were lent");
+    }
+
+    #[test]
+    fn a_long_file_is_dropped_one_node_at_a_time() {
+        // Dropped whole, a file of this length would take a nested call
+        // per node, far past the thread's 64 KiB of stack.
+        let dropped = std::thread::Builder::new()
+            .stack_size(64 << 10)
+            .spawn(|| {
+                let mut pool = NodePool::default();
+                for _ in 0..20_000 {
+                    pool.put(stub(0, 1));
+                }
+                drop(pool);
+            })
+            .expect("a thread to drop the pool on")
+            .join();
+        assert!(dropped.is_ok());
     }
 
     /// `BestFirst` beside what it replaced the order of: a binary heap

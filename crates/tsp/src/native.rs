@@ -43,10 +43,13 @@
 //! at its next step. If the best
 //! queued node cannot beat the incumbent, nothing behind it can either,
 //! so the same critical section takes the whole queue out, to be counted
-//! as pruned and dropped after the lock is released. A node is expanded
-//! where it lies: the include child is built from it, then it is turned
-//! into its own exclude child, so a step allocates one node (its box and
-//! its one buffer) and the queue step frees none. A queue entry is 16
+//! as pruned and handed back, after the lock is released, to the
+//! searcher's node pool: pointers move, no node is read. A node is
+//! expanded where it lies: the include child is built from it, then it
+//! is turned into its own exclude child, so an expansion needs one node,
+//! built in a pooled one. Every node the search is done with goes back
+//! to a pool, and nothing is freed while the calling thread keeps
+//! solving (see *Node pools* below). A queue entry is 16
 //! bytes — `(bound << 32) | seq` beside the node's pointer — in a 4-ary
 //! heap whose sibling groups are one cache line each, so a level of a
 //! sift is one line. The least child of a step is the next node or
@@ -54,6 +57,20 @@
 //! pushed, and no pop sinks the last entry the whole way down. The FIFO
 //! sequence number is a counter beside the heap, under the same lock.
 //! The thread that calls [`solve_native`] is searcher 0.
+//!
+//! ## Node pools
+//!
+//! The thread that calls [`solve_native`] keeps a [`NodePool`] from one
+//! solve to the next, and lends it to the run (`Shared::pool`). Each
+//! searcher builds its children in nodes from a pool of its own
+//! (`Shared::pools`), locked once per batch it expands, and hands its
+//! finished nodes back to it: a node pruned in hand, one that completed
+//! a tour or died, a child pruned at birth. A searcher whose pool runs
+//! dry borrows [`LEND`] nodes from the run's pool under one lock. A
+//! terminal clear's dead queue goes whole to the pool of the searcher
+//! that cleared it, whose lock no one else contends. When the run ends
+//! every pool goes back to the calling thread, so no node is freed on
+//! the way and a helper thread ends holding none.
 //!
 //! Termination mirrors the simulated solver's protocol, generalized to
 //! many queues: an idle searcher retires from the active count and
@@ -98,7 +115,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use adaptive_native::{
@@ -107,7 +124,7 @@ use adaptive_native::{
 };
 
 use crate::instance::{TspInstance, INF};
-use crate::lmsk::{BestFirst, Expanded, Node, SearchStats, SubProblem};
+use crate::lmsk::{BestFirst, Expanded, Node, NodePool, SearchStats, SubProblem};
 
 /// Which shared-abstraction structure the native solver uses — the
 /// real-thread counterpart of the simulator's [`Variant`](crate::Variant).
@@ -346,11 +363,32 @@ impl BestSlot {
 /// child in push order, for the next step to queue.
 type Stash = Vec<Node>;
 
+/// Nodes a searcher borrows from the run's pool when its own runs dry:
+/// one lock of the run's pool for this many nodes. At 16 a two-searcher
+/// solve of the benchmark's instances spent 1.8–3.4 % of its wall time
+/// borrowing, at 64 under 0.9 %.
+const LEND: usize = 64;
+
+/// A node pool behind a lock that a panic may have poisoned: a pool is
+/// whole after every call, so the poison is ignored.
+fn lock_pool(pool: &Mutex<NodePool>) -> MutexGuard<'_, NodePool> {
+    pool.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct Shared {
     variant: NativeVariant,
     queues: Vec<QueueSlot>,
     best: Vec<BestSlot>,
     stats: Arc<AdaptiveMutex<SearchStats>>,
+    /// The pool of the thread that called [`solve_native`], lent for
+    /// the run, and the nodes the supervisor drops.
+    pool: Mutex<NodePool>,
+    /// Each searcher's own pool, locked once a batch: its children are
+    /// built in its nodes, and its finished nodes and the dead queue of
+    /// its terminal clear go back to it. It borrows [`LEND`] nodes from
+    /// `pool` when it runs dry, and every node it holds goes back to the
+    /// calling thread when the run ends.
+    pools: Vec<CachePadded<Mutex<NodePool>>>,
     /// Searchers currently holding or producing work.
     active: AtomicUsize,
     done: AtomicBool,
@@ -389,6 +427,8 @@ impl Shared {
             queues: (0..queue_count).map(|_| QueueSlot::new(cfg.policy)).collect(),
             best: (0..best_count).map(|_| BestSlot::new(cfg.policy)).collect(),
             stats: Arc::new(cfg.policy.build_mutex(SearchStats::default())),
+            pool: Mutex::default(),
+            pools: (0..searchers).map(|_| CachePadded::new(Mutex::default())).collect(),
             active: AtomicUsize::new(searchers),
             done: AtomicBool::new(false),
             take: if cfg.variant == NativeVariant::Centralized && searchers > 1 {
@@ -532,7 +572,8 @@ impl Shared {
     ///
     /// If the best queued node cannot beat the incumbent, nothing
     /// queued can: the whole queue comes out at once, is counted as
-    /// pruned, and is dropped after the lock is released.
+    /// pruned, and goes back to `worker`'s own pool after the lock is
+    /// released, by pointer, no node read.
     ///
     /// The injection point (`inject`; off for the residual drain) sits
     /// before any queue edit: a holder that dies there has pushed no
@@ -569,6 +610,7 @@ impl Shared {
             Ok(()) => true,
             Err(dead) => {
                 local.pruned += dead.len() as u64;
+                lock_pool(&self.pools[worker]).put_queue(dead);
                 false
             }
         }
@@ -648,7 +690,7 @@ impl Shared {
     /// node. While a node is under expansion, `untouched` counts the
     /// nodes of the batch behind it, which its supervisor requeues
     /// without charging them ([`Shared::requeue_in_hand`]); it is 0
-    /// everywhere else.
+    /// everywhere else. `worker`'s pool is locked for the whole batch.
     fn expand_batch(
         &self,
         worker: usize,
@@ -658,9 +700,13 @@ impl Shared {
         scratch: &mut Vec<u32>,
         mut completed: impl FnMut(),
     ) {
+        let mut pool = lock_pool(&self.pools[worker]);
         for left in (0..in_flight.len()).rev() {
+            if pool.is_empty() {
+                pool.borrow(&mut lock_pool(&self.pool), in_flight[0].level + 1, LEND);
+            }
             untouched.set(left);
-            self.expand_node(worker, in_flight, local, scratch);
+            self.expand_node(worker, in_flight, local, scratch, &mut pool);
             untouched.set(0);
             completed();
         }
@@ -691,6 +737,7 @@ impl Shared {
                 self.requeued.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
+                lock_pool(&self.pool).put(lost);
             }
         }
     }
@@ -700,13 +747,17 @@ impl Shared {
     /// back of the stash the children that can still beat the
     /// incumbent, in push order. The node stays stashed until its
     /// children stand in its place, so a panic on the way (the best-tour
-    /// update can die) still finds it there.
+    /// update can die) still finds it there. The include child is built
+    /// in a node from `pool`, and every node finished with here — the
+    /// pruned node, a completed or dead one, a pruned child — goes back
+    /// to it.
     fn expand_node(
         &self,
         worker: usize,
         in_flight: &mut Stash,
         local: &mut SearchStats,
         scratch: &mut Vec<u32>,
+        pool: &mut NodePool,
     ) {
         let node = &mut in_flight[0];
         let branched = if node.bound >= self.read_best(worker) {
@@ -714,7 +765,7 @@ impl Shared {
             None
         } else {
             local.expanded += 1;
-            match node.expand_in_place(scratch) {
+            match node.expand_pooled(scratch, pool) {
                 Expanded::Tour { cost, .. } => {
                     local.tours += 1;
                     if cost < self.read_best(worker) {
@@ -727,16 +778,25 @@ impl Shared {
             }
         };
         let node = in_flight.remove(0);
-        if let Some((include, exclude)) = branched {
-            let incumbent = self.read_best(worker);
-            // The node is now its own exclude child, if it has one.
-            for child in include.into_iter().chain(exclude.then_some(node)) {
-                if child.bound < incumbent {
-                    local.generated += 1;
-                    in_flight.push(child);
-                } else {
-                    local.pruned += 1;
-                }
+        let Some((include, exclude)) = branched else {
+            pool.put(node);
+            return;
+        };
+        // The node is now its own exclude child, if it has one.
+        let exclude = if exclude {
+            Some(node)
+        } else {
+            pool.put(node);
+            None
+        };
+        let incumbent = self.read_best(worker);
+        for child in include.into_iter().chain(exclude) {
+            if child.bound < incumbent {
+                local.generated += 1;
+                in_flight.push(child);
+            } else {
+                local.pruned += 1;
+                pool.put(child);
             }
         }
     }
@@ -794,8 +854,11 @@ fn merge_mutex_stats<'a>(stats: impl Iterator<Item = &'a MutexStats>) -> MutexSt
 /// [`NativeResult::dropped`], can compromise exactness).
 pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
     let searchers = cfg.searchers.max(1);
-    let shared = Shared::new(&cfg, searchers);
-    shared.requeue(0, Box::new(SubProblem::root(inst)));
+    let mut shared = Shared::new(&cfg, searchers);
+    // The calling thread's pool, lent to the run and taken back after it.
+    let mut pool = NodePool::of_this_thread();
+    shared.requeue(0, SubProblem::root_in(inst, &mut pool));
+    shared.pool = Mutex::new(pool);
 
     // Under a fault plan, the mutexes themselves consult the plan
     // (dropped/delayed unparks, stalled monitor samples); the parker's
@@ -841,6 +904,11 @@ pub fn solve_native(inst: &TspInstance, cfg: NativeTspConfig) -> NativeResult {
         .min()
         .unwrap_or(INF);
     let stats = *shared.stats.lock();
+    let mut pool = std::mem::take(&mut *lock_pool(&shared.pool));
+    for own in &shared.pools {
+        pool.append(&mut lock_pool(own));
+    }
+    pool.keep();
     NativeResult {
         best,
         stats,
@@ -1336,7 +1404,7 @@ mod tests {
         let sh = Shared::new(&cfg, 1);
         let mut local = SearchStats::default();
         let mut stash: Stash = vec![Box::new(SubProblem::root(&inst))];
-        sh.expand_node(0, &mut stash, &mut local, &mut Vec::new());
+        sh.expand_node(0, &mut stash, &mut local, &mut Vec::new(), &mut NodePool::default());
         let name = |node: &Node| (node.bound, node.level, node.work_cells());
         let children: Vec<_> = stash.iter().map(name).collect();
         assert_eq!(children.len(), 2, "the root branches both ways");
@@ -1525,5 +1593,56 @@ mod tests {
             assert_eq!(res.best, oracle, "{}: residual drain over the ring", variant.label());
             assert_eq!(res.workers_died, 3);
         }
+    }
+
+    /// Run `f` on a thread of its own, whose pool starts empty.
+    fn on_a_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::spawn(f).join().expect("the thread finishes")
+    }
+
+    /// Solve `inst` with `searchers` centralized searchers; the pool's
+    /// node count on this thread afterwards.
+    fn pooled_after(inst: &TspInstance, searchers: usize) -> usize {
+        let res = solve_native(
+            inst,
+            NativeTspConfig {
+                searchers,
+                ..NativeTspConfig::default()
+            },
+        );
+        assert_eq!(res.best, inst.held_karp());
+        NodePool::held_by_this_thread()
+    }
+
+    #[test]
+    fn the_pool_keeps_the_largest_solves_peak_and_nothing_more() {
+        let small = TspInstance::random_euclidean(12, 500, 3);
+        let large = TspInstance::random_euclidean(14, 500, 3);
+        // The nodes a fresh thread holds after the larger search alone:
+        // every node it ever made, which is what it had out at once.
+        let peak = on_a_fresh_thread({
+            let large = large.clone();
+            move || pooled_after(&large, 1)
+        });
+        on_a_fresh_thread(move || {
+            // One searcher: the first solve sets the count, and solving
+            // the same instance again builds every node in a pooled one.
+            let first = pooled_after(&small, 1);
+            assert!(0 < first && first < peak, "{first} pooled after the small search, {peak} after the large");
+            for _ in 0..3 {
+                assert_eq!(pooled_after(&small, 1), first, "a repeated solve made nodes");
+            }
+            // A larger instance after smaller ones: its peak, exactly.
+            assert_eq!(pooled_after(&large, 1), peak);
+            // Two searchers out of a pool the larger search sized. How
+            // many nodes two searchers have out at once moves with the
+            // race by a few, so their repeated solves run where the pool
+            // covers any of them: none may make a node, and the larger
+            // search after them finds its peak, not more.
+            for _ in 0..3 {
+                assert_eq!(pooled_after(&small, 2), peak, "two searchers made nodes");
+                assert_eq!(pooled_after(&large, 1), peak);
+            }
+        });
     }
 }

@@ -23,7 +23,7 @@ use butterfly_sim::{ctx, Duration, NodeId, ProcId, SimCell};
 use cthreads::fork;
 
 use crate::instance::TspInstance;
-use crate::lmsk::{best_first_search, Expanded, SearchStats, SubProblem};
+use crate::lmsk::{best_first_search, Expanded, NodePool, SearchStats, SubProblem};
 use crate::shared::{ActiveCounter, BestTour, LockImpl, WorkQueue};
 
 /// Which shared-abstraction structure to use.
@@ -255,6 +255,10 @@ impl App {
 fn searcher(app: &App, me: usize) -> SearchStats {
     let mut stats = SearchStats::default();
     let mut scratch = Vec::new();
+    // A pool of the searcher's own. The simulated queues move nodes by
+    // value, so nothing comes back to it and each include child is a new
+    // node: the host's allocator is not what this solver measures.
+    let mut pool = NodePool::default();
     'outer: loop {
         match app.take_work(me) {
             Some(mut sp) => {
@@ -267,7 +271,7 @@ fn searcher(app: &App, me: usize) -> SearchStats {
                     app.cfg.expand_ns_per_cell * sp.work_cells(),
                 ));
                 stats.expanded += 1;
-                match sp.expand_in_place(&mut scratch) {
+                match sp.expand_pooled(&mut scratch, &mut pool) {
                     Expanded::Tour { cost, .. } => {
                         stats.tours += 1;
                         app.record_tour();
@@ -428,7 +432,7 @@ pub fn solve_sequential_timed(
     expand_ns_per_cell: u64,
 ) -> (u32, SearchStats, Duration) {
     let t0 = ctx::now();
-    let (best, stats) = best_first_search(inst, |sp| {
+    let (best, stats) = best_first_search(inst, &mut NodePool::default(), |sp| {
         ctx::advance(Duration::nanos(expand_ns_per_cell * sp.work_cells()));
     });
     (best, stats, ctx::now().since(t0))
