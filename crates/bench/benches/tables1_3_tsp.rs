@@ -5,7 +5,7 @@
 //!
 //! Paper setup: 32-city instance, 10 processors, one searcher per
 //! processor, on a BBN Butterfly GP1000. Here: a seeded random Euclidean
-//! instance of 32 cities (`EXPERIMENT_SCALE=full`) or 18 cities
+//! instance of 32 cities (`EXPERIMENT_SCALE=full`) or 24 cities
 //! (default quick scale) on the simulated Butterfly.
 //!
 //! Shape targets (the paper's absolute milliseconds are testbed

@@ -416,7 +416,7 @@ impl AdaptationPolicy<NativeObservation> for NativeSimpleAdapt {
 /// engine that maximum tracks `waiting × holding time`; when a barging
 /// spin-park lock starts re-granting to the thread whose line is hot,
 /// one victim's wait stretches far beyond it (the per-thread spread
-/// collapse `BENCH_native_fairness.json` measures offline, here read
+/// collapse `crowd`'s fairness cells measure offline, here read
 /// from one atomic `fetch_max`). `patience` consecutive unfair samples
 /// (a worst wait of at least `unfair_wait_nanos`) migrate the lock to
 /// the strict-FIFO ticket engine; `patience` consecutive calm samples

@@ -3,59 +3,51 @@
 //! The paper's lock experiments are defined by a handful of knobs —
 //! thread count, critical-section length, think time, waiting policy —
 //! not by where they run. [`ContentionSpec`] captures the knobs once;
-//! [`run_contention`] executes the same workload either on the
-//! butterfly simulator (virtual time, deterministic) or on OS threads
-//! through [`adaptive_native::AdaptiveMutex`] (wall time, real
-//! hardware), so sim results and native results populate the same
-//! tables. [`PolicyChoice`] maps onto the simulator's [`LockSpec`] via
-//! [`sim_lock_spec`].
+//! [`run_contention`] executes the same workload on OS threads through
+//! [`adaptive_native::AdaptiveMutex`] or, with the `async-backend`
+//! feature, as tasks through [`asyncx::AsyncAdaptiveMutex`] (wall time,
+//! real hardware). The simulator's contention runner is
+//! [`crate::csweep::run_once`], which takes a [`crate::LockSpec`].
 //!
 //! ## Measurement discipline
 //!
 //! Both executions follow the same rules, so their rows are comparable:
 //!
-//! * **The clock excludes setup.** Native workers rendezvous on a start
+//! * **The clock excludes setup.** Workers rendezvous on a start
 //!   barrier and the clock starts immediately *before* the barrier
-//!   release (the same fix `lockbench` carries: started after our own
-//!   `wait()` returns, a single-core host can run the workers to
-//!   completion before the main thread is rescheduled; started before
-//!   spawn, the row measures thread-creation cost instead of lock
-//!   behavior). The simulator forks in zero virtual time, so its clock
-//!   needs no barrier.
+//!   release: started after our own `wait()` returns, a single-core
+//!   host can run the workers to completion before the main thread is
+//!   rescheduled; started before spawn, the row measures
+//!   thread-creation cost instead of lock behavior.
 //! * **Per-thread accounting.** Every worker tallies its own completed
 //!   ops, its summed *acquisition latency* (enter-to-acquired: from
 //!   just before the lock call to the first instruction of the critical
 //!   section), and its own elapsed time from the common epoch to its
 //!   last completed op. Those feed the fairness fields of every row
 //!   ([`ContentionPoint::fairness_index`] and the min/max per-thread
-//!   throughput spread) on both backends.
+//!   throughput spread).
 //! * **Honest latency names.** `mean_latency_nanos` is measured
 //!   acquisition latency. The old quantity — total wall time divided by
-//!   op count, which bakes think time and backend scheduling into a
-//!   number that was *called* latency — survives under the honest name
-//!   [`ContentionPoint::wall_nanos_per_op`], so JSON consumers migrate
-//!   deliberately instead of silently reading a different metric.
+//!   op count, which bakes think time and scheduling into a number
+//!   that was *called* latency — survives under the honest name
+//!   [`ContentionPoint::wall_nanos_per_op`].
 //! * **Lost updates fail loudly.** The shared counter is re-checked
 //!   against `threads × iters` with an always-on `assert_eq!`, not a
-//!   `debug_assert!`: perf sweeps run `--release`, which is exactly
-//!   where a release-only engine bug would otherwise pass silently.
+//!   `debug_assert!`: sweeps run `--release`, which is exactly where a
+//!   release-only engine bug would otherwise pass silently.
 
 use adaptive_native::PolicyChoice;
-use butterfly_sim::{self as sim, ctx, Duration as SimDuration, ProcId, SimConfig};
-use cthreads::fork;
-use serde::Serialize;
-use std::sync::{Arc, Barrier, OnceLock};
+#[cfg(feature = "async-backend")]
+use std::sync::Arc;
+use std::sync::{Barrier, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::fairness::spread_stats;
 use crate::measure::LatencyHistogram;
-use crate::spec::LockSpec;
 
 /// Where a workload runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The butterfly simulator (virtual time; deterministic).
-    Sim,
     /// Real OS threads on the host (wall time).
     Native,
     /// Tasks on an asyncx multi-thread runtime contending through the
@@ -70,7 +62,6 @@ impl Backend {
     /// Label used in report rows.
     pub fn label(&self) -> &'static str {
         match self {
-            Backend::Sim => "sim",
             Backend::Native => "native",
             #[cfg(feature = "async-backend")]
             Backend::Async => "async",
@@ -87,33 +78,17 @@ pub struct ContentionSpec {
     pub threads: usize,
     /// Lock/unlock iterations per thread.
     pub iters: u32,
-    /// Critical-section length, in nanoseconds (virtual on sim, busy
-    /// work on native).
+    /// Critical-section length, in nanoseconds of busy work.
     pub cs_nanos: u64,
     /// Think time between critical sections, in nanoseconds.
     pub think_nanos: u64,
     /// The waiting policy under test.
     pub policy: PolicyChoice,
-    /// Simulator seed (ignored by the native backend).
-    pub seed: u64,
 }
 
-impl Default for ContentionSpec {
-    fn default() -> Self {
-        ContentionSpec {
-            threads: 4,
-            iters: 100,
-            cs_nanos: 1_000,
-            think_nanos: 1_000,
-            policy: PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            seed: 0x51ee9,
-        }
-    }
-}
-
-/// One measured point, backend-tagged so sim and native rows can sit in
-/// the same table.
-#[derive(Debug, Clone, Serialize)]
+/// One measured point, backend-tagged so native and async rows can sit
+/// in the same table.
+#[derive(Debug, Clone)]
 pub struct ContentionPoint {
     /// Which backend produced the point.
     pub backend: String,
@@ -121,16 +96,10 @@ pub struct ContentionPoint {
     pub policy: String,
     /// Worker threads.
     pub threads: usize,
-    /// Critical-section length (ns).
-    pub cs_nanos: u64,
-    /// Total execution time (virtual ns on sim, wall ns on native),
-    /// measured from the start-barrier release — thread spawn excluded.
+    /// Total wall time (ns), measured from the start-barrier release —
+    /// thread spawn excluded.
     pub total_nanos: u64,
-    /// Native only: more worker threads than host hardware parallelism,
-    /// so the point measures scheduler time-slicing, not contention.
-    /// Always `false` for the simulator, which models its own processors.
-    pub oversubscribed: bool,
-    /// Lock acquisitions per second of (virtual or wall) time.
+    /// Lock acquisitions per second of wall time.
     pub throughput_per_sec: f64,
     /// Total time divided by total ops (ns). This is *not* latency — it
     /// includes think time and scheduling — but it is the per-op pace
@@ -158,33 +127,14 @@ pub struct ContentionPoint {
     pub thread_spread: f64,
 }
 
-/// The simulator lock corresponding to a native policy choice.
-pub fn sim_lock_spec(policy: PolicyChoice) -> LockSpec {
-    use adaptive_native::LockAlgorithm;
-    match policy {
-        PolicyChoice::FixedSpin(k) => LockSpec::Combined(k),
-        PolicyChoice::PureBlocking => LockSpec::Blocking,
-        PolicyChoice::Adaptive { threshold, n } => LockSpec::Adaptive { threshold, n },
-        // Each native engine maps to its simulator cousin; the
-        // flat-combining engine has no sim twin, so it maps to the
-        // plain spin lock its waiters degrade to when nothing combines.
-        PolicyChoice::Algorithm(LockAlgorithm::Ticket) => LockSpec::Ticket,
-        PolicyChoice::Algorithm(LockAlgorithm::Combining) => LockSpec::Spin,
-        PolicyChoice::Algorithm(LockAlgorithm::SpinPark) => LockSpec::Combined(64),
-        PolicyChoice::FairAdaptive { .. } => LockSpec::Adaptive { threshold: 2, n: 32 },
-    }
-}
-
 /// What a worker does per op: critical-section work and think-time
 /// work, each either a calibrated wall-clock burn (`Nanos`) or a raw
-/// busy-loop iteration count (`Iters`, the dlock2-style unit). On the
-/// simulator both advance virtual time, one virtual nanosecond per
-/// iteration.
+/// busy-loop iteration count (`Iters`, the dlock2-style unit).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Work {
-    /// Busy-wait for this many wall nanoseconds (virtual on sim).
+    /// Busy-wait for this many wall nanoseconds.
     Nanos(u64),
-    /// Spin this many loop iterations (≈1 virtual ns each on sim).
+    /// Spin this many loop iterations.
     Iters(u32),
 }
 
@@ -193,13 +143,6 @@ impl Work {
         match self {
             Work::Nanos(n) => busy_wait(Duration::from_nanos(n)),
             Work::Iters(n) => busy_iters(n),
-        }
-    }
-
-    fn sim_duration(self) -> SimDuration {
-        match self {
-            Work::Nanos(n) => SimDuration::nanos(n),
-            Work::Iters(n) => SimDuration::nanos(u64::from(n)),
         }
     }
 }
@@ -218,7 +161,7 @@ pub(crate) struct WorkerPlan {
 }
 
 /// What one worker measured about itself.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThreadSample {
     /// Ops this thread completed (always its full `iters` quota — the
     /// workload is iteration-bounded — but tallied by the worker itself
@@ -226,8 +169,8 @@ pub struct ThreadSample {
     pub ops: u64,
     /// Summed enter-to-acquired acquisition latency across those ops (ns).
     pub latency_nanos: u64,
-    /// This thread's elapsed time from the common epoch (barrier
-    /// release / sim fork point) to its last completed op (ns).
+    /// This thread's elapsed time from the common epoch (the
+    /// start-barrier release) to its last completed op (ns).
     pub elapsed_nanos: u64,
 }
 
@@ -240,7 +183,6 @@ pub fn run_contention(backend: Backend, spec: &ContentionSpec) -> ContentionPoin
     };
     let plans = vec![plan; spec.threads];
     let (total_nanos, samples, hist) = match backend {
-        Backend::Sim => run_sim_plans(spec.policy, &plans, spec.seed),
         Backend::Native => run_native_plans(spec.policy, &plans, Duration::ZERO),
         #[cfg(feature = "async-backend")]
         Backend::Async => run_async_plans(spec.policy, &plans),
@@ -251,10 +193,7 @@ pub fn run_contention(backend: Backend, spec: &ContentionSpec) -> ContentionPoin
         backend: backend.label().into(),
         policy: spec.policy.label(),
         threads: spec.threads,
-        cs_nanos: spec.cs_nanos,
         total_nanos,
-        oversubscribed: matches!(backend, Backend::Native)
-            && spec.threads > std::thread::available_parallelism().map_or(1, |n| n.get()),
         throughput_per_sec: ops as f64 / (total_nanos.max(1) as f64 / 1e9),
         wall_nanos_per_op: total_nanos as f64 / ops.max(1) as f64,
         mean_latency_nanos: s.mean_latency_nanos,
@@ -265,72 +204,6 @@ pub fn run_contention(backend: Backend, spec: &ContentionSpec) -> ContentionPoin
         max_thread_ops_per_sec: s.max_thread_ops_per_sec,
         thread_spread: s.thread_spread,
     }
-}
-
-/// Run per-worker plans on the simulator; returns total virtual time,
-/// per-thread samples, and the merged per-op acquisition-latency
-/// histogram (all in virtual nanoseconds).
-pub(crate) fn run_sim_plans(
-    policy: PolicyChoice,
-    plans: &[WorkerPlan],
-    seed: u64,
-) -> (u64, Vec<ThreadSample>, LatencyHistogram) {
-    use adaptive_locks::{with_lock, Lock};
-
-    let processors = plans.len().max(1);
-    let sim_cfg = SimConfig {
-        processors,
-        quantum: Some(SimDuration::millis(2)),
-        seed,
-        ..SimConfig::default()
-    };
-    let plans = plans.to_vec();
-    let ((total, samples, hist), _) = sim::run(sim_cfg, move || {
-        let lock: Arc<dyn Lock> = sim_lock_spec(policy).build(ctx::current_node());
-        let t0 = ctx::now();
-        let handles: Vec<_> = plans
-            .iter()
-            .enumerate()
-            .map(|(i, plan)| {
-                let lock = Arc::clone(&lock);
-                let plan = *plan;
-                fork(ProcId(i % processors), format!("w{i}"), move || {
-                    let mut ops = 0u64;
-                    let mut latency_nanos = 0u64;
-                    let mut hist = LatencyHistogram::new();
-                    for _ in 0..plan.iters {
-                        let enter = ctx::now();
-                        with_lock(lock.as_ref(), || {
-                            let waited = ctx::now().since(enter).as_nanos();
-                            latency_nanos += waited;
-                            hist.record(waited);
-                            ctx::advance(plan.cs.sim_duration());
-                        });
-                        ops += 1;
-                        ctx::advance(plan.think.sim_duration());
-                    }
-                    let sample = ThreadSample {
-                        ops,
-                        latency_nanos,
-                        elapsed_nanos: ctx::now().since(t0).as_nanos().max(1),
-                    };
-                    (sample, hist)
-                })
-            })
-            .collect();
-        let mut hist = LatencyHistogram::new();
-        let samples: Vec<ThreadSample> = handles
-            .into_iter()
-            .map(|h| {
-                let (sample, h) = h.join();
-                hist.merge(&h);
-                sample
-            })
-            .collect();
-        (ctx::now().since(t0).as_nanos(), samples, hist)
-    })
-    .expect("contention simulation runs to completion");
-    (total, samples, hist)
 }
 
 /// Run per-worker plans on OS threads through an [`adaptive_native`]
@@ -372,7 +245,7 @@ pub(crate) fn run_native_plans(
         }
         (ops, latency_nanos, hist)
     });
-    // Always-on (not debug_assert!): perf sweeps run --release, which
+    // Always-on (not debug_assert!): sweeps run --release, which
     // is exactly where a release-only lost-update bug in an engine
     // would otherwise pass silently.
     assert_eq!(
@@ -387,7 +260,7 @@ pub(crate) fn run_native_plans(
 /// onto poll budgets (the async `spin` attribute); the engine-zoo
 /// choices have no async twin — the async mutex has one engine — so
 /// they run the default adaptive policy, keeping every sweep row
-/// populated on all three backends.
+/// populated on both backends.
 #[cfg(feature = "async-backend")]
 fn async_mutex_for(policy: PolicyChoice, value: u64) -> asyncx::AsyncAdaptiveMutex<u64> {
     use asyncx::{AsyncAdaptiveMutex, AsyncPollAdapt};
@@ -406,8 +279,8 @@ fn async_mutex_for(policy: PolicyChoice, value: u64) -> asyncx::AsyncAdaptiveMut
 /// Run per-worker plans as tasks on an asyncx multi-thread runtime
 /// through the [`asyncx::AsyncAdaptiveMutex`]. Returns total wall
 /// nanoseconds (from the start-gate release), per-task samples, and the
-/// merged acquisition-latency histogram — the same shapes as the sim
-/// and native runners, so async rows sit in the same tables.
+/// merged acquisition-latency histogram — the same shapes as the native
+/// runner, so async rows sit in the same tables.
 ///
 /// One semantic difference, deliberate and load-bearing: the critical
 /// section **spans one executor yield** (guard held across an await).
@@ -490,7 +363,7 @@ pub(crate) fn run_async_plans(
         Ok(m) => m,
         Err(_) => panic!("async workers still hold the mutex after join"),
     };
-    // Always-on, exactly like the native runner: perf sweeps run
+    // Always-on, exactly like the native runner: sweeps run
     // --release, where a silent lost update would otherwise pass.
     assert_eq!(
         mutex.into_inner(),
@@ -512,7 +385,7 @@ pub(crate) fn run_async_plans(
 /// thread-creation time to the lock. `pre_start_stall` (tests only)
 /// sleeps between spawn and clock start to make that exclusion
 /// observable.
-pub(crate) fn run_native_workers<F>(
+pub fn run_native_workers<F>(
     nworkers: usize,
     pre_start_stall: Duration,
     work: F,
@@ -561,14 +434,14 @@ where
 }
 
 /// `Duration` → `u64` nanoseconds, saturating.
-pub(crate) fn saturating_nanos(d: Duration) -> u64 {
+pub fn saturating_nanos(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// Burn CPU for (at least) `d`, without sleeping — critical-section
 /// work must keep the processor, exactly like the simulator's
 /// `ctx::advance`.
-fn busy_wait(d: Duration) {
+pub fn busy_wait(d: Duration) {
     if d.is_zero() {
         return;
     }
@@ -582,7 +455,7 @@ fn busy_wait(d: Duration) {
 /// non-critical-section unit, which prices *work* rather than a clock
 /// target (a `busy_wait` under heavy preemption can overshoot wildly;
 /// an iteration count cannot).
-pub(crate) fn busy_iters(n: u32) {
+fn busy_iters(n: u32) {
     for _ in 0..n {
         std::hint::spin_loop();
     }
@@ -599,39 +472,34 @@ mod tests {
             cs_nanos: 500,
             think_nanos: 500,
             policy,
-            seed: 7,
         }
     }
 
     #[test]
-    fn both_backends_run_the_same_spec() {
+    fn a_native_point_fills_every_field() {
         let spec = quick_spec(PolicyChoice::Adaptive { threshold: 2, n: 32 });
-        for backend in [Backend::Sim, Backend::Native] {
-            let p = run_contention(backend, &spec);
-            assert_eq!(p.backend, backend.label());
-            assert_eq!(p.policy, "simple-adapt");
-            assert_eq!(p.threads, 3);
-            assert!(p.total_nanos > 0, "{}", p.backend);
-            assert!(p.throughput_per_sec > 0.0);
-            assert!(p.wall_nanos_per_op > 0.0);
-            assert!(p.mean_latency_nanos >= 0.0);
-            assert!(
-                p.p50_latency_nanos <= p.p99_latency_nanos,
-                "{}: p50 {} > p99 {}",
-                p.backend,
-                p.p50_latency_nanos,
-                p.p99_latency_nanos
-            );
-            assert!(
-                p.fairness_index > 0.0 && p.fairness_index <= 1.0 + 1e-9,
-                "{}: fairness {}",
-                p.backend,
-                p.fairness_index
-            );
-            assert!(p.min_thread_ops_per_sec > 0.0);
-            assert!(p.max_thread_ops_per_sec >= p.min_thread_ops_per_sec);
-            assert!(p.thread_spread >= 1.0);
-        }
+        let p = run_contention(Backend::Native, &spec);
+        assert_eq!(p.backend, "native");
+        assert_eq!(p.policy, "simple-adapt");
+        assert_eq!(p.threads, 3);
+        assert!(p.total_nanos > 0);
+        assert!(p.throughput_per_sec > 0.0);
+        assert!(p.wall_nanos_per_op > 0.0);
+        assert!(p.mean_latency_nanos >= 0.0);
+        assert!(
+            p.p50_latency_nanos <= p.p99_latency_nanos,
+            "p50 {} > p99 {}",
+            p.p50_latency_nanos,
+            p.p99_latency_nanos
+        );
+        assert!(
+            p.fairness_index > 0.0 && p.fairness_index <= 1.0 + 1e-9,
+            "fairness {}",
+            p.fairness_index
+        );
+        assert!(p.min_thread_ops_per_sec > 0.0);
+        assert!(p.max_thread_ops_per_sec >= p.min_thread_ops_per_sec);
+        assert!(p.thread_spread >= 1.0);
     }
 
     #[test]
@@ -645,7 +513,6 @@ mod tests {
             cs_nanos: 100,
             think_nanos: 40_000,
             policy: PolicyChoice::FixedSpin(64),
-            seed: 7,
         };
         let p = run_contention(Backend::Native, &spec);
         assert!(
@@ -687,42 +554,15 @@ mod tests {
         let spec = quick_spec(PolicyChoice::Algorithm(adaptive_native::LockAlgorithm::Ticket));
         let plan =
             WorkerPlan { iters: spec.iters, cs: Work::Nanos(spec.cs_nanos), think: Work::Nanos(0) };
-        for backend in [Backend::Sim, Backend::Native] {
-            let (_, samples, hist) = match backend {
-                Backend::Sim => run_sim_plans(spec.policy, &vec![plan; spec.threads], spec.seed),
-                _ => run_native_plans(spec.policy, &vec![plan; spec.threads], Duration::ZERO),
-            };
-            assert_eq!(samples.len(), spec.threads);
-            let total_ops: u64 = samples.iter().map(|s| s.ops).sum();
-            assert_eq!(total_ops, spec.threads as u64 * u64::from(spec.iters));
-            assert!(samples.iter().all(|s| s.elapsed_nanos > 0));
-            // The merged histogram holds exactly one sample per op.
-            assert_eq!(hist.count(), total_ops, "{}", backend.label());
-            assert!(hist.percentile(50.0) <= hist.percentile(99.0));
-        }
-    }
-
-    #[test]
-    fn policy_choices_map_onto_sim_lock_specs() {
-        use adaptive_native::LockAlgorithm;
-        assert_eq!(sim_lock_spec(PolicyChoice::FixedSpin(10)), LockSpec::Combined(10));
-        assert_eq!(sim_lock_spec(PolicyChoice::PureBlocking), LockSpec::Blocking);
-        assert_eq!(
-            sim_lock_spec(PolicyChoice::Adaptive { threshold: 3, n: 5 }),
-            LockSpec::Adaptive { threshold: 3, n: 5 }
-        );
-        assert_eq!(
-            sim_lock_spec(PolicyChoice::Algorithm(LockAlgorithm::Ticket)),
-            LockSpec::Ticket
-        );
-        assert_eq!(
-            sim_lock_spec(PolicyChoice::Algorithm(LockAlgorithm::Combining)),
-            LockSpec::Spin
-        );
-        assert!(matches!(
-            sim_lock_spec(PolicyChoice::FairAdaptive { unfair_wait_nanos: 200_000, patience: 4 }),
-            LockSpec::Adaptive { .. }
-        ));
+        let (_, samples, hist) =
+            run_native_plans(spec.policy, &vec![plan; spec.threads], Duration::ZERO);
+        assert_eq!(samples.len(), spec.threads);
+        let total_ops: u64 = samples.iter().map(|s| s.ops).sum();
+        assert_eq!(total_ops, spec.threads as u64 * u64::from(spec.iters));
+        assert!(samples.iter().all(|s| s.elapsed_nanos > 0));
+        // The merged histogram holds exactly one sample per op.
+        assert_eq!(hist.count(), total_ops);
+        assert!(hist.percentile(50.0) <= hist.percentile(99.0));
     }
 
     #[test]
@@ -739,15 +579,6 @@ mod tests {
             let p = run_contention(Backend::Native, &quick_spec(policy));
             assert!(p.total_nanos > 0, "{}", p.policy);
             assert!(p.fairness_index > 0.0, "{}", p.policy);
-        }
-    }
-
-    #[test]
-    fn every_native_policy_also_runs_on_the_simulator() {
-        use adaptive_native::LockAlgorithm;
-        for policy in LockAlgorithm::ALL.map(PolicyChoice::Algorithm) {
-            let p = run_contention(Backend::Sim, &quick_spec(policy));
-            assert!(p.total_nanos > 0, "{}", p.policy);
         }
     }
 
@@ -781,14 +612,5 @@ mod tests {
         assert_eq!(total_ops, spec.threads as u64 * u64::from(spec.iters));
         assert_eq!(hist.count(), total_ops);
         assert!(samples.iter().all(|s| s.elapsed_nanos > 0));
-    }
-
-    #[test]
-    fn sim_runs_stay_deterministic_through_the_backend() {
-        let spec = quick_spec(PolicyChoice::FixedSpin(10));
-        let a = run_contention(Backend::Sim, &spec);
-        let b = run_contention(Backend::Sim, &spec);
-        assert_eq!(a.total_nanos, b.total_nanos);
-        assert_eq!(a.fairness_index, b.fairness_index);
     }
 }

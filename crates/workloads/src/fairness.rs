@@ -13,8 +13,9 @@
 //! are built around.
 //!
 //! [`FairnessSpec`] captures the shape once and [`run_fairness`]
-//! executes it on either backend through the same plan machinery as
-//! [`crate::run_contention`], with per-thread op/latency accounting.
+//! executes it on OS threads (or async tasks) through the same plan
+//! machinery as [`crate::run_contention`], with per-thread op/latency
+//! accounting.
 //! Every row reports [Jain's fairness index] over per-thread throughput
 //! plus the min/max per-thread spread, alongside the usual ns/op.
 //!
@@ -22,13 +23,11 @@
 //!
 //! Critical- and non-critical-section lengths are *busy-loop iteration
 //! counts* (the dlock2 unit), not nanoseconds: an iteration count
-//! prices work and cannot overshoot under preemption. On the simulator
-//! one iteration advances one virtual nanosecond.
+//! prices work and cannot overshoot under preemption.
 
 use adaptive_native::PolicyChoice;
-use serde::Serialize;
 
-use crate::backend::{run_native_plans, run_sim_plans, Backend, ThreadSample, Work, WorkerPlan};
+use crate::backend::{run_native_plans, Backend, ThreadSample, Work, WorkerPlan};
 
 /// One fairness workload: `threads` workers split into two groups with
 /// different critical-section lengths, all hammering one lock.
@@ -51,56 +50,23 @@ pub struct FairnessSpec {
     pub ncs_iters: u32,
     /// The waiting policy / engine under test.
     pub policy: PolicyChoice,
-    /// Simulator seed (ignored by the native backend).
-    pub seed: u64,
-}
-
-impl Default for FairnessSpec {
-    fn default() -> Self {
-        FairnessSpec {
-            threads: 4,
-            group_a: 2,
-            iters: 100,
-            cs_iters_a: 1_000,
-            cs_iters_b: 3_000,
-            ncs_iters: 100,
-            policy: PolicyChoice::Adaptive { threshold: 2, n: 32 },
-            seed: 0x51ee9,
-        }
-    }
 }
 
 /// One measured fairness point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FairnessPoint {
     /// Which backend produced the point.
     pub backend: String,
     /// Waiting-policy / engine label.
     pub policy: String,
-    /// Worker threads.
-    pub threads: usize,
     /// Threads in group A.
     pub group_a: usize,
-    /// Group A critical-section length (busy-loop iterations).
-    pub cs_iters_a: u32,
-    /// Group B critical-section length (busy-loop iterations).
-    pub cs_iters_b: u32,
-    /// Non-critical-section length (busy-loop iterations).
-    pub ncs_iters: u32,
-    /// Lock/unlock iterations per thread.
-    pub iters: u32,
     /// Whether the two groups differ (`cs_iters_a != cs_iters_b`).
     pub imbalanced: bool,
     /// Total execution time from the start-barrier release (ns).
     pub total_nanos: u64,
-    /// Native only: more worker threads than host parallelism.
-    pub oversubscribed: bool,
     /// Lock acquisitions per second.
     pub throughput_per_sec: f64,
-    /// Total time over total ops (ns) — pace, not latency.
-    pub wall_nanos_per_op: f64,
-    /// Mean measured acquisition latency (enter-to-acquired, ns).
-    pub mean_latency_nanos: f64,
     /// Median acquisition latency (ns), from the merged per-op
     /// histogram.
     pub p50_latency_nanos: u64,
@@ -118,8 +84,6 @@ pub struct FairnessPoint {
     pub thread_spread: f64,
     /// Each thread's completed-op count (group A first).
     pub per_thread_ops: Vec<u64>,
-    /// Each thread's throughput (ops over its own elapsed time).
-    pub per_thread_ops_per_sec: Vec<f64>,
 }
 
 /// Jain's fairness index over per-thread throughput:
@@ -148,7 +112,6 @@ pub(crate) struct SpreadStats {
     pub thread_spread: f64,
     pub mean_latency_nanos: f64,
     pub per_thread_ops: Vec<u64>,
-    pub per_thread_ops_per_sec: Vec<f64>,
     pub total_ops: u64,
 }
 
@@ -180,7 +143,6 @@ pub(crate) fn spread_stats(samples: &[ThreadSample]) -> SpreadStats {
         thread_spread: if min > 0.0 { max / min } else { 1.0 },
         mean_latency_nanos: total_latency as f64 / total_ops.max(1) as f64,
         per_thread_ops,
-        per_thread_ops_per_sec,
         total_ops,
     }
 }
@@ -196,7 +158,6 @@ pub fn run_fairness(backend: Backend, spec: &FairnessSpec) -> FairnessPoint {
         })
         .collect();
     let (total_nanos, samples, hist) = match backend {
-        Backend::Sim => run_sim_plans(spec.policy, &plans, spec.seed),
         Backend::Native => run_native_plans(spec.policy, &plans, std::time::Duration::ZERO),
         #[cfg(feature = "async-backend")]
         Backend::Async => crate::backend::run_async_plans(spec.policy, &plans),
@@ -205,19 +166,10 @@ pub fn run_fairness(backend: Backend, spec: &FairnessSpec) -> FairnessPoint {
     FairnessPoint {
         backend: backend.label().into(),
         policy: spec.policy.label(),
-        threads: spec.threads,
         group_a,
-        cs_iters_a: spec.cs_iters_a,
-        cs_iters_b: spec.cs_iters_b,
-        ncs_iters: spec.ncs_iters,
-        iters: spec.iters,
         imbalanced: spec.cs_iters_a != spec.cs_iters_b,
         total_nanos,
-        oversubscribed: matches!(backend, Backend::Native)
-            && spec.threads > std::thread::available_parallelism().map_or(1, |n| n.get()),
         throughput_per_sec: s.total_ops as f64 / (total_nanos.max(1) as f64 / 1e9),
-        wall_nanos_per_op: total_nanos as f64 / s.total_ops.max(1) as f64,
-        mean_latency_nanos: s.mean_latency_nanos,
         p50_latency_nanos: hist.percentile(50.0),
         p99_latency_nanos: hist.percentile(99.0),
         fairness_index: s.fairness_index,
@@ -225,7 +177,6 @@ pub fn run_fairness(backend: Backend, spec: &FairnessSpec) -> FairnessPoint {
         max_thread_ops_per_sec: s.max_thread_ops_per_sec,
         thread_spread: s.thread_spread,
         per_thread_ops: s.per_thread_ops,
-        per_thread_ops_per_sec: s.per_thread_ops_per_sec,
     }
 }
 
@@ -243,7 +194,6 @@ mod tests {
             cs_iters_b: 600,
             ncs_iters: 50,
             policy,
-            seed: 11,
         }
     }
 
@@ -269,19 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn fairness_runs_on_both_backends() {
+    fn fairness_runs_natively() {
         let spec = quick_spec(PolicyChoice::Algorithm(LockAlgorithm::Ticket));
-        for backend in [Backend::Sim, Backend::Native] {
-            let p = run_fairness(backend, &spec);
-            assert_eq!(p.backend, backend.label());
-            assert!(p.imbalanced);
-            assert_eq!(p.per_thread_ops.len(), 4);
-            assert_eq!(p.per_thread_ops.iter().sum::<u64>(), 4 * 15);
-            assert!(p.fairness_index > 0.0 && p.fairness_index <= 1.0 + 1e-9);
-            assert!(p.thread_spread >= 1.0);
-            assert!(p.total_nanos > 0);
-            assert!(p.p50_latency_nanos <= p.p99_latency_nanos, "{}", p.backend);
-        }
+        let p = run_fairness(Backend::Native, &spec);
+        assert_eq!(p.backend, "native");
+        assert!(p.imbalanced);
+        assert_eq!(p.per_thread_ops.len(), 4);
+        assert_eq!(p.per_thread_ops.iter().sum::<u64>(), 4 * 15);
+        assert!(p.fairness_index > 0.0 && p.fairness_index <= 1.0 + 1e-9);
+        assert!(p.thread_spread >= 1.0);
+        assert!(p.total_nanos > 0);
+        assert!(p.p50_latency_nanos <= p.p99_latency_nanos);
     }
 
     #[test]
@@ -316,15 +264,5 @@ mod tests {
         let p = run_fairness(Backend::Native, &spec);
         assert_eq!(p.group_a, 2);
         assert_eq!(p.per_thread_ops.len(), 2);
-    }
-
-    #[test]
-    fn sim_fairness_is_deterministic() {
-        let spec = quick_spec(PolicyChoice::Algorithm(LockAlgorithm::Ticket));
-        let a = run_fairness(Backend::Sim, &spec);
-        let b = run_fairness(Backend::Sim, &spec);
-        assert_eq!(a.total_nanos, b.total_nanos);
-        assert_eq!(a.fairness_index, b.fairness_index);
-        assert_eq!(a.per_thread_ops_per_sec, b.per_thread_ops_per_sec);
     }
 }

@@ -13,14 +13,13 @@
 //!   comparison recalled from \[MS93\] in Section 2;
 //! * [`phased`] — a phase-changing pattern demonstrating when adaptation
 //!   pays;
-//! * [`backend`] — backend-neutral contention workloads: the same spec
-//!   runs on the butterfly simulator or on real OS threads, with
-//!   per-thread op/latency accounting behind every row;
+//! * [`backend`] — contention workloads on real OS threads (or async
+//!   tasks) through the native adaptive mutex, with per-thread
+//!   op/latency accounting behind every row; the simulator's
+//!   contention runner is [`csweep::run_once`];
 //! * [`fairness`] — the dlock2-style imbalance suite: two critical-
 //!   section groups, a non-critical-section length sweep, and Jain's
 //!   fairness index + per-thread throughput spread per row;
-//! * [`structures`] — real-data-structure workloads (lock-protected
-//!   counter vs lock-free CAS, queue, hashmap) under every policy;
 //! * [`soak`] — the chaos soak: contention under a seeded fault storm
 //!   with live control-plane traffic, graded against conservation,
 //!   breaker-lifecycle, and quiescence oracles.
@@ -38,13 +37,9 @@ pub mod measure;
 pub mod phased;
 pub mod soak;
 pub mod spec;
-pub mod structures;
 
-pub use backend::{
-    run_contention, sim_lock_spec, Backend, ContentionPoint, ContentionSpec, ThreadSample,
-};
+pub use backend::{run_contention, Backend, ContentionPoint, ContentionSpec, ThreadSample};
 pub use fairness::{jains_index, run_fairness, FairnessPoint, FairnessSpec};
-pub use structures::{run_structure, StructureKind, StructurePoint, StructureSpec};
 pub use clientserver::{run_all_schedulers, run_client_server, ClientServerConfig, ClientServerResult};
 pub use csweep::{figure1_locks, run_once, run_sweep, SweepConfig, SweepPoint};
 pub use cycle::{measure_cycle, measure_cycle_on};

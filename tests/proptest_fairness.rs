@@ -48,7 +48,6 @@ proptest! {
             cs_iters_b: if imbalanced { 600 } else { 200 },
             ncs_iters,
             policy,
-            seed: 7,
         };
         let point = run_fairness(Backend::Native, &spec);
         let expected = threads as u64 * iters as u64;
